@@ -1,10 +1,9 @@
 //! **F1 (bench)** — exhaustive exploration throughput as the process count
-//! grows, and parallel-engine speedup on the T2 workload.
+//! grows, and work-stealing speedup on the T2 and k-set workloads.
 //!
 //! The `t2_dac/...` benchmarks explore Algorithm 2 (n-DAC from an n-PAC
-//! object) for n = 4 — the acceptance workload for the parallel engine —
-//! once with one worker thread (the sequential baseline), once with the
-//! auto-resolved thread count, and once with symmetry reduction (the
+//! object) for n = 4 — once with the deterministic engine against the seed
+//! baseline algorithm, and once with symmetry reduction (the
 //! non-distinguished processes share the input 0, so the instance is
 //! symmetric under S_{n-1}); the `t2_dac/5/...` pair measures the same
 //! raw-vs-reduced split at n = 5, and `t2_dac/6/...` adds the regime the
@@ -16,7 +15,7 @@
 //! (≥ 10⁵ raw configurations), where frontier widths dwarf any barrier
 //! cost. Besides the usual per-group JSON report, this bench writes
 //! `BENCH_explore.json` at the repository root recording configs/sec for
-//! the engines, the parallel and work-stealing speedups, the
+//! the engines, the work-stealing speedups, the
 //! orbit-reduction ratios, and the new steal/canonicalization counters,
 //! so the perf trajectory is tracked in-tree.
 
@@ -107,9 +106,9 @@ fn bench_explore(c: &mut Criterion) {
         });
     }
 
-    // The parallel-engine acceptance workload: T2, Algorithm 2 for n = 4.
-    // These feed the gated speedups in `BENCH_explore.json`, so they get a
-    // larger sample than the scaling sweeps above.
+    // The engine acceptance workload: T2, Algorithm 2 for n = 4. These
+    // feed the gated speedups in `BENCH_explore.json`, so they get a larger
+    // sample than the scaling sweeps above.
     group.sample_size(20);
     let n = 4usize;
     let p = DacFromPac::new(mixed_binary_inputs(n), Pid(0), ObjId(0)).unwrap();
@@ -123,12 +122,6 @@ fn bench_explore(c: &mut Criterion) {
     group.bench_function("t2_dac/4/seq", |b| {
         b.iter(|| {
             let g = explorer.exploration().threads(1).run().unwrap();
-            black_box(g.configs.len())
-        });
-    });
-    group.bench_function(format!("t2_dac/4/par{threads}"), |b| {
-        b.iter(|| {
-            let g = explorer.exploration().run().unwrap();
             black_box(g.configs.len())
         });
     });
@@ -255,9 +248,9 @@ fn round2(x: f64) -> f64 {
 }
 
 /// Writes `BENCH_explore.json` at the repository root: configs/sec on T2
-/// n=4 for the seed baseline algorithm, the new engine at one thread, and
-/// the new engine at the auto thread count, plus the resulting speedup of
-/// the shipped engine over the baseline — and, for the symmetry layer, the
+/// n=4 for the seed baseline algorithm and the deterministic engine, plus
+/// the resulting speedup of the engine over the baseline — and, for the
+/// symmetry layer, the
 /// raw-vs-reduced config counts and reduction ratios at n = 4, 5, and 6
 /// (the n = 4 group is only S_3, so its ratio is Burnside-capped at 6;
 /// n = 5 is where the ≥ 5× reduction target is met). The n = 6 and
@@ -289,11 +282,7 @@ fn write_speedup_report(
             .find(|r| r.id.ends_with(suffix))
             .map(|r| (r.min_nanos(), r.median_nanos()))
     };
-    let (Some(baseline), Some(seq), Some(par)) = (
-        times("t2_dac/4/baseline"),
-        times("t2_dac/4/seq"),
-        times(&format!("t2_dac/4/par{threads}")),
-    ) else {
+    let (Some(baseline), Some(seq)) = (times("t2_dac/4/baseline"), times("t2_dac/4/seq")) else {
         return;
     };
     let (Some(reduced_t), Some(baseline5_t), Some(raw5_t), Some(reduced5_t)) = (
@@ -315,7 +304,6 @@ fn write_speedup_report(
     };
     let (baseline_min, baseline_ns) = baseline;
     let (seq_min, seq_ns) = seq;
-    let (par_min, par_ns) = par;
     let (reduced_min, reduced_ns) = reduced_t;
     let (baseline5_min, _baseline5_ns) = baseline5_t;
     let (raw5_min, raw5_ns) = raw5_t;
@@ -360,7 +348,9 @@ fn write_speedup_report(
     let expanded = g.stats.expanded;
     let per_sec = |ns: f64| expanded as f64 / (ns / 1e9);
     let ratio = |raw: usize, red: usize| round2(raw as f64 / red as f64);
-    let speedup = round2(baseline_min / par_min);
+    // The deterministic engine is single-threaded at every thread count, so
+    // the shipped default *is* the `seq` run.
+    let speedup = round2(baseline_min / seq_min);
     let effective_cores = std::thread::available_parallelism().map_or(1, usize::from);
     let mut json = Json::object()
         .set("workload", "t2_dac_n4")
@@ -370,15 +360,11 @@ fn write_speedup_report(
         .set("effective_cores", effective_cores)
         .set("baseline_min_ns", baseline_min.round())
         .set("seq_min_ns", seq_min.round())
-        .set("par_min_ns", par_min.round())
         .set("baseline_median_ns", baseline_ns.round())
         .set("seq_median_ns", seq_ns.round())
-        .set("par_median_ns", par_ns.round())
         .set("baseline_configs_per_sec", per_sec(baseline_min).round())
         .set("seq_configs_per_sec", per_sec(seq_min).round())
-        .set("par_configs_per_sec", per_sec(par_min).round())
         .set("speedup_vs_baseline", speedup)
-        .set("speedup_par_vs_seq", round2(seq_min / par_min))
         .set("reduced_configs", reduced.configs.len())
         .set("reduced_min_ns", reduced_min.round())
         .set("reduced_median_ns", reduced_ns.round())
@@ -472,7 +458,7 @@ fn write_speedup_report(
     }
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_explore.json");
     if std::fs::write(path, json.pretty() + "\n").is_ok() {
-        println!("\nT2 n=4 engine speedup vs seed baseline: {speedup:.2}x ({threads} threads)");
+        println!("\nT2 n=4 engine speedup vs seed baseline: {speedup:.2}x");
         println!(
             "T2 n=5 engine speedup vs seed baseline: {:.2}x",
             baseline5_min / raw5_min

@@ -14,7 +14,6 @@
 //! quotient graph shrinks by up to |S_{n-1}| = (n-1)!.
 //!
 //! Run with `cargo run --release -p lbsa-bench --bin exp_f1_statespace`.
-//! Set `LBSA_EXPLORE_THREADS` to pin the engine's thread count.
 
 use lbsa_bench::harness::run_experiment;
 use lbsa_bench::{distinct_inputs, mixed_binary_inputs};

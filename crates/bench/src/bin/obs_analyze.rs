@@ -10,9 +10,8 @@
 //! * **phase critical path** — the most expensive BFS levels of a
 //!   level-sync trace, or the longest-running worker of a work-stealing
 //!   trace;
-//! * **steal-storm and underparallelized-level detection** — the two
-//!   pathologies that silently burn wall clock: workers sweeping empty
-//!   deques, and wide levels that never crossed the parallel gate;
+//! * **steal-storm detection** — the pathology that silently burns wall
+//!   clock in a work-stealing run: workers sweeping empty deques;
 //! * `--summary-json` — the same analysis as one machine-readable object.
 //!
 //! `--regress <BENCH_history.jsonl>` switches to perf-regression mode: the
@@ -208,7 +207,7 @@ fn analyze_trace(path: &Path, events: &[Json]) -> Json {
     }
     let levels = level_rows(events);
     if !levels.is_empty() {
-        doc = doc.set("levels", level_analysis(&levels, threads));
+        doc = doc.set("levels", level_analysis(&levels));
         if workers.is_empty() {
             doc = doc.set("critical_path", level_critical_path(&levels));
         }
@@ -373,43 +372,22 @@ fn level_rows(events: &[Json]) -> Vec<Json> {
         .collect()
 }
 
-/// Level-sync analysis: phase split, widest level, and the wide levels
-/// that stayed sequential (underparallelized under a multi-thread run).
-fn level_analysis(levels: &[Json], threads: i64) -> Json {
-    let count = levels.len();
-    let parallel = levels
-        .iter()
-        .filter(|l| l.get("parallel").and_then(Json::as_bool) == Some(true))
-        .count();
+/// Level-sync analysis: level count, widest level, and total expansion
+/// time.
+fn level_analysis(levels: &[Json]) -> Json {
     let expand_us: i64 = levels
         .iter()
         .filter_map(|l| field_i64(l, "expand_us"))
         .sum();
-    let merge_us: i64 = levels.iter().filter_map(|l| field_i64(l, "merge_us")).sum();
     let widest = levels
         .iter()
         .filter_map(|l| field_i64(l, "width"))
         .max()
         .unwrap_or(0);
-    let mut under = Vec::new();
-    for l in levels {
-        let width = field_i64(l, "width").unwrap_or(0);
-        let is_parallel = l.get("parallel").and_then(Json::as_bool) == Some(true);
-        if threads > 1 && !is_parallel && width >= threads * 2 {
-            under.push(
-                Json::object()
-                    .set("level", field_i64(l, "level").unwrap_or(-1))
-                    .set("width", width),
-            );
-        }
-    }
     Json::object()
-        .set("count", count)
-        .set("parallel", parallel)
+        .set("count", levels.len())
         .set("widest", widest)
         .set("expand_us", expand_us)
-        .set("merge_us", merge_us)
-        .set("underparallelized", Json::Arr(under))
 }
 
 /// Level-sync critical path: the run is one sequential chain of levels, so
@@ -600,22 +578,11 @@ fn render_human(summary: &Json, events: &[Json]) {
     }
     if let Some(levels) = summary.get("levels") {
         println!(
-            "-- levels: {} total, {} parallel, widest {}, expand {}us / merge {}us",
+            "-- levels: {} total, widest {}, expand {}us",
             levels.get("count").and_then(Json::as_i64).unwrap_or(0),
-            levels.get("parallel").and_then(Json::as_i64).unwrap_or(0),
             levels.get("widest").and_then(Json::as_i64).unwrap_or(0),
             levels.get("expand_us").and_then(Json::as_i64).unwrap_or(0),
-            levels.get("merge_us").and_then(Json::as_i64).unwrap_or(0),
         );
-        if let Some(under) = levels.get("underparallelized").and_then(Json::as_arr) {
-            for l in under {
-                println!(
-                    "  !! underparallelized level {} (width {} stayed sequential)",
-                    field_i64(l, "level").unwrap_or(-1),
-                    field_i64(l, "width").unwrap_or(0),
-                );
-            }
-        }
     }
     if let Some(cp) = summary.get("critical_path") {
         match cp.get("kind").and_then(Json::as_str) {
@@ -806,6 +773,26 @@ mod tests {
     }
 
     #[test]
+    fn regress_skips_metrics_retired_from_new_rows() {
+        // History rows written before a benchmark key was retired still
+        // carry it; the newest row does not. The key is skipped, not
+        // treated as a regression or an error.
+        let row = |metrics: &str| {
+            format!(
+                r#"{{"schema":"lbsa-bench-history/v1","ts":1,"host":"h/2c","effective_cores":2,"gates_ok":true,"metrics":{{{metrics}}}}}"#
+            )
+        };
+        let old = row(r#""seq_min_ns":100.0,"par_min_ns":90.0,"speedup_par_vs_seq":1.1"#);
+        let new = row(r#""seq_min_ns":105.0"#);
+        let path =
+            std::env::temp_dir().join(format!("obs_analyze_retired_{}.jsonl", std::process::id()));
+        std::fs::write(&path, format!("{old}\n{old}\n{new}\n")).expect("write history");
+        let regressions = regress_mode(&path, DEFAULT_NOISE, DEFAULT_WINDOW);
+        std::fs::remove_file(&path).ok();
+        assert_eq!(regressions, Ok(0));
+    }
+
+    #[test]
     fn median_of_even_and_odd() {
         assert_eq!(median(&mut [3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median(&mut [4.0, 1.0, 2.0, 3.0]), 2.5);
@@ -903,32 +890,33 @@ mod tests {
     }
 
     #[test]
-    fn underparallelized_levels_are_flagged() {
-        let levels = vec![
+    fn legacy_level_sync_traces_still_summarise() {
+        // Older engines emitted per-level `parallel`/`merge_us` fields and a
+        // `pargate` event per level; the analysis must still read them.
+        let events = vec![
             ev(
-                r#"{"event":"level","level":0,"width":1,"parallel":false,"expand_us":5,"merge_us":0,"elapsed_us":5}"#,
+                r#"{"seq":0,"t_us":0,"event":"explore.begin","threads":4,"force_parallel":false,"frontier":"level-sync"}"#,
             ),
             ev(
-                r#"{"event":"level","level":1,"width":64,"parallel":false,"expand_us":90,"merge_us":0,"elapsed_us":90}"#,
+                r#"{"seq":1,"t_us":1,"event":"pargate","level":0,"width":1,"parallel":false,"ema_ns_per_node":null,"threads":4,"effective":2,"forced":false}"#,
             ),
             ev(
-                r#"{"event":"level","level":2,"width":64,"parallel":true,"expand_us":40,"merge_us":10,"elapsed_us":50}"#,
+                r#"{"seq":2,"t_us":6,"event":"level","level":0,"width":1,"parallel":false,"expand_us":5,"merge_us":0,"elapsed_us":5}"#,
             ),
+            ev(
+                r#"{"seq":3,"t_us":96,"event":"level","level":1,"width":64,"parallel":false,"expand_us":90,"merge_us":0,"elapsed_us":90}"#,
+            ),
+            ev(
+                r#"{"seq":4,"t_us":146,"event":"level","level":2,"width":64,"parallel":true,"expand_us":40,"merge_us":10,"elapsed_us":50}"#,
+            ),
+            ev(r#"{"seq":5,"t_us":150,"event":"explore.end","configs":129}"#),
         ];
-        let analysis = level_analysis(&levels, 4);
-        let under = analysis
-            .get("underparallelized")
-            .and_then(Json::as_arr)
-            .expect("list");
-        assert_eq!(under.len(), 1);
-        assert_eq!(field_i64(&under[0], "level"), Some(1));
-        // Single-threaded runs are sequential by request, not a pathology.
-        let single = level_analysis(&levels, 1);
-        assert!(single
-            .get("underparallelized")
-            .and_then(Json::as_arr)
-            .expect("list")
-            .is_empty());
+        let summary = analyze_trace(Path::new("legacy.trace.jsonl"), &events);
+        let levels = summary.get("levels").expect("level summary");
+        assert_eq!(levels.get("count").and_then(Json::as_i64), Some(3));
+        assert_eq!(levels.get("widest").and_then(Json::as_i64), Some(64));
+        assert_eq!(levels.get("expand_us").and_then(Json::as_i64), Some(135));
+        render_human(&summary, &events);
     }
 
     #[test]

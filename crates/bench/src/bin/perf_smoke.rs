@@ -17,15 +17,11 @@
 //!    engine is not), so anchoring to whichever end was committed would
 //!    flake, while a true regression — say, dedup interning accidentally
 //!    disabled — drops the ratio to ≈ 1.0 and trips the floor reliably;
-//! 3. the parallel-vs-sequential speedup has not regressed more than 15%
-//!    below the committed value (on a single-core host both sides sit at
-//!    ≈ 1.0 — the adaptive gate routes everything sequential — so this
-//!    check degrades to "don't get slower than committed there either");
-//! 4. symmetry reduction still shrinks the symmetric T2 n = 5 state space
+//! 3. symmetry reduction still shrinks the symmetric T2 n = 5 state space
 //!    by ≥ 5× (`n5_reduction_ratio ≥ 5.0`). The n = 4 ratio is reported
 //!    but not gated: its group is S_3, so the ratio is capped at 6 and
 //!    sits near 3.4 by orbit counting, not by implementation quality;
-//! 5. the work-stealing frontier wins on the big committed workloads.
+//! 4. the work-stealing frontier wins on the big committed workloads.
 //!    `n6_speedup_par_vs_seq` and `kset_speedup_par_vs_seq` are gated
 //!    against a floor that scales with the host recorded in the *fresh*
 //!    report (`effective_cores`): ≥ 1.5 with eight or more cores — real
@@ -34,7 +30,7 @@
 //!    the overhead of the lock-free frontier (raised from 0.4 when the
 //!    mutexed deques were replaced by Chase–Lev deques and batched
 //!    index probes);
-//! 6. symmetry reduction wins *wall clock*, not just state count, on the
+//! 5. symmetry reduction wins *wall clock*, not just state count, on the
 //!    committed n = 6 workload: `n6_speedup_reduced_vs_raw ≥ 1.0`, i.e.
 //!    reduced-over-raw elapsed < 1.0. This is the gate on incremental
 //!    canonicalization — with full orbit minimization the reduced run is
@@ -169,25 +165,6 @@ fn main() -> ExitCode {
         }
         Some(s) => failures.push(format!("speedup_vs_baseline {s:.2} < 1.5 hard floor")),
         None => failures.push("fresh report lacks speedup_vs_baseline".into()),
-    }
-
-    match num(&fresh, "speedup_par_vs_seq") {
-        Some(par) => {
-            let floor = committed
-                .as_ref()
-                .and_then(|c| num(c, "speedup_par_vs_seq"))
-                .map_or(0.0, |c| c * 0.85);
-            if par >= floor {
-                println!("speedup_par_vs_seq: {par:.2} (floor {floor:.2}) ok");
-                measured.push(format!("par_vs_seq {par:.2}"));
-            } else {
-                failures.push(format!(
-                    "speedup_par_vs_seq {par:.2} regressed below {floor:.2} \
-                     (85% of committed)"
-                ));
-            }
-        }
-        None => failures.push("fresh report lacks speedup_par_vs_seq".into()),
     }
 
     match num(&fresh, "n5_reduction_ratio") {

@@ -20,8 +20,8 @@
 //! [`JsonlSink`] at `<reports-dir>/<id>.trace.jsonl` and exposes the
 //! corresponding [`Tracer`] via [`Experiment::tracer`]. Experiment bodies
 //! hand it to the engine (`Explorer::with_trace`) so the artifact captures
-//! the full span stream — `explore.begin`, per-level `pargate`/`level`
-//! events, `verdict`, `witness.*`, `explore.end`. Scalar measurements
+//! the full span stream — `explore.begin`, per-level `level` events,
+//! `verdict`, `witness.*`, `explore.end`. Scalar measurements
 //! recorded via [`Experiment::metric`] land in the report's `metrics`
 //! section (schema v2), which `exp_report --metrics` aggregates and diffs.
 //!

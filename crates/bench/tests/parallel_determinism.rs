@@ -1,15 +1,10 @@
-//! Parallel determinism: the exploration engine must build **byte-identical**
-//! execution graphs for every worker thread count — node indices, edge
-//! order, truncation behaviour, everything. These tests pin that contract on
-//! the real experiment workloads (Algorithm 2), on an intentionally cyclic
-//! protocol, and on randomized small protocols.
-//!
-//! Every multi-threaded run here bypasses the adaptive parallel gate with
-//! [`force_parallel`](lbsa_explorer::Exploration::force_parallel): on a
-//! single-core box the gate (correctly) routes every level through the
-//! sequential path, which would make these tests vacuous. Forcing the
-//! parallel path keeps the classify/stitch merge machinery covered
-//! regardless of the host's core count.
+//! Parallel determinism: the deterministic frontier must build
+//! **byte-identical** execution graphs whatever thread count is requested —
+//! node indices, edge order, truncation behaviour, everything. That engine
+//! is single-threaded and ignores `threads`, so these tests guard that the
+//! knob never leaks into it. They pin the contract on the real experiment
+//! workloads (Algorithm 2), on an intentionally cyclic protocol, and on
+//! randomized small protocols.
 //!
 //! The work-stealing frontier ([`Frontier::WorkStealing`]) deliberately
 //! trades byte-identity for throughput: node indices follow discovery
@@ -20,7 +15,8 @@
 //! T2 workload (a property that holds) and on a broken consensus protocol
 //! (a property that is violated, where the witness must still confirm by
 //! deterministic replay even though the graph it was extracted from is
-//! indexed differently).
+//! indexed differently); the randomized test checks it on random protocols
+//! at a random thread count.
 
 use lbsa_core::value::int;
 use lbsa_core::{AnyObject, ObjId, Op, Pid, Value};
@@ -56,11 +52,17 @@ fn explore_with_threads<P: Protocol>(
     limits: Limits,
     threads: usize,
 ) -> ExplorationGraph<P::LocalState> {
-    let mut e = explorer.exploration().limits(limits).threads(threads);
-    if threads > 1 {
-        e = e.force_parallel();
-    }
-    e.run().expect("exploration succeeds")
+    let g = explorer
+        .exploration()
+        .limits(limits)
+        .threads(threads)
+        .run()
+        .expect("exploration succeeds");
+    assert_eq!(
+        g.stats.threads, 1,
+        "the deterministic engine is single-threaded"
+    );
+    g
 }
 
 fn mixed_binary_inputs(count: usize) -> Vec<Value> {
@@ -450,11 +452,32 @@ fn random_small_protocols_are_thread_count_independent() {
         };
         let sequential = explore_with_threads(&explorer, limits, 1);
         let threads = rng.random_range(2..7);
+        let what = format!("random protocol n={n} phases={phases} threads={threads}");
         let parallel = explore_with_threads(&explorer, limits, threads);
-        assert_same_graph(
-            &sequential,
-            &parallel,
-            &format!("random protocol n={n} phases={phases} threads={threads}"),
-        );
+        assert_same_graph(&sequential, &parallel, &what);
+        // Work stealing cuts truncated runs at a scheduling-dependent
+        // boundary, so it is compared on complete runs only.
+        if !sequential.complete {
+            return;
+        }
+        let ws = explore_ws(&explorer, threads);
+        assert_same_aggregates(&sequential, &ws, &format!("{what}, ws"));
+        let k = rng.random_range(1..3);
+        let valid = [int(0), int(1), int(2)];
+        let det_verdict = verdict_k_set_agreement_graph(&explorer, &sequential, k, &valid);
+        let ws_verdict = verdict_k_set_agreement_graph(&explorer, &ws, k, &valid);
+        if det_verdict.is_violated() {
+            // Which violation a check reports first depends on indexing;
+            // the witness must still confirm by replay.
+            assert!(ws_verdict.is_violated(), "{what}: ws verdict {ws_verdict}");
+            ws_verdict
+                .witness
+                .as_ref()
+                .expect("witness extracted")
+                .confirm(&explorer)
+                .expect("work-stealing witness must confirm by replay");
+        } else {
+            assert_eq!(det_verdict, ws_verdict, "{what}: verdict differs under ws");
+        }
     });
 }

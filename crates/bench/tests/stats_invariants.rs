@@ -2,9 +2,9 @@
 //! real experiment workloads: the per-level breakdown must reconcile with
 //! the aggregate counters, and the phase-time breakdown must stay within
 //! the measured wall clock. These are the numbers the observability layer
-//! (`metrics.explore` in the report artifacts, `summary()`'s
-//! expand-/merge-bound diagnosis) reports to users — a drift between the
-//! levels and the totals would silently corrupt every trace downstream.
+//! (`metrics.explore` in the report artifacts, `summary()`) reports to
+//! users — a drift between the levels and the totals would silently
+//! corrupt every trace downstream.
 
 use lbsa_bench::mixed_binary_inputs;
 use lbsa_core::{AnyObject, ObjId, Pid};
@@ -28,21 +28,21 @@ fn assert_invariants(stats: &ExploreStats, what: &str) {
         level_transitions, stats.transitions,
         "{what}: sum of level transitions must equal total transitions"
     );
-    let parallel_levels = stats.levels.iter().filter(|l| l.parallel).count();
-    assert_eq!(
-        parallel_levels, stats.parallel_levels,
-        "{what}: parallel_levels must count the levels flagged parallel"
-    );
     for (i, l) in stats.levels.iter().enumerate() {
         assert_eq!(
             l.level, i,
             "{what}: level indices must be 0..depth in order"
         );
     }
+    let level_expand: Duration = stats.levels.iter().map(|l| l.expand).sum();
+    assert_eq!(
+        level_expand, stats.phases.expand,
+        "{what}: sum of level expand times must equal the expand phase"
+    );
     assert!(
-        stats.phases.measured() <= stats.elapsed,
+        stats.phases.expand <= stats.elapsed,
         "{what}: phase breakdown ({:?}) cannot exceed wall clock ({:?})",
-        stats.phases.measured(),
+        stats.phases.expand,
         stats.elapsed
     );
 }
@@ -127,7 +127,7 @@ fn work_stealing_stats_reconcile() {
             "{what}: every config is popped locally or stolen"
         );
         assert!(
-            stats.phases.measured() <= stats.elapsed,
+            stats.phases.expand <= stats.elapsed,
             "{what}: phase breakdown cannot exceed wall clock"
         );
     }
@@ -155,21 +155,31 @@ fn work_stealing_reduced_stats_reconcile() {
     );
 }
 
+/// A two-thread request on both frontiers: the deterministic engine stays
+/// single-threaded and keeps its per-level invariants, while work stealing
+/// runs two workers over the same state space.
 #[test]
-fn forced_parallel_stats_reconcile() {
+fn two_thread_stats_reconcile_across_frontiers() {
     let p = DacFromPac::new(mixed_binary_inputs(4), Pid(0), ObjId(0)).expect("n >= 2");
     let objects = vec![AnyObject::pac(4).expect("valid")];
-    let g = Explorer::new(&p, &objects)
+    let explorer = Explorer::new(&p, &objects);
+    let det = explorer.exploration().threads(2).run().expect("explorable");
+    assert_eq!(
+        det.stats.threads, 1,
+        "the deterministic engine ignores threads"
+    );
+    assert_invariants(&det.stats, "dac n=4 deterministic, threads(2)");
+    let ws = explorer
         .exploration()
+        .frontier(Frontier::WorkStealing)
         .threads(2)
-        .force_parallel()
         .run()
         .expect("explorable");
-    assert!(
-        g.stats.parallel_levels > 0,
-        "forced parallel run must record parallel levels"
-    );
-    assert_invariants(&g.stats, "dac n=4 forced-parallel");
+    assert_eq!(ws.stats.threads, 2);
+    assert_eq!(ws.stats.workers.len(), 2, "one row per worker");
+    assert_eq!(ws.stats.expanded, det.stats.expanded);
+    assert_eq!(ws.stats.transitions, det.stats.transitions);
+    assert_eq!(ws.stats.dedup_hits, det.stats.dedup_hits);
 }
 
 /// Shared schema/ordering checks on a run's `progress` event stream: every

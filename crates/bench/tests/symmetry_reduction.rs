@@ -11,7 +11,7 @@ use lbsa_explorer::verdict::{
     verdict_consensus, verdict_consensus_reduced, verdict_dac, verdict_dac_reduced,
     verdict_wait_free, verdict_wait_free_reduced,
 };
-use lbsa_explorer::{Explorer, Limits};
+use lbsa_explorer::{ExplorationGraph, Explorer, Frontier, Limits};
 use lbsa_protocols::dac::{all_binary_inputs, DacFromPac};
 use lbsa_runtime::process::{classes_by_input, Protocol, Step, Symmetry};
 
@@ -162,9 +162,10 @@ fn reduced_nontermination_witnesses_pump_to_real_cycles() {
     }
 }
 
-/// Reduction composes with the parallel engine: with the adaptive gate
-/// bypassed (this box may have a single core), the symmetric exploration is
-/// byte-identical at every worker thread count.
+/// Reduction composes with both frontiers: the deterministic engine builds
+/// the byte-identical symmetric graph whatever thread count is requested,
+/// and the work-stealing engine at 2 threads reaches the same orbit
+/// representatives and transitions.
 #[test]
 fn reduced_graphs_are_thread_count_independent() {
     let p = DacFromPac::new(vec![int(1), int(0), int(0), int(0)], Pid(0), ObjId(0)).unwrap();
@@ -173,16 +174,26 @@ fn reduced_graphs_are_thread_count_independent() {
     let sequential = ex.exploration().threads(1).symmetric().run().unwrap();
     assert!(sequential.complete);
     for threads in [2usize, 8] {
-        let parallel = ex
-            .exploration()
-            .threads(threads)
-            .force_parallel()
-            .symmetric()
-            .run()
-            .unwrap();
+        let g = ex.exploration().threads(threads).symmetric().run().unwrap();
         assert!(
-            sequential.same_structure(&parallel),
+            sequential.same_structure(&g),
             "reduced graph differs at {threads} threads"
         );
     }
+    let ws = ex
+        .exploration()
+        .threads(2)
+        .frontier(Frontier::WorkStealing)
+        .symmetric()
+        .run()
+        .unwrap();
+    assert!(ws.complete && ws.stats.reduced);
+    let sorted = |g: &ExplorationGraph<_>| {
+        let mut configs = g.configs.clone();
+        configs.sort();
+        configs
+    };
+    assert_eq!(sorted(&sequential), sorted(&ws), "ws reaches other orbits");
+    assert_eq!(sequential.transitions, ws.transitions);
+    assert_eq!(sequential.stats.dedup_hits, ws.stats.dedup_hits);
 }

@@ -21,24 +21,27 @@
 //!
 //! ## Engine
 //!
-//! The search is **level-synchronous**: the frontier of one BFS depth is
-//! expanded as a batch, then merged into the graph, then the next frontier
-//! is formed. Expansion — the pure, expensive part: protocol steps, object
-//! outcome computation, successor construction — runs on a pool of worker
-//! threads ([`ExploreOptions::threads`]); the merge is a single sequential
-//! scan over the batch in frontier order, so node indices are assigned in
-//! exactly the order a sequential FIFO BFS would assign them. **Any thread
-//! count produces the identical graph** — same configurations, same
-//! indices, same edges — which keeps every downstream analysis (valency,
-//! adversary search, certification) and every recorded experiment output
-//! reproducible.
+//! Two frontier disciplines share the stepping, interning, and memo code
+//! (see [`Frontier`]):
+//!
+//! * [`Frontier::Deterministic`] (the default) is a single-threaded,
+//!   level-by-level BFS that expands each node and numbers its successors
+//!   on the spot, so node indices are assigned in exactly the order a FIFO
+//!   BFS assigns them. **Every run produces the identical graph** — same
+//!   configurations, same indices, same edges — which keeps every
+//!   downstream analysis (valency, adversary search, certification) and
+//!   every recorded experiment output reproducible. It ignores
+//!   [`ExploreOptions::threads`].
+//! * [`Frontier::WorkStealing`] is the parallel engine: per-worker
+//!   lock-free deques, a concurrent dedup index, no barrier between BFS
+//!   depths. It reaches the same configurations, transitions, and verdicts,
+//!   but numbers nodes in discovery order.
 //!
 //! Deduplication never compares full configurations: object states and
 //! process statuses are hash-consed into `u32` ids
 //! ([`crate::intern::Interner`]), and a configuration is keyed by its short
-//! id vector in a sharded index ([`crate::intern::ShardedIndex`]). Workers
-//! pre-probe the (frozen) index during expansion, so the sequential merge
-//! mostly copies precomputed targets.
+//! id vector in a dedup index ([`crate::intern::ShardedIndex`] or
+//! [`crate::intern::ConcurrentIndex`]).
 //!
 //! Every exploration reports [`ExploreStats`] — throughput, dedup rate,
 //! frontier shape, per-level timing — on the resulting graph.
@@ -102,17 +105,17 @@ impl Default for Limits {
 /// differently — see [`Exploration::frontier`] for the contract.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Frontier {
-    /// Level-synchronous BFS with a sequential merge: the graph is
-    /// byte-identical for every thread count, at the cost of a barrier per
-    /// BFS depth. The default, and required for witness extraction and the
-    /// determinism test suite.
+    /// Single-threaded BFS that numbers nodes in FIFO order: the graph is
+    /// byte-identical on every run, and the thread count is ignored. The
+    /// default, and required for witness extraction and the determinism
+    /// test suite.
     #[default]
     Deterministic,
     /// Work-stealing frontier: per-worker deques with steal-half semantics
     /// and a concurrent dedup index, no inter-depth barrier. Node indices
     /// depend on discovery order, so only *verdict equality* (same
     /// configurations, transitions, and checker outcomes) is guaranteed —
-    /// the throughput mode for large instances.
+    /// the parallel engine, and the one [`ExploreOptions::threads`] sizes.
     WorkStealing,
 }
 
@@ -146,20 +149,12 @@ pub enum Strategy {
 pub struct ExploreOptions {
     /// Resource limits (see [`Limits`]).
     pub limits: Limits,
-    /// Worker threads for frontier expansion. `0` means auto: the
-    /// `LBSA_EXPLORE_THREADS` environment variable if set, otherwise every
-    /// core the machine offers (optionally capped by
-    /// `LBSA_EXPLORE_MAX_THREADS`). `1` forces the sequential path. In
-    /// [`Frontier::Deterministic`] mode the thread count never affects the
-    /// resulting graph, only how fast it is built.
+    /// Worker threads of the [`Frontier::WorkStealing`] engine. `0` means
+    /// auto: the `LBSA_EXPLORE_THREADS` environment variable if set,
+    /// otherwise every core the machine offers (optionally capped by
+    /// `LBSA_EXPLORE_MAX_THREADS`). [`Frontier::Deterministic`] always runs
+    /// on one thread and ignores this field.
     pub threads: usize,
-    /// Bypass the adaptive parallel gate: every level of a multi-threaded
-    /// run takes the parallel path regardless of its projected benefit.
-    /// For tests pinning parallel-path behaviour and for benchmarking the
-    /// parallel machinery itself; production runs should leave this off and
-    /// let the gate keep unprofitable levels sequential. Ignored by the
-    /// work-stealing frontier, which has no gate.
-    pub force_parallel: bool,
     /// Frontier discipline (see [`Frontier`]).
     pub frontier: Frontier,
 }
@@ -171,7 +166,6 @@ impl ExploreOptions {
         ExploreOptions {
             limits,
             threads: 0,
-            force_parallel: false,
             frontier: Frontier::Deterministic,
         }
     }
@@ -183,14 +177,6 @@ impl ExploreOptions {
         self
     }
 
-    /// Disables the adaptive parallel gate (see
-    /// [`ExploreOptions::force_parallel`]).
-    #[must_use]
-    pub fn with_force_parallel(mut self, force: bool) -> Self {
-        self.force_parallel = force;
-        self
-    }
-
     /// Sets the frontier discipline (see [`Frontier`]).
     #[must_use]
     pub fn with_frontier(mut self, frontier: Frontier) -> Self {
@@ -198,13 +184,12 @@ impl ExploreOptions {
         self
     }
 
-    /// The concrete thread count this run will use.
+    /// The concrete worker count a [`Frontier::WorkStealing`] run will use
+    /// (a [`Frontier::Deterministic`] run always uses one thread).
     ///
     /// `0` resolves to `LBSA_EXPLORE_THREADS` if set, otherwise all
-    /// available cores. The old hardcoded cap of 8 is gone — the adaptive
-    /// [`ParGate`] already keeps levels sequential when extra threads cannot
-    /// pay for themselves — but deployments that must bound the engine's
-    /// footprint can set `LBSA_EXPLORE_MAX_THREADS` to cap the auto count.
+    /// available cores; deployments that must bound the engine's footprint
+    /// can set `LBSA_EXPLORE_MAX_THREADS` to cap the auto count.
     #[must_use]
     pub fn resolved_threads(&self) -> usize {
         if self.threads != 0 {
@@ -233,91 +218,6 @@ fn env_threads(var: &str) -> Option<usize> {
 impl Default for ExploreOptions {
     fn default() -> Self {
         ExploreOptions::new(Limits::default())
-    }
-}
-
-/// Bootstrap parallel threshold: before the engine has measured anything,
-/// levels narrower than this are expanded inline — spawning workers for a
-/// handful of nodes costs more than the expansion itself. Once per-node cost
-/// has been measured, the adaptive gate in [`ParGate`] takes over.
-const PAR_MIN_LEVEL: usize = 32;
-
-/// Estimated cost of spawning and joining one scoped worker thread, in
-/// nanoseconds. The adaptive gate parallelizes a level only when the
-/// projected expansion time it saves exceeds this overhead for the whole
-/// pool. Deliberately pessimistic: mis-gating a level sequential costs a
-/// little throughput, mis-gating it parallel costs a regression.
-const SPAWN_COST_NS: f64 = 50_000.0;
-
-/// The adaptive decision of whether to expand a level on worker threads.
-///
-/// The old engine used the fixed [`PAR_MIN_LEVEL`] width cutoff, which
-/// parallelized wide-but-cheap levels (losing to spawn overhead — the
-/// `speedup_par_vs_seq < 1` regression in the committed benchmarks) and kept
-/// narrow-but-expensive levels sequential. The gate instead tracks an
-/// exponential moving average of measured per-node expansion cost and
-/// parallelizes exactly when the projected saving beats the spawn cost:
-///
-/// ```text
-/// width · ns_per_node · (1 − 1/p)  >  SPAWN_COST_NS · threads
-/// ```
-///
-/// where `p` is the effective parallelism — the requested thread count
-/// capped by the machine's available cores, because threads beyond cores
-/// save nothing. On a single-core machine `p = 1`, the projected saving is
-/// zero, and every level stays sequential: asking for `threads(8)` then
-/// costs nothing and `speedup_par_vs_seq` sits at 1.0 by construction.
-///
-/// Both paths build the identical graph, so gating on wall-clock timing is
-/// safe: the choice affects speed only, never results.
-struct ParGate {
-    threads: usize,
-    effective: usize,
-    force: bool,
-    ema_ns_per_node: Option<f64>,
-}
-
-impl ParGate {
-    fn new(threads: usize, force: bool) -> Self {
-        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-        ParGate {
-            threads,
-            effective: threads.min(cores).max(1),
-            force,
-            ema_ns_per_node: None,
-        }
-    }
-
-    /// Should a level of `width` nodes run on the parallel path?
-    fn go_parallel(&self, width: usize) -> bool {
-        if self.threads <= 1 {
-            return false;
-        }
-        if self.force {
-            return true;
-        }
-        match self.ema_ns_per_node {
-            // No measurement yet: fall back to the static width cutoff.
-            None => width >= PAR_MIN_LEVEL && self.effective > 1,
-            Some(ema) => {
-                let saved = width as f64 * ema * (1.0 - 1.0 / self.effective as f64);
-                saved > SPAWN_COST_NS * self.threads as f64
-            }
-        }
-    }
-
-    /// Feeds back one level's measured cost. Sequential levels measure true
-    /// per-node cost directly; parallel levels measure it scaled by the
-    /// parallelism actually achieved, which keeps the estimate conservative.
-    fn observe(&mut self, width: usize, elapsed: std::time::Duration) {
-        if width == 0 {
-            return;
-        }
-        let ns = elapsed.as_nanos() as f64 / width as f64;
-        self.ema_ns_per_node = Some(match self.ema_ns_per_node {
-            None => ns,
-            Some(ema) => 0.7 * ema + 0.3 * ns,
-        });
     }
 }
 
@@ -561,40 +461,6 @@ impl<L> ExplorationGraph<L> {
     }
 }
 
-/// One successor discovered by an expansion worker, in deterministic
-/// `(enabled-pid, outcome)` order within its source node.
-struct SuccRecord<L> {
-    pid: Pid,
-    outcome: usize,
-    /// The successor's compact key, kept only when `known` is `None` —
-    /// known-duplicate successors never allocate one.
-    key: Option<CompactConfig>,
-    /// The node index, when the worker's pre-probe found the configuration
-    /// already in the index. The index is append-only, so a hit is final.
-    known: Option<u32>,
-    /// The materialized configuration, kept only when `known` is `None`.
-    config: Option<SuccConfig<L>>,
-}
-
-/// How a successor record carries its configuration: owned when the worker
-/// materialized it afresh, shared when it came out of the canon memo (whose
-/// entries stay alive for future hits — cloning them eagerly on every hit
-/// would defeat the memo).
-enum SuccConfig<L> {
-    Owned(Configuration<L>),
-    Shared(Arc<Configuration<L>>),
-}
-
-impl<L: Clone> SuccConfig<L> {
-    /// Extracts the configuration, cloning only if the memo still shares it.
-    fn into_config(self) -> Configuration<L> {
-        match self {
-            SuccConfig::Owned(c) => c,
-            SuccConfig::Shared(arc) => Arc::try_unwrap(arc).unwrap_or_else(|a| (*a).clone()),
-        }
-    }
-}
-
 /// Canonicalization memo for symmetry-reduced exploration: maps a raw
 /// successor's **delta-patched compact key** (the parent's canonical key
 /// with the stepped object-state and process-status slots replaced) to the
@@ -607,20 +473,15 @@ impl<L: Clone> SuccConfig<L> {
 /// successor *and* the whole orbit computation. Entries hold both the
 /// canonical compact key (for dedup probing) and the canonical
 /// configuration (for the rare hit that still discovers a new node — the
-/// first key occurrence by wall clock need not be the first in merge
-/// order).
+/// worker that cached a key need not be the one that inserts its node).
 ///
-/// Sharded and lock-guarded like [`TransitionMemo`], shared by parallel
-/// expansion workers of both frontier modes; the fused sequential path owns
-/// a plain-map analogue.
+/// Sharded and lock-guarded like [`TransitionMemo`], shared by the
+/// work-stealing workers; the deterministic engine owns a plain-map
+/// analogue.
 type CanonShard<L> = lbsa_support::hash::FxHashMap<CompactConfig, CanonEntry<L>>;
 
 /// One canon-memo entry: the canonical compact key and its configuration.
 type CanonEntry<L> = (CompactConfig, Arc<Configuration<L>>);
-
-/// The symmetry context a reduced expansion threads through: the group
-/// (for canonicalizing misses) and the shared canonicalization memo.
-type SymCtx<'a, 'p, L> = (&'a ConfigSymmetry<'p, L>, &'a CanonMemo<L>);
 
 struct CanonMemo<L> {
     shards: Vec<RwLock<CanonShard<L>>>,
@@ -827,104 +688,6 @@ impl<L> Default for WsWorkerOut<L> {
     }
 }
 
-type NodeResult<L> = Result<Vec<SuccRecord<L>>, RuntimeError>;
-
-/// Phase-A classification of one not-pre-probed successor record, produced
-/// by [`classify_level`] and consumed by the sequential stitch.
-#[derive(Clone, Copy, Debug)]
-enum MergeClass {
-    /// The key was already in the (frozen) index: a cross-level duplicate.
-    Known(u32),
-    /// The key first appeared earlier in this level, at the given ordinal —
-    /// a level-local duplicate of whatever node that ordinal resolves to.
-    Dup(usize),
-    /// First global occurrence: the stitch assigns it a fresh node index.
-    New,
-}
-
-/// Phase A of the two-phase merge: classify every successor record whose
-/// pre-probe missed (`known == None`) as [`MergeClass::Known`],
-/// [`MergeClass::Dup`], or [`MergeClass::New`], returning one
-/// ordinal-ascending vector per index shard.
-///
-/// Records are numbered by a single *ordinal* sequence — their encounter
-/// order scanning the level in frontier order — and each record belongs to
-/// exactly one shard (a pure function of its key), so the per-shard work is
-/// disjoint and runs on worker threads with no locking: every worker scans
-/// the shared record list in the same global order but only touches its own
-/// shards. Duplicate detection is exact because equal keys always hash to
-/// the same shard, so one shard's scan sees every occurrence in ordinal
-/// order and can name the first.
-///
-/// Nodes whose expansion failed are skipped entirely; the stitch stops at
-/// the first error anyway, and skipping keeps the ordinal sequences of both
-/// phases aligned up to that point.
-fn classify_level<L: Send + Sync>(
-    results: &[NodeResult<L>],
-    index: &ShardedIndex,
-    threads: usize,
-) -> Vec<Vec<(usize, MergeClass)>> {
-    let workers = threads.clamp(1, SHARDS);
-    let mut per_worker: Vec<Vec<Vec<(usize, MergeClass)>>> = Vec::with_capacity(workers);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                s.spawn(move || {
-                    let mut out: Vec<Vec<(usize, MergeClass)>> = vec![Vec::new(); SHARDS];
-                    let mut seen: Vec<lbsa_support::hash::FxHashMap<CompactConfig, usize>> =
-                        vec![Default::default(); SHARDS];
-                    let mut ordinal = 0usize;
-                    for result in results {
-                        let Ok(records) = result else { continue };
-                        for rec in records {
-                            if rec.known.is_some() {
-                                continue;
-                            }
-                            let key = rec.key.as_ref().expect("unknown successors carry keys");
-                            let shard = ShardedIndex::shard_of(key);
-                            if shard % workers == w {
-                                let class = if let Some(t) = index.probe(key) {
-                                    MergeClass::Known(t)
-                                } else {
-                                    match seen[shard].entry(key.clone()) {
-                                        std::collections::hash_map::Entry::Occupied(e) => {
-                                            MergeClass::Dup(*e.get())
-                                        }
-                                        std::collections::hash_map::Entry::Vacant(v) => {
-                                            v.insert(ordinal);
-                                            MergeClass::New
-                                        }
-                                    }
-                                };
-                                out[shard].push((ordinal, class));
-                            }
-                            ordinal += 1;
-                        }
-                    }
-                    out
-                })
-            })
-            .collect();
-        for handle in handles {
-            per_worker.push(handle.join().expect("classification worker panicked"));
-        }
-    });
-    // Collapse: each shard was filled by exactly one worker.
-    let mut merged: Vec<Vec<(usize, MergeClass)>> = vec![Vec::new(); SHARDS];
-    for (w, worker_out) in per_worker.into_iter().enumerate() {
-        for (shard, classes) in worker_out.into_iter().enumerate() {
-            if shard % workers == w {
-                merged[shard] = classes;
-            }
-        }
-    }
-    merged
-}
-
-/// One frontier entry handed to expansion workers: node index, a borrow of
-/// its configuration, and its compact key (the delta-interning base).
-type WorkItem<'w, L> = (u32, &'w Configuration<L>, &'w CompactConfig);
-
 /// Canonicalizes through the optional probe timer: traced runs clock the
 /// call into the canonicalization-phase accumulator, untraced runs pay
 /// nothing beyond the `Option` check (overhead policy: no per-successor
@@ -1037,9 +800,9 @@ impl Pairs {
 }
 
 /// How a step hands freshly computed values to an [`Interner`]. The two
-/// implementations let one `compute_pairs` body serve both execution paths:
-/// `&Interner` goes through the shard locks (parallel workers), `&mut
-/// Interner` proves exclusivity and skips them (fused sequential path).
+/// implementations let one `compute_pairs` body serve both engines:
+/// `&Interner` goes through the shard locks (work-stealing workers), `&mut
+/// Interner` proves exclusivity and skips them (deterministic engine).
 trait InternSink<T> {
     fn put(&mut self, value: &T) -> u32;
 }
@@ -1245,35 +1008,38 @@ impl<'a, P: Protocol> Explorer<'a, P> {
         Exploration::builder(self)
     }
 
-    /// The engine: builds the execution graph reachable from `initial`.
+    /// The deterministic engine behind [`Frontier::Deterministic`]: a
+    /// single-threaded breadth-first search that builds the execution graph
+    /// reachable from `initial`, level by level.
     ///
-    /// The graph is identical for every thread count: workers only compute
-    /// successors; node indices are assigned by a sequential merge that
-    /// scans each level in frontier order, which reproduces the FIFO order
-    /// of a sequential BFS exactly. When several nodes of one level fail,
-    /// the error of the earliest node in frontier order is returned — the
-    /// same error a sequential exploration reports.
+    /// Expansion and merge are fused: each node expands against the live
+    /// index and its successors are numbered on the spot, in frontier
+    /// order, so node indices follow the FIFO order of a plain BFS and the
+    /// graph is identical run to run. Successors are found by
+    /// **delta-interning** — a successor differs from its parent in one
+    /// object state and one process status, so its dedup key is the
+    /// parent's key with two slots patched — and steps go through a
+    /// transition memo keyed by `(object state, process status, pid)` ids,
+    /// so recurring steps skip the specification and the protocol. It
+    /// takes no thread count; parallel exploration is
+    /// [`Explorer::run_engine_ws`].
     fn run_engine(
         &self,
         initial: Configuration<P::LocalState>,
-        options: ExploreOptions,
+        limits: Limits,
         mut on_progress: Option<ProgressCallback<'_>>,
         sym: Option<&ConfigSymmetry<'_, P::LocalState>>,
         tracer: &Tracer,
         live: Option<&LiveMetrics>,
     ) -> Result<ExplorationGraph<P::LocalState>, RuntimeError> {
         let started = Instant::now();
-        let threads = options.resolved_threads();
-        let limits = options.limits;
-        let mut gate = ParGate::new(threads, options.force_parallel);
         if let Some(live) = live {
-            live.workers.set_usize(threads);
+            live.workers.set_usize(1);
         }
         tracer.emit_with("explore.begin", || {
             Json::object()
-                .set("threads", threads)
+                .set("threads", 1usize)
                 .set("max_configs", limits.max_configs)
-                .set("force_parallel", options.force_parallel)
                 .set("reduced", sym.is_some())
                 .set("frontier", "level-sync")
         });
@@ -1318,25 +1084,19 @@ impl<'a, P: Protocol> Explorer<'a, P> {
         // per-level live update adds exactly the level's delta.
         let mut live_dedup_reported = 0usize;
         let mut peak_frontier = 0usize;
-        let mut parallel_levels = 0usize;
         let mut levels: Vec<LevelStats> = Vec::new();
         let mut total_expand = Duration::ZERO;
-        let mut total_merge = Duration::ZERO;
-        let mut seq_memo_hits = 0u64;
-        let mut seq_memo_misses = 0u64;
-        // Transition memo, one store per execution path: the fused
-        // single-threaded path owns a plain map (entry API, no locks, no
-        // `Arc` traffic); parallel levels share the sharded, lock-guarded
-        // one. Both memoize the same pure function, so a run that switches
-        // paths between levels at worst recomputes a step per store.
-        let memo = TransitionMemo::new();
-        let mut seq_memo: lbsa_support::hash::FxHashMap<(u32, u32, u32), Pairs> =
+        // Transition memo: a plain map owned by this thread (entry API, no
+        // locks, no `Arc` traffic), unlike the sharded [`TransitionMemo`]
+        // the work-stealing workers share.
+        let mut memo_hits = 0u64;
+        let mut memo_misses = 0u64;
+        let mut memo: lbsa_support::hash::FxHashMap<(u32, u32, u32), Pairs> =
             lbsa_support::hash::FxHashMap::with_capacity_and_hasher(256, Default::default());
-        // Canonicalization memo, same one-store-per-path split (see
-        // `CanonMemo`): raw delta-patched successor key → canonical form.
-        let canon_memo: CanonMemo<P::LocalState> = CanonMemo::new();
-        let mut seq_canon_memo: CanonShard<P::LocalState> = Default::default();
-        let mut seq_canon_hits = 0u64;
+        // Canonicalization memo, likewise a private plain-map analogue of
+        // [`CanonMemo`]: raw delta-patched successor key → canonical form.
+        let mut canon_memo: CanonShard<P::LocalState> = Default::default();
+        let mut canon_hits = 0u64;
 
         while !frontier.is_empty() {
             peak_frontier = peak_frontier.max(frontier.len());
@@ -1354,181 +1114,83 @@ impl<'a, P: Protocol> Explorer<'a, P> {
             let level_started = Instant::now();
             let mut next_frontier: Vec<(u32, CompactConfig)> = Vec::new();
             let mut level_transitions = 0usize;
-            let parallel_level = gate.go_parallel(take);
-            tracer.emit_with("pargate", || {
-                Json::object()
-                    .set("level", level)
-                    .set("width", take)
-                    .set("parallel", parallel_level)
-                    .set(
-                        "ema_ns_per_node",
-                        gate.ema_ns_per_node.map_or(Json::Null, Json::from),
-                    )
-                    .set("threads", gate.threads)
-                    .set("effective", gate.effective)
-                    .set("forced", gate.force)
-            });
-            // Phase accounting: the fused sequential path interleaves
-            // expansion and merge, so its whole level counts as expansion;
-            // the parallel path marks the expand/merge boundary explicitly.
-            let mut expand_elapsed = Duration::ZERO;
-            let mut merge_elapsed = Duration::ZERO;
-
-            if !parallel_level {
-                // Fused expand-and-merge: with no worker hand-off there is
-                // nothing to gain from materializing successor records —
-                // each node expands against the live index and merges on the
-                // spot. Probing the live index yields exactly the index
-                // assignments the two-phase merge computes, in the same
-                // frontier order, so this path and the parallel one build
-                // identical graphs.
-                for (node_id, parent_key) in &frontier[..take] {
-                    let node = *node_id as usize;
-                    out_scratch.clear();
-                    for i in 0..n_procs {
-                        let (obj, pairs) = {
-                            let ProcStatus::Running(local) = &configs[node].procs[i] else {
-                                continue;
-                            };
-                            let pid = Pid(i);
-                            let (obj, op) = self.protocol.pending_op(pid, local);
-                            let memo_key =
-                                (parent_key[obj.index()], parent_key[n_obj + i], i as u32);
-                            let pairs = match seq_memo.entry(memo_key) {
-                                std::collections::hash_map::Entry::Occupied(e) => {
-                                    seq_memo_hits += 1;
-                                    &*e.into_mut()
-                                }
-                                std::collections::hash_map::Entry::Vacant(v) => {
-                                    seq_memo_misses += 1;
-                                    &*v.insert(self.compute_pairs(
-                                        &configs[node],
-                                        pid,
-                                        local,
-                                        obj,
-                                        &op,
-                                        &mut state_interner,
-                                        &mut proc_interner,
-                                    )?)
-                                }
-                            };
-                            (obj, pairs)
+            for (node_id, parent_key) in &frontier[..take] {
+                let node = *node_id as usize;
+                out_scratch.clear();
+                for i in 0..n_procs {
+                    let (obj, pairs) = {
+                        let ProcStatus::Running(local) = &configs[node].procs[i] else {
+                            continue;
                         };
-                        for (outcome, &(succ_state, succ_proc)) in
-                            pairs.as_slice().iter().enumerate()
-                        {
-                            level_transitions += 1;
-                            if let Some(symmetry) = sym {
-                                // Orbit mode: the dedup key is the compacted
-                                // *canonical representative*. The raw
-                                // delta-patched key below is not that key,
-                                // but it *identifies* the raw successor, so
-                                // it memoizes the canonicalization: on a hit
-                                // neither the raw successor nor any permuted
-                                // copy is materialized.
-                                scratch.copy_from_slice(parent_key);
-                                scratch[obj.index()] = succ_state;
-                                scratch[n_obj + i] = succ_proc;
-                                let (key, shared) = match seq_canon_memo
-                                    .get(scratch.as_slice())
-                                    .cloned()
-                                {
-                                    Some((ck, arc)) => {
-                                        seq_canon_hits += 1;
-                                        (ck, arc)
-                                    }
-                                    None => {
-                                        let canon = {
-                                            let parent = &configs[node];
-                                            let mut raw = parent.clone();
-                                            raw.object_states[obj.index()] =
-                                                state_interner.resolve_mut(succ_state).clone();
-                                            raw.procs[i] =
-                                                proc_interner.resolve_mut(succ_proc).clone();
-                                            timed_canonicalize(symmetry, &raw, canon_probe)
-                                        };
-                                        let key =
-                                            self.compact(&canon, &state_interner, &proc_interner);
-                                        let arc = Arc::new(canon);
-                                        seq_canon_memo.insert(
-                                            scratch.as_slice().into(),
-                                            (key.clone(), Arc::clone(&arc)),
-                                        );
-                                        (key, arc)
-                                    }
-                                };
-                                let target = if let Some(t) = index.probe(&key) {
-                                    dedup_hits += 1;
-                                    t
-                                } else {
-                                    let t = u32::try_from(configs.len())
-                                        .expect("graphs are bounded well below u32::MAX nodes");
-                                    next_frontier.push((t, key.clone()));
-                                    index.insert(key, t);
-                                    configs.push(
-                                        Arc::try_unwrap(shared).unwrap_or_else(|a| (*a).clone()),
-                                    );
-                                    edges.push(vec![]);
-                                    expanded.push(false);
-                                    t
-                                };
-                                out_scratch.push(Edge {
-                                    pid: Pid(i),
-                                    outcome,
-                                    target: target as usize,
-                                });
-                                continue;
+                        let pid = Pid(i);
+                        let (obj, op) = self.protocol.pending_op(pid, local);
+                        let memo_key = (parent_key[obj.index()], parent_key[n_obj + i], i as u32);
+                        let pairs = match memo.entry(memo_key) {
+                            std::collections::hash_map::Entry::Occupied(e) => {
+                                memo_hits += 1;
+                                &*e.into_mut()
                             }
+                            std::collections::hash_map::Entry::Vacant(v) => {
+                                memo_misses += 1;
+                                &*v.insert(self.compute_pairs(
+                                    &configs[node],
+                                    pid,
+                                    local,
+                                    obj,
+                                    &op,
+                                    &mut state_interner,
+                                    &mut proc_interner,
+                                )?)
+                            }
+                        };
+                        (obj, pairs)
+                    };
+                    for (outcome, &(succ_state, succ_proc)) in pairs.as_slice().iter().enumerate() {
+                        level_transitions += 1;
+                        if let Some(symmetry) = sym {
+                            // Orbit mode: the dedup key is the compacted
+                            // *canonical representative*. The raw
+                            // delta-patched key below is not that key,
+                            // but it *identifies* the raw successor, so
+                            // it memoizes the canonicalization: on a hit
+                            // neither the raw successor nor any permuted
+                            // copy is materialized.
                             scratch.copy_from_slice(parent_key);
                             scratch[obj.index()] = succ_state;
                             scratch[n_obj + i] = succ_proc;
-                            let target = if let Some(t) = index.probe(&scratch) {
+                            let (key, shared) = match canon_memo.get(scratch.as_slice()).cloned() {
+                                Some((ck, arc)) => {
+                                    canon_hits += 1;
+                                    (ck, arc)
+                                }
+                                None => {
+                                    let canon = {
+                                        let parent = &configs[node];
+                                        let mut raw = parent.clone();
+                                        raw.object_states[obj.index()] =
+                                            state_interner.resolve_mut(succ_state).clone();
+                                        raw.procs[i] = proc_interner.resolve_mut(succ_proc).clone();
+                                        timed_canonicalize(symmetry, &raw, canon_probe)
+                                    };
+                                    let key = self.compact(&canon, &state_interner, &proc_interner);
+                                    let arc = Arc::new(canon);
+                                    canon_memo.insert(
+                                        scratch.as_slice().into(),
+                                        (key.clone(), Arc::clone(&arc)),
+                                    );
+                                    (key, arc)
+                                }
+                            };
+                            let target = if let Some(t) = index.probe(&key) {
                                 dedup_hits += 1;
                                 t
                             } else {
                                 let t = u32::try_from(configs.len())
                                     .expect("graphs are bounded well below u32::MAX nodes");
-                                let key: CompactConfig = scratch.as_slice().into();
-                                // Build the successor from parts rather than
-                                // clone-then-overwrite: the two patched slots
-                                // come from the interner, the rest from the
-                                // parent.
-                                let mut new_state =
-                                    Some(state_interner.resolve_mut(succ_state).clone());
-                                let mut new_proc =
-                                    Some(proc_interner.resolve_mut(succ_proc).clone());
-                                let next = {
-                                    let parent = &configs[node];
-                                    Configuration {
-                                        object_states: parent
-                                            .object_states
-                                            .iter()
-                                            .enumerate()
-                                            .map(|(j, s)| {
-                                                if j == obj.index() {
-                                                    new_state.take().expect("one patched slot")
-                                                } else {
-                                                    s.clone()
-                                                }
-                                            })
-                                            .collect(),
-                                        procs: parent
-                                            .procs
-                                            .iter()
-                                            .enumerate()
-                                            .map(|(j, p)| {
-                                                if j == i {
-                                                    new_proc.take().expect("one patched slot")
-                                                } else {
-                                                    p.clone()
-                                                }
-                                            })
-                                            .collect(),
-                                    }
-                                };
                                 next_frontier.push((t, key.clone()));
                                 index.insert(key, t);
-                                configs.push(next);
+                                configs
+                                    .push(Arc::try_unwrap(shared).unwrap_or_else(|a| (*a).clone()));
                                 edges.push(vec![]);
                                 expanded.push(false);
                                 t
@@ -1538,96 +1200,72 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                                 outcome,
                                 target: target as usize,
                             });
+                            continue;
                         }
-                    }
-                    // Exact-size allocation; the scratch keeps its capacity
-                    // for the next node.
-                    edges[node] = out_scratch.clone();
-                    expanded[node] = true;
-                }
-            } else {
-                // Expansion borrows the graph's configurations immutably;
-                // the borrow ends before the merge mutates them.
-                let results: Vec<NodeResult<P::LocalState>> = {
-                    let work: Vec<WorkItem<'_, P::LocalState>> = frontier[..take]
-                        .iter()
-                        .map(|(i, key)| (*i, &configs[*i as usize], key))
-                        .collect();
-                    self.expand_level_parallel(
-                        &work,
-                        threads,
-                        &state_interner,
-                        &proc_interner,
-                        &memo,
-                        &index,
-                        sym.map(|s| (s, &canon_memo)),
-                        canon_probe,
-                    )
-                };
-                expand_elapsed = level_started.elapsed();
-
-                // Two-phase deterministic merge. Phase A classifies every
-                // not-pre-probed successor against the frozen index and its
-                // level-local siblings, per shard on worker threads — all the
-                // hashing of the merge happens here, in parallel, because
-                // equal keys always land in the same shard. Phase B is a
-                // sequential stitch in frontier order that only *assigns*:
-                // node indices are handed out in first-encounter order,
-                // exactly the order a sequential FIFO BFS assigns them, so
-                // the graph is identical to the sequential path's.
-                let classes = classify_level(&results, &index, threads);
-                let mut cursors = [0usize; SHARDS];
-                let mut targets: Vec<u32> = Vec::new();
-                for ((node, _), result) in frontier[..take].iter().zip(results) {
-                    let records = result?;
-                    let mut out = Vec::with_capacity(records.len());
-                    for rec in records {
-                        level_transitions += 1;
-                        let target = if let Some(t) = rec.known {
+                        scratch.copy_from_slice(parent_key);
+                        scratch[obj.index()] = succ_state;
+                        scratch[n_obj + i] = succ_proc;
+                        let target = if let Some(t) = index.probe(&scratch) {
                             dedup_hits += 1;
                             t
                         } else {
-                            let key = rec.key.expect("unknown successors carry their key");
-                            let shard = ShardedIndex::shard_of(&key);
-                            let (ord, class) = classes[shard][cursors[shard]];
-                            cursors[shard] += 1;
-                            debug_assert_eq!(ord, targets.len(), "phase ordinals in lock-step");
-                            let t = match class {
-                                MergeClass::Known(t) => {
-                                    dedup_hits += 1;
-                                    t
-                                }
-                                MergeClass::Dup(first) => {
-                                    dedup_hits += 1;
-                                    targets[first]
-                                }
-                                MergeClass::New => {
-                                    let t = u32::try_from(configs.len())
-                                        .expect("graphs are bounded well below u32::MAX nodes");
-                                    next_frontier.push((t, key.clone()));
-                                    index.insert(key, t);
-                                    configs.push(
-                                        rec.config
-                                            .expect("new successors carry their configuration")
-                                            .into_config(),
-                                    );
-                                    edges.push(vec![]);
-                                    expanded.push(false);
-                                    t
+                            let t = u32::try_from(configs.len())
+                                .expect("graphs are bounded well below u32::MAX nodes");
+                            let key: CompactConfig = scratch.as_slice().into();
+                            // Build the successor from parts rather than
+                            // clone-then-overwrite: the two patched slots
+                            // come from the interner, the rest from the
+                            // parent.
+                            let mut new_state =
+                                Some(state_interner.resolve_mut(succ_state).clone());
+                            let mut new_proc = Some(proc_interner.resolve_mut(succ_proc).clone());
+                            let next = {
+                                let parent = &configs[node];
+                                Configuration {
+                                    object_states: parent
+                                        .object_states
+                                        .iter()
+                                        .enumerate()
+                                        .map(|(j, s)| {
+                                            if j == obj.index() {
+                                                new_state.take().expect("one patched slot")
+                                            } else {
+                                                s.clone()
+                                            }
+                                        })
+                                        .collect(),
+                                    procs: parent
+                                        .procs
+                                        .iter()
+                                        .enumerate()
+                                        .map(|(j, p)| {
+                                            if j == i {
+                                                new_proc.take().expect("one patched slot")
+                                            } else {
+                                                p.clone()
+                                            }
+                                        })
+                                        .collect(),
                                 }
                             };
-                            targets.push(t);
+                            next_frontier.push((t, key.clone()));
+                            index.insert(key, t);
+                            configs.push(next);
+                            edges.push(vec![]);
+                            expanded.push(false);
                             t
                         };
-                        out.push(Edge {
-                            pid: rec.pid,
-                            outcome: rec.outcome,
+                        out_scratch.push(Edge {
+                            pid: Pid(i),
+                            outcome,
                             target: target as usize,
                         });
                     }
-                    edges[*node as usize] = out;
-                    expanded[*node as usize] = true;
                 }
+                // Exact-size allocation; the scratch keeps its capacity
+                // for the next node.
+                edges[node] = out_scratch.clone();
+                expanded[node] = true;
             }
             expanded_count += take;
             transitions += level_transitions;
@@ -1643,30 +1281,18 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                 live.mem_interner
                     .set_usize(state_interner.approx_bytes() + proc_interner.approx_bytes());
                 live.mem_index.set_usize(index.approx_bytes());
-                live.mem_canon.set_usize(canon_memo.approx_bytes());
             }
+            // The fused loop interleaves expansion and merge, so the whole
+            // level counts as expansion.
             let level_elapsed = level_started.elapsed();
-            gate.observe(take, level_elapsed);
-            if parallel_level {
-                parallel_levels += 1;
-                merge_elapsed = level_elapsed.saturating_sub(expand_elapsed);
-            } else {
-                expand_elapsed = level_elapsed;
-            }
-            total_expand += expand_elapsed;
-            total_merge += merge_elapsed;
-            hists.level_expand.record(expand_elapsed);
-            if parallel_level {
-                hists.level_merge.record(merge_elapsed);
-            }
+            total_expand += level_elapsed;
+            hists.level_expand.record(level_elapsed);
             levels.push(LevelStats {
                 level,
                 width: take,
                 transitions: level_transitions,
                 elapsed: level_elapsed,
-                expand: expand_elapsed,
-                merge: merge_elapsed,
-                parallel: parallel_level,
+                expand: level_elapsed,
             });
             tracer.emit_with("level", || {
                 Json::object()
@@ -1674,9 +1300,7 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                     .set("width", take)
                     .set("transitions", level_transitions)
                     .set("dedup", level_transitions - next_frontier.len())
-                    .set("parallel", parallel_level)
-                    .set("expand_us", duration_us(expand_elapsed))
-                    .set("merge_us", duration_us(merge_elapsed))
+                    .set("expand_us", duration_us(level_elapsed))
                     .set("elapsed_us", duration_us(level_elapsed))
             });
             if let Some(cb) = on_progress.as_mut() {
@@ -1698,23 +1322,20 @@ impl<'a, P: Protocol> Explorer<'a, P> {
             distinct_object_states: state_interner.len(),
             distinct_proc_statuses: proc_interner.len(),
             peak_frontier,
-            threads,
-            parallel_levels,
+            threads: 1,
             reduced: sym.is_some(),
             elapsed: started.elapsed(),
             phases: PhaseTimes {
                 expand: total_expand,
-                merge: total_merge,
                 canonicalize: canon_store.timer.total(),
             },
-            memo_hits: memo.hits.get() + seq_memo_hits,
-            memo_misses: memo.misses.get() + seq_memo_misses,
+            memo_hits,
+            memo_misses,
             intern_hits: state_interner.hits() + proc_interner.hits(),
             intern_misses: state_interner.misses() + proc_interner.misses(),
             canon_calls: sym.map_or(0, ConfigSymmetry::canon_calls) - canon_calls_before,
             canon_patches: (sym.map_or(0, ConfigSymmetry::canon_fast_hits) - canon_fast_before)
-                + canon_memo.hits.get()
-                + seq_canon_hits,
+                + canon_hits,
             canon_full: sym.map_or(0, ConfigSymmetry::canon_full_calls) - canon_full_before,
             work_stealing: false,
             steals: 0,
@@ -1789,7 +1410,6 @@ impl<'a, P: Protocol> Explorer<'a, P> {
             Json::object()
                 .set("threads", workers)
                 .set("max_configs", limits.max_configs)
-                .set("force_parallel", options.force_parallel)
                 .set("reduced", sym.is_some())
                 .set("frontier", "work-stealing")
         });
@@ -2073,8 +1693,8 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                     let memo_key = (parent_key[obj.index()], parent_key[n_obj + i], i as u32);
                     // Entry API: a hit borrows the cached
                     // `Arc<Pairs>` in place — one hash, no
-                    // refcount traffic — mirroring the fused
-                    // sequential path's zero-clone memo.
+                    // refcount traffic — mirroring the
+                    // deterministic engine's zero-clone memo.
                     let pairs = match memo_l1.entry(memo_key) {
                         std::collections::hash_map::Entry::Occupied(e) => {
                             out.memo_l1_hits += 1;
@@ -2443,7 +2063,7 @@ impl<'a, P: Protocol> Explorer<'a, P> {
         let complete = !truncated.load(Ordering::Relaxed);
         // One clock read for both the total and the expand phase: without a
         // barrier the whole run is one expansion phase, and reading the
-        // clock twice would make `phases.measured()` exceed `elapsed`.
+        // clock twice would make `phases.expand` exceed `elapsed`.
         let elapsed = started.elapsed();
 
         let stats = ExploreStats {
@@ -2455,12 +2075,10 @@ impl<'a, P: Protocol> Explorer<'a, P> {
             distinct_proc_statuses: proc_interner.len(),
             peak_frontier: peak_pending.load(Ordering::Relaxed),
             threads: workers,
-            parallel_levels: 0,
             reduced: sym.is_some(),
             elapsed,
             phases: PhaseTimes {
                 expand: elapsed,
-                merge: Duration::ZERO,
                 canonicalize: canon_store.timer.total(),
             },
             memo_hits: memo.hits.get() + memo_l1_hits,
@@ -2522,128 +2140,6 @@ impl<'a, P: Protocol> Explorer<'a, P> {
             .collect()
     }
 
-    /// Computes all successors of one configuration by **delta-interning**:
-    /// a successor differs from its parent in exactly one object state and
-    /// one process status, so its dedup key is the parent's key with two
-    /// slots patched — only the two changed components are ever hashed.
-    /// Successors whose key pre-probes to an already-indexed node are
-    /// reported by index alone; their configuration is never materialized.
-    ///
-    /// The step itself goes through the [`TransitionMemo`]: on a hit, the
-    /// successor id pairs come straight out of the memo and neither the
-    /// object specification nor the protocol runs at all.
-    #[allow(clippy::too_many_arguments)]
-    fn expand_node(
-        &self,
-        config: &Configuration<P::LocalState>,
-        parent_key: &[u32],
-        state_interner: &Interner<AnyState>,
-        proc_interner: &Interner<ProcStatus<P::LocalState>>,
-        memo: &TransitionMemo,
-        index: &ShardedIndex,
-        sym: Option<SymCtx<'_, '_, P::LocalState>>,
-        canon_probe: Option<&CanonProbe>,
-    ) -> NodeResult<P::LocalState> {
-        let n_obj = config.object_states.len();
-        let mut out = Vec::new();
-        let mut scratch: Vec<u32> = parent_key.to_vec();
-        for (i, status) in config.procs.iter().enumerate() {
-            let ProcStatus::Running(local) = status else {
-                continue;
-            };
-            let pid = Pid(i);
-            let (obj, op) = self.protocol.pending_op(pid, local);
-            // `(pid, running local state)` determines `(obj, op)`, so the
-            // triple below pins down the whole step.
-            let memo_key = (parent_key[obj.index()], parent_key[n_obj + i], i as u32);
-            let pairs = self.step_pairs(
-                config,
-                pid,
-                local,
-                obj,
-                &op,
-                memo_key,
-                state_interner,
-                proc_interner,
-                memo,
-            )?;
-            for (outcome, &(succ_state, succ_proc)) in pairs.as_slice().iter().enumerate() {
-                if let Some((symmetry, canon_memo)) = sym {
-                    // Orbit mode: the dedup key is the compacted canonical
-                    // representative, reached through the canon memo keyed
-                    // by the raw delta-patched key (see `CanonMemo`).
-                    scratch.copy_from_slice(parent_key);
-                    scratch[obj.index()] = succ_state;
-                    scratch[n_obj + pid.index()] = succ_proc;
-                    let (key, shared) = match canon_memo.get(&scratch) {
-                        Some(entry) => entry,
-                        None => {
-                            let mut raw = config.clone();
-                            raw.object_states[obj.index()] =
-                                state_interner.resolve_with(succ_state, Clone::clone);
-                            raw.procs[pid.index()] =
-                                proc_interner.resolve_with(succ_proc, Clone::clone);
-                            let canon = timed_canonicalize(symmetry, &raw, canon_probe);
-                            let key = self.compact(&canon, state_interner, proc_interner);
-                            let arc = Arc::new(canon);
-                            canon_memo
-                                .insert(scratch.as_slice().into(), (key.clone(), Arc::clone(&arc)));
-                            (key, arc)
-                        }
-                    };
-                    if let Some(t) = index.probe(&key) {
-                        out.push(SuccRecord {
-                            pid,
-                            outcome,
-                            key: None,
-                            known: Some(t),
-                            config: None,
-                        });
-                    } else {
-                        out.push(SuccRecord {
-                            pid,
-                            outcome,
-                            key: Some(key),
-                            known: None,
-                            config: Some(SuccConfig::Shared(shared)),
-                        });
-                    }
-                    continue;
-                }
-                // Build the successor key in the scratch buffer; only
-                // successors that miss the index allocate a persistent key.
-                scratch.copy_from_slice(parent_key);
-                scratch[obj.index()] = succ_state;
-                scratch[n_obj + pid.index()] = succ_proc;
-                if let Some(t) = index.probe(&scratch) {
-                    out.push(SuccRecord {
-                        pid,
-                        outcome,
-                        key: None,
-                        known: Some(t),
-                        config: None,
-                    });
-                } else {
-                    // `resolve_with` clones the value under the shard's read
-                    // lock, skipping the Arc refcount round-trip `resolve`
-                    // would pay on this hot path.
-                    let mut next = config.clone();
-                    next.object_states[obj.index()] =
-                        state_interner.resolve_with(succ_state, Clone::clone);
-                    next.procs[pid.index()] = proc_interner.resolve_with(succ_proc, Clone::clone);
-                    out.push(SuccRecord {
-                        pid,
-                        outcome,
-                        key: Some(scratch.as_slice().into()),
-                        known: None,
-                        config: Some(SuccConfig::Owned(next)),
-                    });
-                }
-            }
-        }
-        Ok(out)
-    }
-
     /// The interned outcome pairs of one step, through the memo: on a hit,
     /// neither the object specification nor the protocol runs.
     #[allow(clippy::too_many_arguments)]
@@ -2668,9 +2164,9 @@ impl<'a, P: Protocol> Explorer<'a, P> {
     }
 
     /// The raw (un-memoized) step: run the specification and the protocol,
-    /// intern the results. Generic over the intern handle so the fused
-    /// single-threaded path gets the lock-free `&mut` interners while
-    /// parallel workers share the locking `&` ones.
+    /// intern the results. Generic over the intern handle so the
+    /// deterministic engine gets the lock-free `&mut` interners while
+    /// work-stealing workers share the locking `&` ones.
     #[allow(clippy::too_many_arguments)]
     fn compute_pairs<SI, PI>(
         &self,
@@ -2714,55 +2210,6 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                 .map(|(response, obj_state)| pair(response, &obj_state))
                 .collect(),
         ))
-    }
-
-    /// Expands one level on `threads` scoped workers pulling node positions
-    /// from a shared atomic counter. Results land in per-position slots, so
-    /// scheduling order is invisible to the merge.
-    #[allow(clippy::too_many_arguments)]
-    fn expand_level_parallel(
-        &self,
-        work: &[WorkItem<'_, P::LocalState>],
-        threads: usize,
-        state_interner: &Interner<AnyState>,
-        proc_interner: &Interner<ProcStatus<P::LocalState>>,
-        memo: &TransitionMemo,
-        index: &ShardedIndex,
-        sym: Option<SymCtx<'_, '_, P::LocalState>>,
-        canon_probe: Option<&CanonProbe>,
-    ) -> Vec<NodeResult<P::LocalState>> {
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<NodeResult<P::LocalState>>>> =
-            work.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|| loop {
-                    let pos = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(_, config, key)) = work.get(pos) else {
-                        break;
-                    };
-                    let result = self.expand_node(
-                        config,
-                        key,
-                        state_interner,
-                        proc_interner,
-                        memo,
-                        index,
-                        sym,
-                        canon_probe,
-                    );
-                    *slots[pos].lock().expect("expansion slot poisoned") = Some(result);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("expansion slot poisoned")
-                    .expect("every position was claimed by a worker")
-            })
-            .collect()
     }
 }
 
@@ -2886,8 +2333,8 @@ impl<'e, 'a, P: Protocol> Exploration<'e, 'a, P> {
         self
     }
 
-    /// Sets the worker thread count (`0` = auto; see
-    /// [`ExploreOptions::threads`]).
+    /// Sets the work-stealing worker count (`0` = auto; see
+    /// [`ExploreOptions::threads`]). The deterministic frontier ignores it.
     pub fn threads(mut self, threads: usize) -> Self {
         self.options.threads = threads;
         self
@@ -2904,15 +2351,6 @@ impl<'e, 'a, P: Protocol> Exploration<'e, 'a, P> {
     /// configuration.
     pub fn from(mut self, initial: Configuration<P::LocalState>) -> Self {
         self.from = Some(initial);
-        self
-    }
-
-    /// Bypasses the adaptive parallel gate (see
-    /// [`ExploreOptions::force_parallel`]): every level of a multi-threaded
-    /// run takes the parallel path. For tests and benchmarks of the
-    /// parallel machinery.
-    pub fn force_parallel(mut self) -> Self {
-        self.options.force_parallel = true;
         self
     }
 
@@ -2945,8 +2383,8 @@ impl<'e, 'a, P: Protocol> Exploration<'e, 'a, P> {
     /// `transitions`, `dedup_hits`, distinct-value counts) on complete
     /// runs, so every checker verdict agrees between them.
     /// [`Frontier::Deterministic`] additionally guarantees byte-identical
-    /// graphs — same node indices, same edge targets — across thread
-    /// counts; [`Frontier::WorkStealing`] assigns node indices in
+    /// graphs — same node indices, same edge targets — on every run;
+    /// [`Frontier::WorkStealing`] assigns node indices in
     /// discovery order, which depends on scheduling, and ignores
     /// `on_progress` (there are no levels to report). Truncated
     /// work-stealing runs cut the space at a scheduling-dependent
@@ -2966,7 +2404,7 @@ impl<'e, 'a, P: Protocol> Exploration<'e, 'a, P> {
 
     /// Attaches a [`Tracer`] for this run only, overriding whatever the
     /// explorer carries ([`Explorer::with_trace`]): the engine emits
-    /// `explore.begin`/`pargate`/`level`/`explore.end` phase events through
+    /// `explore.begin`/`level`/`explore.end` phase events through
     /// it, and per-call canonicalization timing is switched on. Build one
     /// over any [`lbsa_support::obs::TraceSink`]:
     ///
@@ -3026,50 +2464,17 @@ impl<'e, 'a, P: Protocol> Exploration<'e, 'a, P> {
     /// # Errors
     ///
     /// Propagates step errors (these indicate protocol bugs, not explored
-    /// behaviours). When several nodes of one level fail, the error of the
-    /// earliest node in frontier order is returned — the same error a
-    /// sequential exploration reports.
-    pub fn run(self) -> Result<ExplorationGraph<P::LocalState>, RuntimeError> {
+    /// behaviours). The deterministic engine reports the first failing node
+    /// in frontier order; the work-stealing engine reports the first
+    /// failure any worker hits.
+    pub fn run(mut self) -> Result<ExplorationGraph<P::LocalState>, RuntimeError> {
+        let tracer = self
+            .tracer
+            .take()
+            .unwrap_or_else(|| self.explorer.tracer.clone());
+        let symmetry = self.symmetry.take();
         let live = self.live_metrics();
-        let initial = self.from.unwrap_or_else(|| self.explorer.initial_config());
-        let tracer = self.tracer.as_ref().unwrap_or(&self.explorer.tracer);
-        let model = match self.options.frontier {
-            Frontier::Deterministic => EtaModel::LevelSync,
-            Frontier::WorkStealing => EtaModel::WorkStealing,
-        };
-        let watcher = match (self.progress_every, &live) {
-            (Some(period), Some(live)) if tracer.enabled() => Some(ProgressWatcher::spawn(
-                live.clone(),
-                tracer.clone(),
-                period,
-                model,
-            )),
-            _ => None,
-        };
-        let result = match self.options.frontier {
-            Frontier::Deterministic => self.explorer.run_engine(
-                initial,
-                self.options,
-                self.on_progress,
-                self.symmetry.as_ref(),
-                tracer,
-                live.as_ref(),
-            ),
-            Frontier::WorkStealing => self.explorer.run_engine_ws(
-                initial,
-                self.options,
-                self.symmetry.as_ref(),
-                tracer,
-                live.as_ref(),
-            ),
-        };
-        if let (Some(live), Ok(graph)) = (&live, &result) {
-            live.mem_graph.set_usize(graph.approx_bytes());
-        }
-        if let Some(watcher) = watcher {
-            watcher.finish();
-        }
-        result
+        self.explore(&tracer, symmetry.as_ref(), live.as_ref())
     }
 
     /// Consumes the builder for a `check_*` terminal: runs the engine when
@@ -3089,47 +2494,7 @@ impl<'e, 'a, P: Protocol> Exploration<'e, 'a, P> {
             // Sampling runs inside the verdict layer — the live handles
             // and cadence ride along in the returned parts.
             Strategy::Sample(_) => None,
-            Strategy::Exhaustive => {
-                let initial = self
-                    .from
-                    .take()
-                    .unwrap_or_else(|| explorer.initial_config());
-                let model = match self.options.frontier {
-                    Frontier::Deterministic => EtaModel::LevelSync,
-                    Frontier::WorkStealing => EtaModel::WorkStealing,
-                };
-                let watcher =
-                    match (progress_every, &live) {
-                        (Some(period), Some(live)) if tracer.enabled() => Some(
-                            ProgressWatcher::spawn(live.clone(), tracer.clone(), period, model),
-                        ),
-                        _ => None,
-                    };
-                let result = match self.options.frontier {
-                    Frontier::Deterministic => explorer.run_engine(
-                        initial,
-                        self.options,
-                        self.on_progress.take(),
-                        symmetry.as_ref(),
-                        &tracer,
-                        live.as_ref(),
-                    ),
-                    Frontier::WorkStealing => explorer.run_engine_ws(
-                        initial,
-                        self.options,
-                        symmetry.as_ref(),
-                        &tracer,
-                        live.as_ref(),
-                    ),
-                };
-                if let (Some(live), Ok(graph)) = (&live, &result) {
-                    live.mem_graph.set_usize(graph.approx_bytes());
-                }
-                if let Some(watcher) = watcher {
-                    watcher.finish();
-                }
-                Some(result)
-            }
+            Strategy::Exhaustive => Some(self.explore(&tracer, symmetry.as_ref(), live.as_ref())),
         };
         CheckParts {
             explorer,
@@ -3140,6 +2505,55 @@ impl<'e, 'a, P: Protocol> Exploration<'e, 'a, P> {
             live,
             progress_every,
         }
+    }
+
+    /// Runs the engine the frontier option selects from the start
+    /// configuration, under a progress watcher when one was requested, and
+    /// records the graph's footprint in the live registry.
+    fn explore(
+        &mut self,
+        tracer: &Tracer,
+        symmetry: Option<&ConfigSymmetry<'a, P::LocalState>>,
+        live: Option<&LiveMetrics>,
+    ) -> Result<ExplorationGraph<P::LocalState>, RuntimeError> {
+        let explorer = self.explorer;
+        let initial = self
+            .from
+            .take()
+            .unwrap_or_else(|| explorer.initial_config());
+        let model = match self.options.frontier {
+            Frontier::Deterministic => EtaModel::LevelSync,
+            Frontier::WorkStealing => EtaModel::WorkStealing,
+        };
+        let watcher = match (self.progress_every, live) {
+            (Some(period), Some(live)) if tracer.enabled() => Some(ProgressWatcher::spawn(
+                live.clone(),
+                tracer.clone(),
+                period,
+                model,
+            )),
+            _ => None,
+        };
+        let result = match self.options.frontier {
+            Frontier::Deterministic => explorer.run_engine(
+                initial,
+                self.options.limits,
+                self.on_progress.take(),
+                symmetry,
+                tracer,
+                live,
+            ),
+            Frontier::WorkStealing => {
+                explorer.run_engine_ws(initial, self.options, symmetry, tracer, live)
+            }
+        };
+        if let (Some(live), Ok(graph)) = (live, &result) {
+            live.mem_graph.set_usize(graph.approx_bytes());
+        }
+        if let Some(watcher) = watcher {
+            watcher.finish();
+        }
+        result
     }
 }
 
@@ -3298,26 +2712,16 @@ mod tests {
         let ex = Explorer::new(&p, &objects);
         let sequential = ex.exploration().threads(1).run().unwrap();
         for threads in [2, 4, 8] {
-            // Force the parallel path so the two-phase merge is actually
-            // exercised regardless of the adaptive gate's verdict on this
-            // machine.
-            let parallel = ex
-                .exploration()
-                .threads(threads)
-                .force_parallel()
-                .run()
-                .unwrap();
+            let g = ex.exploration().threads(threads).run().unwrap();
             assert!(
-                sequential.same_structure(&parallel),
+                sequential.same_structure(&g),
                 "graph differs at {threads} threads"
             );
-            assert_eq!(sequential.structural_digest(), parallel.structural_digest());
-            assert_eq!(parallel.stats.threads, threads);
-            assert_eq!(parallel.stats.parallel_levels, parallel.stats.levels.len());
-            // The adaptive gate may legitimately keep everything sequential
-            // (e.g. on a single-core machine); the graph must still match.
-            let gated = ex.exploration().threads(threads).run().unwrap();
-            assert!(sequential.same_structure(&gated));
+            assert_eq!(sequential.structural_digest(), g.structural_digest());
+            assert_eq!(
+                g.stats.threads, 1,
+                "the deterministic engine is single-threaded"
+            );
         }
     }
 
@@ -3337,7 +2741,6 @@ mod tests {
                 .exploration()
                 .max_configs(budget)
                 .threads(4)
-                .force_parallel()
                 .run()
                 .unwrap();
             assert!(
@@ -3353,28 +2756,9 @@ mod tests {
         let objects = vec![AnyObject::strong_sa()];
         let ex = Explorer::new(&p, &objects);
         let seq = ex.exploration().threads(1).run().unwrap();
-        let par = ex.exploration().threads(4).force_parallel().run().unwrap();
+        let par = ex.exploration().threads(4).run().unwrap();
         assert!(seq.same_structure(&par));
         assert!(par.has_cycle());
-    }
-
-    #[test]
-    fn multithreaded_runs_report_underparallelization() {
-        // A workload this tiny never crosses the parallel threshold: a
-        // threads(8) run must say so instead of implying it parallelized.
-        let p = RaceConsensus { n: 2 };
-        let objects = vec![AnyObject::consensus(2).unwrap()];
-        let mut saw_parallel_level = false;
-        let g = Explorer::new(&p, &objects)
-            .exploration()
-            .threads(8)
-            .on_progress(|level| saw_parallel_level |= level.parallel)
-            .run()
-            .unwrap();
-        assert_eq!(g.stats.parallel_levels, 0);
-        assert!(!saw_parallel_level);
-        assert!(g.stats.underparallelized());
-        assert!(g.stats.summary().contains("below parallel threshold"));
     }
 
     #[test]
@@ -3658,13 +3042,7 @@ mod tests {
         let ex = Explorer::new(&p, &objects);
         let seq = ex.exploration().symmetric().threads(1).run().unwrap();
         for threads in [2, 4] {
-            let par = ex
-                .exploration()
-                .symmetric()
-                .threads(threads)
-                .force_parallel()
-                .run()
-                .unwrap();
+            let par = ex.exploration().symmetric().threads(threads).run().unwrap();
             assert!(
                 seq.same_structure(&par),
                 "reduced graph differs at {threads} threads"
@@ -3731,19 +3109,12 @@ mod tests {
     fn phase_breakdown_is_bounded_by_elapsed() {
         let p = RaceConsensus { n: 4 };
         let objects = vec![AnyObject::consensus(4).unwrap()];
-        let g = Explorer::new(&p, &objects)
-            .exploration()
-            .threads(2)
-            .force_parallel()
-            .run()
-            .unwrap();
-        assert!(g.stats.phases.measured() <= g.stats.elapsed);
+        let g = Explorer::new(&p, &objects).exploration().run().unwrap();
+        assert!(g.stats.phases.expand <= g.stats.elapsed);
         let expand: Duration = g.stats.levels.iter().map(|l| l.expand).sum();
-        let merge: Duration = g.stats.levels.iter().map(|l| l.merge).sum();
         assert_eq!(g.stats.phases.expand, expand);
-        assert_eq!(g.stats.phases.merge, merge);
         for l in &g.stats.levels {
-            assert!(l.expand + l.merge <= l.elapsed);
+            assert!(l.expand <= l.elapsed);
         }
         // Untraced runs never pay for per-call canonicalization clocks.
         assert_eq!(g.stats.phases.canonicalize, Duration::ZERO);
@@ -3790,10 +3161,6 @@ mod tests {
         assert_eq!(names.last(), Some(&"explore.end"));
         assert_eq!(
             names.iter().filter(|n| **n == "level").count(),
-            g.stats.levels.len()
-        );
-        assert_eq!(
-            names.iter().filter(|n| **n == "pargate").count(),
             g.stats.levels.len()
         );
         // The end event embeds the stats document.
@@ -4018,9 +3385,7 @@ mod tests {
         );
         assert_eq!(ws.stats.dedup_hits, ws.transitions - (ws.len() - 1));
         assert!(ws.stats.peak_frontier >= 1);
-        assert_eq!(ws.stats.parallel_levels, 0);
         assert!(ws.stats.summary().contains("work-stealing"));
-        assert!(!ws.stats.underparallelized());
     }
 
     #[test]

@@ -23,63 +23,28 @@ pub struct LevelStats {
     pub width: usize,
     /// Transitions discovered while expanding this level.
     pub transitions: usize,
-    /// Wall-clock time spent on this level (expansion + merge).
+    /// Wall-clock time spent on this level.
     pub elapsed: Duration,
-    /// Wall-clock time of this level's expansion phase (successor
-    /// computation, canonicalization, interning, dedup probing). On the
-    /// fused sequential path expansion and merge are interleaved, so the
-    /// whole level is accounted here and [`LevelStats::merge`] is zero.
+    /// Wall-clock time of this level's expansion (successor computation,
+    /// canonicalization, interning, dedup probing, node numbering). The
+    /// engine expands and merges in one pass, so this is the whole level.
     pub expand: Duration,
-    /// Wall-clock time of this level's merge phase (node-index assignment
-    /// and edge stitching). Nonzero only on the two-phase parallel path.
-    pub merge: Duration,
-    /// `true` if this level ran on the parallel expansion path. A progress
-    /// callback watching a multi-threaded run can use this to warn when the
-    /// workload never crosses the parallel threshold (see
-    /// [`ExploreStats::underparallelized`]).
-    pub parallel: bool,
 }
 
 /// Aggregate per-phase wall-clock breakdown of an exploration.
 ///
-/// `expand` and `merge` partition the measured per-level work (their sum is
-/// ≤ [`ExploreStats::elapsed`]; the remainder is frontier bookkeeping
-/// between levels). `canonicalize` is a *subset* of `expand`, measured
-/// per call and therefore only populated when a tracer is attached — the
-/// per-successor clock reads would otherwise violate the overhead policy.
+/// `expand` is the measured per-level work (≤ [`ExploreStats::elapsed`];
+/// the remainder is frontier bookkeeping between levels). `canonicalize`
+/// is a *subset* of `expand`, measured per call and therefore only
+/// populated when a tracer is attached — the per-successor clock reads
+/// would otherwise violate the overhead policy.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PhaseTimes {
-    /// Total expansion-phase time across levels.
+    /// Total expansion time across levels.
     pub expand: Duration,
-    /// Total merge-phase time across levels (parallel levels only).
-    pub merge: Duration,
     /// Time inside orbit canonicalization (⊆ `expand`; zero unless the run
     /// was traced, see [`crate::Exploration::trace`]).
     pub canonicalize: Duration,
-}
-
-impl PhaseTimes {
-    /// The per-level time actually attributed to a phase
-    /// (`expand + merge`); always ≤ the run's total `elapsed`.
-    #[must_use]
-    pub fn measured(&self) -> Duration {
-        self.expand + self.merge
-    }
-
-    /// Which phase dominates: `"expand-bound"` when expansion takes more
-    /// than twice the merge time, `"merge-bound"` for the converse, and
-    /// `"balanced"` in between.
-    #[must_use]
-    pub fn dominant(&self) -> &'static str {
-        let (e, m) = (self.expand.as_nanos(), self.merge.as_nanos());
-        if e > 2 * m {
-            "expand-bound"
-        } else if m > 2 * e {
-            "merge-bound"
-        } else {
-            "balanced"
-        }
-    }
 }
 
 /// Per-worker measurements of one work-stealing run — the breakdown that
@@ -198,8 +163,8 @@ impl SampleWorkerStats {
 /// nanosecond distributions that survive aggregation, where the
 /// [`PhaseTimes`] totals only say how much, not how it was spread.
 ///
-/// `level_expand`/`level_merge` record one sample per BFS level and are
-/// always on (per-level clock reads are already part of [`LevelStats`]).
+/// `level_expand` records one sample per BFS level and is always on
+/// (per-level clock reads are already part of [`LevelStats`]).
 /// `steal` records the latency of each successful steal operation, and
 /// `canonicalize`/`task_expand` record per-call and per-task costs — all
 /// three need extra clock reads on hot paths and are therefore only
@@ -208,8 +173,6 @@ impl SampleWorkerStats {
 pub struct LatencyHistograms {
     /// Per-level expansion-phase times (level-sync frontier, always on).
     pub level_expand: HistogramNs,
-    /// Per-level merge-phase times (parallel levels only, always on).
-    pub level_merge: HistogramNs,
     /// Latency of each successful steal operation (traced runs only).
     pub steal: HistogramNs,
     /// Size of each successful steal batch — raw task counts, not
@@ -229,7 +192,6 @@ impl LatencyHistograms {
     pub fn to_json(&self) -> Option<Json> {
         let named = [
             ("level_expand", &self.level_expand),
-            ("level_merge", &self.level_merge),
             ("steal", &self.steal),
             ("steal_batch", &self.steal_batch),
             ("canonicalize", &self.canonicalize),
@@ -264,12 +226,9 @@ pub struct ExploreStats {
     pub distinct_proc_statuses: usize,
     /// Widest BFS frontier encountered.
     pub peak_frontier: usize,
-    /// Worker threads used for frontier expansion.
+    /// Worker threads used for frontier expansion (always 1 on the
+    /// deterministic frontier).
     pub threads: usize,
-    /// Number of BFS levels that actually ran on the parallel path. The
-    /// engine's adaptive gate keeps narrow or cheap levels sequential, so
-    /// this can be zero even when `threads > 1`.
-    pub parallel_levels: usize,
     /// `true` if the exploration deduplicated on canonical orbit
     /// representatives (symmetry reduction) rather than raw configurations.
     pub reduced: bool,
@@ -374,15 +333,6 @@ impl ExploreStats {
         self.levels.len()
     }
 
-    /// `true` if more than one worker thread was requested but no level ever
-    /// crossed the parallel threshold — the whole run executed sequentially.
-    /// Callers asking for `threads(n)` on tiny workloads should surface this
-    /// instead of implying the run parallelized.
-    #[must_use]
-    pub fn underparallelized(&self) -> bool {
-        !self.work_stealing && self.threads > 1 && self.parallel_levels == 0 && self.expanded > 0
-    }
-
     /// Load-imbalance factor across workers: the busiest worker's expanded
     /// count over the per-worker mean. `1.0` is perfectly balanced; `1.0`
     /// is also returned when there is no per-worker breakdown (level-sync
@@ -411,28 +361,19 @@ impl ExploreStats {
         } else {
             ""
         };
-        let warn = if self.underparallelized() {
-            " [sequential: below parallel threshold]"
-        } else {
-            ""
-        };
         format!(
-            "{} configs, {} transitions, {:.1}% dedup, depth {}, peak frontier {}, {} threads ({} parallel levels){}{}{}, {:.3}s ({:.0} configs/s, {}: {:.3}s expand / {:.3}s merge)",
+            "{} configs, {} transitions, {:.1}% dedup, depth {}, peak frontier {}, {} threads{}{}, {:.3}s ({:.0} configs/s, {:.3}s expand)",
             self.configs,
             self.transitions,
             100.0 * self.dedup_rate(),
             self.depth(),
             self.peak_frontier,
             self.threads,
-            self.parallel_levels,
             reduced,
             frontier,
-            warn,
             self.elapsed.as_secs_f64(),
             self.configs_per_sec(),
-            self.phases.dominant(),
             self.phases.expand.as_secs_f64(),
-            self.phases.merge.as_secs_f64(),
         )
     }
 
@@ -451,14 +392,11 @@ impl ExploreStats {
             .set("distinct_proc_statuses", self.distinct_proc_statuses)
             .set("peak_frontier", self.peak_frontier)
             .set("threads", self.threads)
-            .set("parallel_levels", self.parallel_levels)
             .set("levels", self.levels.len())
             .set("reduced", self.reduced)
             .set("elapsed_us", duration_us(self.elapsed))
             .set("expand_us", duration_us(self.phases.expand))
-            .set("merge_us", duration_us(self.phases.merge))
             .set("canonicalize_us", duration_us(self.phases.canonicalize))
-            .set("dominant_phase", self.phases.dominant())
             .set("memo_hits", self.memo_hits)
             .set("memo_misses", self.memo_misses)
             .set("intern_hits", self.intern_hits)
@@ -538,33 +476,6 @@ mod tests {
         assert!(s.contains("depth 3"));
         assert!(s.contains("4 threads"));
         assert!(s.contains("80 configs/s"));
-    }
-
-    #[test]
-    fn underparallelized_flags_silent_sequential_runs() {
-        let mut stats = ExploreStats {
-            threads: 4,
-            expanded: 100,
-            parallel_levels: 0,
-            ..ExploreStats::default()
-        };
-        assert!(stats.underparallelized());
-        assert!(stats.summary().contains("below parallel threshold"));
-
-        stats.parallel_levels = 2;
-        assert!(!stats.underparallelized());
-        assert!(!stats.summary().contains("below parallel threshold"));
-
-        // A single-threaded run is sequential by request, not silently.
-        stats.threads = 1;
-        stats.parallel_levels = 0;
-        assert!(!stats.underparallelized());
-
-        // Work-stealing runs have no levels to parallelize: the flag does
-        // not apply to them.
-        stats.threads = 4;
-        stats.work_stealing = true;
-        assert!(!stats.underparallelized());
     }
 
     #[test]
@@ -661,7 +572,7 @@ mod tests {
         assert!(hist.get("level_expand").is_some());
         assert!(hist.get("steal").is_some());
         assert!(
-            hist.get("level_merge").is_none(),
+            hist.get("task_expand").is_none(),
             "untouched histograms are omitted"
         );
         assert_eq!(
@@ -682,44 +593,6 @@ mod tests {
     }
 
     #[test]
-    fn dominant_phase_classifies_by_ratio() {
-        let expand_bound = PhaseTimes {
-            expand: Duration::from_millis(10),
-            merge: Duration::from_millis(1),
-            canonicalize: Duration::ZERO,
-        };
-        assert_eq!(expand_bound.dominant(), "expand-bound");
-        let merge_bound = PhaseTimes {
-            expand: Duration::from_millis(1),
-            merge: Duration::from_millis(10),
-            canonicalize: Duration::ZERO,
-        };
-        assert_eq!(merge_bound.dominant(), "merge-bound");
-        let balanced = PhaseTimes {
-            expand: Duration::from_millis(5),
-            merge: Duration::from_millis(4),
-            canonicalize: Duration::ZERO,
-        };
-        assert_eq!(balanced.dominant(), "balanced");
-        assert_eq!(balanced.measured(), Duration::from_millis(9));
-        // An empty breakdown (0 vs 0) is balanced, not a division by zero.
-        assert_eq!(PhaseTimes::default().dominant(), "balanced");
-    }
-
-    #[test]
-    fn summary_names_the_dominant_phase() {
-        let stats = ExploreStats {
-            phases: PhaseTimes {
-                expand: Duration::from_millis(9),
-                merge: Duration::from_millis(1),
-                canonicalize: Duration::ZERO,
-            },
-            ..ExploreStats::default()
-        };
-        assert!(stats.summary().contains("expand-bound"));
-    }
-
-    #[test]
     fn to_json_carries_phase_and_counter_fields() {
         let stats = ExploreStats {
             configs: 10,
@@ -731,7 +604,6 @@ mod tests {
             elapsed: Duration::from_micros(1500),
             phases: PhaseTimes {
                 expand: Duration::from_micros(1000),
-                merge: Duration::from_micros(200),
                 canonicalize: Duration::from_micros(50),
             },
             ..ExploreStats::default()
@@ -740,12 +612,7 @@ mod tests {
         assert_eq!(doc.get("configs"), Some(&Json::Int(10)));
         assert_eq!(doc.get("elapsed_us"), Some(&Json::Int(1500)));
         assert_eq!(doc.get("expand_us"), Some(&Json::Int(1000)));
-        assert_eq!(doc.get("merge_us"), Some(&Json::Int(200)));
         assert_eq!(doc.get("canonicalize_us"), Some(&Json::Int(50)));
-        assert_eq!(
-            doc.get("dominant_phase").and_then(Json::as_str),
-            Some("expand-bound")
-        );
         assert_eq!(doc.get("memo_hits"), Some(&Json::Int(7)));
         assert_eq!(doc.get("intern_misses"), Some(&Json::Int(4)));
         assert_eq!(stats.memo_hit_rate(), 0.7);

@@ -1,8 +1,8 @@
 //! Lightweight tracing and metrics for the exploration engine.
 //!
 //! The model checker's hot phases — shard interning, orbit
-//! canonicalization, parallel-gate decisions, the two-phase merge, witness
-//! extraction and replay — are invisible from the outside: aggregates say
+//! canonicalization, work-stealing deques and steals, witness extraction
+//! and replay — are invisible from the outside: aggregates say
 //! *what* happened, not *where the time went*. This module supplies the
 //! observability layer the rest of the workspace threads through those
 //! phases:
@@ -62,7 +62,7 @@ pub struct Event {
     /// Microseconds since the tracer's epoch (its creation).
     pub t_us: u64,
     /// Event name, dot-namespaced by subsystem (`explore.begin`, `level`,
-    /// `pargate`, `witness.extract`, …).
+    /// `ws.steal`, `witness.extract`, …).
     pub name: &'static str,
     /// Structured payload; always a JSON object.
     pub fields: Json,

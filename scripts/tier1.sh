@@ -53,8 +53,8 @@ grep -q "explore_configs_total" "$smoke_dir/progress_smoke.prom"
 
 echo "==> perf smoke (explore_scaling -> BENCH_explore.json gates)"
 # Regenerate BENCH_explore.json from a fresh bench run and gate it against
-# the committed copy (engine-vs-seed speedup floors, parallel-speedup
-# regression, symmetry-reduction ratio). The committed file is restored
+# the committed copy (engine-vs-seed speedup floors, work-stealing
+# speedup floors, symmetry-reduction ratio). The committed file is restored
 # afterwards — regenerating the tracked copy is a deliberate, separate act
 # (see ci.yml, which uploads the fresh file as an artifact instead).
 cp BENCH_explore.json "$smoke_dir/BENCH_committed.json"
