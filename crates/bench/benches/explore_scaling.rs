@@ -7,10 +7,11 @@
 //! non-distinguished processes share the input 0, so the instance is
 //! symmetric under S_{n-1}); the `t2_dac/5/...` pair measures the same
 //! raw-vs-reduced split at n = 5, and `t2_dac/6/...` adds the regime the
-//! work-stealing frontier and incremental canonicalization are for: the
+//! work-stealing frontier and sort-and-tie canonicalization are for: the
 //! `seq`/`ws` pair gates parallel speedup without inter-depth barriers,
 //! and the `reduced` row gates that orbit reduction now *wins wall clock*
-//! against raw exploration. The `kset/9/...` pair measures the same
+//! against raw exploration; `t2_dac/8/reduced` times the 339-orbit
+//! quotient under |S_7| = 5,040. The `kset/9/...` pair measures the same
 //! seq-vs-work-stealing split on a large k-set-agreement instance
 //! (≥ 10⁵ raw configurations), where frontier widths dwarf any barrier
 //! cost. Besides the usual per-group JSON report, this bench writes
@@ -160,7 +161,7 @@ fn bench_explore(c: &mut Criterion) {
     });
 
     // n = 6: the committed workload where the work-stealing frontier and
-    // the incremental canonicalization must both *win* (see `perf_smoke`).
+    // the sort-and-tie canonicalization must both *win* (see `perf_smoke`).
     let p6 = DacFromPac::new(mixed_binary_inputs(6), Pid(0), ObjId(0)).unwrap();
     let objects6 = vec![AnyObject::pac(6).unwrap()];
     let explorer6 = Explorer::new(&p6, &objects6);
@@ -183,6 +184,25 @@ fn bench_explore(c: &mut Criterion) {
     group.bench_function("t2_dac/6/reduced", |b| {
         b.iter(|| {
             let g = explorer6
+                .exploration()
+                .threads(1)
+                .symmetric()
+                .run()
+                .unwrap();
+            black_box(g.configs.len())
+        });
+    });
+
+    // n = 8 reduced: the committed time-to-verdict workload, |S_7| = 5,040.
+    // Canonicalization sorts statuses instead of enumerating the group, so
+    // the 339-orbit quotient costs milliseconds; perf_smoke gates its
+    // orbit count exactly and reports its time advisorily.
+    let p8 = DacFromPac::new(mixed_binary_inputs(8), Pid(0), ObjId(0)).unwrap();
+    let objects8 = vec![AnyObject::pac(8).unwrap()];
+    let explorer8 = Explorer::new(&p8, &objects8);
+    group.bench_function("t2_dac/8/reduced", |b| {
+        b.iter(|| {
+            let g = explorer8
                 .exploration()
                 .threads(1)
                 .symmetric()
@@ -238,7 +258,9 @@ fn bench_explore(c: &mut Criterion) {
     });
     group.finish();
 
-    write_speedup_report(c, threads, &explorer, &explorer5, &explorer6, &explorerk);
+    write_speedup_report(
+        c, threads, &explorer, &explorer5, &explorer6, &explorer8, &explorerk,
+    );
 }
 
 /// Rounds to two decimals — the report is read by humans and diffed in
@@ -253,7 +275,8 @@ fn round2(x: f64) -> f64 {
 /// symmetry layer, the
 /// raw-vs-reduced config counts and reduction ratios at n = 4, 5, and 6
 /// (the n = 4 group is only S_3, so its ratio is Burnside-capped at 6;
-/// n = 5 is where the ≥ 5× reduction target is met). The n = 6 and
+/// n = 5 is where the ≥ 5× reduction target is met), and the n = 8
+/// reduced orbit count and time. The n = 6 and
 /// `kset` blocks additionally record the work-stealing frontier: its
 /// seq-vs-ws speedup, the steal counters, and the incremental
 /// canonicalization split (patches vs full recomputations), plus
@@ -270,6 +293,7 @@ fn write_speedup_report(
     explorer: &Explorer<'_, DacFromPac>,
     explorer5: &Explorer<'_, DacFromPac>,
     explorer6: &Explorer<'_, DacFromPac>,
+    explorer8: &Explorer<'_, DacFromPac>,
     explorerk: &Explorer<'_, KSetViaStrongSa>,
 ) {
     // Gated speedups are computed from per-benchmark *minimum* times, not
@@ -302,6 +326,9 @@ fn write_speedup_report(
     ) else {
         return;
     };
+    let Some((reduced8_min, reduced8_ns)) = times("t2_dac/8/reduced") else {
+        return;
+    };
     let (baseline_min, baseline_ns) = baseline;
     let (seq_min, seq_ns) = seq;
     let (reduced_min, reduced_ns) = reduced_t;
@@ -324,6 +351,12 @@ fn write_speedup_report(
         .unwrap();
     let raw6 = explorer6.exploration().threads(1).run().unwrap();
     let reduced6 = explorer6
+        .exploration()
+        .threads(1)
+        .symmetric()
+        .run()
+        .unwrap();
+    let reduced8 = explorer8
         .exploration()
         .threads(1)
         .symmetric()
@@ -415,6 +448,9 @@ fn write_speedup_report(
         .set("n6_level_expand_p99_ns", raw6.stats.hist.level_expand.p99())
         .set("n6_canon_patches", reduced6.stats.canon_patches)
         .set("n6_canon_full", reduced6.stats.canon_full)
+        .set("n8_reduced_configs", reduced8.configs.len())
+        .set("n8_reduced_min_ns", reduced8_min.round())
+        .set("n8_reduced_median_ns", reduced8_ns.round())
         // Memory accounting (structural estimates, see `ExploreStats`):
         // the interner footprint after the full n = 6 run, and the total
         // retained bytes (interner + index + graph) per reachable state.
@@ -467,6 +503,11 @@ fn write_speedup_report(
             "T2 n=6 work-stealing vs seq: {:.2}x; reduced vs raw wall clock: {:.2}x",
             seq6_min / ws6_min,
             reduced6_min / seq6_min,
+        );
+        println!(
+            "T2 n=8 reduced ({} orbits, |G| = 5040): {:.2} ms min",
+            reduced8.configs.len(),
+            reduced8_min / 1e6,
         );
         println!(
             "kset n={KSET_N} ({} configs) work-stealing vs seq: {:.2}x",

@@ -11,7 +11,8 @@
 //! enabled and reports orbit counts next to the raw config counts: the
 //! T2 workload gives process 0 input 1 and everyone else input 0, so the
 //! non-distinguished processes form one interchangeability class and the
-//! quotient graph shrinks by up to |S_{n-1}| = (n-1)!.
+//! quotient graph shrinks by up to |S_{n-1}| = (n-1)!. It runs to n = 8
+//! (|S_7| = 5,040) with the raw and reduced exploration times side by side.
 //!
 //! Run with `cargo run --release -p lbsa-bench --bin exp_f1_statespace`.
 
@@ -145,7 +146,7 @@ fn body(exp: &mut lbsa_bench::harness::Experiment, limits: Limits) {
         ],
     );
 
-    for n in 2..=6usize {
+    for n in 2..=8usize {
         let inputs = mixed_binary_inputs(n);
         let p = DacFromPac::new(inputs, Pid(0), ObjId(0)).expect("n >= 2");
         let objects = vec![AnyObject::pac(n).expect("valid")];

@@ -18,6 +18,9 @@
 //! indexed differently); the randomized test checks it on random protocols
 //! at a random thread count.
 
+mod common;
+
+use common::assert_canon_is_orbit_function;
 use lbsa_core::value::int;
 use lbsa_core::{AnyObject, ObjId, Op, Pid, Value};
 use lbsa_explorer::checker::Violation;
@@ -385,6 +388,18 @@ impl Protocol for SymmetricRace {
 impl Symmetry for SymmetricRace {
     fn pid_classes(&self) -> Vec<u32> {
         vec![0; self.n]
+    }
+}
+
+/// The race's canonicalization is an orbit function, checked against the
+/// enumerated group (see `common`).
+#[test]
+fn symmetric_race_canonicalization_is_an_orbit_function() {
+    for n in 2..=5usize {
+        let p = SymmetricRace { n };
+        let objects = vec![AnyObject::consensus(n).unwrap()];
+        let explorer = Explorer::new(&p, &objects);
+        assert_canon_is_orbit_function(&explorer, &format!("symmetric race n={n}"));
     }
 }
 

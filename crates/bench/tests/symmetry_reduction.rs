@@ -3,8 +3,14 @@
 //! as the raw one, and every witness extracted from a reduced graph must
 //! de-canonicalize into a schedule that replays — and confirms — on the
 //! raw system. The broken protocols here are intentionally wrong, so the
-//! witness path (not just the Holds path) is exercised.
+//! witness path (not just the Holds path) is exercised. Canonicalization
+//! itself is checked against the enumerated group (`common`): it must be an
+//! orbit function on every catalogued `Symmetry` implementor.
 
+mod common;
+
+use common::assert_canon_is_orbit_function;
+use lbsa_bench::mixed_binary_inputs;
 use lbsa_core::value::int;
 use lbsa_core::{AnyObject, ObjId, Op, Pid, Value};
 use lbsa_explorer::verdict::{
@@ -12,7 +18,9 @@ use lbsa_explorer::verdict::{
     verdict_wait_free, verdict_wait_free_reduced,
 };
 use lbsa_explorer::{ExplorationGraph, Explorer, Frontier, Limits};
+use lbsa_protocols::consensus_protocols::ConsensusViaObject;
 use lbsa_protocols::dac::{all_binary_inputs, DacFromPac};
+use lbsa_protocols::set_agreement_protocols::{GroupSplitKSet, KSetViaPowerLevel, KSetViaStrongSa};
 use lbsa_runtime::process::{classes_by_input, Protocol, Step, Symmetry};
 
 /// Consensus with a broken adopt rule (a loser decides its own input), made
@@ -114,11 +122,13 @@ fn dac_reduced_verdicts_agree_with_raw_on_all_small_instances() {
 
 /// Same sweep for the (intentionally broken) symmetric consensus protocol:
 /// most input vectors yield an Agreement violation, so this drives the
-/// state-witness de-canonicalization path for every orbit shape with n ≤ 3.
+/// state-witness de-canonicalization path for every orbit shape with
+/// n ≤ 5 — at n ≥ 4 the witnesses cross tie blocks of three or more
+/// interchangeable processes.
 #[test]
 fn broken_consensus_reduced_witnesses_confirm_on_the_raw_system() {
     let mut violations = 0usize;
-    for n in [2usize, 3] {
+    for n in [2usize, 3, 4, 5] {
         for inputs in all_binary_inputs(n) {
             let valid = inputs.clone();
             let p = BrokenAdoptConsensus { inputs };
@@ -196,4 +206,82 @@ fn reduced_graphs_are_thread_count_independent() {
     assert_eq!(sorted(&sequential), sorted(&ws), "ws reaches other orbits");
     assert_eq!(sequential.transitions, ws.transitions);
     assert_eq!(sequential.stats.dedup_hits, ws.stats.dedup_hits);
+}
+
+/// Canonicalization is an orbit function, and the reduced graph holds
+/// exactly the brute-force orbit minima, for every catalogued `Symmetry`
+/// implementor and the test protocols of this file.
+#[test]
+fn canonicalization_is_an_orbit_function_for_every_symmetric_protocol() {
+    for n in 3..=5usize {
+        for inputs in all_binary_inputs(n) {
+            let p = DacFromPac::new(inputs.clone(), Pid(0), ObjId(0)).unwrap();
+            let objects = vec![AnyObject::pac(n).unwrap()];
+            let ex = Explorer::new(&p, &objects);
+            assert_canon_is_orbit_function(&ex, &format!("dac n={n} inputs={inputs:?}"));
+        }
+    }
+    let equal = vec![int(7); 4];
+
+    let p = KSetViaStrongSa::new(equal.clone(), ObjId(0));
+    let objects = vec![AnyObject::strong_sa()];
+    assert_canon_is_orbit_function(&Explorer::new(&p, &objects), "KSetViaStrongSa");
+
+    let p = GroupSplitKSet::new(equal.clone(), 2).unwrap();
+    let objects = vec![
+        AnyObject::consensus(2).unwrap(),
+        AnyObject::consensus(2).unwrap(),
+    ];
+    assert_canon_is_orbit_function(&Explorer::new(&p, &objects), "GroupSplitKSet");
+
+    let p = KSetViaPowerLevel::new(equal.clone(), ObjId(0), 2);
+    let objects = vec![AnyObject::o_prime_n(2, 2).unwrap()];
+    assert_canon_is_orbit_function(&Explorer::new(&p, &objects), "KSetViaPowerLevel");
+
+    let p = ConsensusViaObject::new(equal, ObjId(0));
+    let objects = vec![AnyObject::consensus(4).unwrap()];
+    assert_canon_is_orbit_function(&Explorer::new(&p, &objects), "ConsensusViaObject");
+
+    for inputs in all_binary_inputs(4) {
+        let p = BrokenAdoptConsensus { inputs };
+        let objects = vec![AnyObject::consensus(4).unwrap()];
+        assert_canon_is_orbit_function(&Explorer::new(&p, &objects), "BrokenAdoptConsensus");
+    }
+
+    let p = SymmetricSpinners { n: 4 };
+    let objects = vec![AnyObject::strong_sa()];
+    assert_canon_is_orbit_function(&Explorer::new(&p, &objects), "SymmetricSpinners");
+}
+
+/// At the sizes where the group stops being small (|S₅| = 120, |S₆| = 720)
+/// both frontiers build the same quotient: the deterministic engine and
+/// work stealing at 2 and 4 threads reach the same orbit representatives
+/// with the same transitions.
+#[test]
+fn large_group_reduced_graphs_agree_across_frontiers() {
+    for (n, orbits, transitions) in [(6usize, 188usize, 721usize), (7, 258, 1161)] {
+        let p = DacFromPac::new(mixed_binary_inputs(n), Pid(0), ObjId(0)).unwrap();
+        let objects = vec![AnyObject::pac(n).unwrap()];
+        let ex = Explorer::new(&p, &objects);
+        let det = ex.exploration().symmetric().run().unwrap();
+        assert!(det.complete && det.stats.reduced);
+        assert_eq!(det.configs.len(), orbits, "n={n}: orbit count");
+        assert_eq!(det.transitions, transitions, "n={n}: transition count");
+        let mut det_configs = det.configs.clone();
+        det_configs.sort();
+        for threads in [2usize, 4] {
+            let ws = ex
+                .exploration()
+                .threads(threads)
+                .frontier(Frontier::WorkStealing)
+                .symmetric()
+                .run()
+                .unwrap();
+            assert!(ws.complete && ws.stats.reduced);
+            let mut ws_configs = ws.configs.clone();
+            ws_configs.sort();
+            assert_eq!(det_configs, ws_configs, "n={n}, ws {threads}: other orbits");
+            assert_eq!(det.transitions, ws.transitions, "n={n}, ws {threads}");
+        }
+    }
 }

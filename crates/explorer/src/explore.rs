@@ -693,10 +693,9 @@ impl<L> Default for WsWorkerOut<L> {
 /// nothing beyond the `Option` check (overhead policy: no per-successor
 /// clock reads unless a tracer asked for them).
 ///
-/// Goes through [`ConfigSymmetry::canonicalize_incremental`]: engine inputs
-/// are one-step patches of canonical parents, the access pattern the lazy
-/// already-minimal check is built for. Both its branches return the same
-/// representative, so graphs stay byte-identical.
+/// Goes through the one sort-and-tie implementation behind
+/// [`ConfigSymmetry::canonicalize`], so engine graphs and every other
+/// canonicalization agree on each orbit's representative.
 fn timed_canonicalize<L: Clone>(
     sym: &ConfigSymmetry<'_, L>,
     config: &Configuration<L>,
@@ -705,13 +704,13 @@ fn timed_canonicalize<L: Clone>(
     match probe {
         Some(p) => {
             let t0 = Instant::now();
-            let canon = sym.canonicalize_incremental(config);
+            let canon = sym.canonicalize(config);
             let elapsed = t0.elapsed();
             p.timer.record(elapsed);
             p.hist.record(elapsed);
             canon
         }
-        None => sym.canonicalize_incremental(config),
+        None => sym.canonicalize(config),
     }
 }
 
@@ -1048,6 +1047,14 @@ impl<'a, P: Protocol> Explorer<'a, P> {
         // untraced runs report PhaseTimes::canonicalize == 0.
         let canon_store = CanonProbe::default();
         let canon_probe = tracer.enabled().then_some(&canon_store);
+        // Under symmetry reduction every graph node is the canonical
+        // representative of its orbit, starting with the root. The root is
+        // canonicalized before the counters are read, so they account for
+        // successors only: canon_patches + canon_full == transitions.
+        let initial = match sym {
+            Some(s) => s.canonicalize(&initial),
+            None => initial,
+        };
         let canon_calls_before = sym.map_or(0, ConfigSymmetry::canon_calls);
         let canon_fast_before = sym.map_or(0, ConfigSymmetry::canon_fast_hits);
         let canon_full_before = sym.map_or(0, ConfigSymmetry::canon_full_calls);
@@ -1055,12 +1062,6 @@ impl<'a, P: Protocol> Explorer<'a, P> {
         // so these are always on.
         let hists = LatencyHistograms::default();
 
-        // Under symmetry reduction every graph node is the canonical
-        // representative of its orbit, starting with the root.
-        let initial = match sym {
-            Some(s) => s.canonicalize(&initial),
-            None => initial,
-        };
         let mut state_interner: Interner<AnyState> = Interner::new();
         let mut proc_interner: Interner<ProcStatus<P::LocalState>> = Interner::new();
         let mut index = ShardedIndex::new();
@@ -1415,6 +1416,14 @@ impl<'a, P: Protocol> Explorer<'a, P> {
         });
         let canon_store = CanonProbe::default();
         let canon_probe = tracer.enabled().then_some(&canon_store);
+        // Under symmetry reduction every graph node is the canonical
+        // representative of its orbit, starting with the root. The root is
+        // canonicalized before the counters are read, so they account for
+        // successors only: canon_patches + canon_full == transitions.
+        let initial = match sym {
+            Some(s) => s.canonicalize(&initial),
+            None => initial,
+        };
         let canon_calls_before = sym.map_or(0, ConfigSymmetry::canon_calls);
         let canon_fast_before = sym.map_or(0, ConfigSymmetry::canon_fast_hits);
         let canon_full_before = sym.map_or(0, ConfigSymmetry::canon_full_calls);
@@ -1424,10 +1433,6 @@ impl<'a, P: Protocol> Explorer<'a, P> {
         let hists = LatencyHistograms::default();
         let traced = tracer.enabled();
 
-        let initial = match sym {
-            Some(s) => s.canonicalize(&initial),
-            None => initial,
-        };
         let state_interner: Interner<AnyState> = Interner::new();
         let proc_interner: Interner<ProcStatus<P::LocalState>> = Interner::new();
         let memo = TransitionMemo::new();

@@ -246,15 +246,17 @@ pub struct ExploreStats {
     pub intern_hits: u64,
     /// State/status interner lookups that inserted a new distinct value.
     pub intern_misses: u64,
-    /// Orbit-canonicalization invocations (zero unless symmetry-reduced).
+    /// Orbit canonicalizations of successors that missed the engine's canon
+    /// memo (zero unless symmetry-reduced; the root is not counted).
     pub canon_calls: u64,
-    /// Canonicalizations resolved cheaply: the successor's canonical form
-    /// came out of the engine's canon memo, or the incremental fast path
-    /// confirmed the delta-patched successor was already orbit-minimal.
-    /// Zero unless symmetry-reduced.
+    /// Successors whose canonical form cost no rewrite: it came out of the
+    /// engine's canon memo, or the successor was already canonical (its
+    /// statuses sorted within each class and no tie shuffle lowering its
+    /// object states). Zero unless symmetry-reduced.
     pub canon_patches: u64,
-    /// Canonicalizations that fell back to the full `|G|`-fold orbit
-    /// enumeration. Zero unless symmetry-reduced.
+    /// Successors the sort-and-tie canonicalization moved to a different
+    /// member of their orbit. With `canon_patches` this adds up to the
+    /// transition count. Zero unless symmetry-reduced.
     pub canon_full: u64,
     /// `true` if the run used the work-stealing frontier
     /// (`Frontier::WorkStealing`) instead of level-synchronous BFS.

@@ -9,25 +9,40 @@
 //! of every permuted copy; for a workload whose symmetry group has order
 //! `g`, that divides the reachable state space by up to `g`.
 //!
-//! The machinery here is deliberately elementary (the groups are tiny —
-//! products of symmetric groups over the pid classes, order ≤ 24 for the
-//! n ≤ 5 instances we explore):
+//! The groups are products of symmetric groups over the pid classes, so
+//! they grow factorially: the committed T2 n = 8 instance has order
+//! 7! = 5,040. Nothing here enumerates them.
 //!
 //! * a protocol opts in by implementing [`lbsa_runtime::process::Symmetry`],
 //!   declaring which pids are interchangeable and how pid-derived structure
-//!   inside local/object states permutes;
-//! * [`ConfigSymmetry::of`] materializes the full permutation group once and
-//!   type-erases the protocol behind two closures (apply a permutation,
-//!   compare configurations by content), so the exploration engine needs no
-//!   `Ord` bound on local states in its own signatures;
+//!   inside object states permutes (local states are pid-free by contract);
+//! * [`ConfigSymmetry::of`] records the pid classes (O(n)) and type-erases
+//!   the protocol behind one closure (permute the object states) and one
+//!   status comparison, so the exploration engine needs no `Ord` bound on
+//!   local states in its own signatures;
 //! * [`ConfigSymmetry::canonicalize`] maps a configuration to the minimum of
-//!   its orbit under the content order — a canonical representative that is
-//!   stable across runs and thread counts, unlike anything derived from
-//!   interned ids;
+//!   its orbit under the *procs-first* content order (process statuses,
+//!   then object states) — a canonical representative that is stable across
+//!   runs and thread counts, unlike anything derived from interned ids;
 //! * [`Concretizer`] walks a schedule expressed over the *quotient* graph
 //!   and incrementally rebuilds a real (un-permuted) execution, which is how
 //!   witnesses extracted from a reduced graph are de-canonicalized before
 //!   [`crate::verdict::Witness::confirm`] replays them.
+//!
+//! # Sort-and-tie canonicalization
+//!
+//! This is the scalarset normalisation of Murφ (Ip & Dill): because local
+//! states are pid-free, `(π · C).procs[π(i)] = C.procs[i]`, so the minimal
+//! status vector over the orbit is `C`'s statuses sorted within each pid
+//! class — one sort per class, yielding `D = σ₀ · C`. The permutations that
+//! keep that vector are exactly those that shuffle *tie blocks* (runs of
+//! equal statuses inside a class), so the orbit minimum is the least object
+//! state vector over the tie-block orbit of `D`. That orbit is the closure
+//! of `D` under adjacent transpositions inside the tie blocks, searched with
+//! a seen-set while tracking the permutation. It costs the orbit size times
+//! the number of tie transpositions; for the n-PAC state, where only `L`
+//! names a pid beyond what the statuses pin down, that is a handful of
+//! object-state rewrites rather than the `|G|` of a group enumeration.
 //!
 //! # Soundness
 //!
@@ -45,14 +60,21 @@
 //! classes, which every `π ∈ G` fixes. Hence a property holds on the
 //! quotient iff it holds on the full graph, and a quotient counterexample
 //! concretizes (via [`Concretizer`]) to a real counterexample.
+//!
+//! Every representative returned is `π · C` for some `π ∈ G` (the sort and
+//! each transposition preserve the classes), so distinct orbits never
+//! merge; and it is the unique orbit minimum, so each orbit has exactly one
+//! representative.
 
 use crate::config::Configuration;
 use crate::error::CheckError;
 use crate::explore::Explorer;
-use lbsa_core::{ObjId, Pid};
+use lbsa_core::{AnyState, ObjId, Pid};
 use lbsa_runtime::process::{ProcStatus, Protocol, Symmetry};
+use lbsa_support::hash::FxBuildHasher;
 use lbsa_support::obs::Counter;
 use std::cmp::Ordering;
+use std::collections::HashSet;
 use std::fmt;
 
 /// A pid permutation: `perm[i]` is the new pid of process `i`.
@@ -62,26 +84,18 @@ pub type PidPerm = Vec<usize>;
 /// exploration engine can canonicalize configurations without knowing the
 /// protocol type or requiring `Ord` bounds of its own.
 ///
-/// Built with [`ConfigSymmetry::of`]; the identity permutation is always
-/// `perms()[0]`.
+/// Built with [`ConfigSymmetry::of`]. The group is never materialized: it is
+/// kept as its pid classes.
 pub struct ConfigSymmetry<'p, L> {
-    perms: Vec<PidPerm>,
-    /// `inverses[i]` is the inverse permutation of `perms[i]`, precomputed
-    /// so the lazy comparison below can find which process lands in a slot
-    /// without searching.
-    inverses: Vec<PidPerm>,
+    /// The positions of every pid class with two or more members, each in
+    /// ascending order. Singleton classes are fixed by every group element.
+    classes: Vec<Vec<usize>>,
+    group_order: usize,
+    cmp_status: fn(&ProcStatus<L>, &ProcStatus<L>) -> Ordering,
+    /// Rewrites every object state through
+    /// [`Symmetry::permute_object_state`] under one permutation.
     #[allow(clippy::type_complexity)]
-    apply: Box<dyn Fn(&Configuration<L>, &[usize]) -> Configuration<L> + Sync + 'p>,
-    #[allow(clippy::type_complexity)]
-    cmp: Box<dyn Fn(&Configuration<L>, &Configuration<L>) -> Ordering + Sync + 'p>,
-    /// Lazily compares `π · C` against a materialized `target` component by
-    /// component in the content order, without materializing `π · C`. Takes
-    /// `(C, π, π⁻¹, target)`.
-    #[allow(clippy::type_complexity)]
-    cmp_vs: Box<
-        dyn Fn(&Configuration<L>, &[usize], &[usize], &Configuration<L>) -> Ordering + Sync + 'p,
-    >,
-    value_symmetric: bool,
+    permute_objects: Box<dyn Fn(&[AnyState], &[usize]) -> Vec<AnyState> + Sync + 'p>,
     canon_calls: Counter,
     canon_fast: Counter,
     canon_full: Counter,
@@ -90,107 +104,78 @@ pub struct ConfigSymmetry<'p, L> {
 impl<L> fmt::Debug for ConfigSymmetry<'_, L> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ConfigSymmetry")
-            .field("group_order", &self.perms.len())
-            .field("value_symmetric", &self.value_symmetric)
+            .field("classes", &self.classes)
+            .field("group_order", &self.group_order)
             .finish_non_exhaustive()
     }
 }
 
 impl<'p, L: Clone> ConfigSymmetry<'p, L> {
-    /// Materializes the symmetry group of `protocol`: all pid permutations
-    /// preserving its [`Symmetry::pid_classes`] partition (the direct
-    /// product of symmetric groups over the classes).
+    /// The symmetry group of `protocol`: all pid permutations preserving its
+    /// [`Symmetry::pid_classes`] partition (the direct product of symmetric
+    /// groups over the classes), recorded as the classes themselves.
     ///
     /// The `Ord` bound on the local state is consumed *here*, into the
-    /// comparison closure — callers downstream (the engine, the verdict
+    /// status comparison — callers downstream (the engine, the verdict
     /// layer) work with the erased struct.
     pub fn of<P>(protocol: &'p P) -> Self
     where
         P: Symmetry<LocalState = L>,
         L: Ord,
     {
-        let classes = protocol.pid_classes();
+        let pid_classes = protocol.pid_classes();
         assert_eq!(
-            classes.len(),
+            pid_classes.len(),
             protocol.num_processes(),
             "pid_classes() must return one class per process"
         );
-        let perms = class_preserving_perms(&classes);
-        let inverses = perms.iter().map(|p| invert(p)).collect();
-        let apply =
-            move |c: &Configuration<P::LocalState>, perm: &[usize]| apply_perm(protocol, c, perm);
-        // The content order is the derived `Ord` of `Configuration`: object
-        // states lexicographically, then process statuses. `π · C` has the
-        // same shape as any configuration over the same system, so comparing
-        // it against a *materialized* target reduces to the first differing
-        // component — computed on demand, with
-        // `(π · C).object_states[o] = permute_object_state(o, C[o], π)` and
-        // `(π · C).procs[j]` the permuted status of process `π⁻¹(j)`.
-        // Non-running statuses are pid-free, so they compare by reference
-        // without materializing a permuted copy.
-        let cmp_vs = move |c: &Configuration<P::LocalState>,
-                           perm: &[usize],
-                           inv: &[usize],
-                           target: &Configuration<P::LocalState>| {
-            for (o, s) in c.object_states.iter().enumerate() {
-                let moved = protocol.permute_object_state(ObjId(o), s, perm);
-                match moved.cmp(&target.object_states[o]) {
-                    Ordering::Equal => {}
-                    other => return other,
-                }
+        // Positions grouped by class, in first-appearance order.
+        let mut classes: Vec<(u32, Vec<usize>)> = Vec::new();
+        for (i, &c) in pid_classes.iter().enumerate() {
+            match classes.iter_mut().find(|(label, _)| *label == c) {
+                Some((_, positions)) => positions.push(i),
+                None => classes.push((c, vec![i])),
             }
-            for (j, s) in target.procs.iter().enumerate() {
-                let ord = match &c.procs[inv[j]] {
-                    ProcStatus::Running(ls) => {
-                        ProcStatus::Running(protocol.permute_local(ls, perm)).cmp(s)
-                    }
-                    other => other.cmp(s),
-                };
-                match ord {
-                    Ordering::Equal => {}
-                    other => return other,
-                }
-            }
-            Ordering::Equal
+        }
+        let classes: Vec<Vec<usize>> = classes
+            .into_iter()
+            .map(|(_, positions)| positions)
+            .filter(|positions| positions.len() > 1)
+            .collect();
+        let group_order = classes
+            .iter()
+            .map(|positions| (1..=positions.len()).product::<usize>())
+            .product();
+        let permute_objects = move |objects: &[AnyState], perm: &[usize]| {
+            objects
+                .iter()
+                .enumerate()
+                .map(|(o, s)| protocol.permute_object_state(ObjId(o), s, perm))
+                .collect()
         };
         ConfigSymmetry {
-            perms,
-            inverses,
-            apply: Box::new(apply),
-            cmp: Box::new(|a, b| a.cmp(b)),
-            cmp_vs: Box::new(cmp_vs),
-            value_symmetric: protocol.value_symmetric(),
+            classes,
+            group_order,
+            cmp_status: Ord::cmp,
+            permute_objects: Box::new(permute_objects),
             canon_calls: Counter::new(),
             canon_fast: Counter::new(),
             canon_full: Counter::new(),
         }
     }
 
-    /// The group elements; `perms()[0]` is the identity.
-    #[must_use]
-    pub fn perms(&self) -> &[PidPerm] {
-        &self.perms
-    }
-
-    /// Number of group elements. Reduction divides the state space by at
-    /// most this factor.
+    /// Number of group elements: the product of the class-size factorials.
+    /// Reduction divides the state space by at most this factor.
     #[must_use]
     pub fn group_order(&self) -> usize {
-        self.perms.len()
+        self.group_order
     }
 
     /// `true` if the group is just the identity — canonicalization would be
     /// a no-op, so callers should skip reduction entirely.
     #[must_use]
     pub fn is_trivial(&self) -> bool {
-        self.perms.len() == 1
-    }
-
-    /// Whether the protocol additionally declared value symmetry (advisory;
-    /// see [`Symmetry::value_symmetric`]).
-    #[must_use]
-    pub fn value_symmetric(&self) -> bool {
-        self.value_symmetric
+        self.classes.is_empty()
     }
 
     /// Number of canonicalizations performed through this group so far
@@ -200,208 +185,146 @@ impl<'p, L: Clone> ConfigSymmetry<'p, L> {
         self.canon_calls.get()
     }
 
-    /// Incremental canonicalizations that confirmed the input was already
-    /// canonical via the lazy orbit-minimality check, skipping the full
-    /// `|G|`-fold materialization (feeds
+    /// Canonicalizations whose input was already canonical: the statuses
+    /// were sorted and no tie shuffle lowered the object states (feeds
     /// [`crate::ExploreStats::canon_patches`]).
     #[must_use]
     pub fn canon_fast_hits(&self) -> u64 {
         self.canon_fast.get()
     }
 
-    /// Incremental canonicalizations whose input was *not* orbit-minimal:
-    /// the tournament materialized at least one improved candidate (feeds
+    /// Canonicalizations whose input was *not* canonical, so the returned
+    /// representative is a different member of its orbit (feeds
     /// [`crate::ExploreStats::canon_full`]).
     #[must_use]
     pub fn canon_full_calls(&self) -> u64 {
         self.canon_full.get()
     }
 
-    /// Applies one group element to a configuration.
+    /// Applies one group element to a configuration: process `i`'s status
+    /// moves to slot `perm[i]` and every object state is rewritten through
+    /// [`Symmetry::permute_object_state`].
     #[must_use]
     pub fn apply(&self, config: &Configuration<L>, perm: &[usize]) -> Configuration<L> {
-        (self.apply)(config, perm)
+        let mut procs = config.procs.clone();
+        for (i, status) in config.procs.iter().enumerate() {
+            procs[perm[i]] = status.clone();
+        }
+        Configuration {
+            object_states: (self.permute_objects)(&config.object_states, perm),
+            procs,
+        }
     }
 
     /// The canonical representative of `config`'s orbit: the minimum of
-    /// `{π · config : π ∈ G}` under the content order.
+    /// `{π · config : π ∈ G}` under the procs-first content order.
     #[must_use]
     pub fn canonicalize(&self, config: &Configuration<L>) -> Configuration<L> {
         self.canonicalize_with_perm(config).0
     }
 
-    /// Canonicalizes and also returns the permutation `σ` that realizes it:
-    /// `σ · config == canonical`. When several group elements yield the
-    /// minimum, the first in enumeration order wins, so the choice is
-    /// deterministic.
-    #[must_use]
-    pub fn canonicalize_with_perm(
-        &self,
-        config: &Configuration<L>,
-    ) -> (Configuration<L>, &[usize]) {
-        self.canon_calls.bump();
-        self.orbit_min(config)
-    }
-
-    /// The full `|G|`-fold orbit minimization (no counter bump; callers
-    /// account the call themselves).
-    fn orbit_min(&self, config: &Configuration<L>) -> (Configuration<L>, &[usize]) {
-        let mut best = (self.apply)(config, &self.perms[0]);
-        let mut best_perm = &self.perms[0];
-        for perm in &self.perms[1..] {
-            let candidate = (self.apply)(config, perm);
-            if (self.cmp)(&candidate, &best) == Ordering::Less {
-                best = candidate;
-                best_perm = perm;
-            }
-        }
-        (best, best_perm)
-    }
-
-    /// Canonicalization tuned for the exploration engine's access pattern:
-    /// the inputs are single-step successors of configurations that are
-    /// *already canonical*, so most of them are still orbit-minimal (or
-    /// become so after the engine's memo has seen the patch once).
-    ///
-    /// One lazy tournament replaces the `|G|`-fold materialization of
-    /// [`Self::canonicalize`]: each `π · C` is compared against the running
-    /// minimum component by component, bailing at the first difference, and
-    /// a permuted copy is materialized only when `π` strictly improves on
-    /// it — never, on the common already-minimal input, where the whole
-    /// call allocates nothing beyond the returned clone. Both entry points
-    /// return the same representative (the orbit minimum under the content
-    /// order is unique), so the engine's graphs are byte-identical
-    /// whichever runs; the split is pure throughput.
+    /// The same function as [`Self::canonicalize`], under the name the
+    /// `ttvbench` per-layer replay calls.
     #[must_use]
     pub fn canonicalize_incremental(&self, config: &Configuration<L>) -> Configuration<L> {
+        self.canonicalize(config)
+    }
+
+    /// Canonicalizes and also returns the permutation `σ` that realizes it:
+    /// `σ · config == canonical`. When several group elements yield the
+    /// minimum (the configuration has a nontrivial stabilizer), the one the
+    /// deterministic sort and breadth-first tie search reach first wins.
+    #[must_use]
+    pub fn canonicalize_with_perm(&self, config: &Configuration<L>) -> (Configuration<L>, PidPerm) {
         self.canon_calls.bump();
-        let mut best: Option<Configuration<L>> = None;
-        for (perm, inv) in self.perms.iter().zip(&self.inverses).skip(1) {
-            let target = best.as_ref().unwrap_or(config);
-            if (self.cmp_vs)(config, perm, inv, target) == Ordering::Less {
-                best = Some((self.apply)(config, perm));
+        let n = config.procs.len();
+        // Sort each class's statuses into its positions. The sort is stable,
+        // so equal statuses keep their pid order and an already-sorted
+        // class yields the identity.
+        let mut sigma: PidPerm = (0..n).collect();
+        let mut order: Vec<usize> = Vec::new();
+        for positions in &self.classes {
+            order.clone_from(positions);
+            order.sort_by(|&a, &b| (self.cmp_status)(&config.procs[a], &config.procs[b]));
+            for (&slot, &pid) in positions.iter().zip(&order) {
+                sigma[pid] = slot;
             }
         }
-        match best {
-            None => {
-                self.canon_fast.bump();
-                config.clone()
-            }
-            Some(best) => {
-                self.canon_full.bump();
-                best
-            }
-        }
-    }
-}
-
-/// Applies `perm` to a configuration under protocol `p`'s interpretation:
-/// process `i`'s status moves to slot `perm[i]` (local state mapped through
-/// [`Symmetry::permute_local`]), and every object state is rewritten through
-/// [`Symmetry::permute_object_state`].
-fn apply_perm<P: Symmetry>(
-    p: &P,
-    c: &Configuration<P::LocalState>,
-    perm: &[usize],
-) -> Configuration<P::LocalState> {
-    let mut procs: Vec<Option<ProcStatus<P::LocalState>>> = vec![None; c.procs.len()];
-    for (i, status) in c.procs.iter().enumerate() {
-        let moved = match status {
-            ProcStatus::Running(s) => ProcStatus::Running(p.permute_local(s, perm)),
-            other => other.clone(),
-        };
-        procs[perm[i]] = Some(moved);
-    }
-    Configuration {
-        object_states: c
-            .object_states
-            .iter()
-            .enumerate()
-            .map(|(o, s)| p.permute_object_state(ObjId(o), s, perm))
-            .collect(),
-        procs: procs
-            .into_iter()
-            .map(|s| s.expect("perm is a bijection on 0..n"))
-            .collect(),
-    }
-}
-
-/// The inverse of a permutation: `invert(p)[p[i]] == i`.
-fn invert(perm: &[usize]) -> PidPerm {
-    let mut inv = vec![0usize; perm.len()];
-    for (i, &v) in perm.iter().enumerate() {
-        inv[v] = i;
-    }
-    inv
-}
-
-/// Enumerates every permutation of `0..classes.len()` that maps each pid
-/// class onto itself: the direct product, over the classes, of the full
-/// symmetric group on that class's positions. The identity is first.
-fn class_preserving_perms(classes: &[u32]) -> Vec<PidPerm> {
-    let n = classes.len();
-    // Positions grouped by class, in first-appearance order.
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    let mut seen: Vec<u32> = Vec::new();
-    for (i, &c) in classes.iter().enumerate() {
-        match seen.iter().position(|&s| s == c) {
-            Some(g) => groups[g].push(i),
-            None => {
-                seen.push(c);
-                groups.push(vec![i]);
-            }
-        }
-    }
-    // All permutations of each group's positions (identity first), then the
-    // cartesian product across groups composed into full pid permutations.
-    let group_perms: Vec<Vec<Vec<usize>>> = groups
-        .iter()
-        .map(|positions| permutations_of(positions))
-        .collect();
-    let mut result: Vec<PidPerm> = vec![(0..n).collect()];
-    for (g, options) in group_perms.iter().enumerate() {
-        let positions = &groups[g];
-        let mut next = Vec::with_capacity(result.len() * options.len());
-        for base in &result {
-            for option in options {
-                let mut perm = base.clone();
-                for (slot, &target) in positions.iter().zip(option.iter()) {
-                    perm[*slot] = target;
-                }
-                next.push(perm);
-            }
-        }
-        result = next;
-    }
-    // The cartesian product enumerates the identity choice of every group
-    // first, so result[0] is the identity; assert the invariant anyway.
-    debug_assert!(result[0].iter().enumerate().all(|(i, &v)| i == v));
-    result
-}
-
-/// All orderings of `items` (Heap's algorithm), the original order first.
-fn permutations_of(items: &[usize]) -> Vec<Vec<usize>> {
-    let mut out = Vec::new();
-    let mut work = items.to_vec();
-    heap_recurse(work.len(), &mut work, &mut out);
-    // Heap's algorithm emits the unmodified input first, so out[0] == items.
-    debug_assert_eq!(out[0], items);
-    out
-}
-
-fn heap_recurse(k: usize, work: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
-    if k <= 1 {
-        out.push(work.clone());
-        return;
-    }
-    heap_recurse(k - 1, work, out);
-    for i in 0..k - 1 {
-        if k.is_multiple_of(2) {
-            work.swap(i, k - 1);
+        let sorted_already = sigma.iter().enumerate().all(|(i, &v)| i == v);
+        let sorted = if sorted_already {
+            config.clone()
         } else {
-            work.swap(0, k - 1);
+            self.apply(config, &sigma)
+        };
+        // Adjacent transpositions inside the tie blocks generate every
+        // permutation that keeps the sorted status vector.
+        let ties: Vec<(usize, usize)> = self
+            .classes
+            .iter()
+            .flat_map(|positions| positions.windows(2))
+            .filter(|w| (self.cmp_status)(&sorted.procs[w[0]], &sorted.procs[w[1]]).is_eq())
+            .map(|w| (w[0], w[1]))
+            .collect();
+        let (canonical, tau) = self.tie_min(sorted, &ties);
+        if sorted_already && tau.is_none() {
+            self.canon_fast.bump();
+        } else {
+            self.canon_full.bump();
         }
-        heap_recurse(k - 1, work, out);
+        if let Some(tau) = tau {
+            for v in &mut sigma {
+                *v = tau[*v];
+            }
+        }
+        (canonical, sigma)
+    }
+
+    /// The least member, by object states, of the orbit of `sorted` under
+    /// the permutations generated by `ties`, with the permutation `τ` that
+    /// reaches it from `sorted` (`None` when `sorted` itself is least).
+    /// Breadth-first closure under the generators with a seen-set; every
+    /// member shares `sorted`'s status vector, so only object states move.
+    fn tie_min(
+        &self,
+        sorted: Configuration<L>,
+        ties: &[(usize, usize)],
+    ) -> (Configuration<L>, Option<PidPerm>) {
+        if ties.is_empty() {
+            return (sorted, None);
+        }
+        let n = sorted.procs.len();
+        let Configuration {
+            object_states,
+            procs,
+        } = sorted;
+        let mut seen: HashSet<Vec<AnyState>, FxBuildHasher> = HashSet::default();
+        seen.insert(object_states.clone());
+        let mut orbit: Vec<(Vec<AnyState>, PidPerm)> = vec![(object_states, (0..n).collect())];
+        let mut swap: PidPerm = (0..n).collect();
+        let mut best = 0;
+        let mut next = 0;
+        while next < orbit.len() {
+            for &(a, b) in ties {
+                swap.swap(a, b);
+                let objects = (self.permute_objects)(&orbit[next].0, &swap);
+                if !seen.contains(&objects) {
+                    let tau = orbit[next].1.iter().map(|&v| swap[v]).collect();
+                    seen.insert(objects.clone());
+                    if objects < orbit[best].0 {
+                        best = orbit.len();
+                    }
+                    orbit.push((objects, tau));
+                }
+                swap.swap(a, b);
+            }
+            next += 1;
+        }
+        let (object_states, tau) = orbit.swap_remove(best);
+        let config = Configuration {
+            object_states,
+            procs,
+        };
+        (config, (best != 0).then_some(tau))
     }
 }
 
@@ -443,7 +366,7 @@ impl<'e, 'a, 'p, P: Protocol> Concretizer<'e, 'a, 'p, P> {
             sym,
             real,
             quotient,
-            sigma: sigma.to_vec(),
+            sigma,
             steps_taken: 0,
         }
     }
@@ -509,7 +432,7 @@ impl<'e, 'a, 'p, P: Protocol> Concretizer<'e, 'a, 'p, P> {
         self.real = real_next;
         let (q, sigma) = self.sym.canonicalize_with_perm(&self.real);
         self.quotient = q;
-        self.sigma = sigma.to_vec();
+        self.sigma = sigma;
         self.steps_taken += 1;
         Ok((real_pid, j))
     }
@@ -586,24 +509,37 @@ mod tests {
         let sym = ConfigSymmetry::of(&p);
         assert_eq!(sym.group_order(), 1);
         assert!(sym.is_trivial());
+
+        // S_1 × S_7: the group is counted, never built.
+        let p = WriteRead {
+            n: 8,
+            inputs: vec![1, 0, 0, 0, 0, 0, 0, 0],
+        };
+        assert_eq!(ConfigSymmetry::of(&p).group_order(), 5_040);
     }
 
     #[test]
-    fn identity_is_always_first() {
-        for classes in [vec![0u32, 0, 0], vec![0, 1, 0, 1], vec![0, 0, 1, 0]] {
-            let perms = class_preserving_perms(&classes);
-            let n = classes.len();
-            assert_eq!(perms[0], (0..n).collect::<Vec<_>>());
-            // Every perm preserves classes and is a bijection.
-            for perm in &perms {
-                let mut seen = vec![false; n];
-                for (i, &v) in perm.iter().enumerate() {
-                    assert_eq!(classes[i], classes[v]);
-                    assert!(!seen[v]);
-                    seen[v] = true;
-                }
-            }
-        }
+    fn statuses_sort_within_their_class_only() {
+        // Classes {0, 2} and {1, 3} interleave.
+        let p = WriteRead {
+            n: 4,
+            inputs: vec![0, 1, 0, 1],
+        };
+        let objects = vec![AnyObject::register()];
+        let ex = Explorer::new(&p, &objects);
+        let sym = ConfigSymmetry::of(&p);
+        // p0 writes: its status (1) now sorts after p2's (0).
+        let c = ex.step(&ex.initial_config(), Pid(0), 0).unwrap().config;
+        let (canon, sigma) = sym.canonicalize_with_perm(&c);
+        assert_eq!(sigma, vec![2, 1, 0, 3]);
+        assert_eq!(sym.apply(&c, &sigma), canon);
+        let statuses: Vec<_> = canon.procs.iter().map(|s| *s.local().unwrap()).collect();
+        assert_eq!(statuses, vec![0, 0, 1, 0]);
+        // p1 steps too: class {1, 3} sorts independently of class {0, 2}.
+        let c = ex.step(&c, Pid(1), 0).unwrap().config;
+        let canon = sym.canonicalize(&c);
+        let statuses: Vec<_> = canon.procs.iter().map(|s| *s.local().unwrap()).collect();
+        assert_eq!(statuses, vec![0, 0, 1, 1]);
     }
 
     #[test]
@@ -616,54 +552,20 @@ mod tests {
         let ex = Explorer::new(&p, &objects);
         let sym = ConfigSymmetry::of(&p);
         let c = ex.initial_config();
-        // Step p0 twice to break symmetry, then check that every permuted
-        // copy canonicalizes to the same representative.
+        // Step p0 twice to break symmetry, then check that permuted copies
+        // canonicalize to the same representative.
         let c = ex.step(&c, Pid(0), 0).unwrap().config;
         let c = ex.step(&c, Pid(0), 0).unwrap().config;
         let canon = sym.canonicalize(&c);
-        for perm in sym.perms() {
-            let moved = sym.apply(&c, perm);
-            assert_eq!(sym.canonicalize(&moved), canon);
+        for perm in [[0, 1, 2], [1, 0, 2], [2, 1, 0], [1, 2, 0], [2, 0, 1]] {
+            let moved = sym.apply(&c, &perm);
+            let (via_moved, sigma) = sym.canonicalize_with_perm(&moved);
+            assert_eq!(via_moved, canon);
+            assert_eq!(sym.apply(&moved, &sigma), canon);
         }
         // The canonical form is a member of its own orbit and idempotent.
         assert_eq!(sym.canonicalize(&canon), canon);
-        assert!(sym.canon_calls() >= 2 + sym.group_order() as u64);
-    }
-
-    #[test]
-    fn incremental_canonicalization_matches_full_enumeration() {
-        // Sweep every configuration reachable in a few steps (mixed inputs,
-        // so the group is a proper subgroup of S_n and slot moves matter)
-        // and check the incremental path lands on the same representative.
-        let p = WriteRead {
-            n: 4,
-            inputs: vec![0, 0, 1, 1],
-        };
-        let objects = vec![AnyObject::register()];
-        let ex = Explorer::new(&p, &objects);
-        let sym = ConfigSymmetry::of(&p);
-        let mut frontier = vec![ex.initial_config()];
-        let mut seen = std::collections::HashSet::new();
-        while let Some(c) = frontier.pop() {
-            if !seen.insert(c.clone()) {
-                continue;
-            }
-            assert_eq!(
-                sym.canonicalize_incremental(&c),
-                sym.canonicalize(&c),
-                "incremental and full canonicalization disagree on {c:?}"
-            );
-            for pid in c.enabled_pids() {
-                frontier.extend(ex.successors_of(&c, pid).unwrap());
-            }
-        }
-        assert!(seen.len() > 10, "sweep must cover a nontrivial state set");
-        // Both branches were exercised and accounted.
-        assert_eq!(
-            sym.canon_fast_hits() + sym.canon_full_calls(),
-            seen.len() as u64
-        );
-        assert!(sym.canon_fast_hits() > 0);
+        assert_eq!(sym.canon_calls(), 7);
     }
 
     #[test]
@@ -675,19 +577,13 @@ mod tests {
         let objects = vec![AnyObject::register()];
         let ex = Explorer::new(&p, &objects);
         let sym = ConfigSymmetry::of(&p);
-        let c = ex.initial_config();
-        let c = ex.step(&c, Pid(1), 0).unwrap().config;
+        let c = ex.step(&ex.initial_config(), Pid(1), 0).unwrap().config;
         let canon = sym.canonicalize(&c);
-        // A canonical representative re-canonicalizes through the fast path.
-        let fast_before = sym.canon_fast_hits();
+        assert_ne!(canon, c);
+        assert_eq!((sym.canon_fast_hits(), sym.canon_full_calls()), (0, 1));
         assert_eq!(sym.canonicalize_incremental(&canon), canon);
-        assert_eq!(sym.canon_fast_hits(), fast_before + 1);
-        // A non-canonical orbit member takes the full fallback.
-        let moved = sym.apply(&c, &sym.perms()[1].clone());
-        let full_before = sym.canon_full_calls();
-        let via_incremental = sym.canonicalize_incremental(&moved);
-        assert_eq!(via_incremental, sym.canonicalize(&moved));
-        assert!(sym.canon_full_calls() >= full_before);
+        assert_eq!((sym.canon_fast_hits(), sym.canon_full_calls()), (1, 1));
+        assert_eq!(sym.canon_calls(), 2);
     }
 
     #[test]

@@ -127,8 +127,7 @@ use lbsa_core::Op;
 /// ```
 ///
 /// where `π · C` permutes a configuration by relocating process `i`'s
-/// status to slot `π(i)` (mapping its local state through
-/// [`Symmetry::permute_local`]) and rewriting every object state through
+/// status to slot `π(i)` and rewriting every object state through
 /// [`Symmetry::permute_object_state`] — i.e. permuting the processes of an
 /// execution yields another execution of the same protocol, step for step.
 /// `≃` is equality up to the order in which a nondeterministic object lists
@@ -137,18 +136,19 @@ use lbsa_core::Op;
 /// so that sorted-set object states (whose outcome order is not equivariant)
 /// stay admissible.
 ///
+/// **Local states are pid-free.** A process's local state must not mention
+/// any pid, so relocating a status is the whole of its permutation. The
+/// explorer relies on this: it canonicalizes by *sorting* the statuses of
+/// each class, which is an orbit minimum only because a status means the
+/// same thing in every slot. Pid-derived structure belongs in object
+/// states, where `permute_object_state` rewrites it.
+///
 /// In practice the law holds when processes in one class run identical code
 /// with identical inputs and any pid-derived identity they write into an
 /// object (a label, a port) is permuted consistently by
 /// `permute_object_state`. Distinguished roles — e.g. the n-DAC process
 /// allowed to abort — must be singleton classes, which also keeps every
 /// checker predicate that names a specific pid orbit-invariant.
-///
-/// Two symmetry axes exist in the paper's protocols: pid symmetry (this
-/// trait's permutations) and value symmetry (renaming input values).
-/// [`Symmetry::value_symmetric`] declares the latter; the current
-/// canonicalization exploits pid symmetry only, so the flag is advisory
-/// until a value-canonicalization pass lands.
 pub trait Symmetry: Protocol {
     /// Partition of the pids into interchangeability classes: processes `i`
     /// and `j` may be swapped iff `pid_classes()[i] == pid_classes()[j]`.
@@ -157,27 +157,13 @@ pub trait Symmetry: Protocol {
     fn pid_classes(&self) -> Vec<u32>;
 
     /// Applies pid permutation `perm` (`perm[i]` is the new pid of process
-    /// `i`) to a local state. The default is the identity — correct whenever
-    /// local states never mention pids, which is the common case.
-    fn permute_local(&self, state: &Self::LocalState, perm: &[usize]) -> Self::LocalState {
-        let _ = perm;
-        state.clone()
-    }
-
-    /// Applies pid permutation `perm` to the state of object `obj`. The
-    /// default is the identity — correct whenever object states carry no
-    /// pid-derived structure (registers, consensus, 2-SA). Objects indexed
-    /// by per-process labels (n-PAC) must permute that structure here.
+    /// `i`) to the state of object `obj`. The default is the identity —
+    /// correct whenever object states carry no pid-derived structure
+    /// (registers, consensus, 2-SA). Objects indexed by per-process labels
+    /// (n-PAC) must permute that structure here.
     fn permute_object_state(&self, obj: ObjId, state: &AnyState, perm: &[usize]) -> AnyState {
         let _ = (obj, perm);
         state.clone()
-    }
-
-    /// Declares that the protocol is additionally symmetric under renaming
-    /// of input values. Advisory: the explorer does not yet canonicalize
-    /// over value permutations.
-    fn value_symmetric(&self) -> bool {
-        false
     }
 }
 
