@@ -3,8 +3,7 @@
 
 use lbsa_bench::mixed_binary_inputs;
 use lbsa_core::{AnyObject, ObjId, Pid};
-use lbsa_explorer::checker::check_dac;
-use lbsa_explorer::{Explorer, Limits};
+use lbsa_explorer::Explorer;
 use lbsa_protocols::dac::DacFromPac;
 use lbsa_support::bench::{BenchmarkId, Criterion};
 use lbsa_support::{criterion_group, criterion_main};
@@ -20,8 +19,9 @@ fn bench_dac(c: &mut Criterion) {
             let objects = vec![AnyObject::pac(n).unwrap()];
             b.iter(|| {
                 let ex = Explorer::new(&p, &objects);
-                let stats = check_dac(&ex, &p.instance(), Limits::default(), 6 * n).unwrap();
-                black_box(stats.configs)
+                let verdict = ex.exploration().check_dac(&p.instance(), 6 * n);
+                assert!(verdict.holds(), "{verdict}");
+                black_box(verdict.stats.configs)
             });
         });
     }

@@ -23,9 +23,8 @@
 use lbsa_bench::{distinct_inputs, mixed_binary_inputs};
 use lbsa_core::value::int;
 use lbsa_core::{AnyObject, ObjId, Pid};
-use lbsa_explorer::sampling::sample_k_set_agreement;
 use lbsa_explorer::{
-    Configuration, ExploreOptions, Explorer, Frontier, Limits, SampleConfig, Tracer,
+    Configuration, ExploreOptions, Explorer, Frontier, Limits, Outcome, SampleConfig,
 };
 use lbsa_protocols::consensus_protocols::ConsensusViaObject;
 use lbsa_protocols::dac::DacFromPac;
@@ -250,10 +249,15 @@ fn bench_explore(c: &mut Criterion) {
     let valid = [int(1)];
     group.bench_function(format!("sampling/vote_prop/{SAMPLING_RUNS}"), |b| {
         b.iter(|| {
-            let r =
-                sample_k_set_agreement(&pv, &mailboxes, 1, &valid, sample_cfg, &Tracer::disabled())
-                    .unwrap();
-            black_box(r.runs)
+            let verdict = Explorer::new(&pv, &mailboxes)
+                .exploration()
+                .sample(sample_cfg)
+                .check_consensus(&valid);
+            assert!(
+                matches!(verdict.outcome, Outcome::HoldsSampled { .. }),
+                "{verdict}"
+            );
+            black_box(verdict.stats.configs)
         });
     });
     group.finish();

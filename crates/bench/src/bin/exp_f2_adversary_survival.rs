@@ -15,7 +15,7 @@ use lbsa_bench::mixed_binary_inputs;
 use lbsa_core::{AnyObject, ObjId};
 use lbsa_explorer::adversary::{bivalent_survival, find_nontermination};
 use lbsa_explorer::valency::ValencyAnalysis;
-use lbsa_explorer::{Explorer, Tracer};
+use lbsa_explorer::{Explorer, Limits, Tracer};
 use lbsa_hierarchy::report::Table;
 use lbsa_protocols::candidates::{SaThenConsensus, WaitForWinner};
 use lbsa_protocols::consensus_protocols::ConsensusViaObject;
@@ -31,7 +31,7 @@ fn analyze<P: Protocol>(
     let g = Explorer::new(protocol, objects)
         .with_trace(tracer)
         .exploration()
-        .max_configs(5_000_000)
+        .limits(Limits::new(5_000_000))
         .run()
         .expect("explorable");
     let va = ValencyAnalysis::analyze(&g);

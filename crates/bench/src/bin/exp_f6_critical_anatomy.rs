@@ -15,7 +15,7 @@ use lbsa_bench::harness::run_experiment;
 use lbsa_bench::mixed_binary_inputs;
 use lbsa_core::{AnyObject, ObjId, Op, Pid, Value};
 use lbsa_explorer::valency::{critical_anatomy, ValencyAnalysis};
-use lbsa_explorer::{Explorer, Tracer};
+use lbsa_explorer::{Explorer, Limits, Tracer};
 use lbsa_hierarchy::report::Table;
 use lbsa_protocols::classic_consensus::{ClassicConsensus, RacePrimitive};
 use lbsa_protocols::consensus_protocols::ConsensusViaObject;
@@ -62,7 +62,7 @@ fn analyze<P: Protocol>(
     let ex = Explorer::new(protocol, objects).with_trace(tracer);
     let g = ex
         .exploration()
-        .max_configs(2_000_000)
+        .limits(Limits::new(2_000_000))
         .run()
         .expect("explorable");
     let va = ValencyAnalysis::analyze(&g);

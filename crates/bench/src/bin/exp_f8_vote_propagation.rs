@@ -7,7 +7,7 @@
 //! threshold. Its state space explodes with the node count (every mailbox
 //! counter is configuration state), so — unlike T1–T6 — no cell of this
 //! sweep is exhaustively checkable at the sizes used here. Each cell runs
-//! the parallel sampling engine through the unified Strategy API
+//! the parallel sampling engine through the builder's checking terminal
 //! (`exploration().sample(..).check_consensus(..)`) and reports the
 //! sampled verdict with its confidence bound.
 //!

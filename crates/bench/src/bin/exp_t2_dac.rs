@@ -13,7 +13,7 @@
 use lbsa_bench::harness::run_experiment;
 use lbsa_core::{AnyObject, ObjId, Pid};
 use lbsa_explorer::checker::CheckStats;
-use lbsa_explorer::verdict::{verdict_dac, Outcome, Verdict};
+use lbsa_explorer::verdict::{Outcome, Verdict};
 use lbsa_explorer::{Explorer, Limits};
 use lbsa_hierarchy::report::Table;
 use lbsa_protocols::dac::{all_binary_inputs, DacFromPac};
@@ -52,7 +52,10 @@ fn main() {
                     let explorer = Explorer::new(&protocol, &objects)
                         .with_trace(exp.tracer())
                         .with_registry(exp.registry());
-                    let v = verdict_dac(&explorer, &protocol.instance(), limits, solo_bound);
+                    let v = explorer
+                        .exploration()
+                        .limits(limits)
+                        .check_dac(&protocol.instance(), solo_bound);
                     match &v.outcome {
                         Outcome::Holds => {
                             configs += v.stats.configs;

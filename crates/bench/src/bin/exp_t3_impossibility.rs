@@ -14,8 +14,8 @@ use lbsa_bench::harness::run_experiment;
 use lbsa_bench::mixed_binary_inputs;
 use lbsa_core::{AnyObject, ObjId, Pid};
 use lbsa_explorer::adversary::{find_nontermination, verify_witness};
-use lbsa_explorer::checker::{check_consensus, check_dac, DacInstance, Violation};
-use lbsa_explorer::{Explorer, Limits};
+use lbsa_explorer::checker::{DacInstance, Violation};
+use lbsa_explorer::{Explorer, Limits, Outcome, Verdict};
 use lbsa_hierarchy::report::Table;
 use lbsa_protocols::candidates::{
     CandidatePacProcedure, DacWaitForWinner, SaThenConsensus, ValAgreement, WaitForWinner,
@@ -23,17 +23,28 @@ use lbsa_protocols::candidates::{
 use lbsa_protocols::dac::DacFromPac;
 use lbsa_runtime::derived::DerivedProtocol;
 
-fn violation_kind(v: &Violation) -> String {
-    match v {
-        Violation::Agreement { .. } => "agreement violation".to_string(),
-        Violation::Validity { .. } => "validity violation".to_string(),
-        Violation::NonTermination(w) => {
+/// The table cell of a control, which must hold.
+fn control(v: &Verdict) -> String {
+    if v.holds() {
+        format!("correct (control): {} configs checked", v.stats.configs)
+    } else {
+        format!("UNEXPECTEDLY REFUTED: {v}")
+    }
+}
+
+/// The table cell of a candidate, which must be refuted.
+fn refutation(v: &Verdict) -> String {
+    match &v.outcome {
+        Outcome::Violated(Violation::Agreement { .. }) => "agreement violation".to_string(),
+        Outcome::Violated(Violation::Validity { .. }) => "validity violation".to_string(),
+        Outcome::Violated(Violation::NonTermination(w)) => {
             format!("non-termination (cycle len {})", w.cycle.len())
         }
-        Violation::SoloNonTermination { pid, .. } => {
+        Outcome::Violated(Violation::SoloNonTermination { pid, .. }) => {
             format!("solo non-termination ({pid})")
         }
-        other => format!("{other}"),
+        Outcome::Violated(other) => format!("{other}"),
+        _ => format!("NOT REFUTED (machinery bug): {v}"),
     }
 }
 
@@ -61,10 +72,12 @@ fn body(exp: &mut lbsa_bench::harness::Experiment, limits: Limits) {
         let protocol = DacFromPac::new(inputs, Pid(0), ObjId(0)).expect("3 >= 2");
         let objects = vec![AnyObject::pac(3).expect("valid")];
         let explorer = Explorer::new(&protocol, &objects).with_trace(exp.tracer());
-        let verdict = match check_dac(&explorer, &protocol.instance(), limits, 18) {
-            Ok(s) => format!("correct (control): {} configs checked", s.configs),
-            Err(v) => format!("UNEXPECTEDLY REFUTED: {v}"),
-        };
+        let verdict = control(
+            &explorer
+                .exploration()
+                .limits(limits)
+                .check_dac(&protocol.instance(), 18),
+        );
         table.row(vec![
             "Algorithm 2 (3-DAC)".into(),
             "one 3-PAC".into(),
@@ -81,10 +94,7 @@ fn body(exp: &mut lbsa_bench::harness::Experiment, limits: Limits) {
             AnyObject::register(),
         ];
         let ex = Explorer::new(&p, &objects).with_trace(exp.tracer());
-        let verdict = match check_consensus(&ex, &inputs, limits) {
-            Ok(s) => format!("correct (control): {} configs checked", s.configs),
-            Err(v) => format!("UNEXPECTEDLY REFUTED: {v}"),
-        };
+        let verdict = control(&ex.exploration().limits(limits).check_consensus(&inputs));
         table.row(vec![
             "wait-for-winner, 2 procs".into(),
             "2-consensus + register".into(),
@@ -101,16 +111,16 @@ fn body(exp: &mut lbsa_bench::harness::Experiment, limits: Limits) {
             AnyObject::register(),
         ];
         let ex = Explorer::new(&p, &objects).with_trace(exp.tracer());
-        let verdict = match check_consensus(&ex, &inputs, limits) {
-            Err(v) => {
-                // Confirm the certificate replays.
-                let g = ex.exploration().limits(limits).run().expect("explorable");
-                let replayed = find_nontermination(&g)
-                    .map(|w| verify_witness(&g, &w))
-                    .unwrap_or(false);
-                format!("{} — certificate replays: {replayed}", violation_kind(&v))
-            }
-            Ok(_) => "NOT REFUTED (machinery bug)".to_string(),
+        let v = ex.exploration().limits(limits).check_consensus(&inputs);
+        let verdict = if v.is_violated() {
+            // Confirm the certificate replays.
+            let g = ex.exploration().limits(limits).run().expect("explorable");
+            let replayed = find_nontermination(&g)
+                .map(|w| verify_witness(&g, &w))
+                .unwrap_or(false);
+            format!("{} — certificate replays: {replayed}", refutation(&v))
+        } else {
+            refutation(&v)
         };
         table.row(vec![
             "wait-for-winner, 3 procs".into(),
@@ -128,10 +138,7 @@ fn body(exp: &mut lbsa_bench::harness::Experiment, limits: Limits) {
             AnyObject::consensus(2).expect("valid"),
         ];
         let ex = Explorer::new(&p, &objects).with_trace(exp.tracer());
-        let verdict = match check_consensus(&ex, &inputs, limits) {
-            Err(v) => violation_kind(&v),
-            Ok(_) => "NOT REFUTED (machinery bug)".to_string(),
-        };
+        let verdict = refutation(&ex.exploration().limits(limits).check_consensus(&inputs));
         table.row(vec![
             "2-SA narrow + tie-break".into(),
             "2-SA + 2-consensus".into(),
@@ -152,10 +159,7 @@ fn body(exp: &mut lbsa_bench::harness::Experiment, limits: Limits) {
             distinguished: Pid(0),
             inputs,
         };
-        let verdict = match check_dac(&ex, &instance, limits, 18) {
-            Err(v) => violation_kind(&v),
-            Ok(_) => "NOT REFUTED (machinery bug)".to_string(),
-        };
+        let verdict = refutation(&ex.exploration().limits(limits).check_dac(&instance, 18));
         table.row(vec![
             "DAC wait-for-winner".into(),
             "2-consensus + register".into(),
@@ -182,10 +186,7 @@ fn body(exp: &mut lbsa_bench::harness::Experiment, limits: Limits) {
             distinguished: Pid(0),
             inputs,
         };
-        let verdict = match check_dac(&ex, &instance, limits, 60) {
-            Err(v) => violation_kind(&v),
-            Ok(_) => "NOT REFUTED (machinery bug)".to_string(),
-        };
+        let verdict = refutation(&ex.exploration().limits(limits).check_dac(&instance, 60));
         table.row(vec![
             "register 3-PAC impl (Alg. 2 on top)".into(),
             "2-consensus + 4 registers".into(),

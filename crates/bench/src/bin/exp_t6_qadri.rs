@@ -19,8 +19,8 @@
 use lbsa_bench::harness::run_experiment;
 use lbsa_bench::mixed_binary_inputs;
 use lbsa_core::{AnyObject, ObjId, Pid};
-use lbsa_explorer::checker::{check_dac, DacInstance};
-use lbsa_explorer::{Explorer, Limits};
+use lbsa_explorer::checker::DacInstance;
+use lbsa_explorer::{Explorer, Limits, Outcome};
 use lbsa_hierarchy::certify::{certified_consensus_number, Face};
 use lbsa_hierarchy::report::Table;
 use lbsa_protocols::candidates::{CandidatePacProcedure, ValAgreement};
@@ -88,9 +88,13 @@ fn body(exp: &mut lbsa_bench::harness::Experiment, limits: Limits) {
         distinguished: Pid(0),
         inputs,
     };
-    let verdict = match check_dac(&explorer, &instance, limits, 80) {
-        Err(v) => format!("refuted: {v}"),
-        Ok(_) => "NOT REFUTED (machinery bug)".to_string(),
+    let v = explorer
+        .exploration()
+        .limits(limits)
+        .check_dac(&instance, 80);
+    let verdict = match &v.outcome {
+        Outcome::Violated(violation) => format!("refuted: {violation}"),
+        _ => format!("NOT REFUTED (machinery bug): {v}"),
     };
     table.row(vec![
         "4-PAC face from 3-consensus + registers".into(),

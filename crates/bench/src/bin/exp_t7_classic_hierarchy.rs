@@ -12,11 +12,20 @@
 use lbsa_bench::harness::run_experiment;
 use lbsa_bench::mixed_binary_inputs;
 use lbsa_core::{AnyObject, Value};
-use lbsa_explorer::checker::{check_consensus, Violation};
-use lbsa_explorer::{Explorer, Limits};
+use lbsa_explorer::checker::Violation;
+use lbsa_explorer::{Explorer, Limits, Outcome, Verdict};
 use lbsa_hierarchy::certify::{certified_consensus_number, Face};
 use lbsa_hierarchy::report::Table;
 use lbsa_protocols::classic_consensus::{AnnounceConsensus, ClassicConsensus, RacePrimitive};
+
+/// The table cell of a protocol that must solve consensus.
+fn verified(v: &Verdict) -> String {
+    if v.holds() {
+        format!("consensus verified ({} configs)", v.stats.configs)
+    } else {
+        format!("UNEXPECTED: {v}")
+    }
+}
 
 fn main() {
     run_experiment(
@@ -48,10 +57,7 @@ fn body(exp: &mut lbsa_bench::harness::Experiment, limits: Limits) {
         let p = ClassicConsensus::two_process(prim, inputs.clone()).expect("2 inputs");
         let objects = p.objects();
         let ex = Explorer::new(&p, &objects).with_trace(exp.tracer());
-        let verdict = match check_consensus(&ex, &inputs, limits) {
-            Ok(s) => format!("consensus verified ({} configs)", s.configs),
-            Err(v) => format!("UNEXPECTED: {v}"),
-        };
+        let verdict = verified(&ex.exploration().limits(limits).check_consensus(&inputs));
         table.row(vec![
             name.into(),
             "direct (read-the-other)".into(),
@@ -65,12 +71,13 @@ fn body(exp: &mut lbsa_bench::harness::Experiment, limits: Limits) {
             let p = AnnounceConsensus::new(prim, inputs.clone());
             let objects = p.objects();
             let ex = Explorer::new(&p, &objects).with_trace(exp.tracer());
-            let verdict = match check_consensus(&ex, &inputs, limits) {
-                Err(Violation::NonTermination(w)) => {
+            let v = ex.exploration().limits(limits).check_consensus(&inputs);
+            let verdict = match &v.outcome {
+                Outcome::Violated(Violation::NonTermination(w)) => {
                     format!("refuted: non-termination (cycle len {})", w.cycle.len())
                 }
-                Err(v) => format!("refuted: {v}"),
-                Ok(_) => "NOT REFUTED (machinery bug)".into(),
+                Outcome::Violated(violation) => format!("refuted: {violation}"),
+                _ => format!("NOT REFUTED (machinery bug): {v}"),
             };
             table.row(vec![
                 name.into(),
@@ -87,10 +94,7 @@ fn body(exp: &mut lbsa_bench::harness::Experiment, limits: Limits) {
         let p = ClassicConsensus::cas(inputs.clone());
         let objects = p.objects();
         let ex = Explorer::new(&p, &objects).with_trace(exp.tracer());
-        let verdict = match check_consensus(&ex, &inputs, limits) {
-            Ok(s) => format!("consensus verified ({} configs)", s.configs),
-            Err(v) => format!("UNEXPECTED: {v}"),
-        };
+        let verdict = verified(&ex.exploration().limits(limits).check_consensus(&inputs));
         table.row(vec![
             "compare-and-swap".into(),
             "CAS(nil -> input)".into(),

@@ -24,7 +24,7 @@ use common::assert_canon_is_orbit_function;
 use lbsa_core::value::int;
 use lbsa_core::{AnyObject, ObjId, Op, Pid, Value};
 use lbsa_explorer::checker::Violation;
-use lbsa_explorer::verdict::{verdict_dac_graph, verdict_k_set_agreement_graph, Outcome};
+use lbsa_explorer::verdict::Outcome;
 use lbsa_explorer::{ExplorationGraph, Explorer, Frontier, Limits};
 use lbsa_protocols::dac::DacFromPac;
 use lbsa_runtime::process::{Protocol, Step, Symmetry};
@@ -277,7 +277,10 @@ fn ws_dac_verdicts_match_deterministic_across_thread_counts() {
         let explorer = Explorer::new(&p, &objects);
         let solo_bound = 6 * n;
         let det = explore_with_threads(&explorer, Limits::default(), 1);
-        let det_verdict = verdict_dac_graph(&explorer, &det, &p.instance(), solo_bound);
+        let det_verdict = explorer
+            .exploration()
+            .threads(1)
+            .check_dac(&p.instance(), solo_bound);
         assert!(
             matches!(det_verdict.outcome, Outcome::Holds),
             "T2 n={n} must satisfy DAC: {det_verdict}"
@@ -285,7 +288,11 @@ fn ws_dac_verdicts_match_deterministic_across_thread_counts() {
         for threads in [1usize, 2, 4, 8] {
             let ws = explore_ws(&explorer, threads);
             assert_same_aggregates(&det, &ws, &format!("T2 n={n}, ws {threads} threads"));
-            let ws_verdict = verdict_dac_graph(&explorer, &ws, &p.instance(), solo_bound);
+            let ws_verdict = explorer
+                .exploration()
+                .frontier(Frontier::WorkStealing)
+                .threads(threads)
+                .check_dac(&p.instance(), solo_bound);
             assert_eq!(
                 det_verdict, ws_verdict,
                 "T2 n={n}: verdict differs on the work-stealing graph ({threads} threads)"
@@ -331,7 +338,7 @@ fn ws_broken_consensus_verdicts_match_deterministic_across_thread_counts() {
     let objects = vec![AnyObject::consensus(3).unwrap()];
     let explorer = Explorer::new(&p, &objects);
     let det = explore_with_threads(&explorer, Limits::default(), 1);
-    let det_verdict = verdict_k_set_agreement_graph(&explorer, &det, 1, &inputs);
+    let det_verdict = explorer.exploration().threads(1).check_consensus(&inputs);
     assert!(
         det_verdict.is_violated(),
         "the broken protocol must violate agreement: {det_verdict}"
@@ -343,7 +350,11 @@ fn ws_broken_consensus_verdicts_match_deterministic_across_thread_counts() {
             &ws,
             &format!("broken consensus, ws {threads} threads"),
         );
-        let ws_verdict = verdict_k_set_agreement_graph(&explorer, &ws, 1, &inputs);
+        let ws_verdict = explorer
+            .exploration()
+            .frontier(Frontier::WorkStealing)
+            .threads(threads)
+            .check_consensus(&inputs);
         // The *kind* of verdict must agree; the specific violating
         // configuration a check reports first is indexing-dependent, so the
         // payload is pinned through witness replay instead.
@@ -416,7 +427,11 @@ fn ws_symmetric_reduction_matches_deterministic_across_thread_counts() {
         .run()
         .expect("deterministic reduced exploration succeeds");
     assert!(det.stats.reduced);
-    let det_verdict = verdict_k_set_agreement_graph(&explorer, &det, 1, &inputs);
+    let det_verdict = explorer
+        .exploration()
+        .symmetric()
+        .threads(1)
+        .check_consensus(&inputs);
     assert!(
         matches!(det_verdict.outcome, Outcome::Holds),
         "the symmetric race satisfies consensus: {det_verdict}"
@@ -439,7 +454,12 @@ fn ws_symmetric_reduction_matches_deterministic_across_thread_counts() {
             ws.stats.transitions as u64,
             "symmetric race ({threads} threads): canon accounting leaks"
         );
-        let ws_verdict = verdict_k_set_agreement_graph(&explorer, &ws, 1, &inputs);
+        let ws_verdict = explorer
+            .exploration()
+            .symmetric()
+            .threads(threads)
+            .frontier(Frontier::WorkStealing)
+            .check_consensus(&inputs);
         assert_eq!(
             det_verdict, ws_verdict,
             "symmetric race: verdict differs on the work-stealing graph ({threads} threads)"
@@ -479,8 +499,16 @@ fn random_small_protocols_are_thread_count_independent() {
         assert_same_aggregates(&sequential, &ws, &format!("{what}, ws"));
         let k = rng.random_range(1..3);
         let valid = [int(0), int(1), int(2)];
-        let det_verdict = verdict_k_set_agreement_graph(&explorer, &sequential, k, &valid);
-        let ws_verdict = verdict_k_set_agreement_graph(&explorer, &ws, k, &valid);
+        let det_verdict = explorer
+            .exploration()
+            .limits(limits)
+            .threads(1)
+            .check_k_set_agreement(k, &valid);
+        let ws_verdict = explorer
+            .exploration()
+            .frontier(Frontier::WorkStealing)
+            .threads(threads)
+            .check_k_set_agreement(k, &valid);
         if det_verdict.is_violated() {
             // Which violation a check reports first depends on indexing;
             // the witness must still confirm by replay.

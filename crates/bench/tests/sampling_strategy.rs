@@ -1,4 +1,5 @@
-//! End-to-end contract of the unified Strategy API: sampling must agree
+//! End-to-end contract of sampled checking through the builder
+//! (`exploration().sample(..)` plus a `check_*` terminal): sampling must agree
 //! with exhaustive checking wherever both apply, its verdicts must be
 //! thread-count independent, and its violations must come back as real,
 //! `confirm()`-passing witnesses.

@@ -13,11 +13,7 @@ use common::assert_canon_is_orbit_function;
 use lbsa_bench::mixed_binary_inputs;
 use lbsa_core::value::int;
 use lbsa_core::{AnyObject, ObjId, Op, Pid, Value};
-use lbsa_explorer::verdict::{
-    verdict_consensus, verdict_consensus_reduced, verdict_dac, verdict_dac_reduced,
-    verdict_wait_free, verdict_wait_free_reduced,
-};
-use lbsa_explorer::{ExplorationGraph, Explorer, Frontier, Limits};
+use lbsa_explorer::{ExplorationGraph, Explorer, Frontier};
 use lbsa_protocols::consensus_protocols::ConsensusViaObject;
 use lbsa_protocols::dac::{all_binary_inputs, DacFromPac};
 use lbsa_protocols::set_agreement_protocols::{GroupSplitKSet, KSetViaPowerLevel, KSetViaStrongSa};
@@ -96,8 +92,8 @@ fn dac_reduced_verdicts_agree_with_raw_on_all_small_instances() {
                 let p = DacFromPac::new(inputs.clone(), Pid(d), ObjId(0)).unwrap();
                 let objects = vec![AnyObject::pac(n).unwrap()];
                 let ex = Explorer::new(&p, &objects);
-                let raw = verdict_dac(&ex, &p.instance(), Limits::default(), 10);
-                let reduced = verdict_dac_reduced(&ex, &p.instance(), Limits::default(), 10);
+                let raw = ex.exploration().check_dac(&p.instance(), 10);
+                let reduced = ex.exploration().symmetric().check_dac(&p.instance(), 10);
                 assert_eq!(
                     raw.outcome.tag(),
                     reduced.outcome.tag(),
@@ -134,8 +130,8 @@ fn broken_consensus_reduced_witnesses_confirm_on_the_raw_system() {
             let p = BrokenAdoptConsensus { inputs };
             let objects = vec![AnyObject::consensus(n).unwrap()];
             let ex = Explorer::new(&p, &objects);
-            let raw = verdict_consensus(&ex, &valid, Limits::default());
-            let reduced = verdict_consensus_reduced(&ex, &valid, Limits::default());
+            let raw = ex.exploration().check_consensus(&valid);
+            let reduced = ex.exploration().symmetric().check_consensus(&valid);
             assert_eq!(
                 raw.outcome.tag(),
                 reduced.outcome.tag(),
@@ -163,8 +159,8 @@ fn reduced_nontermination_witnesses_pump_to_real_cycles() {
         let p = SymmetricSpinners { n };
         let objects = vec![AnyObject::strong_sa()];
         let ex = Explorer::new(&p, &objects);
-        let raw = verdict_wait_free(&ex, Limits::default());
-        let reduced = verdict_wait_free_reduced(&ex, Limits::default());
+        let raw = ex.exploration().check_wait_free();
+        let reduced = ex.exploration().symmetric().check_wait_free();
         assert_eq!(raw.outcome.tag(), reduced.outcome.tag(), "n={n}");
         let w = reduced.witness.expect("spinners violate wait-freedom");
         w.confirm(&ex)

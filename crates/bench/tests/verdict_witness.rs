@@ -12,8 +12,8 @@ use lbsa_bench::harness::{table_to_json, validate_report, REPORT_SCHEMA};
 use lbsa_core::value::int;
 use lbsa_core::{AnyObject, ObjId, Op, Pid, Value};
 use lbsa_explorer::checker::Violation;
-use lbsa_explorer::verdict::{verdict_consensus, Outcome, WitnessKind};
-use lbsa_explorer::{Explorer, Limits};
+use lbsa_explorer::verdict::{Outcome, WitnessKind};
+use lbsa_explorer::Explorer;
 use lbsa_hierarchy::report::Table;
 use lbsa_runtime::process::{Protocol, Step};
 use lbsa_support::json::Json;
@@ -59,7 +59,7 @@ fn broken_adopt_rule_yields_replayable_minimized_witness() {
     let (p, objects) = setup();
     let inputs = p.inputs.clone();
     let ex = Explorer::new(&p, &objects);
-    let verdict = verdict_consensus(&ex, &inputs, Limits::default());
+    let verdict = ex.exploration().check_consensus(&inputs);
 
     assert!(
         matches!(
@@ -105,7 +105,7 @@ fn witness_survives_the_report_schema_round_trip() {
     let (p, objects) = setup();
     let inputs = p.inputs.clone();
     let ex = Explorer::new(&p, &objects);
-    let verdict = verdict_consensus(&ex, &inputs, Limits::default());
+    let verdict = ex.exploration().check_consensus(&inputs);
     assert!(verdict.is_violated());
 
     // Assemble a full lbsa-report/v2 envelope, exactly the shape the

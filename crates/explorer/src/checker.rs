@@ -1,9 +1,13 @@
 //! Whole-execution-space property checking for the paper's problems:
 //! consensus, k-set agreement, and the n-DAC problem.
 //!
-//! Every check here runs over a **complete** exploration graph, so a
-//! `Ok(_)` verdict means the property holds in *every* execution of the
-//! protocol — the same quantifier as the paper's theorem statements. The
+//! These are the graph predicates behind the `check_*` terminals of the
+//! [`crate::explore::Exploration`] builder (see [`crate::verdict`]), which
+//! explore, call them, and turn a [`Violation`] into a verdict with a
+//! replayable witness. Every check here runs over a **complete**
+//! exploration graph, so an `Ok(_)` result means the property holds in
+//! *every* execution of the protocol — the same quantifier as the paper's
+//! theorem statements. The
 //! n-DAC checker implements the exact four properties of Section 4,
 //! including the solo-run Termination clauses (a) and (b), which are checked
 //! by re-exploring `q`-solo extensions from **every** reachable
@@ -23,7 +27,7 @@
 
 use crate::adversary::{find_nontermination, NonTerminationWitness};
 use crate::config::Configuration;
-use crate::explore::{ExplorationGraph, Explorer, Limits};
+use crate::explore::{ExplorationGraph, Explorer};
 use lbsa_core::{Pid, Value};
 use lbsa_runtime::error::RuntimeError;
 use lbsa_runtime::process::{ProcStatus, Protocol};
@@ -179,6 +183,21 @@ pub fn check_k_set_agreement_graph<L: Clone + Eq + std::hash::Hash + std::fmt::D
             }
         }
     }
+    check_wait_free_graph(graph)
+}
+
+/// Checks wait-free termination alone over a complete graph: no infinite
+/// execution, and every terminal configuration has all processes decided.
+///
+/// # Errors
+///
+/// Returns the first [`Violation`] found.
+pub(crate) fn check_wait_free_graph<L: Clone + Eq + std::hash::Hash + std::fmt::Debug>(
+    graph: &ExplorationGraph<L>,
+) -> Result<CheckStats, Violation> {
+    if !graph.complete {
+        return Err(Violation::Truncated);
+    }
     if let Some(w) = find_nontermination(graph) {
         return Err(Violation::NonTermination(w));
     }
@@ -188,49 +207,6 @@ pub fn check_k_set_agreement_graph<L: Clone + Eq + std::hash::Hash + std::fmt::D
         }
     }
     Ok(stats(graph))
-}
-
-/// Checks the consensus properties (k-set agreement with `k = 1`) over a
-/// complete graph.
-///
-/// # Errors
-///
-/// Returns the first [`Violation`] found.
-pub fn check_consensus_graph<L: Clone + Eq + std::hash::Hash + std::fmt::Debug>(
-    graph: &ExplorationGraph<L>,
-    valid_inputs: &[Value],
-) -> Result<CheckStats, Violation> {
-    check_k_set_agreement_graph(graph, 1, valid_inputs)
-}
-
-/// Explores `protocol` and checks consensus in one call.
-///
-/// # Errors
-///
-/// Returns the first [`Violation`] found (including [`Violation::Truncated`]
-/// when `limits` are too small).
-pub fn check_consensus<P: Protocol>(
-    explorer: &Explorer<'_, P>,
-    valid_inputs: &[Value],
-    limits: Limits,
-) -> Result<CheckStats, Violation> {
-    let graph = explorer.exploration().limits(limits).run()?;
-    check_consensus_graph(&graph, valid_inputs)
-}
-
-/// Explores `protocol` and checks k-set agreement in one call.
-///
-/// # Errors
-///
-/// Returns the first [`Violation`] found.
-pub fn check_k_set_agreement<P: Protocol>(
-    explorer: &Explorer<'_, P>,
-    k: usize,
-    valid_inputs: &[Value],
-    limits: Limits,
-) -> Result<CheckStats, Violation> {
-    let graph = explorer.exploration().limits(limits).run()?;
-    check_k_set_agreement_graph(&graph, k, valid_inputs)
 }
 
 /// The n-DAC problem instance being checked (Section 4 of the paper).
@@ -244,24 +220,30 @@ pub struct DacInstance {
 
 /// Runs `pid` solo from `config`, following every object-outcome branch.
 ///
-/// Returns `Ok(true)` if on **every** branch `pid` stops running (decides,
-/// aborts, or halts) within `bound` of its own steps and without revisiting
-/// a configuration (a revisit is a solo loop — non-termination).
+/// Returns `Ok(true)` if on **every** branch `pid` stops running within
+/// `bound` of its own steps and without revisiting a configuration (a
+/// revisit is a solo loop — non-termination). Stopping means deciding,
+/// aborting or halting; with `must_decide` only deciding counts.
 ///
 /// # Errors
 ///
 /// Propagates runtime errors.
-pub fn solo_terminates<P: Protocol>(
+pub(crate) fn solo_terminates<P: Protocol>(
     explorer: &Explorer<'_, P>,
     config: &Configuration<P::LocalState>,
     pid: Pid,
     bound: usize,
+    must_decide: bool,
 ) -> Result<bool, RuntimeError> {
     let mut visited: HashSet<Configuration<P::LocalState>> = HashSet::new();
     let mut stack: Vec<(Configuration<P::LocalState>, usize)> = vec![(config.clone(), 0)];
     while let Some((cfg, depth)) = stack.pop() {
-        if !matches!(cfg.procs.get(pid.index()), Some(ProcStatus::Running(_))) {
-            continue; // this branch terminated
+        match cfg.procs.get(pid.index()) {
+            Some(ProcStatus::Running(_)) => {}
+            Some(ProcStatus::Decided(_)) => continue,
+            // Aborted, halted or crashed: stopped, but not a decision.
+            _ if must_decide => return Ok(false),
+            _ => continue,
         }
         if depth >= bound {
             return Ok(false);
@@ -276,40 +258,8 @@ pub fn solo_terminates<P: Protocol>(
     Ok(true)
 }
 
-/// Like [`solo_terminates`], but additionally requires that on every branch
-/// the process **decides** (aborting or halting does not count).
-///
-/// # Errors
-///
-/// Propagates runtime errors.
-pub fn solo_decides<P: Protocol>(
-    explorer: &Explorer<'_, P>,
-    config: &Configuration<P::LocalState>,
-    pid: Pid,
-    bound: usize,
-) -> Result<bool, RuntimeError> {
-    let mut visited: HashSet<Configuration<P::LocalState>> = HashSet::new();
-    let mut stack: Vec<(Configuration<P::LocalState>, usize)> = vec![(config.clone(), 0)];
-    while let Some((cfg, depth)) = stack.pop() {
-        match cfg.procs.get(pid.index()) {
-            Some(ProcStatus::Running(_)) => {}
-            Some(ProcStatus::Decided(_)) => continue,
-            _ => return Ok(false), // aborted/halted/crashed: not a decision
-        }
-        if depth >= bound {
-            return Ok(false);
-        }
-        if !visited.insert(cfg.clone()) {
-            return Ok(false);
-        }
-        for succ in explorer.successors_of(&cfg, pid)? {
-            stack.push((succ, depth + 1));
-        }
-    }
-    Ok(true)
-}
-
-/// Checks all four n-DAC properties of Section 4 over every execution:
+/// Checks all four n-DAC properties of Section 4 over every execution, on
+/// the already-built exploration graph of `explorer`'s protocol:
 ///
 /// * **Agreement** — no configuration contains two distinct decisions;
 /// * **Validity** — every decided value is the input of some process that
@@ -320,24 +270,6 @@ pub fn solo_decides<P: Protocol>(
 ///   run solo decides within `solo_bound` of its own steps;
 /// * **Nontriviality** — in no execution does `p` abort before some other
 ///   process has taken a step.
-///
-/// # Errors
-///
-/// Returns the first [`Violation`] found.
-pub fn check_dac<P: Protocol>(
-    explorer: &Explorer<'_, P>,
-    instance: &DacInstance,
-    limits: Limits,
-    solo_bound: usize,
-) -> Result<CheckStats, Violation> {
-    let graph = explorer.exploration().limits(limits).run()?;
-    check_dac_graph(explorer, &graph, instance, solo_bound)
-}
-
-/// Checks the four n-DAC properties over an already-built exploration
-/// graph of the same protocol — the core of [`check_dac`], exposed so the
-/// verdict layer can explore once and reuse the graph for witness
-/// extraction.
 ///
 /// # Errors
 ///
@@ -378,7 +310,7 @@ pub fn check_dac_graph<P: Protocol>(
     // Termination (a) and (b): solo runs from every reachable configuration.
     for (idx, config) in graph.configs.iter().enumerate() {
         if matches!(config.procs.get(p.index()), Some(ProcStatus::Running(_)))
-            && !solo_terminates(explorer, config, p, solo_bound)?
+            && !solo_terminates(explorer, config, p, solo_bound, false)?
         {
             return Err(Violation::SoloNonTermination {
                 config: idx,
@@ -391,7 +323,7 @@ pub fn check_dac_graph<P: Protocol>(
                 continue;
             }
             if matches!(config.procs.get(q.index()), Some(ProcStatus::Running(_)))
-                && !solo_decides(explorer, config, q, solo_bound)?
+                && !solo_terminates(explorer, config, q, solo_bound, true)?
             {
                 return Err(Violation::SoloNonTermination {
                     config: idx,
@@ -425,6 +357,7 @@ pub fn check_dac_graph<P: Protocol>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explore::Limits;
     use lbsa_core::value::int;
     use lbsa_core::{AnyObject, ObjId, Op};
     use lbsa_runtime::process::Step;
@@ -505,8 +438,36 @@ mod tests {
         }
     }
 
+    /// One process spinning forever on a register.
+    #[derive(Debug)]
+    struct Spin;
+
+    impl Protocol for Spin {
+        type LocalState = ();
+        fn num_processes(&self) -> usize {
+            1
+        }
+        fn init(&self, _pid: Pid) {}
+        fn pending_op(&self, _pid: Pid, _s: &()) -> (ObjId, Op) {
+            (ObjId(0), Op::Read)
+        }
+        fn on_response(&self, _pid: Pid, _s: &(), _r: Value) -> Step<()> {
+            Step::Continue(())
+        }
+    }
+
     fn reg() -> Vec<AnyObject> {
         vec![AnyObject::register()]
+    }
+
+    /// Explores under `limits` and checks consensus on the graph.
+    fn consensus<P: Protocol>(
+        ex: &Explorer<'_, P>,
+        valid: &[Value],
+        limits: Limits,
+    ) -> Result<CheckStats, Violation> {
+        let graph = ex.exploration().limits(limits).run()?;
+        check_k_set_agreement_graph(&graph, 1, valid)
     }
 
     #[test]
@@ -516,7 +477,7 @@ mod tests {
         };
         let objects = vec![AnyObject::consensus(2).unwrap()];
         let ex = Explorer::new(&p, &objects);
-        let stats = check_consensus(&ex, &[int(0), int(1)], Limits::default()).unwrap();
+        let stats = consensus(&ex, &[int(0), int(1)], Limits::default()).unwrap();
         assert!(stats.configs >= 4);
     }
 
@@ -527,7 +488,7 @@ mod tests {
         };
         let objects = reg();
         let ex = Explorer::new(&p, &objects);
-        let err = check_consensus(&ex, &[int(0), int(1)], Limits::default()).unwrap_err();
+        let err = consensus(&ex, &[int(0), int(1)], Limits::default()).unwrap_err();
         assert!(matches!(err, Violation::Agreement { .. }), "{err}");
     }
 
@@ -536,7 +497,7 @@ mod tests {
         let p = DecideConstant;
         let objects = reg();
         let ex = Explorer::new(&p, &objects);
-        let err = check_consensus(&ex, &[int(0), int(1)], Limits::default()).unwrap_err();
+        let err = consensus(&ex, &[int(0), int(1)], Limits::default()).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -554,8 +515,13 @@ mod tests {
         let p = HaltsUndecided;
         let objects = reg();
         let ex = Explorer::new(&p, &objects);
-        let err = check_consensus(&ex, &[int(0)], Limits::default()).unwrap_err();
+        let err = consensus(&ex, &[int(0)], Limits::default()).unwrap_err();
         assert!(matches!(err, Violation::UndecidedTerminal { .. }), "{err}");
+        let graph = ex.exploration().run().unwrap();
+        assert!(matches!(
+            check_wait_free_graph(&graph),
+            Err(Violation::UndecidedTerminal { .. })
+        ));
     }
 
     #[test]
@@ -567,8 +533,9 @@ mod tests {
         };
         let objects = reg();
         let ex = Explorer::new(&p, &objects);
-        assert!(check_k_set_agreement(&ex, 2, &[int(0), int(1)], Limits::default()).is_ok());
-        assert!(check_k_set_agreement(&ex, 1, &[int(0), int(1)], Limits::default()).is_err());
+        let graph = ex.exploration().run().unwrap();
+        assert!(check_k_set_agreement_graph(&graph, 2, &[int(0), int(1)]).is_ok());
+        assert!(check_k_set_agreement_graph(&graph, 1, &[int(0), int(1)]).is_err());
     }
 
     #[test]
@@ -578,54 +545,47 @@ mod tests {
         };
         let objects = vec![AnyObject::consensus(2).unwrap()];
         let ex = Explorer::new(&p, &objects);
-        let err = check_consensus(&ex, &[int(0), int(1)], Limits::new(1)).unwrap_err();
+        let err = consensus(&ex, &[int(0), int(1)], Limits::new(1)).unwrap_err();
         assert!(matches!(err, Violation::Truncated));
+    }
+
+    /// Whether `p`'s process 0 run solo from the initial configuration
+    /// stops (or, with `must_decide`, decides) within 5 steps.
+    fn solo<P: Protocol>(p: &P, objects: &[AnyObject], must_decide: bool) -> bool {
+        let ex = Explorer::new(p, objects);
+        solo_terminates(&ex, &ex.initial_config(), Pid(0), 5, must_decide).unwrap()
+    }
+
+    fn check_solo_cases(cases: &[(&str, bool, bool)]) {
+        for &(what, got, want) in cases {
+            assert_eq!(got, want, "{what}");
+        }
     }
 
     #[test]
     fn solo_termination_helpers() {
-        let p = GoodConsensus {
+        let good = GoodConsensus {
             inputs: vec![int(0), int(1)],
         };
-        let objects = vec![AnyObject::consensus(2).unwrap()];
-        let ex = Explorer::new(&p, &objects);
-        let init = ex.initial_config();
-        assert!(solo_terminates(&ex, &init, Pid(0), 5).unwrap());
-        assert!(solo_decides(&ex, &init, Pid(0), 5).unwrap());
-
-        let p = HaltsUndecided;
-        let objects = reg();
-        let ex = Explorer::new(&p, &objects);
-        let init = ex.initial_config();
-        assert!(solo_terminates(&ex, &init, Pid(0), 5).unwrap());
-        assert!(
-            !solo_decides(&ex, &init, Pid(0), 5).unwrap(),
-            "halting is not deciding"
-        );
+        let consensus = vec![AnyObject::consensus(2).unwrap()];
+        check_solo_cases(&[
+            ("decides", solo(&good, &consensus, false), true),
+            ("decides, must decide", solo(&good, &consensus, true), true),
+            ("halts", solo(&HaltsUndecided, &reg(), false), true),
+            (
+                "halting is not deciding",
+                solo(&HaltsUndecided, &reg(), true),
+                false,
+            ),
+        ]);
     }
 
     #[test]
     fn solo_loop_is_detected() {
-        #[derive(Debug)]
-        struct Spin;
-        impl Protocol for Spin {
-            type LocalState = ();
-            fn num_processes(&self) -> usize {
-                1
-            }
-            fn init(&self, _pid: Pid) {}
-            fn pending_op(&self, _pid: Pid, _s: &()) -> (ObjId, Op) {
-                (ObjId(0), Op::Read)
-            }
-            fn on_response(&self, _pid: Pid, _s: &(), _r: Value) -> Step<()> {
-                Step::Continue(())
-            }
-        }
-        let p = Spin;
-        let objects = reg();
-        let ex = Explorer::new(&p, &objects);
-        let init = ex.initial_config();
-        assert!(!solo_terminates(&ex, &init, Pid(0), 100).unwrap());
+        check_solo_cases(&[
+            ("solo loop", solo(&Spin, &reg(), false), false),
+            ("solo loop, must decide", solo(&Spin, &reg(), true), false),
+        ]);
     }
 
     #[test]

@@ -34,6 +34,13 @@ pub enum CheckError {
         /// What went wrong at that step.
         reason: String,
     },
+    /// The named check has no sampled semantics: only k-set agreement
+    /// (and consensus) can be checked after
+    /// [`Exploration::sample`](crate::Exploration::sample).
+    SamplingUnsupported {
+        /// The check that was asked for (`"dac"`, `"wait-free"`).
+        check: &'static str,
+    },
 }
 
 impl fmt::Display for CheckError {
@@ -44,6 +51,9 @@ impl fmt::Display for CheckError {
             CheckError::WitnessDiverged { step, reason } => {
                 write!(f, "witness replay diverged at step {step}: {reason}")
             }
+            CheckError::SamplingUnsupported { check } => {
+                write!(f, "the {check} check cannot run on a sampling sweep")
+            }
         }
     }
 }
@@ -53,7 +63,7 @@ impl Error for CheckError {
         match self {
             CheckError::Runtime(e) => Some(e),
             CheckError::Linearizability(e) => Some(e),
-            CheckError::WitnessDiverged { .. } => None,
+            CheckError::WitnessDiverged { .. } | CheckError::SamplingUnsupported { .. } => None,
         }
     }
 }
@@ -104,6 +114,10 @@ mod tests {
             reason: "pid cannot step".to_string(),
         };
         assert!(e.to_string().contains("step 3"));
+        assert!(Error::source(&e).is_none());
+
+        let e = CheckError::SamplingUnsupported { check: "dac" };
+        assert!(e.to_string().contains("dac"));
         assert!(Error::source(&e).is_none());
     }
 }

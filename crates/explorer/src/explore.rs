@@ -120,27 +120,15 @@ pub enum Frontier {
 }
 
 /// How a `check_*` terminal of the [`Exploration`] builder quantifies over
-/// executions.
-///
-/// Both strategies answer through the same [`Verdict`](crate::Verdict)
-/// type; they differ in the strength of a positive answer. Exhaustive
-/// checking proves the property over *every* execution
-/// ([`Outcome::Holds`](crate::Outcome::Holds)); sampled checking runs a
-/// seeded random sweep and answers
+/// executions: by exploring every one (the default, and the only way to
+/// *prove* a property), or by a seeded sampling sweep after
+/// [`Exploration::sample`], which answers
 /// [`Outcome::HoldsSampled`](crate::Outcome::HoldsSampled) with a
-/// Clopper–Pearson confidence bound — evidence, never proof. Violations
-/// found by either strategy come back as replayable, `confirm()`-able
-/// [`Witness`](crate::Witness)es.
+/// confidence bound — evidence, never proof.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Strategy {
-    /// Explore the full execution graph and check it — the default, and
-    /// the only strategy that can *prove* a property.
+pub(crate) enum Strategy {
     #[default]
     Exhaustive,
-    /// Run a seeded sampling sweep (see [`crate::sampling`]) instead of
-    /// exploring: reaches instances far beyond the exhaustive frontier,
-    /// answers with a confidence bound. The verdict and any violating seed
-    /// are independent of the worker thread count.
     Sample(SampleConfig),
 }
 
@@ -168,20 +156,6 @@ impl ExploreOptions {
             threads: 0,
             frontier: Frontier::Deterministic,
         }
-    }
-
-    /// Sets the worker thread count (`0` = auto).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Sets the frontier discipline (see [`Frontier`]).
-    #[must_use]
-    pub fn with_frontier(mut self, frontier: Frontier) -> Self {
-        self.frontier = frontier;
-        self
     }
 
     /// The concrete worker count a [`Frontier::WorkStealing`] run will use
@@ -1001,8 +975,7 @@ impl<'a, P: Protocol> Explorer<'a, P> {
     ///
     /// This is the single entry point to the engine: configure the run with
     /// the builder, then finish with [`Exploration::run`] for the raw graph
-    /// or a `check_*` terminal for a [`Verdict`](crate::Verdict) under the
-    /// chosen [`Strategy`].
+    /// or a `check_*` terminal for a [`Verdict`](crate::Verdict).
     pub fn exploration(&self) -> Exploration<'_, 'a, P> {
         Exploration::builder(self)
     }
@@ -2249,35 +2222,15 @@ pub struct StepRecord<L> {
 /// ```
 #[must_use = "an Exploration does nothing until .run() is called"]
 pub struct Exploration<'e, 'a, P: Protocol> {
-    explorer: &'e Explorer<'a, P>,
+    pub(crate) explorer: &'e Explorer<'a, P>,
     from: Option<Configuration<P::LocalState>>,
     options: ExploreOptions,
     on_progress: Option<ProgressCallback<'e>>,
-    symmetry: Option<ConfigSymmetry<'a, P::LocalState>>,
-    tracer: Option<Tracer>,
-    strategy: Strategy,
+    pub(crate) symmetry: Option<ConfigSymmetry<'a, P::LocalState>>,
+    pub(crate) tracer: Option<Tracer>,
+    pub(crate) strategy: Strategy,
     registry: Option<Registry>,
-    progress_every: Option<Duration>,
-}
-
-/// What a `check_*` terminal (see [`crate::verdict`]) needs from a
-/// consumed builder: the graph is only built for the exhaustive strategy,
-/// and the symmetry handle survives the run so reduced-graph violations
-/// can be de-canonicalized.
-pub(crate) struct CheckParts<'e, 'a, P: Protocol> {
-    pub explorer: &'e Explorer<'a, P>,
-    pub tracer: Tracer,
-    pub strategy: Strategy,
-    pub symmetry: Option<ConfigSymmetry<'a, P::LocalState>>,
-    pub graph: Option<Result<ExplorationGraph<P::LocalState>, RuntimeError>>,
-    /// Live-metrics handles, present when the builder opted into a
-    /// registry or progress streaming. Exhaustive strategies consume them
-    /// inside [`Exploration::run_for_check`]; sampling hands them to the
-    /// verdict layer, whose sweep does the actual work.
-    pub live: Option<LiveMetrics>,
-    /// The builder's progress cadence, for strategies (sampling) whose
-    /// work runs after `run_for_check` returns.
-    pub progress_every: Option<Duration>,
+    pub(crate) progress_every: Option<Duration>,
 }
 
 impl<'e, 'a, P: Protocol> Exploration<'e, 'a, P> {
@@ -2298,17 +2251,12 @@ impl<'e, 'a, P: Protocol> Exploration<'e, 'a, P> {
         }
     }
 
-    /// Selects how the `check_*` terminals quantify over executions (see
-    /// [`Strategy`]). [`Exploration::run`] always explores exhaustively —
-    /// a graph of sampled runs would be a contradiction in terms — so this
-    /// only affects the checking terminals.
-    pub fn strategy(mut self, strategy: Strategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
-    /// Shorthand for `.strategy(Strategy::Sample(config))`: the `check_*`
-    /// terminals run a seeded sampling sweep instead of exploring.
+    /// Makes the `check_*` terminals run a seeded sampling sweep instead of
+    /// exploring: it reaches instances far beyond the exhaustive frontier
+    /// and answers with a confidence bound. [`Exploration::run`] always
+    /// explores exhaustively — a graph of sampled runs would be a
+    /// contradiction in terms. Only k-set agreement and consensus have
+    /// sampled semantics.
     ///
     /// ```ignore
     /// let verdict = explorer
@@ -2321,8 +2269,9 @@ impl<'e, 'a, P: Protocol> Exploration<'e, 'a, P> {
     ///     _ => unreachable!(),
     /// }
     /// ```
-    pub fn sample(self, config: SampleConfig) -> Self {
-        self.strategy(Strategy::Sample(config))
+    pub fn sample(mut self, config: SampleConfig) -> Self {
+        self.strategy = Strategy::Sample(config);
+        self
     }
 
     /// Sets the resource limits (see [`Limits`]).
@@ -2331,24 +2280,10 @@ impl<'e, 'a, P: Protocol> Exploration<'e, 'a, P> {
         self
     }
 
-    /// Caps the number of configurations to expand — shorthand for
-    /// `.limits(Limits::new(max_configs))`.
-    pub fn max_configs(mut self, max_configs: usize) -> Self {
-        self.options.limits = Limits::new(max_configs);
-        self
-    }
-
     /// Sets the work-stealing worker count (`0` = auto; see
     /// [`ExploreOptions::threads`]). The deterministic frontier ignores it.
     pub fn threads(mut self, threads: usize) -> Self {
         self.options.threads = threads;
-        self
-    }
-
-    /// Replaces both limits and thread count with a prebuilt
-    /// [`ExploreOptions`].
-    pub fn options(mut self, options: ExploreOptions) -> Self {
-        self.options = options;
         self
     }
 
@@ -2370,7 +2305,7 @@ impl<'e, 'a, P: Protocol> Exploration<'e, 'a, P> {
     /// (see [`crate::symmetry`]), and witnesses extracted from a reduced
     /// graph must be de-canonicalized through
     /// [`crate::symmetry::Concretizer`] before replay on the raw system —
-    /// the `*_reduced` entry points in [`crate::verdict`] do exactly that.
+    /// the `check_*` terminals in [`crate::verdict`] do exactly that.
     pub fn symmetric(mut self) -> Self
     where
         P: Symmetry,
@@ -2456,7 +2391,7 @@ impl<'e, 'a, P: Protocol> Exploration<'e, 'a, P> {
     /// The live handles this run should update, if any: an explicit
     /// registry, or a private one when only progress streaming was
     /// requested.
-    fn live_metrics(&self) -> Option<LiveMetrics> {
+    pub(crate) fn live_metrics(&self) -> Option<LiveMetrics> {
         match (&self.registry, self.progress_every) {
             (Some(registry), _) => Some(LiveMetrics::register(registry)),
             (None, Some(_)) => Some(LiveMetrics::register(&Registry::new())),
@@ -2482,40 +2417,10 @@ impl<'e, 'a, P: Protocol> Exploration<'e, 'a, P> {
         self.explore(&tracer, symmetry.as_ref(), live.as_ref())
     }
 
-    /// Consumes the builder for a `check_*` terminal: runs the engine when
-    /// the strategy is exhaustive (sampling builds no graph) and hands the
-    /// verdict layer the pieces [`run`](Exploration::run) would otherwise
-    /// drop — the effective tracer and the symmetry handle.
-    pub(crate) fn run_for_check(mut self) -> CheckParts<'e, 'a, P> {
-        let explorer = self.explorer;
-        let tracer = self
-            .tracer
-            .take()
-            .unwrap_or_else(|| explorer.tracer.clone());
-        let symmetry = self.symmetry.take();
-        let live = self.live_metrics();
-        let progress_every = self.progress_every;
-        let graph = match self.strategy {
-            // Sampling runs inside the verdict layer — the live handles
-            // and cadence ride along in the returned parts.
-            Strategy::Sample(_) => None,
-            Strategy::Exhaustive => Some(self.explore(&tracer, symmetry.as_ref(), live.as_ref())),
-        };
-        CheckParts {
-            explorer,
-            tracer,
-            strategy: self.strategy,
-            symmetry,
-            graph,
-            live,
-            progress_every,
-        }
-    }
-
     /// Runs the engine the frontier option selects from the start
     /// configuration, under a progress watcher when one was requested, and
     /// records the graph's footprint in the live registry.
-    fn explore(
+    pub(crate) fn explore(
         &mut self,
         tracer: &Tracer,
         symmetry: Option<&ConfigSymmetry<'a, P::LocalState>>,
@@ -2672,7 +2577,7 @@ mod tests {
         let objects = vec![AnyObject::consensus(3).unwrap()];
         let g = Explorer::new(&p, &objects)
             .exploration()
-            .max_configs(2)
+            .limits(Limits::new(2))
             .run()
             .unwrap();
         assert!(!g.complete);
@@ -2689,7 +2594,7 @@ mod tests {
         for budget in 1..total + 2 {
             let g = Explorer::new(&p, &objects)
                 .exploration()
-                .max_configs(budget)
+                .limits(Limits::new(budget))
                 .run()
                 .unwrap();
             let expanded = g.expanded.iter().filter(|&&e| e).count();
@@ -2738,13 +2643,13 @@ mod tests {
         for budget in [1, 3, 7, 20] {
             let seq = ex
                 .exploration()
-                .max_configs(budget)
+                .limits(Limits::new(budget))
                 .threads(1)
                 .run()
                 .unwrap();
             let par = ex
                 .exploration()
-                .max_configs(budget)
+                .limits(Limits::new(budget))
                 .threads(4)
                 .run()
                 .unwrap();
@@ -2794,7 +2699,11 @@ mod tests {
         let options = ExploreOptions::default();
         assert!(options.resolved_threads() >= 1);
         assert_eq!(
-            ExploreOptions::default().with_threads(3).resolved_threads(),
+            ExploreOptions {
+                threads: 3,
+                ..ExploreOptions::default()
+            }
+            .resolved_threads(),
             3
         );
     }
@@ -2934,12 +2843,6 @@ mod tests {
         );
         assert!(reference.same_structure(
             &ex.exploration()
-                .options(ExploreOptions::default())
-                .run()
-                .unwrap()
-        ));
-        assert!(reference.same_structure(
-            &ex.exploration()
                 .from(ex.initial_config())
                 .limits(Limits::default())
                 .run()
@@ -2948,7 +2851,8 @@ mod tests {
         assert!(reference.same_structure(
             &ex.exploration()
                 .from(ex.initial_config())
-                .options(ExploreOptions::default())
+                .threads(1)
+                .frontier(Frontier::Deterministic)
                 .run()
                 .unwrap()
         ));
@@ -3336,7 +3240,7 @@ mod tests {
         for budget in [1, 3, 7] {
             let ws = ex
                 .exploration()
-                .max_configs(budget)
+                .limits(Limits::new(budget))
                 .threads(4)
                 .frontier(Frontier::WorkStealing)
                 .run()

@@ -26,8 +26,9 @@ pub(crate) const SHARDS: usize = 16;
 
 /// Assumed per-entry bookkeeping of one hash-map slot beyond the stored
 /// key/value payload (control bytes, load-factor headroom, bucket
-/// rounding). The memory gauges are *estimates*: the `mem-profile`
-/// allocator is the ground truth they are checked against.
+/// rounding). The memory gauges are *estimates*: the process's measured
+/// peak resident set (`ttvbench`'s `peak_rss_mb`, read from `VmHWM`) is the
+/// ground truth they are checked against.
 const MAP_ENTRY_OVERHEAD: usize = 24;
 
 /// Heap bytes behind one `Arc` header (strong + weak counts).

@@ -18,9 +18,10 @@
 //!   find cycles of undecided configurations. A reachable cycle in which a
 //!   process keeps stepping without deciding is a *machine-checkable
 //!   certificate* that the protocol violates wait-free termination.
-//! * [`checker`] — whole-execution-space verification of the problems in the
-//!   paper: consensus, k-set agreement, and the n-DAC problem with its four
-//!   properties (Agreement, Validity, Termination (a)/(b), Nontriviality).
+//! * [`checker`] — the whole-execution-space predicates for the problems of
+//!   the paper: consensus, k-set agreement, and the n-DAC problem with its
+//!   four properties (Agreement, Validity, Termination (a)/(b),
+//!   Nontriviality), evaluated on an exploration graph.
 //! * [`linearizability`] — a Wing–Gold linearizability checker for the
 //!   concurrent front-end histories produced by
 //!   [`lbsa_runtime::derived::record_frontend_history`], used to validate
@@ -28,12 +29,17 @@
 //! * [`sampling`] — seeded randomized checking for instances beyond the
 //!   exhaustive frontier: a parallel, seed-sharded sweep whose verdicts are
 //!   thread-count independent, with safety checked on every sampled run and
-//!   violations returned with their reproducing seed. First-class via
-//!   [`explore::Strategy::Sample`] on the [`Exploration`] builder.
-//! * [`verdict`] — the structured reporting layer over the checkers: every
-//!   property check yields a typed [`verdict::Verdict`] whose counterexample
-//!   [`verdict::Witness`] is a replayable, delta-minimized schedule that can
-//!   be deterministically re-executed to confirm the violation.
+//!   violations returned with their reproducing seed. Reached through
+//!   [`Exploration::sample`].
+//! * [`verdict`] — the one checking surface: the `check_*` terminals of the
+//!   [`Exploration`] builder ([`Exploration::check_k_set_agreement`],
+//!   [`Exploration::check_consensus`], [`Exploration::check_dac`],
+//!   [`Exploration::check_wait_free`]). Each yields a typed
+//!   [`verdict::Verdict`] whose counterexample [`verdict::Witness`] is a
+//!   replayable, delta-minimized schedule that can be deterministically
+//!   re-executed to confirm the violation. Builder knobs choose how:
+//!   [`Exploration::symmetric`] checks the symmetry-reduced graph,
+//!   [`Exploration::sample`] samples instead of exploring.
 //! * [`error`] — the unified [`error::CheckError`] hierarchy that verdicts
 //!   carry as a structured cause.
 
@@ -57,14 +63,12 @@ pub mod verdict;
 pub use config::Configuration;
 pub use error::CheckError;
 pub use explore::{
-    Exploration, ExplorationGraph, ExploreOptions, Explorer, Frontier, Limits, StepRecord, Strategy,
+    Exploration, ExplorationGraph, ExploreOptions, Explorer, Frontier, Limits, StepRecord,
 };
 pub use lbsa_support::obs::{
     Counter, Gauge, JsonlSink, MemorySink, Registry, StderrSink, TraceSink, Tracer,
 };
-pub use sampling::{
-    sample_confidence, SampleConfig, SampleReport, SampleViolation, OUTCOME_SEED_XOR,
-};
+pub use sampling::{sample_confidence, SampleConfig, SampleViolation, OUTCOME_SEED_XOR};
 pub use stats::{
     ExploreStats, LatencyHistograms, LevelStats, PhaseTimes, SampleWorkerStats, WorkerStats,
 };

@@ -103,9 +103,8 @@ impl LiveMetrics {
         }
     }
 
-    /// Total estimated footprint across the `mem.*` gauges (heap-tracking
-    /// gauges from the `mem-profile` allocator are reported separately by
-    /// their binaries).
+    /// Total estimated footprint across the `mem.*` gauges (the measured
+    /// peak resident set, `ttvbench`'s `peak_rss_mb`, is the ground truth).
     fn mem_bytes(&self) -> i64 {
         self.mem_interner.get()
             + self.mem_index.get()

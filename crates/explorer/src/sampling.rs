@@ -19,15 +19,16 @@
 //! only when its next seed offset is at or above the lowest violating
 //! offset found so far, which guarantees every seed below the final
 //! minimum was actually executed (and found clean). The reported
-//! violation — and on a clean sweep the merged [`SampleReport`] — is
+//! violation — and on a clean sweep the merged sweep report — is
 //! therefore identical at every thread count.
 //!
-//! Entry points are tracer-aware ([`lbsa_support::obs::Tracer::disabled`]
-//! is free). For a [`Verdict`](crate::Verdict) with a confidence-bounded
-//! outcome and a replayable [`Witness`](crate::Witness) on violation, go
-//! through the builder instead:
-//! [`Exploration::sample`](crate::Exploration::sample) — which also
-//! supports live progress streaming via
+//! The sweep is reached through the builder:
+//! [`Exploration::sample`](crate::Exploration::sample) followed by
+//! [`check_k_set_agreement`](crate::Exploration::check_k_set_agreement) or
+//! [`check_consensus`](crate::Exploration::check_consensus) gives a
+//! [`Verdict`](crate::Verdict) with a confidence-bounded outcome and a
+//! replayable [`Witness`](crate::Witness) on violation, and streams live
+//! progress under
 //! [`Exploration::progress_every`](crate::Exploration::progress_every).
 
 use crate::live::LiveMetrics;
@@ -178,7 +179,7 @@ impl SampleConfig {
 
 /// Outcome of a sampling sweep with no violation.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SampleReport {
+pub(crate) struct SampleReport {
     /// Runs executed.
     pub runs: u64,
     /// Runs that reached quiescence (everyone decided/halted).
@@ -265,31 +266,15 @@ impl std::error::Error for SampleViolation {}
 /// violating seed and its description. [`Tracer::disabled`] makes all of
 /// that free.
 ///
+/// `live`, when the sweep runs under an observed builder, gets one relaxed
+/// `sample.runs` bump per run and the `sample.runs_total` budget gauge for
+/// the progress watcher.
+///
 /// # Errors
 ///
 /// Returns the lowest-seed [`SampleViolation`] — deterministic at every
 /// thread count (see the module docs for why).
-pub fn sample_k_set_agreement<P: Protocol>(
-    protocol: &P,
-    objects: &[AnyObject],
-    k: usize,
-    valid_inputs: &[Value],
-    config: SampleConfig,
-    tracer: &Tracer,
-) -> Result<SampleReport, SampleViolation> {
-    sample_k_set_agreement_live(protocol, objects, k, valid_inputs, config, tracer, None)
-}
-
-/// [`sample_k_set_agreement`] with live-metrics handles: the builder's
-/// check terminals route here so a sweep under
-/// [`Exploration::progress_every`](crate::Exploration::progress_every)
-/// keeps `sample.runs` (one relaxed bump per run) and the
-/// `sample.runs_total` budget gauge current for the progress watcher.
-///
-/// # Errors
-///
-/// Returns the lowest-seed [`SampleViolation`].
-pub(crate) fn sample_k_set_agreement_live<P: Protocol>(
+pub(crate) fn sample_k_set_agreement<P: Protocol>(
     protocol: &P,
     objects: &[AnyObject],
     k: usize,
@@ -418,21 +403,6 @@ pub(crate) fn sample_k_set_agreement_live<P: Protocol>(
             Ok(report)
         }
     }
-}
-
-/// Sampling sweep for consensus (`k = 1`); see [`sample_k_set_agreement`].
-///
-/// # Errors
-///
-/// Returns the lowest-seed [`SampleViolation`].
-pub fn sample_consensus<P: Protocol>(
-    protocol: &P,
-    objects: &[AnyObject],
-    valid_inputs: &[Value],
-    config: SampleConfig,
-    tracer: &Tracer,
-) -> Result<SampleReport, SampleViolation> {
-    sample_k_set_agreement(protocol, objects, 1, valid_inputs, config, tracer)
 }
 
 /// Everything the workers share, borrowed across the scoped spawn.
@@ -590,6 +560,17 @@ mod tests {
         }
     }
 
+    /// A consensus sweep (`k = 1`) with no live metrics.
+    fn sweep<P: Protocol>(
+        protocol: &P,
+        objects: &[AnyObject],
+        valid_inputs: &[Value],
+        config: SampleConfig,
+        tracer: &Tracer,
+    ) -> Result<SampleReport, SampleViolation> {
+        sample_k_set_agreement(protocol, objects, 1, valid_inputs, config, tracer, None)
+    }
+
     #[test]
     fn sampling_passes_correct_consensus_at_scale() {
         // 12 processes — far beyond exhaustive reach for a one-line test.
@@ -598,7 +579,7 @@ mod tests {
             inputs: inputs.clone(),
         };
         let objects = vec![AnyObject::consensus(12).unwrap()];
-        let report = sample_consensus(
+        let report = sweep(
             &p,
             &objects,
             &inputs,
@@ -625,7 +606,7 @@ mod tests {
             inputs: inputs.clone(),
         };
         let objects = vec![AnyObject::register()];
-        let err = sample_consensus(
+        let err = sweep(
             &p,
             &objects,
             &inputs,
@@ -668,7 +649,7 @@ mod tests {
                 Step::Decide(int(42))
             }
         }
-        let err = sample_consensus(
+        let err = sweep(
             &DecideConstant,
             &[AnyObject::register()],
             &[int(0), int(1)],
@@ -707,7 +688,7 @@ mod tests {
                 Step::Continue(())
             }
         }
-        let report = sample_consensus(
+        let report = sweep(
             &Spin,
             &[AnyObject::register()],
             &[],
@@ -726,6 +707,42 @@ mod tests {
     }
 
     #[test]
+    fn every_run_is_quiescent_or_budget_stopped() {
+        // `RandomScheduler` never declines to pick an enabled pid, so no
+        // sampled run ends in `RunEnd::SchedulerStopped`: the budget-stopped
+        // count is always `runs - quiescent`.
+        let inputs: Vec<Value> = (0..3).map(|i| int(i % 2)).collect();
+        let p = DecideOwn {
+            inputs: inputs.clone(),
+        };
+        let objects = [AnyObject::register()];
+        // Three steps reach quiescence; a budget of two stops every run.
+        for max_steps in [2, 3] {
+            let config = SampleConfig {
+                runs: 50,
+                max_steps,
+                ..SampleConfig::default()
+            };
+            let report =
+                sample_k_set_agreement(&p, &objects, 3, &inputs, config, &Tracer::disabled(), None)
+                    .unwrap();
+            assert_eq!(report.quiescent + report.budget_hit, report.runs);
+        }
+        for seed in 0..50 {
+            let mut sys = System::new(&p, &objects).unwrap();
+            let end = sys
+                .run(
+                    &mut RandomScheduler::seeded(seed),
+                    &mut RandomOutcome::seeded(seed ^ OUTCOME_SEED_XOR),
+                    2,
+                )
+                .unwrap()
+                .end;
+            assert_ne!(end, RunEnd::SchedulerStopped, "seed {seed}");
+        }
+    }
+
+    #[test]
     fn clean_sweep_reports_are_thread_count_independent() {
         let inputs: Vec<Value> = (0..6).map(|i| int(i % 2)).collect();
         let p = Race {
@@ -739,9 +756,9 @@ mod tests {
             threads: 1,
             ..SampleConfig::default()
         };
-        let base = sample_consensus(&p, &objects, &inputs, config, &Tracer::disabled()).unwrap();
+        let base = sweep(&p, &objects, &inputs, config, &Tracer::disabled()).unwrap();
         for threads in [2, 4, 8] {
-            let report = sample_consensus(
+            let report = sweep(
                 &p,
                 &objects,
                 &inputs,
@@ -767,10 +784,9 @@ mod tests {
             threads: 1,
             ..SampleConfig::default()
         };
-        let base =
-            sample_consensus(&p, &objects, &inputs, config, &Tracer::disabled()).unwrap_err();
+        let base = sweep(&p, &objects, &inputs, config, &Tracer::disabled()).unwrap_err();
         for threads in [2, 4, 8] {
-            let err = sample_consensus(
+            let err = sweep(
                 &p,
                 &objects,
                 &inputs,
@@ -803,7 +819,7 @@ mod tests {
         };
         let objects = vec![AnyObject::consensus(4).unwrap()];
         let sink = MemorySink::new();
-        let report = sample_consensus(
+        let report = sweep(
             &p,
             &objects,
             &inputs,
@@ -863,7 +879,7 @@ mod tests {
         };
         let objects = vec![AnyObject::register()];
         let sink = MemorySink::new();
-        let err = sample_consensus(
+        let err = sweep(
             &p,
             &objects,
             &inputs,
@@ -902,7 +918,7 @@ mod tests {
             threads: 2,
             ..SampleConfig::default()
         };
-        let report = sample_k_set_agreement_live(
+        let report = sample_k_set_agreement(
             &p,
             &objects,
             2,
@@ -915,9 +931,10 @@ mod tests {
         assert_eq!(report.runs, 300);
         assert_eq!(live.sample_runs.get(), 300, "one bump per completed run");
         assert_eq!(live.sample_runs_total.get(), 300, "budget gauge set");
-        // The plain entry point leaves the registry untouched.
+        // A sweep without live metrics leaves the registry untouched.
         let base =
-            sample_k_set_agreement(&p, &objects, 2, &inputs, config, &Tracer::disabled()).unwrap();
+            sample_k_set_agreement(&p, &objects, 2, &inputs, config, &Tracer::disabled(), None)
+                .unwrap();
         assert_eq!(base, report);
         assert_eq!(live.sample_runs.get(), 300);
     }
@@ -997,11 +1014,11 @@ mod tests {
             ..SampleConfig::default()
         }
         .target_confidence(0.95);
-        let base = sample_consensus(&p, &objects, &inputs, config, &Tracer::disabled()).unwrap();
+        let base = sweep(&p, &objects, &inputs, config, &Tracer::disabled()).unwrap();
         assert_eq!(base.runs, 59, "adaptive budget should cut 500 to 59");
         assert!(base.stopped_early);
         for threads in [2, 4, 8] {
-            let report = sample_consensus(
+            let report = sweep(
                 &p,
                 &objects,
                 &inputs,
@@ -1013,7 +1030,7 @@ mod tests {
         }
         // A budget already below the cutoff runs in full, not early-stopped.
         let small = SampleConfig { runs: 20, ..config };
-        let report = sample_consensus(&p, &objects, &inputs, small, &Tracer::disabled()).unwrap();
+        let report = sweep(&p, &objects, &inputs, small, &Tracer::disabled()).unwrap();
         assert_eq!(report.runs, 20);
         assert!(!report.stopped_early);
     }

@@ -116,8 +116,8 @@ impl WorkerStats {
 /// Per-worker telemetry for one sampling sweep (see the `sampling`
 /// module): the sampler's analogue of [`WorkerStats`]. Each worker owns a
 /// stride of the seed range, so the per-worker run counts depend on the
-/// thread count even though the merged [`SampleReport`](crate::sampling::SampleReport)
-/// does not — which is why these live in trace events (`sample.worker`),
+/// thread count even though the merged sweep report (and the verdict's
+/// [`Outcome::HoldsSampled`](crate::Outcome::HoldsSampled)) does not — which is why these live in trace events (`sample.worker`),
 /// never in the report itself.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SampleWorkerStats {

@@ -233,7 +233,7 @@ pub fn critical_anatomy<P: Protocol>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explore::Explorer;
+    use crate::explore::{Explorer, Limits};
     use lbsa_core::{AnyObject, Op};
     use lbsa_runtime::process::{Protocol, Step};
 
@@ -342,7 +342,7 @@ mod tests {
         let objects = vec![AnyObject::consensus(2).unwrap()];
         let g = Explorer::new(&p, &objects)
             .exploration()
-            .max_configs(1)
+            .limits(Limits::new(1))
             .run()
             .unwrap();
         let va = ValencyAnalysis::analyze(&g);

@@ -1,11 +1,15 @@
 //! Typed verdicts with replayable, minimized counterexample witnesses.
 //!
-//! The checkers in [`crate::checker`] answer with `Result<CheckStats,
-//! Violation>` — enough to know *that* a property failed, but not to hand
-//! anyone evidence. This module is the reporting layer on top: every check
-//! returns a [`Verdict`] whose negative answers carry a [`Witness`] — a
-//! schedule (pid + chosen object outcome per step, the same labelling as
-//! [`crate::explore::Edge`]) that
+//! This module is the one checking surface of the crate: the `check_*`
+//! terminals of the [`Exploration`] builder —
+//! [`check_k_set_agreement`](Exploration::check_k_set_agreement),
+//! [`check_consensus`](Exploration::check_consensus),
+//! [`check_dac`](Exploration::check_dac) and
+//! [`check_wait_free`](Exploration::check_wait_free). Each explores (or,
+//! after [`Exploration::sample`], samples), runs the graph predicates of
+//! [`crate::checker`], and returns a [`Verdict`] whose negative answers
+//! carry a [`Witness`] — a schedule (pid + chosen object outcome per step,
+//! the same labelling as [`crate::explore::Edge`]) that
 //!
 //! 1. **replays deterministically**: [`Witness::replay`] re-executes it step
 //!    by step through [`crate::explore::Explorer::step`], rebuilding the
@@ -24,29 +28,27 @@
 //!
 //! # Symmetry-reduced checking
 //!
-//! For protocols implementing [`lbsa_runtime::process::Symmetry`], the
-//! `*_reduced` entry points ([`verdict_consensus_reduced`],
-//! [`verdict_k_set_agreement_reduced`], [`verdict_dac_reduced`],
-//! [`verdict_wait_free_reduced`]) explore the **quotient** graph (one
-//! canonical representative per orbit, see [`crate::symmetry`]) and run the
-//! same checkers on it — sound because every checked predicate is
-//! orbit-invariant. Counterexample schedules extracted from the quotient
-//! graph are **de-canonicalized** through a [`Concretizer`] into real
-//! executions before the witness is built, so [`Witness::replay`] and
+//! After [`Exploration::symmetric`], for protocols implementing
+//! [`lbsa_runtime::process::Symmetry`], a check explores the **quotient**
+//! graph (one canonical representative per orbit, see [`crate::symmetry`])
+//! and runs the same predicates on it — sound because every checked
+//! predicate is orbit-invariant. Counterexample schedules extracted from the
+//! quotient graph are **de-canonicalized** through a [`Concretizer`] into
+//! real executions before the witness is built, so [`Witness::replay`] and
 //! [`Witness::confirm`] work on the raw, unreduced system exactly as for
 //! unreduced verdicts.
 
 use crate::checker::{
-    check_dac_graph, check_k_set_agreement_graph, solo_decides, solo_terminates, CheckStats,
-    DacInstance, Violation,
+    check_dac_graph, check_k_set_agreement_graph, check_wait_free_graph, solo_terminates,
+    CheckStats, DacInstance, Violation,
 };
 use crate::config::Configuration;
 use crate::error::CheckError;
-use crate::explore::{Edge, Exploration, ExplorationGraph, Explorer, Limits, Strategy};
+use crate::explore::{Edge, Exploration, ExplorationGraph, Explorer, Strategy};
 use crate::linearizability::{check_linearizable, LinearizabilityError};
 use crate::live::{EtaModel, LiveMetrics, ProgressWatcher};
 use crate::sampling::{
-    sample_confidence, sample_k_set_agreement_live, SampleConfig, SampleViolation, OUTCOME_SEED_XOR,
+    sample_confidence, sample_k_set_agreement, SampleConfig, SampleViolation, OUTCOME_SEED_XOR,
 };
 use crate::symmetry::{Concretizer, ConfigSymmetry};
 use lbsa_core::spec::ObjectSpec;
@@ -54,7 +56,7 @@ use lbsa_core::{AnyObject, Pid, Value};
 use lbsa_runtime::derived::CompletedOp;
 use lbsa_runtime::error::RuntimeError;
 use lbsa_runtime::outcome::{OutcomeResolver, RandomOutcome};
-use lbsa_runtime::process::{ProcStatus, Protocol, Symmetry};
+use lbsa_runtime::process::{ProcStatus, Protocol};
 use lbsa_runtime::scheduler::{RandomScheduler, Scheduler};
 use lbsa_runtime::trace::{Trace, TraceEvent};
 use lbsa_support::json::Json;
@@ -201,11 +203,7 @@ impl WitnessKind {
                 if !matches!(config.procs.get(pid.index()), Some(ProcStatus::Running(_))) {
                     return Ok(Some(false));
                 }
-                let ok = if *must_decide {
-                    solo_decides(explorer, config, *pid, *bound)?
-                } else {
-                    solo_terminates(explorer, config, *pid, *bound)?
-                };
+                let ok = solo_terminates(explorer, config, *pid, *bound, *must_decide)?;
                 Ok(Some(!ok))
             }
             WitnessKind::NonTermination { .. } => Ok(None),
@@ -428,6 +426,8 @@ pub enum Outcome {
         runs: u64,
         /// Runs that reached quiescence (the rest hit the step budget).
         quiescent: u64,
+        /// Distinct full decision vectors observed across the runs.
+        distinct_outcomes: usize,
         /// `1 − bound` where `bound` is the 95% Clopper–Pearson upper
         /// bound on the violation probability of a sampled schedule.
         confidence: f64,
@@ -520,6 +520,7 @@ impl Verdict {
             Outcome::HoldsSampled {
                 runs,
                 quiescent,
+                distinct_outcomes,
                 confidence,
                 stopped_early,
             } => {
@@ -528,6 +529,7 @@ impl Verdict {
                     Json::object()
                         .set("runs", *runs)
                         .set("quiescent", *quiescent)
+                        .set("distinct_outcomes", *distinct_outcomes)
                         .set("confidence", *confidence)
                         .set("stopped_early", *stopped_early),
                 );
@@ -574,8 +576,8 @@ const EMPTY_STATS: CheckStats = CheckStats {
 };
 
 /// Emits the end-of-check `verdict` trace event and passes the verdict
-/// through. Every public `verdict_*` entry point routes its result here
-/// exactly once, so a traced run shows one `verdict` line per check.
+/// through. Every check routes its result here exactly once, so a traced
+/// run shows one `verdict` line per check.
 fn traced(tracer: &Tracer, check: &'static str, verdict: Verdict) -> Verdict {
     tracer.emit_with("verdict", || {
         Json::object()
@@ -594,106 +596,209 @@ fn traced(tracer: &Tracer, check: &'static str, verdict: Verdict) -> Verdict {
     verdict
 }
 
-/// Explores and checks consensus, returning a verdict with a minimized
-/// witness on violation.
-#[must_use]
-pub fn verdict_consensus<P: Protocol>(
-    explorer: &Explorer<'_, P>,
-    valid_inputs: &[Value],
-    limits: Limits,
-) -> Verdict {
-    verdict_k_set_agreement(explorer, 1, valid_inputs, limits)
+/// The property a `check_*` terminal asks about. It owns everything that
+/// differs between checks: the graph predicate, the [`WitnessKind`] of each
+/// violation, and the `check` name in the trace.
+enum Property<'p> {
+    /// k-Agreement, Validity against `valid`, and wait-free termination.
+    KSet { k: usize, valid: &'p [Value] },
+    /// The four n-DAC properties of Section 4.
+    Dac {
+        instance: &'p DacInstance,
+        solo_bound: usize,
+    },
+    /// Wait-free termination alone.
+    WaitFree,
 }
 
-/// Explores and checks k-set agreement, returning a verdict with a
-/// minimized witness on violation.
-#[must_use]
-pub fn verdict_k_set_agreement<P: Protocol>(
-    explorer: &Explorer<'_, P>,
-    k: usize,
-    valid_inputs: &[Value],
-    limits: Limits,
-) -> Verdict {
-    let graph = match explorer.exploration().limits(limits).run() {
-        Ok(g) => g,
-        Err(e) => {
-            return traced(
-                explorer.tracer(),
-                "k-set-agreement",
-                Verdict::error(EMPTY_STATS, e.into()),
-            )
+impl Property<'_> {
+    /// The `check` name of the `verdict` trace event.
+    fn name(&self, sampled: bool) -> &'static str {
+        match (self, sampled) {
+            (Property::KSet { .. }, false) => "k-set-agreement",
+            (Property::KSet { .. }, true) => "k-set-agreement-sampled",
+            (Property::Dac { .. }, false) => "dac",
+            (Property::Dac { .. }, true) => "dac-sampled",
+            (Property::WaitFree, false) => "wait-free",
+            (Property::WaitFree, true) => "wait-free-sampled",
         }
-    };
-    verdict_k_set_agreement_graph(explorer, &graph, k, valid_inputs)
-}
+    }
 
-/// Checks k-set agreement over an already-built graph, returning a verdict
-/// with a minimized witness on violation.
-#[must_use]
-pub fn verdict_k_set_agreement_graph<P: Protocol>(
-    explorer: &Explorer<'_, P>,
-    graph: &ExplorationGraph<P::LocalState>,
-    k: usize,
-    valid_inputs: &[Value],
-) -> Verdict {
-    let stats = graph_stats(graph);
-    let verdict = match check_k_set_agreement_graph(graph, k, valid_inputs) {
-        Ok(stats) => Verdict {
-            outcome: Outcome::Holds,
-            stats,
-            witness: None,
-        },
-        Err(violation) => {
-            let kind = k_set_kind(&violation, k, valid_inputs);
-            violation_verdict(explorer, graph, violation, stats, kind)
+    /// Checks the property over an explored graph.
+    fn check_graph<P: Protocol>(
+        &self,
+        explorer: &Explorer<'_, P>,
+        graph: &ExplorationGraph<P::LocalState>,
+    ) -> Result<CheckStats, Violation> {
+        match *self {
+            Property::KSet { k, valid } => check_k_set_agreement_graph(graph, k, valid),
+            Property::Dac {
+                instance,
+                solo_bound,
+            } => check_dac_graph(explorer, graph, instance, solo_bound),
+            Property::WaitFree => check_wait_free_graph(graph),
         }
-    };
-    traced(explorer.tracer(), "k-set-agreement", verdict)
-}
+    }
 
-/// The re-checkable [`WitnessKind`] of a k-set-agreement violation.
-fn k_set_kind(violation: &Violation, k: usize, valid_inputs: &[Value]) -> Option<WitnessKind> {
-    match violation {
-        Violation::Agreement { .. } => Some(WitnessKind::Agreement { k }),
-        Violation::Validity { .. } => Some(WitnessKind::Validity {
-            valid: valid_inputs.to_vec(),
-        }),
-        Violation::UndecidedTerminal { .. } => Some(WitnessKind::UndecidedTerminal),
-        _ => None,
+    /// The re-checkable [`WitnessKind`] of `violation`; `None` for
+    /// violations whose witness does not need one (cycles) or has none.
+    fn witness_kind(&self, violation: &Violation) -> Option<WitnessKind> {
+        match (self, violation) {
+            (Property::KSet { k, .. }, Violation::Agreement { .. }) => {
+                Some(WitnessKind::Agreement { k: *k })
+            }
+            (Property::Dac { .. }, Violation::Agreement { .. }) => {
+                Some(WitnessKind::Agreement { k: 1 })
+            }
+            (Property::KSet { valid, .. }, Violation::Validity { .. }) => {
+                Some(WitnessKind::Validity {
+                    valid: valid.to_vec(),
+                })
+            }
+            (Property::Dac { instance, .. }, Violation::Validity { .. }) => {
+                Some(WitnessKind::DacValidity {
+                    inputs: instance.inputs.clone(),
+                })
+            }
+            (_, Violation::UndecidedTerminal { .. }) => Some(WitnessKind::UndecidedTerminal),
+            (
+                Property::Dac {
+                    instance,
+                    solo_bound,
+                },
+                Violation::SoloNonTermination { pid, .. },
+            ) => Some(WitnessKind::SoloNonTermination {
+                pid: *pid,
+                bound: *solo_bound,
+                must_decide: *pid != instance.distinguished,
+            }),
+            (Property::Dac { instance, .. }, Violation::Nontriviality { .. }) => {
+                Some(WitnessKind::Nontriviality {
+                    distinguished: instance.distinguished,
+                })
+            }
+            _ => None,
+        }
     }
 }
 
-/// Checks k-set agreement by sampling (see [`crate::sampling`]) instead of
-/// exhaustive exploration, returning a verdict whose positive outcome is
-/// [`Outcome::HoldsSampled`] with a confidence bound and whose violations
-/// carry the same minimized, [`Witness::confirm`]-able witnesses as
-/// exhaustive checks — the violating seed is replayed into a
-/// [`ScheduleStep`] schedule and delta-minimized. The verdict (and any
-/// violating seed) is independent of `config.threads`.
-#[must_use]
-pub fn verdict_k_set_agreement_sampled<P: Protocol>(
-    explorer: &Explorer<'_, P>,
-    k: usize,
-    valid_inputs: &[Value],
-    config: SampleConfig,
-) -> Verdict {
-    verdict_k_set_agreement_sampled_with(explorer, k, valid_inputs, config, explorer.tracer(), None)
+/// The checking terminals of the [`Exploration`] builder — the one way to
+/// check a property of an exploration. Every knob applies: limits, threads,
+/// frontier, symmetry ([`Exploration::symmetric`]), sampling
+/// ([`Exploration::sample`]), tracer, registry and progress streaming.
+/// Violations carry replayable, minimized witnesses; on a symmetric run the
+/// witness is de-canonicalized, so it replays on the raw system.
+impl<P: Protocol> Exploration<'_, '_, P> {
+    /// Consumes the builder and checks k-set agreement: k-Agreement,
+    /// Validity against `valid_inputs`, and wait-free termination — or,
+    /// after [`Exploration::sample`], the two safety properties on every
+    /// sampled run.
+    #[must_use]
+    pub fn check_k_set_agreement(self, k: usize, valid_inputs: &[Value]) -> Verdict {
+        self.check(&Property::KSet {
+            k,
+            valid: valid_inputs,
+        })
+    }
+
+    /// Consumes the builder and checks consensus (`k = 1`); see
+    /// [`Exploration::check_k_set_agreement`].
+    #[must_use]
+    pub fn check_consensus(self, valid_inputs: &[Value]) -> Verdict {
+        self.check_k_set_agreement(1, valid_inputs)
+    }
+
+    /// Consumes the builder and checks the four n-DAC properties of
+    /// Section 4 (see [`crate::checker::check_dac_graph`]), with solo runs
+    /// bounded by `solo_bound` steps. Exhaustive only: after
+    /// [`Exploration::sample`] the outcome is
+    /// [`CheckError::SamplingUnsupported`].
+    #[must_use]
+    pub fn check_dac(self, instance: &DacInstance, solo_bound: usize) -> Verdict {
+        self.check(&Property::Dac {
+            instance,
+            solo_bound,
+        })
+    }
+
+    /// Consumes the builder and checks wait-free termination alone: no
+    /// infinite execution, and every terminal configuration fully decided.
+    /// A violation's witness is a pumpable cycle. Exhaustive only: after
+    /// [`Exploration::sample`] the outcome is
+    /// [`CheckError::SamplingUnsupported`].
+    #[must_use]
+    pub fn check_wait_free(self) -> Verdict {
+        self.check(&Property::WaitFree)
+    }
+
+    /// The one check sequence: explore (or sample), run the property's
+    /// predicate, build the witness of a violation, trace the verdict.
+    fn check(mut self, property: &Property<'_>) -> Verdict {
+        let explorer = self.explorer;
+        let tracer = self
+            .tracer
+            .take()
+            .unwrap_or_else(|| explorer.tracer().clone());
+        let live = self.live_metrics();
+        if let Strategy::Sample(config) = self.strategy {
+            let verdict = match *property {
+                Property::KSet { k, valid } => {
+                    // The sweep runs here, not in the engine, so the
+                    // progress watcher brackets it from the verdict layer.
+                    let watcher = match (self.progress_every, &live) {
+                        (Some(period), Some(live)) if tracer.enabled() => {
+                            Some(ProgressWatcher::spawn(
+                                live.clone(),
+                                tracer.clone(),
+                                period,
+                                EtaModel::Sampling,
+                            ))
+                        }
+                        _ => None,
+                    };
+                    let verdict =
+                        sampled_verdict(explorer, k, valid, config, &tracer, live.as_ref());
+                    if let Some(watcher) = watcher {
+                        watcher.finish();
+                    }
+                    verdict
+                }
+                _ => Verdict::error(
+                    EMPTY_STATS,
+                    CheckError::SamplingUnsupported {
+                        check: property.name(false),
+                    },
+                ),
+            };
+            return traced(&tracer, property.name(true), verdict);
+        }
+        let symmetry = self.symmetry.take();
+        let verdict = match self.explore(&tracer, symmetry.as_ref(), live.as_ref()) {
+            Err(e) => Verdict::error(EMPTY_STATS, e.into()),
+            Ok(graph) => match property.check_graph(explorer, &graph) {
+                Ok(stats) => Verdict {
+                    outcome: Outcome::Holds,
+                    stats,
+                    witness: None,
+                },
+                Err(violation) => {
+                    let kind = property.witness_kind(&violation);
+                    let stats = graph_stats(&graph);
+                    violation_verdict(explorer, symmetry.as_ref(), &graph, violation, stats, kind)
+                }
+            },
+        };
+        traced(&tracer, property.name(false), verdict)
+    }
 }
 
-/// Sampled consensus check (`k = 1`); see
-/// [`verdict_k_set_agreement_sampled`].
-#[must_use]
-pub fn verdict_consensus_sampled<P: Protocol>(
-    explorer: &Explorer<'_, P>,
-    valid_inputs: &[Value],
-    config: SampleConfig,
-) -> Verdict {
-    verdict_k_set_agreement_sampled(explorer, 1, valid_inputs, config)
-}
-
-/// [`verdict_k_set_agreement_sampled`] against an explicit tracer — the
-/// builder terminals route their per-run tracer override here.
-fn verdict_k_set_agreement_sampled_with<P: Protocol>(
+/// Checks k-set agreement by a seeded sampling sweep (see
+/// [`crate::sampling`]): the positive outcome is [`Outcome::HoldsSampled`]
+/// with a confidence bound, and a violating seed is replayed into a
+/// [`ScheduleStep`] schedule and delta-minimized into the same
+/// [`Witness::confirm`]-able witness as an exhaustive check. The verdict
+/// (and any violating seed) is independent of `config.threads`.
+fn sampled_verdict<P: Protocol>(
     explorer: &Explorer<'_, P>,
     k: usize,
     valid_inputs: &[Value],
@@ -701,7 +806,7 @@ fn verdict_k_set_agreement_sampled_with<P: Protocol>(
     tracer: &Tracer,
     live: Option<&LiveMetrics>,
 ) -> Verdict {
-    let verdict = match sample_k_set_agreement_live(
+    match sample_k_set_agreement(
         explorer.protocol(),
         explorer.objects(),
         k,
@@ -714,6 +819,7 @@ fn verdict_k_set_agreement_sampled_with<P: Protocol>(
             outcome: Outcome::HoldsSampled {
                 runs: report.runs,
                 quiescent: report.quiescent,
+                distinct_outcomes: report.distinct_outcomes,
                 confidence: sample_confidence(report.runs),
                 stopped_early: report.stopped_early,
             },
@@ -724,8 +830,7 @@ fn verdict_k_set_agreement_sampled_with<P: Protocol>(
             witness: None,
         },
         Err(violation) => sampled_violation_verdict(explorer, k, valid_inputs, config, violation),
-    };
-    traced(tracer, "k-set-agreement-sampled", verdict)
+    }
 }
 
 /// Builds the `Violated` verdict for a sampling violation: replays the
@@ -741,31 +846,28 @@ fn sampled_violation_verdict<P: Protocol>(
     violation: SampleViolation,
 ) -> Verdict {
     let seeds_tried = violation.seed().wrapping_sub(config.seed0).wrapping_add(1);
-    if let SampleViolation::Runtime { error, .. } = &violation {
-        return Verdict::error(
-            CheckStats {
-                configs: usize::try_from(seeds_tried).unwrap_or(usize::MAX),
-                transitions: 0,
-            },
-            error.clone().into(),
-        );
-    }
+    let seeds_tried = usize::try_from(seeds_tried).unwrap_or(usize::MAX);
     let kind = match &violation {
-        SampleViolation::Agreement { .. } => Some(WitnessKind::Agreement { k }),
-        SampleViolation::Validity { .. } => Some(WitnessKind::Validity {
+        SampleViolation::Agreement { .. } => WitnessKind::Agreement { k },
+        SampleViolation::Validity { .. } => WitnessKind::Validity {
             valid: valid_inputs.to_vec(),
-        }),
-        SampleViolation::Runtime { .. } => None,
+        },
+        SampleViolation::Runtime { error, .. } => {
+            let stats = CheckStats {
+                configs: seeds_tried,
+                transitions: 0,
+            };
+            return Verdict::error(stats, error.clone().into());
+        }
     };
     let schedule = sampled_schedule(explorer, violation.seed(), config.max_steps);
     let stats = CheckStats {
-        configs: usize::try_from(seeds_tried).unwrap_or(usize::MAX),
+        configs: seeds_tried,
         transitions: schedule.as_ref().map_or(0, Vec::len),
     };
     let witness = schedule
         .ok()
-        .zip(kind)
-        .and_then(|(schedule, kind)| finish_witness(explorer, schedule, Vec::new(), kind));
+        .and_then(|schedule| finish_witness(explorer, schedule, kind));
     Verdict {
         outcome: Outcome::Violated(Violation::Sampled(violation)),
         stats,
@@ -821,378 +923,6 @@ fn sampled_schedule<P: Protocol>(
     Ok(schedule)
 }
 
-/// The checking terminals of the [`Exploration`] builder: one fluent API,
-/// one [`Verdict`], under either [`Strategy`].
-impl<'e, 'a, P: Protocol> Exploration<'e, 'a, P> {
-    /// Consumes the builder and checks k-set agreement under the
-    /// configured [`Strategy`]: exhaustive exploration (respecting every
-    /// builder knob — limits, threads, frontier, symmetry, tracer) by
-    /// default, or a seeded sampling sweep after
-    /// [`Exploration::sample`]. Either way the verdict's violations carry
-    /// replayable, minimized witnesses.
-    #[must_use]
-    pub fn check_k_set_agreement(self, k: usize, valid_inputs: &[Value]) -> Verdict {
-        let parts = self.run_for_check();
-        match parts.strategy {
-            Strategy::Sample(config) => {
-                // The sweep runs here, not in `run_for_check`, so the
-                // progress watcher brackets it from the verdict layer.
-                let watcher = match (parts.progress_every, &parts.live) {
-                    (Some(period), Some(live)) if parts.tracer.enabled() => {
-                        Some(ProgressWatcher::spawn(
-                            live.clone(),
-                            parts.tracer.clone(),
-                            period,
-                            EtaModel::Sampling,
-                        ))
-                    }
-                    _ => None,
-                };
-                let verdict = verdict_k_set_agreement_sampled_with(
-                    parts.explorer,
-                    k,
-                    valid_inputs,
-                    config,
-                    &parts.tracer,
-                    parts.live.as_ref(),
-                );
-                if let Some(watcher) = watcher {
-                    watcher.finish();
-                }
-                verdict
-            }
-            Strategy::Exhaustive => {
-                let graph = match parts.graph.expect("exhaustive checks build a graph") {
-                    Ok(g) => g,
-                    Err(e) => {
-                        return traced(
-                            &parts.tracer,
-                            "k-set-agreement",
-                            Verdict::error(EMPTY_STATS, e.into()),
-                        )
-                    }
-                };
-                let stats = graph_stats(&graph);
-                let verdict = match check_k_set_agreement_graph(&graph, k, valid_inputs) {
-                    Ok(stats) => Verdict {
-                        outcome: Outcome::Holds,
-                        stats,
-                        witness: None,
-                    },
-                    Err(violation) => {
-                        let kind = k_set_kind(&violation, k, valid_inputs);
-                        match &parts.symmetry {
-                            Some(sym) => violation_verdict_reduced(
-                                parts.explorer,
-                                sym,
-                                &graph,
-                                violation,
-                                stats,
-                                kind,
-                            ),
-                            None => {
-                                violation_verdict(parts.explorer, &graph, violation, stats, kind)
-                            }
-                        }
-                    }
-                };
-                traced(&parts.tracer, "k-set-agreement", verdict)
-            }
-        }
-    }
-
-    /// Consumes the builder and checks consensus (`k = 1`); see
-    /// [`Exploration::check_k_set_agreement`].
-    #[must_use]
-    pub fn check_consensus(self, valid_inputs: &[Value]) -> Verdict {
-        self.check_k_set_agreement(1, valid_inputs)
-    }
-}
-
-/// The re-checkable [`WitnessKind`] of an n-DAC violation.
-fn dac_kind(
-    violation: &Violation,
-    instance: &DacInstance,
-    solo_bound: usize,
-) -> Option<WitnessKind> {
-    match violation {
-        Violation::Agreement { .. } => Some(WitnessKind::Agreement { k: 1 }),
-        Violation::Validity { .. } => Some(WitnessKind::DacValidity {
-            inputs: instance.inputs.clone(),
-        }),
-        Violation::UndecidedTerminal { .. } => Some(WitnessKind::UndecidedTerminal),
-        Violation::SoloNonTermination { pid, .. } => Some(WitnessKind::SoloNonTermination {
-            pid: *pid,
-            bound: solo_bound,
-            must_decide: *pid != instance.distinguished,
-        }),
-        Violation::Nontriviality { .. } => Some(WitnessKind::Nontriviality {
-            distinguished: instance.distinguished,
-        }),
-        _ => None,
-    }
-}
-
-/// Explores and checks the four n-DAC properties, returning a verdict with
-/// a minimized witness on violation.
-#[must_use]
-pub fn verdict_dac<P: Protocol>(
-    explorer: &Explorer<'_, P>,
-    instance: &DacInstance,
-    limits: Limits,
-    solo_bound: usize,
-) -> Verdict {
-    let graph = match explorer.exploration().limits(limits).run() {
-        Ok(g) => g,
-        Err(e) => {
-            return traced(
-                explorer.tracer(),
-                "dac",
-                Verdict::error(EMPTY_STATS, e.into()),
-            )
-        }
-    };
-    verdict_dac_graph(explorer, &graph, instance, solo_bound)
-}
-
-/// Checks the four n-DAC properties over an already-built graph, returning
-/// a verdict with a minimized witness on violation. Use this to check a
-/// graph explored under non-default options — e.g. the work-stealing
-/// frontier, whose verdicts must match the deterministic engine's.
-#[must_use]
-pub fn verdict_dac_graph<P: Protocol>(
-    explorer: &Explorer<'_, P>,
-    graph: &ExplorationGraph<P::LocalState>,
-    instance: &DacInstance,
-    solo_bound: usize,
-) -> Verdict {
-    let stats = graph_stats(graph);
-    let verdict = match check_dac_graph(explorer, graph, instance, solo_bound) {
-        Ok(stats) => Verdict {
-            outcome: Outcome::Holds,
-            stats,
-            witness: None,
-        },
-        Err(violation) => {
-            let kind = dac_kind(&violation, instance, solo_bound);
-            violation_verdict(explorer, graph, violation, stats, kind)
-        }
-    };
-    traced(explorer.tracer(), "dac", verdict)
-}
-
-/// Explores and checks wait-free termination alone (no infinite execution,
-/// every terminal configuration fully decided), returning a verdict whose
-/// witness is a pumpable cycle on violation.
-#[must_use]
-pub fn verdict_wait_free<P: Protocol>(explorer: &Explorer<'_, P>, limits: Limits) -> Verdict {
-    let verdict = wait_free_verdict(explorer, limits);
-    traced(explorer.tracer(), "wait-free", verdict)
-}
-
-fn wait_free_verdict<P: Protocol>(explorer: &Explorer<'_, P>, limits: Limits) -> Verdict {
-    let graph = match explorer.exploration().limits(limits).run() {
-        Ok(g) => g,
-        Err(e) => return Verdict::error(EMPTY_STATS, e.into()),
-    };
-    let stats = graph_stats(&graph);
-    if !graph.complete {
-        return Verdict {
-            outcome: Outcome::Truncated,
-            stats,
-            witness: None,
-        };
-    }
-    if let Some(w) = crate::adversary::find_nontermination(&graph) {
-        let violation = Violation::NonTermination(w);
-        return violation_verdict(explorer, &graph, violation, stats, None);
-    }
-    for idx in graph.terminal_indices() {
-        if !graph.configs[idx].all_decided() {
-            return violation_verdict(
-                explorer,
-                &graph,
-                Violation::UndecidedTerminal { config: idx },
-                stats,
-                Some(WitnessKind::UndecidedTerminal),
-            );
-        }
-    }
-    Verdict {
-        outcome: Outcome::Holds,
-        stats,
-        witness: None,
-    }
-}
-
-/// [`verdict_consensus`] over the symmetry-reduced (quotient) graph: the
-/// exploration deduplicates on canonical orbit representatives, and any
-/// counterexample is de-canonicalized into a real execution before the
-/// witness is built.
-#[must_use]
-pub fn verdict_consensus_reduced<P>(
-    explorer: &Explorer<'_, P>,
-    valid_inputs: &[Value],
-    limits: Limits,
-) -> Verdict
-where
-    P: Symmetry,
-    P::LocalState: Ord,
-{
-    verdict_k_set_agreement_reduced(explorer, 1, valid_inputs, limits)
-}
-
-/// [`verdict_k_set_agreement`] over the symmetry-reduced (quotient) graph.
-///
-/// Sound because every checked predicate is orbit-invariant (see
-/// [`crate::symmetry`]); falls back to the unreduced check when the
-/// protocol's declared group is trivial.
-#[must_use]
-pub fn verdict_k_set_agreement_reduced<P>(
-    explorer: &Explorer<'_, P>,
-    k: usize,
-    valid_inputs: &[Value],
-    limits: Limits,
-) -> Verdict
-where
-    P: Symmetry,
-    P::LocalState: Ord,
-{
-    let sym = ConfigSymmetry::of(explorer.protocol());
-    if sym.is_trivial() {
-        return verdict_k_set_agreement(explorer, k, valid_inputs, limits);
-    }
-    let graph = match explorer.exploration().limits(limits).symmetric().run() {
-        Ok(g) => g,
-        Err(e) => {
-            return traced(
-                explorer.tracer(),
-                "k-set-agreement-reduced",
-                Verdict::error(EMPTY_STATS, e.into()),
-            )
-        }
-    };
-    let stats = graph_stats(&graph);
-    let verdict = match check_k_set_agreement_graph(&graph, k, valid_inputs) {
-        Ok(stats) => Verdict {
-            outcome: Outcome::Holds,
-            stats,
-            witness: None,
-        },
-        Err(violation) => {
-            let kind = k_set_kind(&violation, k, valid_inputs);
-            violation_verdict_reduced(explorer, &sym, &graph, violation, stats, kind)
-        }
-    };
-    traced(explorer.tracer(), "k-set-agreement-reduced", verdict)
-}
-
-/// [`verdict_dac`] over the symmetry-reduced (quotient) graph. The n-DAC
-/// pid-specific predicates (solo termination, Nontriviality of the
-/// distinguished process) stay sound because the [`Symmetry`] contract makes
-/// distinguished roles singleton classes, fixed by every group element.
-#[must_use]
-pub fn verdict_dac_reduced<P>(
-    explorer: &Explorer<'_, P>,
-    instance: &DacInstance,
-    limits: Limits,
-    solo_bound: usize,
-) -> Verdict
-where
-    P: Symmetry,
-    P::LocalState: Ord,
-{
-    let sym = ConfigSymmetry::of(explorer.protocol());
-    if sym.is_trivial() {
-        return verdict_dac(explorer, instance, limits, solo_bound);
-    }
-    let graph = match explorer.exploration().limits(limits).symmetric().run() {
-        Ok(g) => g,
-        Err(e) => {
-            return traced(
-                explorer.tracer(),
-                "dac-reduced",
-                Verdict::error(EMPTY_STATS, e.into()),
-            )
-        }
-    };
-    let stats = graph_stats(&graph);
-    let verdict = match check_dac_graph(explorer, &graph, instance, solo_bound) {
-        Ok(stats) => Verdict {
-            outcome: Outcome::Holds,
-            stats,
-            witness: None,
-        },
-        Err(violation) => {
-            let kind = dac_kind(&violation, instance, solo_bound);
-            violation_verdict_reduced(explorer, &sym, &graph, violation, stats, kind)
-        }
-    };
-    traced(explorer.tracer(), "dac-reduced", verdict)
-}
-
-/// [`verdict_wait_free`] over the symmetry-reduced (quotient) graph. A
-/// quotient cycle witnesses real non-termination: the concretized cycle is
-/// pumped until the real configuration repeats (at most `|G|` laps), and the
-/// victims are recomputed on the real cycle.
-#[must_use]
-pub fn verdict_wait_free_reduced<P>(explorer: &Explorer<'_, P>, limits: Limits) -> Verdict
-where
-    P: Symmetry,
-    P::LocalState: Ord,
-{
-    let sym = ConfigSymmetry::of(explorer.protocol());
-    if sym.is_trivial() {
-        return verdict_wait_free(explorer, limits);
-    }
-    let verdict = wait_free_reduced_verdict(explorer, &sym, limits);
-    traced(explorer.tracer(), "wait-free-reduced", verdict)
-}
-
-fn wait_free_reduced_verdict<P>(
-    explorer: &Explorer<'_, P>,
-    sym: &ConfigSymmetry<'_, P::LocalState>,
-    limits: Limits,
-) -> Verdict
-where
-    P: Symmetry,
-    P::LocalState: Ord,
-{
-    let graph = match explorer.exploration().limits(limits).symmetric().run() {
-        Ok(g) => g,
-        Err(e) => return Verdict::error(EMPTY_STATS, e.into()),
-    };
-    let stats = graph_stats(&graph);
-    if !graph.complete {
-        return Verdict {
-            outcome: Outcome::Truncated,
-            stats,
-            witness: None,
-        };
-    }
-    if let Some(w) = crate::adversary::find_nontermination(&graph) {
-        let violation = Violation::NonTermination(w);
-        return violation_verdict_reduced(explorer, sym, &graph, violation, stats, None);
-    }
-    for idx in graph.terminal_indices() {
-        if !graph.configs[idx].all_decided() {
-            return violation_verdict_reduced(
-                explorer,
-                sym,
-                &graph,
-                Violation::UndecidedTerminal { config: idx },
-                stats,
-                Some(WitnessKind::UndecidedTerminal),
-            );
-        }
-    }
-    Verdict {
-        outcome: Outcome::Holds,
-        stats,
-        witness: None,
-    }
-}
-
 /// Checks linearizability of a recorded front-end history, returning a
 /// typed verdict. (The history itself is the evidence either way, so no
 /// schedule witness is attached.)
@@ -1218,9 +948,13 @@ pub fn verdict_linearizable(history: &[CompletedOp], specs: &[AnyObject]) -> Ver
 }
 
 /// Builds the `Violated` verdict for `violation`, extracting and
-/// minimizing a witness when `kind` gives the re-checkable predicate.
+/// minimizing a witness when `kind` gives the re-checkable predicate (cycle
+/// witnesses need none). `sym` is the symmetry a quotient `graph` was
+/// reduced by: its schedules are de-canonicalized into real ones, so the
+/// witness replays on the raw system either way.
 fn violation_verdict<P: Protocol>(
     explorer: &Explorer<'_, P>,
+    sym: Option<&ConfigSymmetry<'_, P::LocalState>>,
     graph: &ExplorationGraph<P::LocalState>,
     violation: Violation,
     stats: CheckStats,
@@ -1237,58 +971,18 @@ fn violation_verdict<P: Protocol>(
         return Verdict::error(stats, e.into());
     }
     let witness = match &violation {
-        Violation::NonTermination(w) => nontermination_witness(explorer, graph, w),
+        Violation::NonTermination(w) => nontermination_witness(explorer, sym, graph, w),
         Violation::Agreement { config, .. }
         | Violation::Validity { config, .. }
         | Violation::UndecidedTerminal { config }
-        | Violation::SoloNonTermination { config, .. } => {
-            kind.and_then(|kind| state_witness(explorer, graph, *config, kind))
-        }
-        Violation::Nontriviality { config } => {
-            kind.and_then(|kind| nontriviality_witness(explorer, graph, *config, kind))
-        }
-        _ => None,
-    };
-    Verdict {
-        outcome: Outcome::Violated(violation),
-        stats,
-        witness,
-    }
-}
-
-/// [`violation_verdict`] for a quotient graph: the same dispatch, but every
-/// witness builder routes its quotient schedule through a [`Concretizer`]
-/// so the emitted witness replays on the raw system.
-fn violation_verdict_reduced<P: Protocol>(
-    explorer: &Explorer<'_, P>,
-    sym: &ConfigSymmetry<'_, P::LocalState>,
-    graph: &ExplorationGraph<P::LocalState>,
-    violation: Violation,
-    stats: CheckStats,
-    kind: Option<WitnessKind>,
-) -> Verdict {
-    if matches!(violation, Violation::Truncated) {
-        return Verdict {
-            outcome: Outcome::Truncated,
-            stats,
-            witness: None,
-        };
-    }
-    if let Violation::Runtime(e) = violation {
-        return Verdict::error(stats, e.into());
-    }
-    let witness = match &violation {
-        Violation::NonTermination(w) => nontermination_witness_reduced(explorer, sym, graph, w),
-        Violation::Agreement { config, .. }
-        | Violation::Validity { config, .. }
-        | Violation::UndecidedTerminal { config }
-        | Violation::SoloNonTermination { config, .. } => {
-            kind.and_then(|kind| state_witness_reduced(explorer, sym, graph, *config, kind))
-        }
+        | Violation::SoloNonTermination { config, .. } => kind.and_then(|kind| {
+            let path = graph.path_to(*config)?;
+            let steps = path.into_iter().map(ScheduleStep::from).collect();
+            graph_witness(explorer, sym, steps, kind)
+        }),
         Violation::Nontriviality { config } => kind.and_then(|kind| {
-            let schedule = nontriviality_schedule(graph, *config, &kind)?;
-            let (real, _) = concretize_schedule(explorer, sym, &schedule)?;
-            finish_witness(explorer, real, Vec::new(), kind)
+            let steps = nontriviality_schedule(graph, *config, &kind)?;
+            graph_witness(explorer, sym, steps, kind)
         }),
         _ => None,
     };
@@ -1315,19 +1009,21 @@ fn concretize_schedule<'e, 'a, 'p, P: Protocol>(
     Some((real, walker))
 }
 
-/// [`state_witness`] for a quotient graph: the BFS-shortest quotient path is
-/// concretized into a real schedule, pid-naming kinds are translated through
-/// the final `σ`, and the result is delta-minimized on the raw system.
-fn state_witness_reduced<P: Protocol>(
+/// Builds a witness for a violation visible at the end of `steps`, a path
+/// of `graph` from its root. On a quotient graph the path is concretized
+/// into a real schedule first, and a pid named by a solo-run kind is
+/// translated through the final `σ`. The schedule is then delta-minimized
+/// on the raw system.
+fn graph_witness<P: Protocol>(
     explorer: &Explorer<'_, P>,
-    sym: &ConfigSymmetry<'_, P::LocalState>,
-    graph: &ExplorationGraph<P::LocalState>,
-    target: usize,
+    sym: Option<&ConfigSymmetry<'_, P::LocalState>>,
+    steps: Vec<ScheduleStep>,
     kind: WitnessKind,
 ) -> Option<Witness> {
-    let path = graph.path_to(target)?;
-    let quotient: Vec<ScheduleStep> = path.into_iter().map(ScheduleStep::from).collect();
-    let (schedule, walker) = concretize_schedule(explorer, sym, &quotient)?;
+    let Some(sym) = sym else {
+        return finish_witness(explorer, steps, kind);
+    };
+    let (schedule, walker) = concretize_schedule(explorer, sym, &steps)?;
     // A solo-run kind names a pid of the quotient configuration; the real
     // process it denotes is σ⁻¹(pid) at the end of the path.
     let kind = match kind {
@@ -1342,27 +1038,23 @@ fn state_witness_reduced<P: Protocol>(
         },
         k => k,
     };
-    finish_witness(explorer, schedule, Vec::new(), kind)
+    finish_witness(explorer, schedule, kind)
 }
 
-/// [`nontermination_witness`] for a quotient graph. A quotient cycle need
-/// not close as a *real* cycle after one lap — concretizing it returns to
-/// the same orbit, not necessarily the same configuration. So the lap is
-/// pumped: successive laps walk the (finite) orbit of the entry
-/// configuration, and by pigeonhole a real configuration repeats within
-/// `|G| + 1` laps. Laps before the repeat join the prefix; the laps between
-/// the two occurrences form the real cycle. Victims are recomputed as the
-/// distinct pids stepping on the real cycle — sound because decisions are
-/// absorbing, so a process that steps on a closed cycle can never have
-/// decided anywhere on it.
-fn nontermination_witness_reduced<P: Protocol>(
+/// Builds a non-termination witness: the DFS prefix is re-routed through
+/// the BFS-shortest path to the cycle entry (this is the minimization —
+/// never longer than the DFS prefix). On a raw graph the cycle is kept
+/// verbatim; on a quotient graph it is pumped into a real cycle (see
+/// [`pump_cycle`]). The victims are the distinct pids stepping on the
+/// cycle — sound because decisions are absorbing, so a process that steps
+/// on a closed cycle can never have decided anywhere on it.
+fn nontermination_witness<P: Protocol>(
     explorer: &Explorer<'_, P>,
-    sym: &ConfigSymmetry<'_, P::LocalState>,
+    sym: Option<&ConfigSymmetry<'_, P::LocalState>>,
     graph: &ExplorationGraph<P::LocalState>,
     w: &crate::adversary::NonTerminationWitness,
 ) -> Option<Witness> {
-    // Locate the cycle entry and the shortest prefix to it, as in the raw
-    // builder — all on the quotient graph.
+    // Locate the cycle entry by walking the recorded prefix.
     let mut entry = 0usize;
     for e in &w.prefix {
         entry = graph.edges[entry]
@@ -1376,24 +1068,59 @@ fn nontermination_witness_reduced<P: Protocol>(
     } else {
         w.prefix.clone()
     };
-    let quotient_prefix: Vec<ScheduleStep> = prefix.into_iter().map(ScheduleStep::from).collect();
-    let quotient_cycle: Vec<ScheduleStep> =
-        w.cycle.iter().copied().map(ScheduleStep::from).collect();
-    if quotient_cycle.is_empty() {
+    let prefix: Vec<ScheduleStep> = prefix.into_iter().map(ScheduleStep::from).collect();
+    let lap: Vec<ScheduleStep> = w.cycle.iter().copied().map(ScheduleStep::from).collect();
+    if lap.is_empty() {
         return None;
     }
+    let (schedule, cycle) = match sym {
+        None => (prefix, lap),
+        Some(sym) => pump_cycle(explorer, sym, &prefix, &lap)?,
+    };
+    let mut victims: Vec<Pid> = cycle.iter().map(|s| s.pid).collect();
+    victims.sort_by_key(|p| p.index());
+    victims.dedup();
+    // Replay prefix + one cycle lap for the trace.
+    let mut config = explorer.initial_config();
+    let mut trace = Trace::new();
+    for (i, step) in schedule.iter().chain(cycle.iter()).enumerate() {
+        config = replay_one(explorer, config, *step, i, &mut trace).ok()?;
+    }
+    let w = Witness {
+        schedule,
+        cycle,
+        kind: WitnessKind::NonTermination { victims },
+        trace,
+        minimized: true,
+    };
+    emit_extract(explorer.tracer(), &w);
+    Some(w)
+}
 
-    let (mut schedule, mut walker) = concretize_schedule(explorer, sym, &quotient_prefix)?;
+/// Concretizes a quotient cycle into a real one. A quotient cycle need not
+/// close as a *real* cycle after one lap — concretizing it returns to the
+/// same orbit, not necessarily the same configuration. So the lap is
+/// pumped: successive laps walk the (finite) orbit of the entry
+/// configuration, and by pigeonhole a real configuration repeats within
+/// `|G| + 1` laps. Laps before the repeat join the prefix; the laps between
+/// the two occurrences form the real cycle. Returns `(prefix, cycle)`.
+fn pump_cycle<P: Protocol>(
+    explorer: &Explorer<'_, P>,
+    sym: &ConfigSymmetry<'_, P::LocalState>,
+    prefix: &[ScheduleStep],
+    lap: &[ScheduleStep],
+) -> Option<(Vec<ScheduleStep>, Vec<ScheduleStep>)> {
+    let (mut schedule, mut walker) = concretize_schedule(explorer, sym, prefix)?;
     let mut laps: Vec<Vec<ScheduleStep>> = Vec::new();
     let mut seen: Vec<Configuration<P::LocalState>> = vec![walker.real().clone()];
     let mut repeat = None;
     for _ in 0..=sym.group_order() {
-        let mut lap = Vec::with_capacity(quotient_cycle.len());
-        for s in &quotient_cycle {
+        let mut real = Vec::with_capacity(lap.len());
+        for s in lap {
             let (pid, outcome) = walker.advance(s.pid, s.outcome).ok()?;
-            lap.push(ScheduleStep { pid, outcome });
+            real.push(ScheduleStep { pid, outcome });
         }
-        laps.push(lap);
+        laps.push(real);
         let reached = walker.real().clone();
         if let Some(i) = seen.iter().position(|c| *c == reached) {
             repeat = Some(i);
@@ -1405,64 +1132,14 @@ fn nontermination_witness_reduced<P: Protocol>(
     for lap in &laps[..start] {
         schedule.extend_from_slice(lap);
     }
-    let cycle: Vec<ScheduleStep> = laps[start..].iter().flatten().copied().collect();
-    let mut victims: Vec<Pid> = Vec::new();
-    for s in &cycle {
-        if !victims.contains(&s.pid) {
-            victims.push(s.pid);
-        }
-    }
-    victims.sort_by_key(|p| p.index());
-    let kind = WitnessKind::NonTermination { victims };
-    // Replay prefix + one full real cycle for the trace.
-    let mut config = explorer.initial_config();
-    let mut trace = Trace::new();
-    for (i, step) in schedule.iter().chain(cycle.iter()).enumerate() {
-        config = replay_one(explorer, config, *step, i, &mut trace).ok()?;
-    }
-    let w = Witness {
-        schedule,
-        cycle,
-        kind,
-        trace,
-        minimized: true,
-    };
-    emit_extract(explorer.tracer(), &w);
-    Some(w)
+    let cycle = laps[start..].iter().flatten().copied().collect();
+    Some((schedule, cycle))
 }
 
-/// Builds a witness for a violation visible at configuration `target`:
-/// BFS-shortest path, then delta-minimized to the shortest failing prefix
-/// by replaying and re-evaluating the predicate at every intermediate
-/// configuration.
-fn state_witness<P: Protocol>(
-    explorer: &Explorer<'_, P>,
-    graph: &ExplorationGraph<P::LocalState>,
-    target: usize,
-    kind: WitnessKind,
-) -> Option<Witness> {
-    let path = graph.path_to(target)?;
-    let schedule: Vec<ScheduleStep> = path.into_iter().map(ScheduleStep::from).collect();
-    finish_witness(explorer, schedule, Vec::new(), kind)
-}
-
-/// Builds a witness for an n-DAC Nontriviality violation: a `p`-solo path
-/// (only edges of the distinguished process) to a configuration where `p`
-/// has aborted. Such a path exists exactly when the product-BFS in the
-/// checker flagged the violation.
-fn nontriviality_witness<P: Protocol>(
-    explorer: &Explorer<'_, P>,
-    graph: &ExplorationGraph<P::LocalState>,
-    target: usize,
-    kind: WitnessKind,
-) -> Option<Witness> {
-    let schedule = nontriviality_schedule(graph, target, &kind)?;
-    finish_witness(explorer, schedule, Vec::new(), kind)
-}
-
-/// The `p`-solo schedule behind a Nontriviality witness: BFS restricted to
-/// `p`'s edges — the flagged configuration is reachable this way by
-/// construction of the (config, others-stepped) product BFS in the checker.
+/// The `p`-solo schedule behind an n-DAC Nontriviality witness: BFS
+/// restricted to the distinguished process's edges, to a configuration
+/// where it has aborted — reachable this way by construction of the
+/// (config, others-stepped) product BFS in the checker.
 fn nontriviality_schedule<L: Clone + Eq + std::hash::Hash + std::fmt::Debug>(
     graph: &ExplorationGraph<L>,
     target: usize,
@@ -1502,56 +1179,11 @@ fn nontriviality_schedule<L: Clone + Eq + std::hash::Hash + std::fmt::Debug>(
     Some(schedule)
 }
 
-/// Builds a non-termination witness: the DFS prefix is re-routed through
-/// the BFS-shortest path to the cycle entry (this is the minimization —
-/// never longer than the DFS prefix), the cycle is kept verbatim.
-fn nontermination_witness<P: Protocol>(
-    explorer: &Explorer<'_, P>,
-    graph: &ExplorationGraph<P::LocalState>,
-    w: &crate::adversary::NonTerminationWitness,
-) -> Option<Witness> {
-    // Locate the cycle entry by walking the recorded prefix.
-    let mut entry = 0usize;
-    for e in &w.prefix {
-        entry = graph.edges[entry]
-            .iter()
-            .find(|g| g.pid == e.pid && g.outcome == e.outcome)?
-            .target;
-    }
-    let shortest = graph.path_to(entry)?;
-    let prefix = if shortest.len() <= w.prefix.len() {
-        shortest
-    } else {
-        w.prefix.clone()
-    };
-    let schedule: Vec<ScheduleStep> = prefix.into_iter().map(ScheduleStep::from).collect();
-    let cycle: Vec<ScheduleStep> = w.cycle.iter().copied().map(ScheduleStep::from).collect();
-    let kind = WitnessKind::NonTermination {
-        victims: w.victims.clone(),
-    };
-    // Replay prefix + one cycle lap for the trace.
-    let mut config = explorer.initial_config();
-    let mut trace = Trace::new();
-    for (i, step) in schedule.iter().chain(cycle.iter()).enumerate() {
-        config = replay_one(explorer, config, *step, i, &mut trace).ok()?;
-    }
-    let w = Witness {
-        schedule,
-        cycle,
-        kind,
-        trace,
-        minimized: true,
-    };
-    emit_extract(explorer.tracer(), &w);
-    Some(w)
-}
-
 /// Delta-minimizes `schedule` against `kind`'s predicate (shortest failing
 /// prefix), replays the result for its trace, and assembles the witness.
 fn finish_witness<P: Protocol>(
     explorer: &Explorer<'_, P>,
     schedule: Vec<ScheduleStep>,
-    cycle: Vec<ScheduleStep>,
     kind: WitnessKind,
 ) -> Option<Witness> {
     let mut config = explorer.initial_config();
@@ -1573,7 +1205,7 @@ fn finish_witness<P: Protocol>(
     }
     let w = Witness {
         schedule: minimized,
-        cycle,
+        cycle: Vec::new(),
         kind,
         trace,
         minimized: true,
@@ -1585,9 +1217,10 @@ fn finish_witness<P: Protocol>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explore::Limits;
     use lbsa_core::value::int;
     use lbsa_core::{AnyObject, ObjId, Op};
-    use lbsa_runtime::process::Step;
+    use lbsa_runtime::process::{Step, Symmetry};
 
     /// Correct consensus via a consensus object.
     #[derive(Debug)]
@@ -1660,7 +1293,7 @@ mod tests {
         };
         let objects = vec![AnyObject::consensus(2).unwrap()];
         let ex = Explorer::new(&p, &objects);
-        let v = verdict_consensus(&ex, &[int(0), int(1)], Limits::default());
+        let v = ex.exploration().check_consensus(&[int(0), int(1)]);
         assert!(v.holds(), "{v}");
         assert!(v.witness.is_none());
         assert!(v.stats.configs > 0);
@@ -1677,7 +1310,7 @@ mod tests {
         };
         let objects = reg();
         let ex = Explorer::new(&p, &objects);
-        let v = verdict_consensus(&ex, &[int(0), int(1)], Limits::default());
+        let v = ex.exploration().check_consensus(&[int(0), int(1)]);
         assert!(v.is_violated(), "{v}");
         let w = v.witness.expect("agreement violations carry a witness");
         assert!(w.minimized);
@@ -1697,7 +1330,7 @@ mod tests {
         };
         let objects = reg();
         let ex = Explorer::new(&p, &objects);
-        let v = verdict_consensus(&ex, &[int(0), int(1)], Limits::default());
+        let v = ex.exploration().check_consensus(&[int(0), int(1)]);
         let w = v.witness.unwrap();
 
         let mut truncated = w.clone();
@@ -1722,7 +1355,10 @@ mod tests {
         };
         let objects = vec![AnyObject::consensus(2).unwrap()];
         let ex = Explorer::new(&p, &objects);
-        let v = verdict_consensus(&ex, &[int(0), int(1)], Limits::new(1));
+        let v = ex
+            .exploration()
+            .limits(Limits::new(1))
+            .check_consensus(&[int(0), int(1)]);
         assert!(matches!(v.outcome, Outcome::Truncated));
         assert!(v.witness.is_none());
         assert_eq!(
@@ -1752,7 +1388,7 @@ mod tests {
         let p = Spin;
         let objects = reg();
         let ex = Explorer::new(&p, &objects);
-        let v = verdict_wait_free(&ex, Limits::default());
+        let v = ex.exploration().check_wait_free();
         assert!(v.is_violated());
         let w = v.witness.expect("cycle witness");
         assert!(matches!(w.kind, WitnessKind::NonTermination { .. }));
@@ -1767,8 +1403,11 @@ mod tests {
         };
         let objects = reg();
         let ex = Explorer::new(&p, &objects);
-        let raw = verdict_consensus(&ex, &[int(0), int(1)], Limits::default());
-        let reduced = verdict_consensus_reduced(&ex, &[int(0), int(1)], Limits::default());
+        let raw = ex.exploration().check_consensus(&[int(0), int(1)]);
+        let reduced = ex
+            .exploration()
+            .symmetric()
+            .check_consensus(&[int(0), int(1)]);
         assert!(raw.is_violated(), "{raw}");
         assert!(reduced.is_violated(), "{reduced}");
         assert!(
@@ -1791,8 +1430,8 @@ mod tests {
         };
         let objects = vec![AnyObject::consensus(3).unwrap()];
         let ex = Explorer::new(&p, &objects);
-        let raw = verdict_consensus(&ex, &[int(0)], Limits::default());
-        let reduced = verdict_consensus_reduced(&ex, &[int(0)], Limits::default());
+        let raw = ex.exploration().check_consensus(&[int(0)]);
+        let reduced = ex.exploration().symmetric().check_consensus(&[int(0)]);
         assert!(raw.holds(), "{raw}");
         assert!(reduced.holds(), "{reduced}");
         assert!(reduced.stats.configs < raw.stats.configs);
@@ -1826,7 +1465,7 @@ mod tests {
         let p = SpinAll { n: 2 };
         let objects = reg();
         let ex = Explorer::new(&p, &objects);
-        let v = verdict_wait_free_reduced(&ex, Limits::default());
+        let v = ex.exploration().symmetric().check_wait_free();
         assert!(v.is_violated(), "{v}");
         let w = v.witness.expect("cycle witness");
         let WitnessKind::NonTermination { victims } = &w.kind else {
@@ -1847,7 +1486,7 @@ mod tests {
         let objects = reg();
         let sink = MemorySink::new();
         let ex = Explorer::new(&p, &objects).with_trace(Tracer::new(sink.clone()));
-        let v = verdict_consensus(&ex, &[int(0), int(1)], Limits::default());
+        let v = ex.exploration().check_consensus(&[int(0), int(1)]);
         assert!(v.is_violated(), "{v}");
         v.witness
             .as_ref()
@@ -1901,7 +1540,7 @@ mod tests {
         };
         let objects = reg();
         let ex = Explorer::new(&p, &objects);
-        let v = verdict_consensus(&ex, &[int(0), int(1)], Limits::default());
+        let v = ex.exploration().check_consensus(&[int(0), int(1)]);
         let doc = v.to_json();
         assert_eq!(doc.get("outcome").and_then(Json::as_str), Some("violated"));
         assert!(doc.get("detail").is_some());
@@ -1912,5 +1551,35 @@ mod tests {
         // The document round-trips through the parser.
         let parsed = Json::parse(&doc.pretty()).unwrap();
         assert_eq!(parsed, doc);
+    }
+
+    #[test]
+    fn sampled_dac_and_wait_free_are_typed_errors() {
+        let p = GoodConsensus {
+            inputs: vec![int(0), int(1)],
+        };
+        let objects = vec![AnyObject::consensus(2).unwrap()];
+        let ex = Explorer::new(&p, &objects);
+        let instance = DacInstance {
+            distinguished: Pid(0),
+            inputs: p.inputs.clone(),
+        };
+        let config = SampleConfig {
+            runs: 10,
+            ..SampleConfig::default()
+        };
+        let dac = ex.exploration().sample(config).check_dac(&instance, 4);
+        assert_eq!(
+            dac.outcome,
+            Outcome::Error(CheckError::SamplingUnsupported { check: "dac" })
+        );
+        let wait_free = ex.exploration().sample(config).check_wait_free();
+        assert_eq!(
+            wait_free.outcome,
+            Outcome::Error(CheckError::SamplingUnsupported { check: "wait-free" })
+        );
+        assert!(wait_free.to_string().contains("wait-free"), "{wait_free}");
+        assert_eq!(dac.stats, EMPTY_STATS);
+        assert!(dac.witness.is_none());
     }
 }

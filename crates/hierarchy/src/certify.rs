@@ -18,8 +18,9 @@
 //!
 //! [`certified_consensus_number`] combines both into a [`CertifiedLevel`].
 
+use crate::holds_or_violation;
 use lbsa_core::{AnyObject, ObjId, Value};
-use lbsa_explorer::checker::{check_consensus, CheckStats, Violation};
+use lbsa_explorer::checker::{CheckStats, Violation};
 use lbsa_explorer::{Explorer, Limits};
 use lbsa_protocols::consensus_protocols::ConsensusViaObject;
 use lbsa_protocols::dac::all_binary_inputs;
@@ -84,7 +85,11 @@ pub fn certify_consensus_upper(
         let protocol = face.protocol(inputs);
         let objects = std::slice::from_ref(object);
         let explorer = Explorer::new(&protocol, objects);
-        stats.absorb(check_consensus(&explorer, &valid, limits)?);
+        let verdict = explorer
+            .exploration()
+            .limits(limits)
+            .check_consensus(&valid);
+        stats.absorb(holds_or_violation(verdict)?);
     }
     Ok(stats)
 }
@@ -108,7 +113,13 @@ pub fn refute_canonical_consensus(
     let protocol = face.protocol(inputs);
     let objects = std::slice::from_ref(object);
     let explorer = Explorer::new(&protocol, objects);
-    check_consensus(&explorer, &valid, limits).err()
+    holds_or_violation(
+        explorer
+            .exploration()
+            .limits(limits)
+            .check_consensus(&valid),
+    )
+    .err()
 }
 
 /// The outcome of a consensus-number certification.

@@ -30,3 +30,21 @@ pub mod separation;
 pub use certify::{certified_consensus_number, CertifiedLevel, Face};
 pub use power::{certify_power_table_o_n, certify_power_table_o_prime};
 pub use separation::{run_separation, SeparationReport};
+
+use lbsa_explorer::checker::{CheckStats, Violation};
+use lbsa_explorer::verdict::{Outcome, Verdict};
+use lbsa_explorer::CheckError;
+
+/// The certification answer of an exhaustive check: its stats when the
+/// property holds, otherwise the [`Violation`] — with a truncated
+/// exploration as [`Violation::Truncated`] and a protocol fault as
+/// [`Violation::Runtime`].
+fn holds_or_violation(verdict: Verdict) -> Result<CheckStats, Violation> {
+    match verdict.outcome {
+        Outcome::Holds => Ok(verdict.stats),
+        Outcome::Violated(violation) => Err(violation),
+        Outcome::Truncated => Err(Violation::Truncated),
+        Outcome::Error(CheckError::Runtime(e)) => Err(Violation::Runtime(e)),
+        other => unreachable!("an exhaustive check concluded with {other:?}"),
+    }
+}

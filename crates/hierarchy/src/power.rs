@@ -16,9 +16,10 @@
 //! Every entry is verified by exhaustive exploration over all-distinct
 //! inputs (the adversarial case for the agreement bound).
 
+use crate::holds_or_violation;
 use lbsa_core::power_object::SetAgreementPower;
 use lbsa_core::{AnyObject, ObjId, SpecError, Value};
-use lbsa_explorer::checker::{check_k_set_agreement, Violation};
+use lbsa_explorer::checker::Violation;
 use lbsa_explorer::{Explorer, Limits};
 use lbsa_protocols::set_agreement_protocols::{GroupSplitKSet, KSetViaPowerLevel};
 
@@ -85,8 +86,11 @@ pub fn certify_power_table_o_n(
             .map(|_| AnyObject::o_n(n))
             .collect::<Result<_, _>>()?;
         let explorer = Explorer::new(&protocol, &objects);
-        check_k_set_agreement(&explorer, k, &inputs, limits)
-            .map_err(|violation| PowerError::Violation { k, violation })?;
+        let verdict = explorer
+            .exploration()
+            .limits(limits)
+            .check_k_set_agreement(k, &inputs);
+        holds_or_violation(verdict).map_err(|violation| PowerError::Violation { k, violation })?;
         entries.push(processes);
     }
     Ok(SetAgreementPower::new(entries)?)
@@ -111,8 +115,11 @@ pub fn certify_power_table_o_prime(
         let protocol = KSetViaPowerLevel::new(inputs.clone(), ObjId(0), k);
         let objects = vec![AnyObject::o_prime_n(n, max_k)?];
         let explorer = Explorer::new(&protocol, &objects);
-        check_k_set_agreement(&explorer, k, &inputs, limits)
-            .map_err(|violation| PowerError::Violation { k, violation })?;
+        let verdict = explorer
+            .exploration()
+            .limits(limits)
+            .check_k_set_agreement(k, &inputs);
+        holds_or_violation(verdict).map_err(|violation| PowerError::Violation { k, violation })?;
         entries.push(processes);
     }
     Ok(SetAgreementPower::new(entries)?)

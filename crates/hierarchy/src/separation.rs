@@ -18,10 +18,11 @@
 //! Together: two objects at the same hierarchy level, with the same set
 //! agreement power, that are **not equivalent**.
 
+use crate::holds_or_violation;
 use crate::power::{certify_power_table_o_n, certify_power_table_o_prime, PowerError};
 use lbsa_core::power_object::SetAgreementPower;
 use lbsa_core::{AnyObject, ObjId, Pid, Value};
-use lbsa_explorer::checker::{check_dac, DacInstance, Violation};
+use lbsa_explorer::checker::{DacInstance, Violation};
 use lbsa_explorer::linearizability::check_linearizable;
 use lbsa_explorer::{Explorer, Limits};
 use lbsa_protocols::candidates::{CandidatePacProcedure, ValAgreement};
@@ -191,7 +192,11 @@ fn refute_candidate(
         distinguished: Pid(0),
         inputs,
     };
-    match check_dac(&explorer, &instance, limits, solo_bound) {
+    let verdict = explorer
+        .exploration()
+        .limits(limits)
+        .check_dac(&instance, solo_bound);
+    match holds_or_violation(verdict) {
         Err(violation) => Ok(CandidateRefutation {
             candidate: description.to_string(),
             violation,

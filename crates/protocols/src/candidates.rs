@@ -503,8 +503,9 @@ mod tests {
     use lbsa_core::value::int;
     use lbsa_core::AnyObject;
     use lbsa_explorer::adversary::{find_nontermination, verify_witness};
-    use lbsa_explorer::checker::{check_consensus, check_dac, DacInstance, Violation};
-    use lbsa_explorer::{Explorer, Limits};
+    use lbsa_explorer::checker::{DacInstance, Violation};
+    use lbsa_explorer::verdict::Outcome;
+    use lbsa_explorer::Explorer;
     use lbsa_runtime::derived::DerivedProtocol;
 
     #[test]
@@ -515,8 +516,8 @@ mod tests {
         let p = WaitForWinner::new(inputs.clone());
         let objects = vec![AnyObject::consensus(2).unwrap(), AnyObject::register()];
         let ex = Explorer::new(&p, &objects);
-        check_consensus(&ex, &inputs, Limits::default())
-            .unwrap_or_else(|v| panic!("control experiment failed: {v}"));
+        let v = ex.exploration().check_consensus(&inputs);
+        assert!(v.holds(), "control experiment failed: {v}");
     }
 
     #[test]
@@ -527,8 +528,11 @@ mod tests {
         let p = WaitForWinner::new(inputs.clone());
         let objects = vec![AnyObject::consensus(2).unwrap(), AnyObject::register()];
         let ex = Explorer::new(&p, &objects);
-        let err = check_consensus(&ex, &inputs, Limits::default()).unwrap_err();
-        assert!(matches!(err, Violation::NonTermination(_)), "{err}");
+        let v = ex.exploration().check_consensus(&inputs);
+        assert!(
+            matches!(v.outcome, Outcome::Violated(Violation::NonTermination(_))),
+            "{v}"
+        );
         // And the certificate replays.
         let g = ex.exploration().run().unwrap();
         let w = find_nontermination(&g).unwrap();
@@ -543,8 +547,11 @@ mod tests {
         let p = SaThenConsensus::new(inputs.clone());
         let objects = vec![AnyObject::strong_sa(), AnyObject::consensus(2).unwrap()];
         let ex = Explorer::new(&p, &objects);
-        let err = check_consensus(&ex, &inputs, Limits::default()).unwrap_err();
-        assert!(matches!(err, Violation::Agreement { .. }), "{err}");
+        let v = ex.exploration().check_consensus(&inputs);
+        assert!(
+            matches!(v.outcome, Outcome::Violated(Violation::Agreement { .. })),
+            "{v}"
+        );
     }
 
     #[test]
@@ -559,13 +566,15 @@ mod tests {
             distinguished: Pid(0),
             inputs,
         };
-        let err = check_dac(&ex, &instance, Limits::default(), 12).unwrap_err();
+        let v = ex.exploration().check_dac(&instance, 12);
         assert!(
             matches!(
-                err,
-                Violation::SoloNonTermination { .. } | Violation::NonTermination(_)
+                v.outcome,
+                Outcome::Violated(
+                    Violation::SoloNonTermination { .. } | Violation::NonTermination(_)
+                )
             ),
-            "{err}"
+            "{v}"
         );
     }
 
@@ -587,8 +596,10 @@ mod tests {
             distinguished: Pid(0),
             inputs,
         };
-        check_dac(&ex, &instance, Limits::default(), 60)
-            .expect_err("the candidate PAC implementation must be refuted")
+        match ex.exploration().check_dac(&instance, 60).outcome {
+            Outcome::Violated(v) => v,
+            other => panic!("the candidate PAC implementation must be refuted: {other:?}"),
+        }
     }
 
     fn registers(n: usize) -> Vec<AnyObject> {
@@ -648,15 +659,18 @@ mod tests {
         let p = PacRetryConsensus::new(inputs.clone(), ObjId(0));
         let objects = vec![AnyObject::pac(4).unwrap()];
         let ex = Explorer::new(&p, &objects);
-        let err = check_consensus(&ex, &inputs, Limits::default()).unwrap_err();
-        assert!(matches!(err, Violation::NonTermination(_)), "{err}");
+        let v = ex.exploration().check_consensus(&inputs);
+        assert!(
+            matches!(v.outcome, Outcome::Violated(Violation::NonTermination(_))),
+            "{v}"
+        );
 
         // ...while a single process succeeds (level >= 1): solo, the pair
         // is always clean.
         let p = PacRetryConsensus::new(vec![int(1)], ObjId(0));
         let objects = vec![AnyObject::pac(4).unwrap()];
         let ex = Explorer::new(&p, &objects);
-        check_consensus(&ex, &[int(1)], Limits::default())
-            .unwrap_or_else(|v| panic!("solo PAC consensus must work: {v}"));
+        let v = ex.exploration().check_consensus(&[int(1)]);
+        assert!(v.holds(), "solo PAC consensus must work: {v}");
     }
 }

@@ -256,8 +256,9 @@ impl Protocol for AnnounceConsensus {
 mod tests {
     use super::*;
     use lbsa_core::value::int;
-    use lbsa_explorer::checker::{check_consensus, Violation};
-    use lbsa_explorer::{Explorer, Limits};
+    use lbsa_explorer::checker::Violation;
+    use lbsa_explorer::verdict::Outcome;
+    use lbsa_explorer::Explorer;
 
     const PRIMS: [RacePrimitive; 3] = [
         RacePrimitive::TestAndSet,
@@ -272,8 +273,8 @@ mod tests {
                 let p = ClassicConsensus::two_process(prim, inputs.clone()).unwrap();
                 let objects = p.objects();
                 let ex = Explorer::new(&p, &objects);
-                check_consensus(&ex, &inputs, Limits::default())
-                    .unwrap_or_else(|v| panic!("{prim:?} consensus violated: {v}"));
+                let v = ex.exploration().check_consensus(&inputs);
+                assert!(v.holds(), "{prim:?} consensus violated: {v}");
             }
         }
     }
@@ -294,8 +295,8 @@ mod tests {
             let p = ClassicConsensus::cas(inputs.clone());
             let objects = p.objects();
             let ex = Explorer::new(&p, &objects);
-            check_consensus(&ex, &inputs, Limits::default())
-                .unwrap_or_else(|v| panic!("CAS consensus violated at n = {n}: {v}"));
+            let v = ex.exploration().check_consensus(&inputs);
+            assert!(v.holds(), "CAS consensus violated at n = {n}: {v}");
         }
     }
 
@@ -309,11 +310,10 @@ mod tests {
                 let p = AnnounceConsensus::new(prim, inputs.clone());
                 let objects = p.objects();
                 let ex = Explorer::new(&p, &objects);
-                let err = check_consensus(&ex, &inputs, Limits::default())
-                    .expect_err("announce variant must be refuted");
+                let v = ex.exploration().check_consensus(&inputs);
                 assert!(
-                    matches!(err, Violation::NonTermination(_)),
-                    "{prim:?}/{n}: expected non-termination, got {err}"
+                    matches!(v.outcome, Outcome::Violated(Violation::NonTermination(_))),
+                    "{prim:?}/{n}: expected non-termination, got {v}"
                 );
             }
         }
@@ -328,8 +328,8 @@ mod tests {
             let p = ClassicConsensus::two_process(prim, inputs.clone()).unwrap();
             let objects = p.objects();
             let ex = Explorer::new(&p, &objects);
-            check_consensus(&ex, &inputs, Limits::default())
-                .unwrap_or_else(|v| panic!("{prim:?}: {v}"));
+            let v = ex.exploration().check_consensus(&inputs);
+            assert!(v.holds(), "{prim:?}: {v}");
         }
     }
 }

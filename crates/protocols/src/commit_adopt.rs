@@ -236,7 +236,7 @@ impl Protocol for CommitAdopt {
 mod tests {
     use super::*;
     use lbsa_core::value::int;
-    use lbsa_explorer::Explorer;
+    use lbsa_explorer::{Explorer, Limits};
 
     fn decode_outputs(config: &lbsa_explorer::Configuration<CaPhase>) -> Vec<GradedValue> {
         config
@@ -256,7 +256,7 @@ mod tests {
         let objects = p.objects();
         let g = Explorer::new(&p, &objects)
             .exploration()
-            .max_configs(2_000_000)
+            .limits(Limits::new(2_000_000))
             .run()
             .unwrap();
         assert!(g.complete, "commit-adopt must be finite-state");
@@ -338,7 +338,7 @@ mod tests {
         let objects = p.objects();
         let g = Explorer::new(&p, &objects)
             .exploration()
-            .max_configs(2_000_000)
+            .limits(Limits::new(2_000_000))
             .run()
             .unwrap();
         let mut saw_adopt = false;

@@ -118,8 +118,9 @@ mod tests {
     use super::*;
     use lbsa_core::value::int;
     use lbsa_core::AnyObject;
-    use lbsa_explorer::checker::{check_consensus, Violation};
-    use lbsa_explorer::{Explorer, Limits};
+    use lbsa_explorer::checker::Violation;
+    use lbsa_explorer::verdict::Outcome;
+    use lbsa_explorer::Explorer;
 
     fn binary_inputs(n: usize) -> Vec<Vec<Value>> {
         crate::dac::all_binary_inputs(n)
@@ -127,13 +128,15 @@ mod tests {
 
     #[test]
     fn symmetry_reduction_preserves_consensus_verdicts() {
-        use lbsa_explorer::verdict::{verdict_consensus, verdict_consensus_reduced};
         for inputs in binary_inputs(3) {
             let p = ConsensusViaObject::new(inputs.clone(), ObjId(0));
             let objects = vec![AnyObject::consensus(3).unwrap()];
             let ex = Explorer::new(&p, &objects);
-            let raw = verdict_consensus(&ex, &[int(0), int(1)], Limits::default());
-            let reduced = verdict_consensus_reduced(&ex, &[int(0), int(1)], Limits::default());
+            let raw = ex.exploration().check_consensus(&[int(0), int(1)]);
+            let reduced = ex
+                .exploration()
+                .symmetric()
+                .check_consensus(&[int(0), int(1)]);
             assert_eq!(
                 raw.outcome.tag(),
                 reduced.outcome.tag(),
@@ -151,8 +154,8 @@ mod tests {
                 let p = ConsensusViaObject::new(inputs, ObjId(0));
                 let objects = vec![AnyObject::consensus(n).unwrap()];
                 let ex = Explorer::new(&p, &objects);
-                check_consensus(&ex, &valid, Limits::default())
-                    .unwrap_or_else(|v| panic!("consensus violated for n = {n}: {v}"));
+                let v = ex.exploration().check_consensus(&valid);
+                assert!(v.holds(), "consensus violated for n = {n}: {v}");
             }
         }
     }
@@ -167,18 +170,20 @@ mod tests {
         let p = ConsensusViaObject::new(inputs.clone(), ObjId(0));
         let objects = vec![AnyObject::consensus(2).unwrap()];
         let ex = Explorer::new(&p, &objects);
-        let err = check_consensus(&ex, &inputs, Limits::default()).unwrap_err();
+        let v = ex.exploration().check_consensus(&inputs);
         // Depending on exploration order the first symptom is either the ⊥
         // "decision" itself (validity) or its disagreement with a real one.
         assert!(
             matches!(
-                err,
-                Violation::Validity {
-                    value: Value::Bot,
-                    ..
-                } | Violation::Agreement { .. }
+                v.outcome,
+                Outcome::Violated(
+                    Violation::Validity {
+                        value: Value::Bot,
+                        ..
+                    } | Violation::Agreement { .. }
+                )
             ),
-            "{err}"
+            "{v}"
         );
     }
 
@@ -192,8 +197,8 @@ mod tests {
                 let p = ConsensusViaObject::via_propose_c(inputs, ObjId(0));
                 let objects = vec![AnyObject::combined_pac(n, m).unwrap()];
                 let ex = Explorer::new(&p, &objects);
-                check_consensus(&ex, &valid, Limits::default())
-                    .unwrap_or_else(|v| panic!("({n},{m})-PAC failed m-consensus: {v}"));
+                let v = ex.exploration().check_consensus(&valid);
+                assert!(v.holds(), "({n},{m})-PAC failed m-consensus: {v}");
             }
         }
     }
@@ -208,7 +213,7 @@ mod tests {
         let p = ConsensusViaObject::via_propose_c(inputs.clone(), ObjId(0));
         let objects = vec![AnyObject::combined_pac(3, 2).unwrap()];
         let ex = Explorer::new(&p, &objects);
-        assert!(check_consensus(&ex, &inputs, Limits::default()).is_err());
+        assert!(ex.exploration().check_consensus(&inputs).is_violated());
     }
 
     #[test]
@@ -219,8 +224,8 @@ mod tests {
             let p = ConsensusViaObject::via_power_level_1(inputs, ObjId(0));
             let objects = vec![AnyObject::o_prime_n(2, 3).unwrap()];
             let ex = Explorer::new(&p, &objects);
-            check_consensus(&ex, &valid, Limits::default())
-                .unwrap_or_else(|v| panic!("O'_2 level 1 failed consensus: {v}"));
+            let v = ex.exploration().check_consensus(&valid);
+            assert!(v.holds(), "O'_2 level 1 failed consensus: {v}");
         }
     }
 
@@ -231,7 +236,7 @@ mod tests {
         let p = ConsensusViaObject::via_power_level_1(inputs.clone(), ObjId(0));
         let objects = vec![AnyObject::o_prime_n(2, 3).unwrap()];
         let ex = Explorer::new(&p, &objects);
-        assert!(check_consensus(&ex, &inputs, Limits::default()).is_err());
+        assert!(ex.exploration().check_consensus(&inputs).is_violated());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! with binary inputs must decide a common value; one distinguished process
 //! `p` may *abort* instead of deciding. The required properties —
 //! Agreement, Validity, Termination (a)/(b), Nontriviality — are checked
-//! exhaustively by [`lbsa_explorer::checker::check_dac`].
+//! exhaustively by [`lbsa_explorer::Exploration::check_dac`].
 //!
 //! [`DacFromPac`] is Algorithm 2 verbatim: the distinguished process
 //! performs one `PROPOSE(v_p, p)` / `DECIDE(p)` pair on a single n-PAC
@@ -105,7 +105,7 @@ impl DacFromPac {
         &self.inputs
     }
 
-    /// The problem instance for [`lbsa_explorer::checker::check_dac`].
+    /// The problem instance for [`lbsa_explorer::Exploration::check_dac`].
     #[must_use]
     pub fn instance(&self) -> DacInstance {
         DacInstance {
@@ -214,8 +214,9 @@ mod tests {
     use super::*;
     use lbsa_core::value::int;
     use lbsa_core::AnyObject;
-    use lbsa_explorer::checker::{check_dac, Violation};
-    use lbsa_explorer::{Explorer, Limits};
+    use lbsa_explorer::checker::Violation;
+    use lbsa_explorer::verdict::Outcome;
+    use lbsa_explorer::Explorer;
     use lbsa_runtime::outcome::FirstOutcome;
     use lbsa_runtime::scheduler::{RoundRobin, Scripted, Solo};
     use lbsa_runtime::system::System;
@@ -307,9 +308,9 @@ mod tests {
             let p = DacFromPac::new(inputs, Pid(0), ObjId(0)).unwrap();
             let objects = pac_objects(2);
             let ex = Explorer::new(&p, &objects);
-            let stats = check_dac(&ex, &p.instance(), Limits::default(), 8)
-                .unwrap_or_else(|v| panic!("2-DAC violated on {:?}: {v}", p.inputs()));
-            assert!(stats.configs > 4);
+            let v = ex.exploration().check_dac(&p.instance(), 8);
+            assert!(v.holds(), "2-DAC violated on {:?}: {v}", p.inputs());
+            assert!(v.stats.configs > 4);
         }
     }
 
@@ -319,8 +320,8 @@ mod tests {
             let p = DacFromPac::new(inputs, Pid(1), ObjId(0)).unwrap();
             let objects = pac_objects(3);
             let ex = Explorer::new(&p, &objects);
-            check_dac(&ex, &p.instance(), Limits::default(), 10)
-                .unwrap_or_else(|v| panic!("3-DAC violated on {:?}: {v}", p.inputs()));
+            let v = ex.exploration().check_dac(&p.instance(), 10);
+            assert!(v.holds(), "3-DAC violated on {:?}: {v}", p.inputs());
         }
     }
 
@@ -344,7 +345,7 @@ mod tests {
             g.has_cycle(),
             "adversarial interleavings starve the retry loops"
         );
-        assert!(check_dac(&ex, &p.instance(), Limits::default(), 10).is_ok());
+        assert!(ex.exploration().check_dac(&p.instance(), 10).holds());
     }
 
     #[test]
@@ -360,26 +361,28 @@ mod tests {
             distinguished: Pid(1),
             inputs: vec![int(1), int(0)],
         };
-        let err = check_dac(&ex, &wrong, Limits::default(), 8).unwrap_err();
+        let v = ex.exploration().check_dac(&wrong, 8);
         // Pid(0) can abort; under the wrong instance Pid(0) must always
         // decide solo, which fails.
         assert!(
-            matches!(err, Violation::SoloNonTermination { pid: Pid(0), .. }),
-            "expected a solo-termination complaint about Pid(0), got {err}"
+            matches!(
+                v.outcome,
+                Outcome::Violated(Violation::SoloNonTermination { pid: Pid(0), .. })
+            ),
+            "expected a solo-termination complaint about Pid(0), got {v}"
         );
     }
 
     #[test]
     fn symmetry_reduction_preserves_dac_verdicts() {
-        use lbsa_explorer::verdict::{verdict_dac, verdict_dac_reduced};
         // Every binary input vector for n = 3: the reduced check must reach
         // the same conclusion as the raw one (and never examine more).
         for inputs in all_binary_inputs(3) {
             let p = DacFromPac::new(inputs, Pid(0), ObjId(0)).unwrap();
             let objects = pac_objects(3);
             let ex = Explorer::new(&p, &objects);
-            let raw = verdict_dac(&ex, &p.instance(), Limits::default(), 10);
-            let reduced = verdict_dac_reduced(&ex, &p.instance(), Limits::default(), 10);
+            let raw = ex.exploration().check_dac(&p.instance(), 10);
+            let reduced = ex.exploration().symmetric().check_dac(&p.instance(), 10);
             assert_eq!(
                 raw.outcome.tag(),
                 reduced.outcome.tag(),

@@ -187,9 +187,8 @@ mod tests {
     use lbsa_core::ids::Label;
     use lbsa_core::value::int;
     use lbsa_core::AnyObject;
-    use lbsa_explorer::checker::{check_consensus, check_k_set_agreement};
     use lbsa_explorer::linearizability::check_linearizable;
-    use lbsa_explorer::{Explorer, Limits};
+    use lbsa_explorer::Explorer;
     use lbsa_runtime::derived::{record_frontend_history, DerivedProtocol};
     use lbsa_runtime::outcome::{FirstOutcome, RandomOutcome};
     use lbsa_runtime::process::{Protocol, Step};
@@ -207,8 +206,8 @@ mod tests {
         let derived = DerivedProtocol::new(&inner, &procedure, frontends);
         let objects = vec![AnyObject::pac(3).unwrap(), AnyObject::consensus(2).unwrap()];
         let ex = Explorer::new(&derived, &objects);
-        check_consensus(&ex, &[int(0), int(1)], Limits::default())
-            .unwrap_or_else(|v| panic!("derived (3,2)-PAC failed consensus: {v}"));
+        let v = ex.exploration().check_consensus(&[int(0), int(1)]);
+        assert!(v.holds(), "derived (3,2)-PAC failed consensus: {v}");
     }
 
     /// A tiny inner protocol driving PAC ops on front-end object 0: each
@@ -287,16 +286,16 @@ mod tests {
         let derived = DerivedProtocol::new(&inner, &procedure, frontends.clone());
         let objects = vec![AnyObject::consensus(2).unwrap(), AnyObject::strong_sa()];
         let ex = Explorer::new(&derived, &objects);
-        check_consensus(&ex, &[int(0), int(1)], Limits::default())
-            .unwrap_or_else(|v| panic!("derived O'_2 level 1 failed: {v}"));
+        let v = ex.exploration().check_consensus(&[int(0), int(1)]);
+        assert!(v.holds(), "derived O'_2 level 1 failed: {v}");
 
         // Level 2 = 2-set agreement among 4.
         let inputs: Vec<Value> = (0..4).map(int).collect();
         let inner = KSetViaPowerLevel::new(inputs.clone(), ObjId(0), 2);
         let derived = DerivedProtocol::new(&inner, &procedure, frontends);
         let ex = Explorer::new(&derived, &objects);
-        check_k_set_agreement(&ex, 2, &inputs, Limits::default())
-            .unwrap_or_else(|v| panic!("derived O'_2 level 2 failed: {v}"));
+        let v = ex.exploration().check_k_set_agreement(2, &inputs);
+        assert!(v.holds(), "derived O'_2 level 2 failed: {v}");
     }
 
     #[test]

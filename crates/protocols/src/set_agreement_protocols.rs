@@ -219,8 +219,7 @@ mod tests {
     use super::*;
     use lbsa_core::value::int;
     use lbsa_core::AnyObject;
-    use lbsa_explorer::checker::check_k_set_agreement;
-    use lbsa_explorer::{Explorer, Limits};
+    use lbsa_explorer::Explorer;
 
     fn distinct_inputs(n: usize) -> Vec<Value> {
         (0..n).map(|i| int(i as i64)).collect()
@@ -235,8 +234,8 @@ mod tests {
         let p = KSetViaStrongSa::new(inputs.clone(), ObjId(0));
         let objects = vec![AnyObject::strong_sa()];
         let ex = Explorer::new(&p, &objects);
-        check_k_set_agreement(&ex, 2, &inputs, Limits::default())
-            .unwrap_or_else(|v| panic!("2-SA failed 2-set agreement: {v}"));
+        let v = ex.exploration().check_k_set_agreement(2, &inputs);
+        assert!(v.holds(), "2-SA failed 2-set agreement: {v}");
     }
 
     #[test]
@@ -245,7 +244,10 @@ mod tests {
         let p = KSetViaStrongSa::new(inputs.clone(), ObjId(0));
         let objects = vec![AnyObject::strong_sa()];
         let ex = Explorer::new(&p, &objects);
-        assert!(check_k_set_agreement(&ex, 1, &inputs, Limits::default()).is_err());
+        assert!(ex
+            .exploration()
+            .check_k_set_agreement(1, &inputs)
+            .is_violated());
     }
 
     #[test]
@@ -261,8 +263,8 @@ mod tests {
             AnyObject::consensus(2).unwrap(),
         ];
         let ex = Explorer::new(&p, &objects);
-        check_k_set_agreement(&ex, 2, &inputs, Limits::default())
-            .unwrap_or_else(|v| panic!("group split failed: {v}"));
+        let v = ex.exploration().check_k_set_agreement(2, &inputs);
+        assert!(v.holds(), "group split failed: {v}");
     }
 
     #[test]
@@ -273,8 +275,8 @@ mod tests {
         let p = GroupSplitKSet::via_combined(inputs.clone(), 2).unwrap();
         let objects = vec![AnyObject::o_n(2).unwrap(), AnyObject::o_n(2).unwrap()];
         let ex = Explorer::new(&p, &objects);
-        check_k_set_agreement(&ex, 2, &inputs, Limits::default())
-            .unwrap_or_else(|v| panic!("group split over O_2 failed: {v}"));
+        let v = ex.exploration().check_k_set_agreement(2, &inputs);
+        assert!(v.holds(), "group split over O_2 failed: {v}");
     }
 
     #[test]
@@ -288,7 +290,10 @@ mod tests {
             AnyObject::consensus(2).unwrap(),
         ];
         let ex = Explorer::new(&p, &objects);
-        assert!(check_k_set_agreement(&ex, 1, &inputs, Limits::default()).is_err());
+        assert!(ex
+            .exploration()
+            .check_k_set_agreement(1, &inputs)
+            .is_violated());
     }
 
     #[test]
@@ -299,8 +304,8 @@ mod tests {
         let p = KSetViaPowerLevel::new(inputs.clone(), ObjId(0), 2);
         let objects = vec![AnyObject::o_prime_n(2, 2).unwrap()];
         let ex = Explorer::new(&p, &objects);
-        check_k_set_agreement(&ex, 2, &inputs, Limits::default())
-            .unwrap_or_else(|v| panic!("O'_2 level 2 failed: {v}"));
+        let v = ex.exploration().check_k_set_agreement(2, &inputs);
+        assert!(v.holds(), "O'_2 level 2 failed: {v}");
     }
 
     #[test]
@@ -310,12 +315,14 @@ mod tests {
         let p = KSetViaPowerLevel::new(inputs.clone(), ObjId(0), 2);
         let objects = vec![AnyObject::o_prime_n(2, 2).unwrap()];
         let ex = Explorer::new(&p, &objects);
-        assert!(check_k_set_agreement(&ex, 2, &inputs, Limits::default()).is_err());
+        assert!(ex
+            .exploration()
+            .check_k_set_agreement(2, &inputs)
+            .is_violated());
     }
 
     #[test]
     fn symmetry_reduction_shrinks_equal_input_sa_graphs() {
-        use lbsa_explorer::verdict::{verdict_k_set_agreement, verdict_k_set_agreement_reduced};
         let inputs = vec![int(7); 4];
         let p = KSetViaStrongSa::new(inputs.clone(), ObjId(0));
         let objects = vec![AnyObject::strong_sa()];
@@ -323,8 +330,11 @@ mod tests {
         let raw = ex.exploration().run().unwrap();
         let reduced = ex.exploration().symmetric().run().unwrap();
         assert!(reduced.configs.len() < raw.configs.len());
-        let vr = verdict_k_set_agreement(&ex, 2, &inputs, Limits::default());
-        let vq = verdict_k_set_agreement_reduced(&ex, 2, &inputs, Limits::default());
+        let vr = ex.exploration().check_k_set_agreement(2, &inputs);
+        let vq = ex
+            .exploration()
+            .symmetric()
+            .check_k_set_agreement(2, &inputs);
         assert_eq!(vr.outcome.tag(), vq.outcome.tag());
     }
 

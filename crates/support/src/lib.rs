@@ -24,16 +24,11 @@
 //!   phases, replacing `tracing` + `tracing-subscriber` + a metrics crate;
 //! * [`deque`] — a lock-free Chase–Lev work-stealing deque (single-owner
 //!   LIFO end, CAS-steal FIFO end, steal-half batching) replacing
-//!   `crossbeam-deque` for the explorer's work-stealing frontier;
-//! * [`memtrack`] (feature `mem-profile`) — a tracking global allocator
-//!   reporting live/peak heap bytes, replacing `dhat`-style heap profiling
-//!   for the memory-accounting gauges.
+//!   `crossbeam-deque` for the explorer's work-stealing frontier.
 //!
-//! Unsafe code is denied crate-wide and allowed in exactly two places: the
+//! Unsafe code is denied crate-wide and allowed in exactly one place: the
 //! [`deque`] buffer management, whose safety argument lives with the module
-//! (and in DESIGN.md §12) and is exercised under Miri in CI, and the
-//! [`memtrack`] allocator wrapper, which forwards every call verbatim to
-//! `std::alloc::System`.
+//! (and in DESIGN.md §12) and is exercised under Miri in CI.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,7 +38,5 @@ pub mod check;
 pub mod deque;
 pub mod hash;
 pub mod json;
-#[cfg(feature = "mem-profile")]
-pub mod memtrack;
 pub mod obs;
 pub mod rng;

@@ -4,8 +4,7 @@
 //! Run with `cargo run --release --example dac_demo`.
 
 use life_beyond_set_agreement::core::{AnyObject, ObjId, Pid, Value};
-use life_beyond_set_agreement::explorer::checker::check_dac;
-use life_beyond_set_agreement::explorer::{Explorer, Limits};
+use life_beyond_set_agreement::explorer::Explorer;
 use life_beyond_set_agreement::protocols::dac::{all_binary_inputs, DacFromPac};
 use life_beyond_set_agreement::runtime::outcome::FirstOutcome;
 use life_beyond_set_agreement::runtime::scheduler::{CrashPlan, RandomScheduler, RoundRobin, Solo};
@@ -66,9 +65,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let p = DacFromPac::new(inputs, Pid(0), ObjId(0))?;
             let objs = vec![AnyObject::pac(n)?];
             let ex = Explorer::new(&p, &objs);
-            let stats = check_dac(&ex, &p.instance(), Limits::default(), 6 * n)
-                .map_err(|v| format!("{n}-DAC violated: {v}"))?;
-            configs += stats.configs;
+            let verdict = ex.exploration().check_dac(&p.instance(), 6 * n);
+            if !verdict.holds() {
+                return Err(format!("{n}-DAC check failed: {verdict}").into());
+            }
+            configs += verdict.stats.configs;
         }
         println!("n = {n}: all four n-DAC properties hold ({configs} configurations checked)");
     }

@@ -10,6 +10,9 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test --workspace --quiet
 
+echo "==> ttvbench self-test (the benchmark's use of the public API)"
+cargo test --release --offline --quiet --manifest-path ttvbench/Cargo.toml
+
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

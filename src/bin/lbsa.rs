@@ -12,8 +12,7 @@
 
 use life_beyond_set_agreement::core::{AnyObject, ObjId, Pid, Value};
 use life_beyond_set_agreement::explorer::adversary::{find_nontermination, verify_witness};
-use life_beyond_set_agreement::explorer::checker::{check_consensus, check_dac};
-use life_beyond_set_agreement::explorer::{Explorer, Limits};
+use life_beyond_set_agreement::explorer::{Explorer, Limits, Outcome};
 use life_beyond_set_agreement::hierarchy::certify::{certified_consensus_number, Face};
 use life_beyond_set_agreement::hierarchy::report::Table;
 use life_beyond_set_agreement::hierarchy::separation::run_separation;
@@ -124,14 +123,14 @@ fn cmd_dac(n: usize) -> Result<(), String> {
         let protocol = DacFromPac::new(inputs, Pid(0), ObjId(0))?;
         let objects = vec![AnyObject::pac(n).map_err(|e| e.to_string())?];
         let explorer = Explorer::new(&protocol, &objects);
-        let stats = check_dac(
-            &explorer,
-            &protocol.instance(),
-            Limits::new(2_000_000),
-            6 * n,
-        )
-        .map_err(|v| format!("{n}-DAC violated: {v}"))?;
-        configs += stats.configs;
+        let verdict = explorer
+            .exploration()
+            .limits(Limits::new(2_000_000))
+            .check_dac(&protocol.instance(), 6 * n);
+        if !verdict.holds() {
+            return Err(format!("{n}-DAC check failed: {verdict}"));
+        }
+        configs += verdict.stats.configs;
     }
     println!("Theorem 4.1 verified for n = {n}: all four n-DAC properties hold");
     println!(
@@ -149,9 +148,13 @@ fn cmd_adversary() -> Result<(), String> {
         AnyObject::register(),
     ];
     let explorer = Explorer::new(&protocol, &objects);
-    match check_consensus(&explorer, &mixed_inputs(3), Limits::default()) {
-        Ok(_) => return Err("candidate unexpectedly correct".into()),
-        Err(v) => println!("candidate refuted: {v}"),
+    match explorer
+        .exploration()
+        .check_consensus(&mixed_inputs(3))
+        .outcome
+    {
+        Outcome::Violated(v) => println!("candidate refuted: {v}"),
+        other => return Err(format!("candidate not refuted: {other:?}")),
     }
     let graph = explorer.exploration().run().map_err(|e| e.to_string())?;
     let witness = find_nontermination(&graph).ok_or("expected a non-termination certificate")?;

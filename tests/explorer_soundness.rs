@@ -5,12 +5,10 @@
 use life_beyond_set_agreement::core::value::int;
 use life_beyond_set_agreement::core::{AnyObject, ObjId, Op, Pid, Value};
 use life_beyond_set_agreement::explorer::adversary::find_nontermination;
-use life_beyond_set_agreement::explorer::checker::check_consensus;
 use life_beyond_set_agreement::explorer::linearizability::check_linearizable;
-use life_beyond_set_agreement::explorer::sampling::{sample_consensus, SampleConfig};
+use life_beyond_set_agreement::explorer::sampling::SampleConfig;
 use life_beyond_set_agreement::explorer::valency::ValencyAnalysis;
-use life_beyond_set_agreement::explorer::Tracer;
-use life_beyond_set_agreement::explorer::{Explorer, Limits};
+use life_beyond_set_agreement::explorer::{Explorer, Limits, Outcome};
 use life_beyond_set_agreement::protocols::consensus_protocols::ConsensusViaObject;
 use life_beyond_set_agreement::runtime::derived::CompletedOp;
 use life_beyond_set_agreement::runtime::process::{Protocol, Step};
@@ -55,7 +53,7 @@ fn inert_objects_do_not_change_anything() {
     assert_eq!(g1.configs.len(), g2.configs.len());
     assert_eq!(g1.transitions, g2.transitions);
     assert_eq!(va1.census(), va2.census());
-    assert!(check_consensus(&ex2, &inputs, Limits::default()).is_ok());
+    assert!(ex2.exploration().check_consensus(&inputs).holds());
 }
 
 /// Renaming proposal values bijectively commutes with everything: the graph
@@ -135,23 +133,22 @@ fn samplers_and_exhaustive_checkers_agree_on_correct_protocols() {
     let p = ConsensusViaObject::new(inputs.clone(), ObjId(0));
     let objects = vec![AnyObject::consensus(3).unwrap()];
     let ex = Explorer::new(&p, &objects);
-    assert!(check_consensus(&ex, &inputs, Limits::default()).is_ok());
+    assert!(ex.exploration().check_consensus(&inputs).holds());
     let g = ex.exploration().run().unwrap();
     assert_eq!(find_nontermination(&g), None);
-    let report = sample_consensus(
-        &p,
-        &objects,
-        &inputs,
-        SampleConfig {
+    let v = ex
+        .exploration()
+        .sample(SampleConfig {
             runs: 100,
             seed0: 0,
             max_steps: 1000,
             ..SampleConfig::default()
-        },
-        &Tracer::disabled(),
-    )
-    .unwrap();
-    assert_eq!(report.quiescent, 100);
+        })
+        .check_consensus(&inputs);
+    assert!(
+        matches!(v.outcome, Outcome::HoldsSampled { quiescent: 100, .. }),
+        "{v}"
+    );
 }
 
 /// Linearizability is monotone under history extension by a fresh,
@@ -220,7 +217,7 @@ fn truncated_graphs_are_prefixes() {
     let ex = Explorer::new(&p, &objects);
     let full = ex.exploration().run().unwrap();
     assert!(full.complete);
-    let partial = ex.exploration().max_configs(3).run().unwrap();
+    let partial = ex.exploration().limits(Limits::new(3)).run().unwrap();
     assert!(!partial.complete);
     assert!(partial.configs.len() <= full.configs.len());
     for c in &partial.configs {

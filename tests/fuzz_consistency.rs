@@ -20,7 +20,7 @@ use life_beyond_set_agreement::core::spec::ObjectSpec;
 use life_beyond_set_agreement::core::value::int;
 use life_beyond_set_agreement::core::{AnyObject, AnyState, ObjId, Op, Value};
 use life_beyond_set_agreement::explorer::linearizability::check_linearizable;
-use life_beyond_set_agreement::explorer::Explorer;
+use life_beyond_set_agreement::explorer::{Explorer, Limits};
 use life_beyond_set_agreement::runtime::derived::CompletedOp;
 use life_beyond_set_agreement::runtime::outcome::RandomOutcome;
 use life_beyond_set_agreement::runtime::scheduler::RandomScheduler;
@@ -108,7 +108,11 @@ fn pipeline_components_agree_on_random_workloads() {
 
         // 1. Straight-line workloads explore completely and acyclically.
         let explorer = Explorer::new(&protocol, &objects);
-        let graph = explorer.exploration().max_configs(500_000).run().unwrap();
+        let graph = explorer
+            .exploration()
+            .limits(Limits::new(500_000))
+            .run()
+            .unwrap();
         assert!(graph.complete);
         assert!(!graph.has_cycle(), "straight-line programs cannot cycle");
 
@@ -166,7 +170,11 @@ fn round_robin_outcomes_are_explored() {
         let protocol = ScriptProtocol::new(scripts, ScriptEnd::DecideLast).unwrap();
         let objects = universe();
         let explorer = Explorer::new(&protocol, &objects);
-        let graph = explorer.exploration().max_configs(500_000).run().unwrap();
+        let graph = explorer
+            .exploration()
+            .limits(Limits::new(500_000))
+            .run()
+            .unwrap();
         let explored: BTreeSet<Vec<Option<Value>>> = graph
             .terminal_indices()
             .map(|t| graph.configs[t].decisions())
@@ -192,7 +200,7 @@ fn all_processes_decide_in_every_terminal() {
         let objects = universe();
         let graph = Explorer::new(&protocol, &objects)
             .exploration()
-            .max_configs(500_000)
+            .limits(Limits::new(500_000))
             .run()
             .unwrap();
         for t in graph.terminal_indices() {

@@ -9,10 +9,8 @@ use life_beyond_set_agreement::core::pac::PacSpec;
 use life_beyond_set_agreement::core::spec::ObjectSpec;
 use life_beyond_set_agreement::core::value::int;
 use life_beyond_set_agreement::core::{AnyObject, ObjId, Pid, Value};
-use life_beyond_set_agreement::explorer::checker::{
-    check_consensus, check_dac, check_k_set_agreement, DacInstance, Violation,
-};
-use life_beyond_set_agreement::explorer::{Explorer, Limits};
+use life_beyond_set_agreement::explorer::checker::{DacInstance, Violation};
+use life_beyond_set_agreement::explorer::{Explorer, Limits, Outcome};
 use life_beyond_set_agreement::hierarchy::certify::{certified_consensus_number, Face};
 use life_beyond_set_agreement::hierarchy::power::{
     certify_power_table_o_n, certify_power_table_o_prime,
@@ -58,10 +56,13 @@ fn theorem_4_1_algorithm_2_solves_dac() {
                 let protocol = DacFromPac::new(inputs.clone(), Pid(p), ObjId(0)).unwrap();
                 let objects = vec![AnyObject::pac(n).unwrap()];
                 let explorer = Explorer::new(&protocol, &objects);
-                check_dac(&explorer, &protocol.instance(), Limits::default(), 6 * n)
-                    .unwrap_or_else(|v| {
-                        panic!("{n}-DAC violated (p = {p}, inputs {inputs:?}): {v}")
-                    });
+                let v = explorer
+                    .exploration()
+                    .check_dac(&protocol.instance(), 6 * n);
+                assert!(
+                    v.holds(),
+                    "{n}-DAC violated (p = {p}, inputs {inputs:?}): {v}"
+                );
             }
         }
     }
@@ -77,16 +78,16 @@ fn theorem_4_2_candidates_refuted() {
     let objects = vec![AnyObject::consensus(2).unwrap(), AnyObject::register()];
     let ex = Explorer::new(&p, &objects);
     assert!(matches!(
-        check_consensus(&ex, &inputs, Limits::default()),
-        Err(Violation::NonTermination(_))
+        ex.exploration().check_consensus(&inputs).outcome,
+        Outcome::Violated(Violation::NonTermination(_))
     ));
 
     let p = SaThenConsensus::new(inputs.clone());
     let objects = vec![AnyObject::strong_sa(), AnyObject::consensus(2).unwrap()];
     let ex = Explorer::new(&p, &objects);
     assert!(matches!(
-        check_consensus(&ex, &inputs, Limits::default()),
-        Err(Violation::Agreement { .. })
+        ex.exploration().check_consensus(&inputs).outcome,
+        Outcome::Violated(Violation::Agreement { .. })
     ));
 }
 
@@ -110,7 +111,7 @@ fn theorem_4_3_candidate_pac_implementation_refuted() {
         distinguished: Pid(0),
         inputs,
     };
-    assert!(check_dac(&ex, &instance, Limits::default(), 60).is_err());
+    assert!(ex.exploration().check_dac(&instance, 60).is_violated());
 }
 
 /// Theorem 5.3 / Observation 6.2: (n,m)-PAC certifies at level m; O_n at
@@ -162,9 +163,13 @@ fn group_split_over_o_n_certifies_lower_bound() {
     let protocol = GroupSplitKSet::via_combined(inputs.clone(), 2).unwrap();
     let objects = vec![AnyObject::o_n(2).unwrap(), AnyObject::o_n(2).unwrap()];
     let explorer = Explorer::new(&protocol, &objects);
-    check_k_set_agreement(&explorer, 2, &inputs, Limits::default()).unwrap();
+    let v = explorer.exploration().check_k_set_agreement(2, &inputs);
+    assert!(v.holds(), "{v}");
     // And the same protocol does NOT achieve consensus.
-    assert!(check_k_set_agreement(&explorer, 1, &inputs, Limits::default()).is_err());
+    assert!(explorer
+        .exploration()
+        .check_k_set_agreement(1, &inputs)
+        .is_violated());
 }
 
 /// Footnote 6's consensus object semantics drive the hierarchy: n processes
@@ -177,7 +182,7 @@ fn consensus_object_budget_consistency_across_faces() {
         let p = ConsensusViaObject::new(inputs.clone(), ObjId(0));
         let objects = vec![AnyObject::consensus(n).unwrap()];
         let ex = Explorer::new(&p, &objects);
-        assert!(check_consensus(&ex, &inputs, Limits::default()).is_ok());
+        assert!(ex.exploration().check_consensus(&inputs).holds());
 
         // The same budget shows through O_n's consensus face.
         let mut more = inputs.clone();
@@ -185,7 +190,7 @@ fn consensus_object_budget_consistency_across_faces() {
         let p = ConsensusViaObject::via_propose_c(more.clone(), ObjId(0));
         let objects = vec![AnyObject::o_n(n).unwrap()];
         let ex = Explorer::new(&p, &objects);
-        assert!(check_consensus(&ex, &more, Limits::default()).is_err());
+        assert!(ex.exploration().check_consensus(&more).is_violated());
     }
 }
 
@@ -219,5 +224,9 @@ fn theorem_7_1_qadri_instance() {
         distinguished: Pid(0),
         inputs,
     };
-    assert!(check_dac(&ex, &instance, Limits::new(5_000_000), 80).is_err());
+    assert!(ex
+        .exploration()
+        .limits(Limits::new(5_000_000))
+        .check_dac(&instance, 80)
+        .is_violated());
 }
