@@ -1,10 +1,14 @@
 //! **F3** — object-specification throughput: ns per operation for each
-//! object family (the inner loop of every simulation and exploration).
+//! object family (the inner loop of every simulation and exploration), plus
+//! one whole process step through the step kernel.
 
 use lbsa_core::ids::Label;
 use lbsa_core::spec::ObjectSpec;
 use lbsa_core::value::int;
-use lbsa_core::{AnyObject, Op};
+use lbsa_core::{AnyObject, Op, Pid};
+use lbsa_protocols::vote_propagation::VotePropagation;
+use lbsa_runtime::kernel::StepKernel;
+use lbsa_runtime::process::{ProcStatus, Protocol};
 use lbsa_support::bench::{BatchSize, Criterion};
 use lbsa_support::{criterion_group, criterion_main};
 use std::hint::black_box;
@@ -113,6 +117,23 @@ fn bench_objects(c: &mut Criterion) {
             },
             BatchSize::SmallInput,
         );
+    });
+
+    // One atomic step of a vote-propagation process through the step
+    // kernel: pending op, register outcome, protocol response and status
+    // mapping — the step layer every run and exploration pays per step.
+    group.bench_function("kernel_vote_step", |b| {
+        let protocol = VotePropagation::random(10, 2, 3, 1, 2, 7).unwrap();
+        let objects = protocol.mailboxes();
+        let kernel = StepKernel::new(&protocol, &objects);
+        let states: Vec<_> = objects.iter().map(ObjectSpec::initial_state).collect();
+        let procs: Vec<_> = (0..protocol.n())
+            .map(|i| ProcStatus::Running(protocol.init(Pid(i))))
+            .collect();
+        b.iter(|| {
+            let step = kernel.begin(&states, &procs, Pid(0), None).unwrap();
+            black_box(step.take(0).unwrap())
+        });
     });
 
     group.finish();

@@ -524,3 +524,120 @@ fn random_small_protocols_are_thread_count_independent() {
         }
     });
 }
+
+/// Two rounds of (3,2)-set agreement: each process proposes its input to
+/// object 0, proposes what it got back to object 1, and decides that
+/// response. Both objects branch, so edges with outcome indices above 0
+/// occur on both levels.
+#[derive(Debug)]
+struct TwoRoundSetAgreement {
+    inputs: Vec<Value>,
+}
+
+impl Protocol for TwoRoundSetAgreement {
+    /// `None` before the first proposal, then the value carried into the
+    /// second.
+    type LocalState = Option<Value>;
+    fn num_processes(&self) -> usize {
+        self.inputs.len()
+    }
+    fn init(&self, _pid: Pid) -> Option<Value> {
+        None
+    }
+    fn pending_op(&self, pid: Pid, carried: &Option<Value>) -> (ObjId, Op) {
+        match carried {
+            None => (ObjId(0), Op::Propose(self.inputs[pid.index()])),
+            Some(v) => (ObjId(1), Op::Propose(*v)),
+        }
+    }
+    fn on_response(&self, _pid: Pid, carried: &Option<Value>, resp: Value) -> Step<Option<Value>> {
+        match carried {
+            None => Step::Continue(Some(resp)),
+            Some(_) => Step::Decide(resp),
+        }
+    }
+}
+
+/// The concrete system, `Explorer::step` and `Explorer::successors_of`
+/// all step through one kernel, and both engines memoize its results: on a
+/// protocol over branching objects, all three must land on the graph's
+/// memoized edge target at every step of every BFS-tree path, and the
+/// explorer's two must do so on every edge of both engines' graphs.
+#[test]
+fn every_step_path_agrees_with_the_memoized_graph() {
+    use lbsa_explorer::explore::Edge;
+    use lbsa_runtime::outcome::ScriptedOutcome;
+    use lbsa_runtime::system::System;
+    use std::collections::VecDeque;
+
+    let p = TwoRoundSetAgreement {
+        inputs: vec![int(0), int(1), int(2)],
+    };
+    let objects = vec![
+        AnyObject::set_agreement(3, 2).unwrap(),
+        AnyObject::set_agreement(3, 2).unwrap(),
+    ];
+    let explorer = Explorer::new(&p, &objects);
+    let deterministic = explorer.exploration().run().expect("exploration succeeds");
+    for (what, graph) in [
+        ("deterministic", deterministic),
+        ("ws", explore_ws(&explorer, 2)),
+    ] {
+        assert!(graph.complete, "{what}");
+        assert!(
+            graph.edges.iter().flatten().any(|e| e.outcome > 0),
+            "{what}: the set-agreement objects must branch"
+        );
+        // Every edge, and the BFS tree: the edge that first reached each
+        // node.
+        let mut parent: Vec<Option<(usize, Edge)>> = vec![None; graph.len()];
+        let mut seen = vec![false; graph.len()];
+        seen[0] = true;
+        let mut queue = VecDeque::from([0usize]);
+        while let Some(u) = queue.pop_front() {
+            let c = &graph.configs[u];
+            for e in &graph.edges[u] {
+                let target = &graph.configs[e.target];
+                let stepped = explorer.step(c, e.pid, e.outcome).expect("edge steps");
+                assert_eq!(&stepped.config, target, "{what}: step along {e:?}");
+                let succs = explorer.successors_of(c, e.pid).expect("edge steps");
+                assert_eq!(&succs[e.outcome], target, "{what}: successor {e:?}");
+                if !seen[e.target] {
+                    seen[e.target] = true;
+                    parent[e.target] = Some((u, *e));
+                    queue.push_back(e.target);
+                }
+            }
+        }
+        for node in 0..graph.len() {
+            let mut path = Vec::new();
+            let mut v = node;
+            while let Some((u, e)) = parent[v] {
+                path.push(e);
+                v = u;
+            }
+            path.reverse();
+            let mut sys = System::new(&p, &objects).unwrap();
+            let mut c = explorer.initial_config();
+            for e in &path {
+                let target = &graph.configs[e.target];
+                sys.step_pid(e.pid, &mut ScriptedOutcome::new([e.outcome]))
+                    .expect("system steps");
+                assert_eq!(sys.object_states(), target.object_states.as_slice());
+                assert_eq!(sys.statuses(), target.procs.as_slice());
+                let last = sys.trace().iter().last().expect("step recorded");
+                assert_eq!((last.pid, last.outcome), (e.pid, e.outcome));
+                let by_succ = explorer
+                    .successors_of(&c, e.pid)
+                    .expect("path steps")
+                    .swap_remove(e.outcome);
+                assert_eq!(&by_succ, target, "{what}: successor on path to {node}");
+                c = explorer
+                    .step(&c, e.pid, e.outcome)
+                    .expect("path steps")
+                    .config;
+                assert_eq!(&c, target, "{what}: step on path to {node}");
+            }
+        }
+    }
+}

@@ -8,10 +8,13 @@ use lbsa_core::value::int;
 use lbsa_core::{AnyObject, ObjId, Op, Pid, Value};
 use lbsa_explorer::checker::Violation;
 use lbsa_explorer::verdict::Outcome;
-use lbsa_explorer::{Explorer, SampleConfig};
+use lbsa_explorer::{Explorer, SampleConfig, Verdict, OUTCOME_SEED_XOR};
 use lbsa_protocols::commit_adopt::CommitAdopt;
 use lbsa_protocols::consensus_protocols::ConsensusViaObject;
+use lbsa_runtime::outcome::RandomOutcome;
 use lbsa_runtime::process::{Protocol, Step};
+use lbsa_runtime::scheduler::RandomScheduler;
+use lbsa_runtime::system::System;
 
 /// Consensus with a broken adopt rule (a loser decides its own input):
 /// the standard injected-bug protocol for violation-path tests.
@@ -156,6 +159,39 @@ fn sampled_violations_are_thread_count_independent() {
     }
 }
 
+/// The witness of a sampled violation is the sweep's own run: re-running
+/// the reported seed the way the sweep does, its trace read as `(pid,
+/// outcome)` pairs is the witness schedule, cut where the violation first
+/// shows, and the verdict counts every step of it.
+fn assert_witness_is_the_sweep_run<P: Protocol>(
+    p: &P,
+    objects: &[AnyObject],
+    verdict: &Verdict,
+) -> Vec<(Pid, usize)> {
+    let Outcome::Violated(Violation::Sampled(violation)) = &verdict.outcome else {
+        panic!("expected a sampled violation, got {verdict}");
+    };
+    let seed = violation.seed();
+    let mut sys = System::new(p, objects).expect("system builds");
+    sys.run(
+        &mut RandomScheduler::seeded(seed),
+        &mut RandomOutcome::seeded(seed ^ OUTCOME_SEED_XOR),
+        sample_config(1, 0, 1).max_steps,
+    )
+    .expect("the violating run replays");
+    let run: Vec<(Pid, usize)> = sys.trace().iter().map(|e| (e.pid, e.outcome)).collect();
+    let witness = verdict.witness.as_ref().expect("witness extracted");
+    let schedule: Vec<(Pid, usize)> = witness
+        .schedule
+        .iter()
+        .map(|s| (s.pid, s.outcome))
+        .collect();
+    assert_eq!(verdict.stats.transitions, run.len());
+    assert!(!schedule.is_empty());
+    assert_eq!(schedule, run[..schedule.len()]);
+    schedule
+}
+
 /// A sampled violation seed must replay deterministically into a
 /// delta-minimized, `confirm()`-passing witness, exactly as exhaustive
 /// violations do.
@@ -180,6 +216,25 @@ fn sampled_violations_yield_confirming_witnesses() {
     let (end, trace) = witness.replay(&ex).expect("replayable");
     assert!(end.distinct_decisions().len() > 1);
     assert_eq!(trace.len(), witness.schedule.len());
+    assert_witness_is_the_sweep_run(&p, &objects, &verdict);
+
+    // On a branching object the seeded outcome resolver shapes the run too:
+    // deciding what a (3,2)-set-agreement object returns breaks consensus.
+    let sa = ConsensusViaObject::new(inputs.clone(), ObjId(0));
+    let sa_objects = vec![AnyObject::set_agreement(3, 2).expect("valid")];
+    let sa_verdict = Explorer::new(&sa, &sa_objects)
+        .exploration()
+        .sample(sample_config(200, 0, 1))
+        .check_consensus(&inputs);
+    assert!(
+        sa_verdict.is_violated(),
+        "expected a violation: {sa_verdict}"
+    );
+    let schedule = assert_witness_is_the_sweep_run(&sa, &sa_objects, &sa_verdict);
+    assert!(
+        schedule.iter().any(|&(_, outcome)| outcome > 0),
+        "the witness must follow a resolver-chosen branch: {schedule:?}"
+    );
 
     // Re-sampling the same configuration reproduces the identical verdict,
     // witness included.

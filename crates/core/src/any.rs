@@ -282,13 +282,7 @@ impl ObjectSpec for AnyObject {
                     AnyState::$variant(s) => s,
                     other => return Err(self.mismatch(other)),
                 };
-                let outs = $obj.outcomes(inner, op)?;
-                Ok(Outcomes::from_vec(
-                    outs.into_vec()
-                        .into_iter()
-                        .map(|(r, s)| (r, AnyState::$variant(s)))
-                        .collect(),
-                ))
+                Ok($obj.outcomes(inner, op)?.map(AnyState::$variant))
             }};
         }
         match self {

@@ -238,7 +238,11 @@ mod tests {
             let mut seq = vec![0usize; len];
             loop {
                 let ops: Vec<Op> = seq.iter().map(|&i| Op::Propose(int(vals[i]))).collect();
-                let (responses, _) = cons.run_first(&ops).unwrap();
+                let mut state = cons.initial_state();
+                let responses: Vec<Value> = ops
+                    .iter()
+                    .map(|op| cons.apply_deterministic(&mut state, op).unwrap())
+                    .collect();
                 for (i, r) in responses.iter().enumerate() {
                     if i < 3 {
                         assert_eq!(*r, ops[0].proposed_value().unwrap());

@@ -17,6 +17,10 @@ use std::hash::Hash;
 /// The non-empty set of admissible `(response, next-state)` outcomes of one
 /// operation.
 ///
+/// The first outcome is stored inline: deterministic operations — nearly
+/// every step of every run — build, re-tag and consume their one outcome
+/// without touching the heap.
+///
 /// # Examples
 ///
 /// ```
@@ -29,7 +33,8 @@ use std::hash::Hash;
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Outcomes<S> {
-    outcomes: Vec<(Value, S)>,
+    first: (Value, S),
+    rest: Vec<(Value, S)>,
 }
 
 impl<S> Outcomes<S> {
@@ -37,7 +42,8 @@ impl<S> Outcomes<S> {
     #[must_use]
     pub fn single(response: Value, state: S) -> Self {
         Outcomes {
-            outcomes: vec![(response, state)],
+            first: (response, state),
+            rest: Vec::new(),
         }
     }
 
@@ -48,24 +54,28 @@ impl<S> Outcomes<S> {
     /// Panics if `outcomes` is empty: a sequential specification must be
     /// total, so every well-formed operation has at least one outcome.
     #[must_use]
-    pub fn from_vec(outcomes: Vec<(Value, S)>) -> Self {
+    pub fn from_vec(mut outcomes: Vec<(Value, S)>) -> Self {
         assert!(
             !outcomes.is_empty(),
             "an operation must have at least one outcome"
         );
-        Outcomes { outcomes }
+        let first = outcomes.remove(0);
+        Outcomes {
+            first,
+            rest: outcomes,
+        }
     }
 
     /// Returns `true` if exactly one outcome is admissible.
     #[must_use]
     pub fn is_deterministic(&self) -> bool {
-        self.outcomes.len() == 1
+        self.rest.is_empty()
     }
 
     /// The number of admissible outcomes.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.outcomes.len()
+        1 + self.rest.len()
     }
 
     /// Outcome sets are never empty.
@@ -75,14 +85,25 @@ impl<S> Outcomes<S> {
     }
 
     /// Iterates over the admissible `(response, next-state)` pairs.
-    pub fn iter(&self) -> std::slice::Iter<'_, (Value, S)> {
-        self.outcomes.iter()
+    pub fn iter(&self) -> <&Self as IntoIterator>::IntoIter {
+        std::iter::once(&self.first).chain(&self.rest)
     }
 
-    /// Consumes the set, returning the underlying vector.
+    /// Rewrites every next-state with `f`, keeping responses and order. A
+    /// deterministic set is rewritten without allocating.
+    #[must_use]
+    pub fn map<T>(self, mut f: impl FnMut(S) -> T) -> Outcomes<T> {
+        let (response, state) = self.first;
+        Outcomes {
+            first: (response, f(state)),
+            rest: self.rest.into_iter().map(|(r, s)| (r, f(s))).collect(),
+        }
+    }
+
+    /// Consumes the set, returning the alternatives as a vector.
     #[must_use]
     pub fn into_vec(self) -> Vec<(Value, S)> {
-        self.outcomes
+        self.into_iter().collect()
     }
 
     /// Returns the unique outcome of a deterministic operation.
@@ -93,31 +114,32 @@ impl<S> Outcomes<S> {
     /// nondeterministic objects must use [`Outcomes::into_vec`] or
     /// [`Outcomes::iter`] instead.
     #[must_use]
-    pub fn into_single(mut self) -> (Value, S) {
+    pub fn into_single(self) -> (Value, S) {
         assert!(
-            self.outcomes.len() == 1,
+            self.rest.is_empty(),
             "into_single() called on a nondeterministic outcome set ({} alternatives)",
-            self.outcomes.len()
+            self.len()
         );
-        self.outcomes.pop().expect("outcome sets are non-empty")
+        self.first
     }
 }
 
 impl<S> IntoIterator for Outcomes<S> {
     type Item = (Value, S);
-    type IntoIter = std::vec::IntoIter<(Value, S)>;
+    type IntoIter = std::iter::Chain<std::iter::Once<(Value, S)>, std::vec::IntoIter<(Value, S)>>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.outcomes.into_iter()
+        std::iter::once(self.first).chain(self.rest)
     }
 }
 
 impl<'a, S> IntoIterator for &'a Outcomes<S> {
     type Item = &'a (Value, S);
-    type IntoIter = std::slice::Iter<'a, (Value, S)>;
+    type IntoIter =
+        std::iter::Chain<std::iter::Once<&'a (Value, S)>, std::slice::Iter<'a, (Value, S)>>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.outcomes.iter()
+        self.iter()
     }
 }
 
@@ -207,45 +229,6 @@ pub trait ObjectSpec: Debug {
         let (resp, next) = self.outcomes(state, op)?.into_single();
         *state = next;
         Ok(resp)
-    }
-
-    /// Runs a whole operation sequence from the initial state, resolving
-    /// nondeterminism with `choose` (which receives the admissible outcomes
-    /// and returns the index of the chosen one).
-    ///
-    /// Returns the sequence of responses and the final state.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`SpecError`]; the state reached so far is discarded.
-    fn run_with<F>(&self, ops: &[Op], mut choose: F) -> Result<(Vec<Value>, Self::State), SpecError>
-    where
-        F: FnMut(&[(Value, Self::State)]) -> usize,
-    {
-        let mut state = self.initial_state();
-        let mut responses = Vec::with_capacity(ops.len());
-        for op in ops {
-            let outs = self.outcomes(&state, op)?.into_vec();
-            let idx = if outs.len() == 1 {
-                0
-            } else {
-                choose(&outs).min(outs.len() - 1)
-            };
-            let (resp, next) = outs.into_iter().nth(idx).expect("chosen index in range");
-            responses.push(resp);
-            state = next;
-        }
-        Ok((responses, state))
-    }
-
-    /// Runs a whole operation sequence from the initial state, taking the
-    /// **first** admissible outcome at every nondeterministic branch.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`SpecError`].
-    fn run_first(&self, ops: &[Op]) -> Result<(Vec<Value>, Self::State), SpecError> {
-        self.run_with(ops, |_| 0)
     }
 }
 

@@ -1,6 +1,6 @@
 //! Global configurations: the nodes of the execution graph.
 
-use lbsa_core::{AnyState, Pid, Value};
+use lbsa_core::{AnyState, ObjId, Pid, Value};
 use lbsa_runtime::process::ProcStatus;
 use std::fmt::Debug;
 use std::hash::Hash;
@@ -66,11 +66,36 @@ impl<L: Clone + Eq + Hash + Debug> Configuration<L> {
         self.procs.iter().all(|s| s.decision().is_some())
     }
 
+    /// The configuration one step of `pid` on `obj` leads to: this one with
+    /// that object's state and that process's status replaced. It is built
+    /// from parts, so the two replaced slots are never cloned.
+    pub(crate) fn after(
+        &self,
+        obj: ObjId,
+        obj_state: AnyState,
+        pid: Pid,
+        status: ProcStatus<L>,
+    ) -> Self {
+        Configuration {
+            object_states: patched(&self.object_states, obj.index(), obj_state),
+            procs: patched(&self.procs, pid.index(), status),
+        }
+    }
+
     /// Returns `true` if `pid` has aborted.
     #[must_use]
     pub fn has_aborted(&self, pid: Pid) -> bool {
         matches!(self.procs.get(pid.index()), Some(ProcStatus::Aborted))
     }
+}
+
+/// A copy of `items` with slot `at` holding `value`.
+fn patched<T: Clone>(items: &[T], at: usize, value: T) -> Vec<T> {
+    let mut out = Vec::with_capacity(items.len());
+    out.extend_from_slice(&items[..at]);
+    out.push(value);
+    out.extend_from_slice(&items[at + 1..]);
+    out
 }
 
 #[cfg(test)]

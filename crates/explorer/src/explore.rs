@@ -57,7 +57,8 @@ use crate::symmetry::ConfigSymmetry;
 use lbsa_core::spec::ObjectSpec;
 use lbsa_core::{AnyObject, AnyState, ObjId, Op, Pid, Value};
 use lbsa_runtime::error::RuntimeError;
-use lbsa_runtime::process::{ProcStatus, Protocol, Step, Symmetry};
+use lbsa_runtime::kernel::StepKernel;
+use lbsa_runtime::process::{ProcStatus, Protocol, Symmetry};
 use lbsa_support::deque as lfdeque;
 use lbsa_support::json::Json;
 use lbsa_support::obs::{Counter, HistogramNs, Registry, TimerNs, Tracer};
@@ -754,23 +755,8 @@ impl TransitionMemo {
 }
 
 /// The interned `(object-state id, proc-status id)` outcome pairs of one
-/// step, in outcome order. Steps of deterministic objects have exactly one
-/// outcome; keeping that case inline spares a heap allocation per memoized
-/// transition.
-#[derive(Debug)]
-enum Pairs {
-    One((u32, u32)),
-    Many(Vec<(u32, u32)>),
-}
-
-impl Pairs {
-    fn as_slice(&self) -> &[(u32, u32)] {
-        match self {
-            Pairs::One(pair) => std::slice::from_ref(pair),
-            Pairs::Many(pairs) => pairs,
-        }
-    }
-}
+/// step, in outcome order.
+type Pairs = Vec<(u32, u32)>;
 
 /// How a step hands freshly computed values to an [`Interner`]. The two
 /// implementations let one `compute_pairs` body serve both engines:
@@ -795,8 +781,7 @@ impl<T: Eq + std::hash::Hash + Clone> InternSink<T> for &mut Interner<T> {
 /// A pure, replayable stepper over a protocol's configurations.
 #[derive(Debug)]
 pub struct Explorer<'a, P: Protocol> {
-    protocol: &'a P,
-    objects: &'a [AnyObject],
+    kernel: StepKernel<'a, P>,
     tracer: Tracer,
     registry: Option<Registry>,
 }
@@ -807,8 +792,7 @@ impl<'a, P: Protocol> Explorer<'a, P> {
     #[must_use]
     pub fn new(protocol: &'a P, objects: &'a [AnyObject]) -> Self {
         Explorer {
-            protocol,
-            objects,
+            kernel: StepKernel::new(protocol, objects),
             tracer: Tracer::disabled(),
             registry: None,
         }
@@ -844,22 +828,26 @@ impl<'a, P: Protocol> Explorer<'a, P> {
     /// The protocol being explored.
     #[must_use]
     pub fn protocol(&self) -> &P {
-        self.protocol
+        self.kernel.protocol()
     }
 
     /// The object table.
     #[must_use]
     pub fn objects(&self) -> &[AnyObject] {
-        self.objects
+        self.kernel.objects()
     }
 
     /// The initial configuration.
     #[must_use]
     pub fn initial_config(&self) -> Configuration<P::LocalState> {
         Configuration {
-            object_states: self.objects.iter().map(ObjectSpec::initial_state).collect(),
-            procs: (0..self.protocol.num_processes())
-                .map(|i| ProcStatus::Running(self.protocol.init(Pid(i))))
+            object_states: self
+                .objects()
+                .iter()
+                .map(ObjectSpec::initial_state)
+                .collect(),
+            procs: (0..self.protocol().num_processes())
+                .map(|i| ProcStatus::Running(self.protocol().init(Pid(i))))
                 .collect(),
         }
     }
@@ -876,40 +864,13 @@ impl<'a, P: Protocol> Explorer<'a, P> {
         config: &Configuration<P::LocalState>,
         pid: Pid,
     ) -> Result<Vec<Configuration<P::LocalState>>, RuntimeError> {
-        let local = match config.procs.get(pid.index()) {
-            None => {
-                return Err(RuntimeError::PidOutOfRange {
-                    pid,
-                    len: config.procs.len(),
-                })
-            }
-            Some(ProcStatus::Running(s)) => s.clone(),
-            Some(_) => return Err(RuntimeError::ProcessNotRunning(pid)),
-        };
-        let (obj, op) = self.protocol.pending_op(pid, &local);
-        let spec = self
-            .objects
-            .get(obj.index())
-            .ok_or(RuntimeError::ObjIdOutOfRange {
-                obj,
-                len: self.objects.len(),
-            })?;
-        let outs = spec.outcomes(&config.object_states[obj.index()], &op)?;
-        Ok(outs
-            .into_vec()
-            .into_iter()
-            .map(|(response, obj_state)| {
-                let mut next = config.clone();
-                next.object_states[obj.index()] = obj_state;
-                next.procs[pid.index()] = match self.protocol.on_response(pid, &local, response) {
-                    Step::Continue(s) => ProcStatus::Running(s),
-                    Step::Decide(v) => ProcStatus::Decided(v),
-                    Step::Abort => ProcStatus::Aborted,
-                    Step::Halt => ProcStatus::Halted,
-                };
-                next
-            })
-            .collect())
+        let step = self
+            .kernel
+            .begin(&config.object_states, &config.procs, pid, None)?;
+        let (obj, _) = step.pending_op();
+        let mut succs = Vec::with_capacity(step.outcome_count());
+        step.for_each(|t| succs.push(config.after(obj, t.obj_state, pid, t.status)));
+        Ok(succs)
     }
 
     /// Replays one chosen step: `pid` takes its pending operation and the
@@ -929,45 +890,16 @@ impl<'a, P: Protocol> Explorer<'a, P> {
         pid: Pid,
         outcome: usize,
     ) -> Result<StepRecord<P::LocalState>, RuntimeError> {
-        let local = match config.procs.get(pid.index()) {
-            None => {
-                return Err(RuntimeError::PidOutOfRange {
-                    pid,
-                    len: config.procs.len(),
-                })
-            }
-            Some(ProcStatus::Running(s)) => s.clone(),
-            Some(_) => return Err(RuntimeError::ProcessNotRunning(pid)),
-        };
-        let (obj, op) = self.protocol.pending_op(pid, &local);
-        let spec = self
-            .objects
-            .get(obj.index())
-            .ok_or(RuntimeError::ObjIdOutOfRange {
-                obj,
-                len: self.objects.len(),
-            })?;
-        let outs = spec
-            .outcomes(&config.object_states[obj.index()], &op)?
-            .into_vec();
-        let len = outs.len();
-        let (response, obj_state) = outs
-            .into_iter()
-            .nth(outcome)
-            .ok_or(RuntimeError::OutcomeOutOfRange { obj, outcome, len })?;
-        let mut next = config.clone();
-        next.object_states[obj.index()] = obj_state;
-        next.procs[pid.index()] = match self.protocol.on_response(pid, &local, response) {
-            Step::Continue(s) => ProcStatus::Running(s),
-            Step::Decide(v) => ProcStatus::Decided(v),
-            Step::Abort => ProcStatus::Aborted,
-            Step::Halt => ProcStatus::Halted,
-        };
+        let step = self
+            .kernel
+            .begin(&config.object_states, &config.procs, pid, None)?;
+        let (obj, op) = step.pending_op();
+        let t = step.take(outcome)?;
         Ok(StepRecord {
-            config: next,
+            config: config.after(obj, t.obj_state, pid, t.status),
             obj,
             op,
-            response,
+            response: t.response,
         })
     }
 
@@ -1097,7 +1029,7 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                             continue;
                         };
                         let pid = Pid(i);
-                        let (obj, op) = self.protocol.pending_op(pid, local);
+                        let (obj, op) = self.protocol().pending_op(pid, local);
                         let memo_key = (parent_key[obj.index()], parent_key[n_obj + i], i as u32);
                         let pairs = match memo.entry(memo_key) {
                             std::collections::hash_map::Entry::Occupied(e) => {
@@ -1109,9 +1041,7 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                                 &*v.insert(self.compute_pairs(
                                     &configs[node],
                                     pid,
-                                    local,
-                                    obj,
-                                    &op,
+                                    (obj, op),
                                     &mut state_interner,
                                     &mut proc_interner,
                                 )?)
@@ -1138,14 +1068,13 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                                     (ck, arc)
                                 }
                                 None => {
-                                    let canon = {
-                                        let parent = &configs[node];
-                                        let mut raw = parent.clone();
-                                        raw.object_states[obj.index()] =
-                                            state_interner.resolve_mut(succ_state).clone();
-                                        raw.procs[i] = proc_interner.resolve_mut(succ_proc).clone();
-                                        timed_canonicalize(symmetry, &raw, canon_probe)
-                                    };
+                                    let raw = configs[node].after(
+                                        obj,
+                                        state_interner.resolve_mut(succ_state).clone(),
+                                        Pid(i),
+                                        proc_interner.resolve_mut(succ_proc).clone(),
+                                    );
+                                    let canon = timed_canonicalize(symmetry, &raw, canon_probe);
                                     let key = self.compact(&canon, &state_interner, &proc_interner);
                                     let arc = Arc::new(canon);
                                     canon_memo.insert(
@@ -1186,42 +1115,12 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                             let t = u32::try_from(configs.len())
                                 .expect("graphs are bounded well below u32::MAX nodes");
                             let key: CompactConfig = scratch.as_slice().into();
-                            // Build the successor from parts rather than
-                            // clone-then-overwrite: the two patched slots
-                            // come from the interner, the rest from the
-                            // parent.
-                            let mut new_state =
-                                Some(state_interner.resolve_mut(succ_state).clone());
-                            let mut new_proc = Some(proc_interner.resolve_mut(succ_proc).clone());
-                            let next = {
-                                let parent = &configs[node];
-                                Configuration {
-                                    object_states: parent
-                                        .object_states
-                                        .iter()
-                                        .enumerate()
-                                        .map(|(j, s)| {
-                                            if j == obj.index() {
-                                                new_state.take().expect("one patched slot")
-                                            } else {
-                                                s.clone()
-                                            }
-                                        })
-                                        .collect(),
-                                    procs: parent
-                                        .procs
-                                        .iter()
-                                        .enumerate()
-                                        .map(|(j, p)| {
-                                            if j == i {
-                                                new_proc.take().expect("one patched slot")
-                                            } else {
-                                                p.clone()
-                                            }
-                                        })
-                                        .collect(),
-                                }
-                            };
+                            let next = configs[node].after(
+                                obj,
+                                state_interner.resolve_mut(succ_state).clone(),
+                                Pid(i),
+                                proc_interner.resolve_mut(succ_proc).clone(),
+                            );
                             next_frontier.push((t, key.clone()));
                             index.insert(key, t);
                             configs.push(next);
@@ -1667,7 +1566,7 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                         continue;
                     };
                     let pid = Pid(i);
-                    let (obj, op) = self.protocol.pending_op(pid, local);
+                    let (obj, op) = self.protocol().pending_op(pid, local);
                     let memo_key = (parent_key[obj.index()], parent_key[n_obj + i], i as u32);
                     // Entry API: a hit borrows the cached
                     // `Arc<Pairs>` in place — one hash, no
@@ -1679,17 +1578,21 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                             e.into_mut()
                         }
                         std::collections::hash_map::Entry::Vacant(slot) => {
-                            match self.step_pairs(
-                                config,
-                                pid,
-                                local,
-                                obj,
-                                &op,
-                                memo_key,
-                                &state_interner,
-                                &proc_interner,
-                                &memo,
-                            ) {
+                            // The shared memo next; only a miss there
+                            // runs the step.
+                            let shared = match memo.get(memo_key) {
+                                Some(hit) => Ok(hit),
+                                None => self
+                                    .compute_pairs(
+                                        config,
+                                        pid,
+                                        (obj, op),
+                                        &state_interner,
+                                        &proc_interner,
+                                    )
+                                    .map(|pairs| memo.insert(memo_key, pairs)),
+                            };
+                            match shared {
                                 Ok(pairs) => slot.insert(pairs),
                                 Err(err) => {
                                     let mut slot = first_error.lock().expect("error slot poisoned");
@@ -1710,11 +1613,12 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                             let (key, arc) = match canon_memo.get(&scratch) {
                                 Some(entry) => entry,
                                 None => {
-                                    let mut raw = config.clone();
-                                    raw.object_states[obj.index()] =
-                                        state_interner.resolve_with(succ_state, Clone::clone);
-                                    raw.procs[i] =
-                                        proc_interner.resolve_with(succ_proc, Clone::clone);
+                                    let raw = config.after(
+                                        obj,
+                                        state_interner.resolve_with(succ_state, Clone::clone),
+                                        pid,
+                                        proc_interner.resolve_with(succ_proc, Clone::clone),
+                                    );
                                     let canon = timed_canonicalize(symmetry, &raw, canon_probe);
                                     let key = self.compact(&canon, &state_interner, &proc_interner);
                                     let arc = Arc::new(canon);
@@ -1815,11 +1719,12 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                                 slot.pid
                             };
                             if inserted {
-                                let mut next = config.clone();
-                                next.object_states[obj as usize] =
-                                    state_interner.resolve_with(succ_state, Clone::clone);
-                                next.procs[pid.0] =
-                                    proc_interner.resolve_with(succ_proc, Clone::clone);
+                                let next = config.after(
+                                    ObjId(obj as usize),
+                                    state_interner.resolve_with(succ_state, Clone::clone),
+                                    pid,
+                                    proc_interner.resolve_with(succ_proc, Clone::clone),
+                                );
                                 spawned.push(WsTask {
                                     id: t,
                                     key: Arc::clone(&batch_keys[b]),
@@ -2118,41 +2023,15 @@ impl<'a, P: Protocol> Explorer<'a, P> {
             .collect()
     }
 
-    /// The interned outcome pairs of one step, through the memo: on a hit,
-    /// neither the object specification nor the protocol runs.
-    #[allow(clippy::too_many_arguments)]
-    fn step_pairs(
-        &self,
-        config: &Configuration<P::LocalState>,
-        pid: Pid,
-        local: &P::LocalState,
-        obj: ObjId,
-        op: &Op,
-        memo_key: (u32, u32, u32),
-        state_interner: &Interner<AnyState>,
-        proc_interner: &Interner<ProcStatus<P::LocalState>>,
-        memo: &TransitionMemo,
-    ) -> Result<Arc<Pairs>, RuntimeError> {
-        if let Some(hit) = memo.get(memo_key) {
-            return Ok(hit);
-        }
-        let computed =
-            self.compute_pairs(config, pid, local, obj, op, state_interner, proc_interner)?;
-        Ok(memo.insert(memo_key, computed))
-    }
-
-    /// The raw (un-memoized) step: run the specification and the protocol,
-    /// intern the results. Generic over the intern handle so the
-    /// deterministic engine gets the lock-free `&mut` interners while
-    /// work-stealing workers share the locking `&` ones.
-    #[allow(clippy::too_many_arguments)]
+    /// The raw (un-memoized) step: run the specification and the protocol
+    /// through the kernel, intern the results. Generic over the intern
+    /// handle so the deterministic engine gets the lock-free `&mut`
+    /// interners while work-stealing workers share the locking `&` ones.
     fn compute_pairs<SI, PI>(
         &self,
         config: &Configuration<P::LocalState>,
         pid: Pid,
-        local: &P::LocalState,
-        obj: ObjId,
-        op: &Op,
+        pending: (ObjId, Op),
         mut state_interner: SI,
         mut proc_interner: PI,
     ) -> Result<Pairs, RuntimeError>
@@ -2160,34 +2039,17 @@ impl<'a, P: Protocol> Explorer<'a, P> {
         SI: InternSink<AnyState>,
         PI: InternSink<ProcStatus<P::LocalState>>,
     {
-        let spec = self
-            .objects
-            .get(obj.index())
-            .ok_or(RuntimeError::ObjIdOutOfRange {
-                obj,
-                len: self.objects.len(),
-            })?;
-        let mut outs = spec
-            .outcomes(&config.object_states[obj.index()], op)?
-            .into_vec();
-        let mut pair = |response, obj_state: &AnyState| {
-            let status = match self.protocol.on_response(pid, local, response) {
-                Step::Continue(s) => ProcStatus::Running(s),
-                Step::Decide(v) => ProcStatus::Decided(v),
-                Step::Abort => ProcStatus::Aborted,
-                Step::Halt => ProcStatus::Halted,
-            };
-            (state_interner.put(obj_state), proc_interner.put(&status))
-        };
-        if outs.len() == 1 {
-            let (response, obj_state) = outs.pop().expect("length checked");
-            return Ok(Pairs::One(pair(response, &obj_state)));
-        }
-        Ok(Pairs::Many(
-            outs.into_iter()
-                .map(|(response, obj_state)| pair(response, &obj_state))
-                .collect(),
-        ))
+        let step = self
+            .kernel
+            .begin(&config.object_states, &config.procs, pid, Some(pending))?;
+        let mut pairs = Vec::with_capacity(step.outcome_count());
+        step.for_each(|t| {
+            pairs.push((
+                state_interner.put(&t.obj_state),
+                proc_interner.put(&t.status),
+            ));
+        });
+        Ok(pairs)
     }
 }
 
@@ -2311,7 +2173,7 @@ impl<'e, 'a, P: Protocol> Exploration<'e, 'a, P> {
         P: Symmetry,
         P::LocalState: Ord,
     {
-        let sym = ConfigSymmetry::of(self.explorer.protocol);
+        let sym = ConfigSymmetry::of(self.explorer.kernel.protocol());
         self.symmetry = if sym.is_trivial() { None } else { Some(sym) };
         self
     }
@@ -2471,6 +2333,7 @@ impl<'e, 'a, P: Protocol> Exploration<'e, 'a, P> {
 mod tests {
     use super::*;
     use lbsa_core::{ObjId, Op, Value};
+    use lbsa_runtime::process::Step;
 
     /// Two processes propose their pid to a consensus object and decide.
     #[derive(Debug)]
@@ -2879,6 +2742,23 @@ mod tests {
             ex.step(&c0, Pid(9), 0),
             Err(RuntimeError::PidOutOfRange { .. })
         ));
+    }
+
+    #[test]
+    fn configs_missing_object_states_are_rejected_not_indexed() {
+        // `Configuration`'s fields are public, so a caller can hand in one
+        // with fewer object states than the explorer has objects.
+        let p = RaceConsensus { n: 2 };
+        let objects = vec![AnyObject::consensus(2).unwrap()];
+        let ex = Explorer::new(&p, &objects);
+        let mut c = ex.initial_config();
+        c.object_states.clear();
+        let expected = RuntimeError::ObjIdOutOfRange {
+            obj: ObjId(0),
+            len: 0,
+        };
+        assert_eq!(ex.successors_of(&c, Pid(0)), Err(expected.clone()));
+        assert_eq!(ex.step(&c, Pid(0), 0), Err(expected));
     }
 
     /// A fully symmetric race: every process proposes the *same* value to a

@@ -39,6 +39,7 @@ use lbsa_runtime::outcome::RandomOutcome;
 use lbsa_runtime::process::Protocol;
 use lbsa_runtime::scheduler::RandomScheduler;
 use lbsa_runtime::system::{RunEnd, RunResult, System};
+use lbsa_runtime::trace::Trace;
 use lbsa_support::json::Json;
 use lbsa_support::obs::{HistogramNs, Tracer};
 use std::collections::BTreeSet;
@@ -434,15 +435,24 @@ struct WorkerSweep {
     run_ns: HistogramNs,
 }
 
-/// One seeded run: fresh system, seeded scheduler and outcome resolver.
-fn run_one<P: Protocol>(sh: &SweepShared<'_, P>, seed: u64) -> Result<RunResult, RuntimeError> {
-    let mut sys = System::new(sh.protocol, sh.objects)?;
-    sys.set_record_trace(false);
-    sys.run(
+/// One seeded run of a sweep: a fresh system, seeded scheduler and outcome
+/// resolver. With `record` the run keeps its trace, from which a
+/// violation's witness schedule is read; the sweep itself runs without.
+pub(crate) fn run_one<P: Protocol>(
+    protocol: &P,
+    objects: &[AnyObject],
+    seed: u64,
+    max_steps: usize,
+    record: bool,
+) -> Result<(RunResult, Trace), RuntimeError> {
+    let mut sys = System::new(protocol, objects)?;
+    sys.set_record_trace(record);
+    let result = sys.run(
         &mut RandomScheduler::seeded(seed),
         &mut RandomOutcome::seeded(seed ^ OUTCOME_SEED_XOR),
-        sh.config.max_steps,
-    )
+        max_steps,
+    )?;
+    Ok((result, sys.trace().clone()))
 }
 
 /// The per-worker sweep body: walks seed offsets `worker, worker + stride,
@@ -463,9 +473,9 @@ fn worker_sweep<P: Protocol>(sh: &SweepShared<'_, P>, worker: usize) -> WorkerSw
         }
         let seed = sh.config.seed0.wrapping_add(offset);
         let run_started = Instant::now();
-        let found = match run_one(sh, seed) {
+        let found = match run_one(sh.protocol, sh.objects, seed, sh.config.max_steps, false) {
             Err(error) => Some(SampleViolation::Runtime { seed, error }),
-            Ok(result) => {
+            Ok((result, _)) => {
                 w.run_ns.record(run_started.elapsed());
                 w.stats.runs += 1;
                 if let Some(live) = sh.live {

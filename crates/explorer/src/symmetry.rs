@@ -402,18 +402,8 @@ impl<'e, 'a, 'p, P: Protocol> Concretizer<'e, 'a, 'p, P> {
     /// if no real outcome lands in the demanded orbit — which would mean the
     /// protocol's [`Symmetry`] declaration violates the equivariance law.
     pub fn advance(&mut self, pid: Pid, outcome: usize) -> Result<(Pid, usize), CheckError> {
-        let quot_succs = self.explorer.successors_of(&self.quotient, pid)?;
-        let quot_next = quot_succs
-            .get(outcome)
-            .ok_or_else(|| CheckError::WitnessDiverged {
-                step: self.steps_taken,
-                reason: format!(
-                    "quotient step p{} outcome {outcome} out of range ({} outcomes)",
-                    pid.index(),
-                    quot_succs.len()
-                ),
-            })?;
-        let target = self.sym.canonicalize(quot_next);
+        let quot_next = self.explorer.step(&self.quotient, pid, outcome)?.config;
+        let target = self.sym.canonicalize(&quot_next);
 
         let real_pid = self.real_pid(pid);
         let real_succs = self.explorer.successors_of(&self.real, real_pid)?;

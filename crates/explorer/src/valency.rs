@@ -200,18 +200,15 @@ pub fn critical_anatomy<P: Protocol>(
     analysis: &ValencyAnalysis,
 ) -> Result<Vec<CriticalInfo>, lbsa_runtime::error::RuntimeError> {
     use lbsa_core::spec::ObjectSpec;
-    use lbsa_runtime::process::ProcStatus;
     let mut out = Vec::new();
     for idx in analysis.critical_configurations(graph) {
         let config = &graph.configs[idx];
         let mut pending = Vec::new();
-        for pid in config.enabled_pids() {
-            let local = match &config.procs[pid.index()] {
-                ProcStatus::Running(s) => s,
-                _ => unreachable!("enabled pids are running"),
-            };
-            let (obj, op) = explorer.protocol().pending_op(pid, local);
-            pending.push((pid, obj, op));
+        for (i, status) in config.procs.iter().enumerate() {
+            if let Some(local) = status.local() {
+                let (obj, op) = explorer.protocol().pending_op(Pid(i), local);
+                pending.push((Pid(i), obj, op));
+            }
         }
         let same_object = match pending.split_first() {
             Some(((_, first, _), rest)) if rest.iter().all(|(_, o, _)| o == first) => Some(*first),

@@ -48,16 +48,13 @@ use crate::explore::{Edge, Exploration, ExplorationGraph, Explorer, Strategy};
 use crate::linearizability::{check_linearizable, LinearizabilityError};
 use crate::live::{EtaModel, LiveMetrics, ProgressWatcher};
 use crate::sampling::{
-    sample_confidence, sample_k_set_agreement, SampleConfig, SampleViolation, OUTCOME_SEED_XOR,
+    run_one, sample_confidence, sample_k_set_agreement, SampleConfig, SampleViolation,
 };
 use crate::symmetry::{Concretizer, ConfigSymmetry};
-use lbsa_core::spec::ObjectSpec;
 use lbsa_core::{AnyObject, Pid, Value};
 use lbsa_runtime::derived::CompletedOp;
 use lbsa_runtime::error::RuntimeError;
-use lbsa_runtime::outcome::{OutcomeResolver, RandomOutcome};
 use lbsa_runtime::process::{ProcStatus, Protocol};
-use lbsa_runtime::scheduler::{RandomScheduler, Scheduler};
 use lbsa_runtime::trace::{Trace, TraceEvent};
 use lbsa_support::json::Json;
 use lbsa_support::obs::Tracer;
@@ -401,6 +398,7 @@ fn replay_one<P: Protocol>(
                 obj: rec.obj,
                 op: rec.op,
                 response: rec.response,
+                outcome: step.outcome,
             });
             Ok(rec.config)
         }
@@ -860,7 +858,19 @@ fn sampled_violation_verdict<P: Protocol>(
             return Verdict::error(stats, error.clone().into());
         }
     };
-    let schedule = sampled_schedule(explorer, violation.seed(), config.max_steps);
+    // The sweep's own run, re-run from its seed with its trace kept: the
+    // schedule is the sampled run by construction.
+    let (protocol, objects) = (explorer.protocol(), explorer.objects());
+    let run = run_one(protocol, objects, violation.seed(), config.max_steps, true);
+    let schedule = run.map(|(_, trace)| {
+        trace
+            .iter()
+            .map(|e| ScheduleStep {
+                pid: e.pid,
+                outcome: e.outcome,
+            })
+            .collect::<Vec<_>>()
+    });
     let stats = CheckStats {
         configs: seeds_tried,
         transitions: schedule.as_ref().map_or(0, Vec::len),
@@ -873,54 +883,6 @@ fn sampled_violation_verdict<P: Protocol>(
         stats,
         witness,
     }
-}
-
-/// Re-derives a sampled run's schedule from its seed by driving
-/// [`Explorer::step`] with the same seeded scheduler and outcome resolver
-/// as the sweep's `System::run` — including consulting the resolver *only*
-/// when an object offers more than one outcome, so the RNG streams stay
-/// bit-aligned with the original run.
-fn sampled_schedule<P: Protocol>(
-    explorer: &Explorer<'_, P>,
-    seed: u64,
-    max_steps: usize,
-) -> Result<Vec<ScheduleStep>, RuntimeError> {
-    let mut scheduler = RandomScheduler::seeded(seed);
-    let mut resolver = RandomOutcome::seeded(seed ^ OUTCOME_SEED_XOR);
-    let mut config = explorer.initial_config();
-    let mut schedule = Vec::new();
-    loop {
-        let enabled = config.enabled_pids();
-        if enabled.is_empty() || schedule.len() >= max_steps {
-            break;
-        }
-        let Some(pid) = scheduler.next_pid(&enabled) else {
-            break;
-        };
-        let local = match &config.procs[pid.index()] {
-            ProcStatus::Running(s) => s.clone(),
-            _ => unreachable!("enabled pids are running"),
-        };
-        let (obj, op) = explorer.protocol().pending_op(pid, &local);
-        let spec = explorer
-            .objects()
-            .get(obj.index())
-            .ok_or(RuntimeError::ObjIdOutOfRange {
-                obj,
-                len: explorer.objects().len(),
-            })?;
-        let options = spec
-            .outcomes(&config.object_states[obj.index()], &op)?
-            .into_vec();
-        let outcome = if options.len() == 1 {
-            0
-        } else {
-            resolver.choose(pid, obj, &options).min(options.len() - 1)
-        };
-        config = explorer.step(&config, pid, outcome)?.config;
-        schedule.push(ScheduleStep { pid, outcome });
-    }
-    Ok(schedule)
 }
 
 /// Checks linearizability of a recorded front-end history, returning a

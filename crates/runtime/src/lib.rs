@@ -12,6 +12,8 @@
 //! * A [`system::System`] holds the shared objects and process states. One
 //!   **atomic step** = one process applies its pending operation to one
 //!   object (interleaving semantics of linearizable objects).
+//! * [`kernel::StepKernel`] defines that atomic step once: the system, both
+//!   exploration engines and witness replay all step through it.
 //! * A [`scheduler::Scheduler`] chooses which process steps next:
 //!   round-robin, seeded random, scripted, or solo. Crashes are modelled by
 //!   [`scheduler::CrashPlan`]s — a crashed process simply never takes another
@@ -66,6 +68,7 @@
 
 pub mod derived;
 pub mod error;
+pub mod kernel;
 pub mod outcome;
 pub mod process;
 pub mod scheduler;

@@ -7,17 +7,18 @@
 //! randomized testing, or scripted for targeted scenarios. (The explorer
 //! does not use a resolver at all — it follows *every* branch.)
 
-use lbsa_core::{AnyState, ObjId, Pid, Value};
+use lbsa_core::{ObjId, Pid};
 use lbsa_support::rng::SmallRng;
 use std::collections::VecDeque;
 
 /// Chooses among the admissible outcomes of a nondeterministic operation.
 pub trait OutcomeResolver {
-    /// Returns the index (into `options`) of the chosen outcome.
+    /// Returns the index of the chosen outcome among the `n` admissible
+    /// ones, in the object's outcome order.
     ///
-    /// `options` is never empty. Implementations returning an out-of-range
-    /// index are clamped by the caller to `options.len() - 1`.
-    fn choose(&mut self, pid: Pid, obj: ObjId, options: &[(Value, AnyState)]) -> usize;
+    /// `n` is never zero. Implementations returning an out-of-range index
+    /// are clamped by the caller to `n - 1`.
+    fn choose(&mut self, pid: Pid, obj: ObjId, n: usize) -> usize;
 }
 
 /// Always chooses the first admissible outcome. Fully deterministic.
@@ -25,7 +26,7 @@ pub trait OutcomeResolver {
 pub struct FirstOutcome;
 
 impl OutcomeResolver for FirstOutcome {
-    fn choose(&mut self, _pid: Pid, _obj: ObjId, _options: &[(Value, AnyState)]) -> usize {
+    fn choose(&mut self, _pid: Pid, _obj: ObjId, _n: usize) -> usize {
         0
     }
 }
@@ -54,8 +55,8 @@ impl RandomOutcome {
 }
 
 impl OutcomeResolver for RandomOutcome {
-    fn choose(&mut self, _pid: Pid, _obj: ObjId, options: &[(Value, AnyState)]) -> usize {
-        self.rng.random_range(0..options.len())
+    fn choose(&mut self, _pid: Pid, _obj: ObjId, n: usize) -> usize {
+        self.rng.random_range(0..n)
     }
 }
 
@@ -85,62 +86,49 @@ impl ScriptedOutcome {
 }
 
 impl OutcomeResolver for ScriptedOutcome {
-    fn choose(&mut self, _pid: Pid, _obj: ObjId, options: &[(Value, AnyState)]) -> usize {
-        self.script.pop_front().unwrap_or(0).min(options.len() - 1)
+    fn choose(&mut self, _pid: Pid, _obj: ObjId, n: usize) -> usize {
+        self.script.pop_front().unwrap_or(0).min(n - 1)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lbsa_core::spec::ObjectSpec;
-    use lbsa_core::AnyObject;
-
-    fn options() -> Vec<(Value, AnyState)> {
-        let st = AnyObject::register().initial_state();
-        vec![
-            (Value::Int(1), st.clone()),
-            (Value::Int(2), st.clone()),
-            (Value::Int(3), st),
-        ]
-    }
 
     #[test]
     fn first_outcome_always_zero() {
         let mut r = FirstOutcome;
         for _ in 0..5 {
-            assert_eq!(r.choose(Pid(0), ObjId(0), &options()), 0);
+            assert_eq!(r.choose(Pid(0), ObjId(0), 3), 0);
         }
     }
 
     #[test]
     fn random_outcome_is_reproducible_and_in_range() {
-        let opts = options();
         let run = |seed| {
             let mut r = RandomOutcome::seeded(seed);
             (0..20)
-                .map(|_| r.choose(Pid(0), ObjId(0), &opts))
+                .map(|_| r.choose(Pid(0), ObjId(0), 3))
                 .collect::<Vec<_>>()
         };
         let a = run(7);
         let b = run(7);
         assert_eq!(a, b, "same seed must reproduce the same choices");
-        assert!(a.iter().all(|&i| i < opts.len()));
+        assert!(a.iter().all(|&i| i < 3));
         let c = run(8);
         assert_ne!(a, c, "different seeds should (overwhelmingly) differ");
     }
 
     #[test]
     fn scripted_outcome_plays_then_falls_back() {
-        let opts = options();
         let mut r = ScriptedOutcome::new([2, 1, 99]);
         assert_eq!(r.remaining(), 3);
-        assert_eq!(r.choose(Pid(0), ObjId(0), &opts), 2);
-        assert_eq!(r.choose(Pid(0), ObjId(0), &opts), 1);
+        assert_eq!(r.choose(Pid(0), ObjId(0), 3), 2);
+        assert_eq!(r.choose(Pid(0), ObjId(0), 3), 1);
         // Out-of-range entries clamp.
-        assert_eq!(r.choose(Pid(0), ObjId(0), &opts), 2);
+        assert_eq!(r.choose(Pid(0), ObjId(0), 3), 2);
         // Exhausted script falls back to 0.
-        assert_eq!(r.choose(Pid(0), ObjId(0), &opts), 0);
+        assert_eq!(r.choose(Pid(0), ObjId(0), 3), 0);
         assert_eq!(r.remaining(), 0);
     }
 }

@@ -2,8 +2,9 @@
 //! a time.
 
 use crate::error::RuntimeError;
+use crate::kernel::StepKernel;
 use crate::outcome::OutcomeResolver;
-use crate::process::{ProcStatus, Protocol, Step};
+use crate::process::{ProcStatus, Protocol};
 use crate::scheduler::{CrashPlan, Scheduler};
 use crate::trace::{Trace, TraceEvent};
 use lbsa_core::spec::ObjectSpec;
@@ -84,8 +85,7 @@ impl RunResult {
 /// snapshots of the mutable part only).
 #[derive(Debug)]
 pub struct System<'a, P: Protocol> {
-    protocol: &'a P,
-    objects: &'a [AnyObject],
+    kernel: StepKernel<'a, P>,
     object_states: Vec<AnyState>,
     statuses: Vec<ProcStatus<P::LocalState>>,
     trace: Trace,
@@ -107,8 +107,7 @@ impl<'a, P: Protocol> System<'a, P> {
             return Err(RuntimeError::NoProcesses);
         }
         Ok(System {
-            protocol,
-            objects,
+            kernel: StepKernel::new(protocol, objects),
             object_states: objects.iter().map(ObjectSpec::initial_state).collect(),
             statuses: (0..n)
                 .map(|i| ProcStatus::Running(protocol.init(Pid(i))))
@@ -143,7 +142,7 @@ impl<'a, P: Protocol> System<'a, P> {
     /// The protocol driving this system.
     #[must_use]
     pub fn protocol(&self) -> &P {
-        self.protocol
+        self.kernel.protocol()
     }
 
     /// Current status of each process.
@@ -219,43 +218,31 @@ impl<'a, P: Protocol> System<'a, P> {
         pid: Pid,
         resolver: &mut R,
     ) -> Result<(), RuntimeError> {
-        let len = self.statuses.len();
-        let local = match self.statuses.get(pid.index()) {
-            None => return Err(RuntimeError::PidOutOfRange { pid, len }),
-            Some(ProcStatus::Running(s)) => s.clone(),
-            Some(_) => return Err(RuntimeError::ProcessNotRunning(pid)),
-        };
-        let (obj, op) = self.protocol.pending_op(pid, &local);
-        let obj_len = self.objects.len();
-        let spec = self
-            .objects
-            .get(obj.index())
-            .ok_or(RuntimeError::ObjIdOutOfRange { obj, len: obj_len })?;
-        let state = &self.object_states[obj.index()];
-        let options = spec.outcomes(state, &op)?.into_vec();
-        let idx = if options.len() == 1 {
+        let step = self
+            .kernel
+            .begin(&self.object_states, &self.statuses, pid, None)?;
+        let ((obj, op), n) = (step.pending_op(), step.outcome_count());
+        // Consult the resolver only on a real choice, so seeded runs draw
+        // from the RNG exactly when an object branches.
+        let chosen = if n == 1 {
             0
         } else {
-            resolver.choose(pid, obj, &options).min(options.len() - 1)
+            resolver.choose(pid, obj, n).min(n - 1)
         };
-        let (response, next_state) = options.into_iter().nth(idx).expect("index clamped");
-        self.object_states[obj.index()] = next_state;
+        let t = step.take(chosen)?;
+        self.object_states[obj.index()] = t.obj_state;
+        self.statuses[pid.index()] = t.status;
         if self.record_trace {
             self.trace.push(TraceEvent {
                 step: self.steps,
                 pid,
                 obj,
                 op,
-                response,
+                response: t.response,
+                outcome: t.outcome,
             });
         }
         self.steps += 1;
-        self.statuses[pid.index()] = match self.protocol.on_response(pid, &local, response) {
-            Step::Continue(next) => ProcStatus::Running(next),
-            Step::Decide(v) => ProcStatus::Decided(v),
-            Step::Abort => ProcStatus::Aborted,
-            Step::Halt => ProcStatus::Halted,
-        };
         Ok(())
     }
 
@@ -354,6 +341,7 @@ impl<'a, P: Protocol> System<'a, P> {
 mod tests {
     use super::*;
     use crate::outcome::FirstOutcome;
+    use crate::process::Step;
     use crate::scheduler::{RoundRobin, Scripted, Solo};
     use lbsa_core::{ObjId, Op};
 

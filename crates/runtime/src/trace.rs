@@ -24,6 +24,10 @@ pub struct TraceEvent {
     pub op: Op,
     /// The response returned.
     pub response: Value,
+    /// Index of the object outcome the step followed, among the outcomes
+    /// admissible in that state (0 for a deterministic object). With
+    /// `pid`, it makes the event replayable on its own.
+    pub outcome: usize,
 }
 
 impl fmt::Display for TraceEvent {
@@ -142,6 +146,7 @@ mod tests {
             obj: ObjId(obj),
             op,
             response,
+            outcome: 0,
         }
     }
 
