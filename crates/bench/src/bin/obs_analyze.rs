@@ -14,6 +14,11 @@
 //!   clock in a work-stealing run: workers sweeping empty deques;
 //! * `--summary-json` — the same analysis as one machine-readable object.
 //!
+//! Traces are read through the fold `obs_top` uses
+//! ([`lbsa_bench::trace_fold`]): a malformed line — say, the last line of a
+//! trace cut off mid-write — is skipped and counted (`malformed_lines`),
+//! not fatal.
+//!
 //! `--regress <BENCH_history.jsonl>` switches to perf-regression mode: the
 //! latest history entry (appended by `perf_smoke`) is compared against the
 //! trailing median of earlier same-host entries, with a noise band, and
@@ -24,6 +29,8 @@
 //!   obs_analyze <trace.jsonl | dir> [--summary-json]
 //!   obs_analyze --regress <BENCH_history.jsonl> [--noise 0.25] [--window 10]
 
+use lbsa_bench::trace_fold::{read_lines, TraceFold, WorkerTrace};
+use lbsa_explorer::WorkerStats;
 use lbsa_support::json::Json;
 use std::path::{Path, PathBuf};
 
@@ -84,16 +91,16 @@ fn main() {
     }
     let mut summaries = Vec::new();
     for path in &traces {
-        let events = match load_trace(path) {
-            Ok(e) => e,
+        let (events, fold) = match load_trace(path) {
+            Ok(loaded) => loaded,
             Err(err) => {
                 eprintln!("obs_analyze: {}: {err}", path.display());
                 std::process::exit(2);
             }
         };
-        let summary = analyze_trace(path, &events);
+        let summary = analyze_trace(path, &events, &fold);
         if !summary_json {
-            render_human(&summary, &events);
+            render_human(&summary, &fold);
         }
         summaries.push(summary);
     }
@@ -136,30 +143,15 @@ fn collect_traces(target: &Path) -> Vec<PathBuf> {
     }
 }
 
-/// Reads one JSONL trace into a vector of event objects, streaming one
-/// line at a time so peak RSS holds the parsed events but never the whole
-/// raw file (traces can be hundreds of MB of text for a few MB of events).
-fn load_trace(path: &Path) -> Result<Vec<Json>, String> {
-    use std::io::BufRead;
-    let file = std::fs::File::open(path).map_err(|e| e.to_string())?;
-    let mut reader = std::io::BufReader::new(file);
+/// Reads one JSONL trace into its event objects and its fold, streaming
+/// one line at a time so peak RSS holds the parsed events but never the
+/// whole raw file (traces can be hundreds of MB of text for a few MB of
+/// events).
+fn load_trace(path: &Path) -> std::io::Result<(Vec<Json>, TraceFold)> {
+    let mut fold = TraceFold::default();
     let mut events = Vec::new();
-    let mut line = String::new();
-    let mut lineno = 0usize;
-    loop {
-        line.clear();
-        let read = reader.read_line(&mut line).map_err(|e| e.to_string())?;
-        if read == 0 {
-            break;
-        }
-        lineno += 1;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let doc = Json::parse(line.trim_end()).map_err(|e| format!("line {lineno}: {e}"))?;
-        events.push(doc);
-    }
-    Ok(events)
+    read_lines(path, |line| events.extend(fold.ingest_line(line)))?;
+    Ok((events, fold))
 }
 
 fn field_i64(e: &Json, key: &str) -> Option<i64> {
@@ -174,36 +166,37 @@ fn name_of(e: &Json) -> &str {
     e.get("event").and_then(Json::as_str).unwrap_or("")
 }
 
+/// One integer field of every row that has it.
+fn column<'a>(rows: &'a [Json], key: &'a str) -> impl Iterator<Item = i64> + 'a {
+    rows.iter().filter_map(move |row| field_i64(row, key))
+}
+
 /// Everything `obs_analyze` reconstructs from one trace, as the
 /// `--summary-json` object (the human renderer reads the same structure).
-fn analyze_trace(path: &Path, events: &[Json]) -> Json {
+fn analyze_trace(path: &Path, events: &[Json], fold: &TraceFold) -> Json {
     let begin = events.iter().find(|e| name_of(e) == "explore.begin");
     let frontier = begin
         .and_then(|e| e.get("frontier"))
         .and_then(Json::as_str)
         .unwrap_or("unknown");
     let threads = begin.and_then(|e| field_i64(e, "threads")).unwrap_or(0);
-    let t0 = events.iter().filter_map(|e| field_i64(e, "t_us")).min();
-    let t1 = events.iter().filter_map(|e| field_i64(e, "t_us")).max();
-    let span_us = match (t0, t1) {
-        (Some(a), Some(b)) => b - a,
-        _ => 0,
-    };
+    let span_us = fold.span.map_or(0, |(a, b)| b.saturating_sub(a));
 
     let mut doc = Json::object()
         .set("trace", path.display().to_string())
         .set("events", events.len())
+        .set("malformed_lines", fold.malformed)
         .set("frontier", frontier)
         .set("threads", threads)
         .set("span_us", span_us);
 
-    let workers = worker_rows(events);
+    let workers = worker_rows(fold);
     if !workers.is_empty() {
         doc = doc
             .set("workers", Json::Arr(workers.clone()))
             .set("worker_imbalance", imbalance(&workers))
             .set("steal_storm", steal_storm(&workers))
-            .set("critical_path", ws_critical_path(events, &workers));
+            .set("critical_path", ws_critical_path(fold));
     }
     let levels = level_rows(events);
     if !levels.is_empty() {
@@ -218,56 +211,24 @@ fn analyze_trace(path: &Path, events: &[Json]) -> Json {
     doc
 }
 
-/// One row per worker, merged from the assembly-time `ws.worker` summaries
-/// and the steal attribution of the in-run `ws.steal` events.
-fn worker_rows(events: &[Json]) -> Vec<Json> {
-    let mut rows: Vec<Json> = Vec::new();
-    for e in events.iter().filter(|e| name_of(e) == "ws.worker") {
-        let Some(w) = field_i64(e, "worker") else {
+/// One row per worker that signed off: its `ws.done` row — every
+/// [`WorkerStats`] counter, zero where an older trace lacks one — plus its
+/// busy fraction and the victims of its steals.
+fn worker_rows(fold: &TraceFold) -> Vec<Json> {
+    let zeros = WorkerStats::default().to_json();
+    let mut rows = Vec::new();
+    for w in fold.workers.values() {
+        let Some(Json::Obj(done)) = &w.done else {
             continue;
         };
-        let mut victims = Json::object();
-        let mut hits = 0i64;
-        for s in events.iter().filter(|s| {
-            name_of(s) == "ws.steal"
-                && field_i64(s, "worker") == Some(w)
-                && s.get("outcome").and_then(Json::as_str) == Some("hit")
-        }) {
-            if let Some(v) = field_i64(s, "victim") {
-                let key = v.to_string();
-                let n = victims.get(&key).and_then(Json::as_i64).unwrap_or(0);
-                victims = victims.set(&key, n + 1);
-                hits += 1;
-            }
-        }
-        let busy = field_i64(e, "busy_us").unwrap_or(0);
-        let idle = field_i64(e, "idle_us").unwrap_or(0);
-        let accounted = busy + idle;
-        let utilization = if accounted > 0 {
-            busy as f64 / accounted as f64
-        } else {
-            0.0
-        };
-        let mut row = Json::object()
-            .set("worker", w)
-            .set("expanded", field_i64(e, "expanded").unwrap_or(0))
-            .set("transitions", field_i64(e, "transitions").unwrap_or(0))
-            .set("steals", field_i64(e, "steals").unwrap_or(0))
-            .set("steal_fails", field_i64(e, "steal_fails").unwrap_or(0))
-            .set("local_hits", field_i64(e, "local_hits").unwrap_or(0))
-            .set(
-                "max_deque_depth",
-                field_i64(e, "max_deque_depth").unwrap_or(0),
-            )
-            .set("idle_spins", field_i64(e, "idle_spins").unwrap_or(0))
-            // Lock-free-engine counters; absent (0) in pre-deque traces.
-            .set("park_count", field_i64(e, "park_count").unwrap_or(0))
-            .set("parked_us", field_i64(e, "parked_us").unwrap_or(0))
-            .set("deque_grows", field_i64(e, "deque_grows").unwrap_or(0))
-            .set("busy_us", busy)
-            .set("idle_us", idle)
-            .set("utilization", utilization);
-        if hits > 0 {
+        let row = done.iter().fold(zeros.clone(), |row, (key, value)| {
+            row.set(key, value.clone())
+        });
+        let mut row = row.set("utilization", utilization(w));
+        if !w.victims.is_empty() {
+            let victims = w.victims.iter().fold(Json::object(), |v, (victim, n)| {
+                v.set(&victim.to_string(), *n)
+            });
             row = row.set("victims", victims);
         }
         rows.push(row);
@@ -275,18 +236,26 @@ fn worker_rows(events: &[Json]) -> Vec<Json> {
     rows
 }
 
+/// A worker's busy fraction of its busy-plus-idle time, from its sign-off.
+fn utilization(w: &WorkerTrace) -> f64 {
+    let accounted = w
+        .done_field("busy_us")
+        .saturating_add(w.done_field("idle_us"));
+    if accounted > 0 {
+        w.done_field("busy_us") as f64 / accounted as f64
+    } else {
+        0.0
+    }
+}
+
 /// Busiest worker's expanded count over the per-worker mean.
 fn imbalance(workers: &[Json]) -> f64 {
-    let counts: Vec<i64> = workers
-        .iter()
-        .map(|w| field_i64(w, "expanded").unwrap_or(0))
-        .collect();
-    let total: i64 = counts.iter().sum();
-    if counts.is_empty() || total == 0 {
+    let total: i64 = column(workers, "expanded").sum();
+    let max = column(workers, "expanded").max().unwrap_or(0);
+    if total == 0 {
         return 1.0;
     }
-    let max = *counts.iter().max().expect("nonempty") as f64;
-    max / (total as f64 / counts.len() as f64)
+    max as f64 / (total as f64 / workers.len() as f64)
 }
 
 /// Steal-storm detection: sweeps that found nothing, per expanded task.
@@ -299,23 +268,10 @@ fn imbalance(workers: &[Json]) -> f64 {
 /// Pre-backoff traces carry no `park_count` and degrade to the old
 /// all-fails-burn-CPU reading.
 fn steal_storm(workers: &[Json]) -> Json {
-    let fails: i64 = workers
-        .iter()
-        .map(|w| field_i64(w, "steal_fails").unwrap_or(0))
-        .sum();
-    let expanded: i64 = workers
-        .iter()
-        .map(|w| field_i64(w, "expanded").unwrap_or(0))
-        .sum();
-    let spins: i64 = workers
-        .iter()
-        .map(|w| field_i64(w, "idle_spins").unwrap_or(0))
-        .max()
-        .unwrap_or(0);
-    let parks: i64 = workers
-        .iter()
-        .map(|w| field_i64(w, "park_count").unwrap_or(0))
-        .sum();
+    let fails: i64 = column(workers, "steal_fails").sum();
+    let expanded: i64 = column(workers, "expanded").sum();
+    let spins = column(workers, "idle_spins").max().unwrap_or(0);
+    let parks: i64 = column(workers, "park_count").sum();
     let burning = (fails - parks).max(0);
     let fails_per_task = fails as f64 / expanded.max(1) as f64;
     let burning_per_task = burning as f64 / expanded.max(1) as f64;
@@ -330,27 +286,16 @@ fn steal_storm(workers: &[Json]) -> Json {
 
 /// The work-stealing critical path: the worker whose span (first beat to
 /// `ws.done`) is longest bounds the run's wall clock.
-fn ws_critical_path(events: &[Json], workers: &[Json]) -> Json {
+fn ws_critical_path(fold: &TraceFold) -> Json {
     let mut critical: Option<(i64, i64, f64)> = None; // (worker, span, util)
-    for w in workers {
-        let Some(id) = field_i64(w, "worker") else {
-            continue;
-        };
-        let times: Vec<i64> = events
-            .iter()
-            .filter(|e| {
-                (name_of(e) == "ws.expand" || name_of(e) == "ws.done")
-                    && field_i64(e, "worker") == Some(id)
-            })
-            .filter_map(|e| field_i64(e, "t_us"))
-            .collect();
-        let (Some(&first), Some(&last)) = (times.iter().min(), times.iter().max()) else {
+    for (&id, w) in &fold.workers {
+        let times = w.beats.iter().map(|b| b.t_us);
+        let (Some(first), Some(last)) = (times.clone().min(), times.max()) else {
             continue;
         };
         let span = last - first;
-        let util = field_f64(w, "utilization").unwrap_or(0.0);
         if critical.is_none_or(|(_, best, _)| span > best) {
-            critical = Some((id, span, util));
+            critical = Some((id, span, utilization(w)));
         }
     }
     match critical {
@@ -375,29 +320,17 @@ fn level_rows(events: &[Json]) -> Vec<Json> {
 /// Level-sync analysis: level count, widest level, and total expansion
 /// time.
 fn level_analysis(levels: &[Json]) -> Json {
-    let expand_us: i64 = levels
-        .iter()
-        .filter_map(|l| field_i64(l, "expand_us"))
-        .sum();
-    let widest = levels
-        .iter()
-        .filter_map(|l| field_i64(l, "width"))
-        .max()
-        .unwrap_or(0);
     Json::object()
         .set("count", levels.len())
-        .set("widest", widest)
-        .set("expand_us", expand_us)
+        .set("widest", column(levels, "width").max().unwrap_or(0))
+        .set("expand_us", column(levels, "expand_us").sum::<i64>())
 }
 
 /// Level-sync critical path: the run is one sequential chain of levels, so
 /// the heaviest levels *are* the critical path. Reports the top 3 by
 /// elapsed time with their share of the total.
 fn level_critical_path(levels: &[Json]) -> Json {
-    let total: i64 = levels
-        .iter()
-        .filter_map(|l| field_i64(l, "elapsed_us"))
-        .sum();
+    let total: i64 = column(levels, "elapsed_us").sum();
     let mut ranked: Vec<(i64, i64)> = levels
         .iter()
         .map(|l| {
@@ -473,49 +406,33 @@ fn shade(util: f64) -> char {
 /// Renders the per-worker utilization Gantt from the `ws.expand` beats:
 /// each row is one worker, each column a slice of the run's wall clock,
 /// shaded by the fraction of that slice the worker spent expanding.
-fn render_gantt(events: &[Json], workers: &[Json]) -> Vec<String> {
-    let t0 = events
-        .iter()
-        .filter_map(|e| field_i64(e, "t_us"))
-        .min()
-        .unwrap_or(0);
-    let t1 = events
-        .iter()
-        .filter_map(|e| field_i64(e, "t_us"))
-        .max()
-        .unwrap_or(0);
+fn render_gantt(fold: &TraceFold) -> Vec<String> {
+    let (t0, t1) = fold.span.unwrap_or((0, 0));
     let span = (t1 - t0).max(1);
     let col_of = |t: i64| -> usize {
         let c = ((t - t0) * GANTT_WIDTH as i64 / span).max(0) as usize;
         c.min(GANTT_WIDTH - 1)
     };
     let mut rows = Vec::new();
-    for w in workers {
-        let Some(id) = field_i64(w, "worker") else {
-            continue;
-        };
-        let mut beats: Vec<(i64, i64)> = events
-            .iter()
-            .filter(|e| {
-                (name_of(e) == "ws.expand" || name_of(e) == "ws.done")
-                    && field_i64(e, "worker") == Some(id)
-            })
-            .filter_map(|e| Some((field_i64(e, "t_us")?, field_i64(e, "busy_us").unwrap_or(0))))
-            .collect();
+    for (id, w) in &fold.workers {
+        let mut beats = w.beats.clone();
         beats.sort_unstable();
         let mut cells = vec!['·'; GANTT_WIDTH];
         for pair in beats.windows(2) {
-            let (ta, busy_a) = pair[0];
-            let (tb, busy_b) = pair[1];
-            let wall = (tb - ta).max(1);
-            let util = ((busy_b - busy_a) as f64 / wall as f64).clamp(0.0, 1.0);
-            for cell in cells.iter_mut().take(col_of(tb) + 1).skip(col_of(ta)) {
+            let (a, b) = (pair[0], pair[1]);
+            let wall = (b.t_us - a.t_us).max(1);
+            let util = ((b.busy_us - a.busy_us) as f64 / wall as f64).clamp(0.0, 1.0);
+            for cell in cells
+                .iter_mut()
+                .take(col_of(b.t_us) + 1)
+                .skip(col_of(a.t_us))
+            {
                 *cell = shade(util);
             }
         }
         // A lone beat (tiny run) still shows up as one active cell.
         if beats.len() == 1 {
-            cells[col_of(beats[0].0)] = shade(1.0);
+            cells[col_of(beats[0].t_us)] = shade(1.0);
         }
         rows.push(format!(
             "  worker {id} {}",
@@ -526,22 +443,22 @@ fn render_gantt(events: &[Json], workers: &[Json]) -> Vec<String> {
 }
 
 /// Human-readable report for one analyzed trace.
-fn render_human(summary: &Json, events: &[Json]) {
+fn render_human(summary: &Json, fold: &TraceFold) {
     let trace = summary.get("trace").and_then(Json::as_str).unwrap_or("?");
     println!("== {trace}");
     println!(
         "   {} events, frontier {}, {} threads, span {}us",
-        summary.get("events").and_then(Json::as_i64).unwrap_or(0),
+        field_i64(summary, "events").unwrap_or(0),
         summary
             .get("frontier")
             .and_then(Json::as_str)
             .unwrap_or("?"),
-        summary.get("threads").and_then(Json::as_i64).unwrap_or(0),
-        summary.get("span_us").and_then(Json::as_i64).unwrap_or(0),
+        field_i64(summary, "threads").unwrap_or(0),
+        field_i64(summary, "span_us").unwrap_or(0),
     );
     if let Some(workers) = summary.get("workers").and_then(Json::as_arr) {
         println!("-- per-worker utilization (busy fraction per time slice)");
-        for row in render_gantt(events, workers) {
+        for row in render_gantt(fold) {
             println!("{row}");
         }
         println!("-- steal attribution");
@@ -560,18 +477,15 @@ fn render_human(summary: &Json, events: &[Json]) {
                 100.0 * field_f64(w, "utilization").unwrap_or(0.0),
             );
         }
-        if let Some(imb) = summary.get("worker_imbalance").and_then(Json::as_f64) {
+        if let Some(imb) = field_f64(summary, "worker_imbalance") {
             println!("  imbalance {imb:.2}x (busiest worker vs mean)");
         }
         if let Some(storm) = summary.get("steal_storm") {
             if storm.get("detected").and_then(Json::as_bool) == Some(true) {
                 println!(
                     "  !! steal storm: {} failed sweeps ({:.1} per task)",
-                    storm.get("steal_fails").and_then(Json::as_i64).unwrap_or(0),
-                    storm
-                        .get("fails_per_task")
-                        .and_then(Json::as_f64)
-                        .unwrap_or(0.0),
+                    field_i64(storm, "steal_fails").unwrap_or(0),
+                    field_f64(storm, "fails_per_task").unwrap_or(0.0),
                 );
             }
         }
@@ -579,18 +493,18 @@ fn render_human(summary: &Json, events: &[Json]) {
     if let Some(levels) = summary.get("levels") {
         println!(
             "-- levels: {} total, widest {}, expand {}us",
-            levels.get("count").and_then(Json::as_i64).unwrap_or(0),
-            levels.get("widest").and_then(Json::as_i64).unwrap_or(0),
-            levels.get("expand_us").and_then(Json::as_i64).unwrap_or(0),
+            field_i64(levels, "count").unwrap_or(0),
+            field_i64(levels, "widest").unwrap_or(0),
+            field_i64(levels, "expand_us").unwrap_or(0),
         );
     }
     if let Some(cp) = summary.get("critical_path") {
         match cp.get("kind").and_then(Json::as_str) {
             Some("worker") => println!(
                 "-- critical path: worker {} ({}us span, util {:.0}%)",
-                cp.get("worker").and_then(Json::as_i64).unwrap_or(-1),
-                cp.get("span_us").and_then(Json::as_i64).unwrap_or(0),
-                100.0 * cp.get("utilization").and_then(Json::as_f64).unwrap_or(0.0),
+                field_i64(cp, "worker").unwrap_or(-1),
+                field_i64(cp, "span_us").unwrap_or(0),
+                100.0 * field_f64(cp, "utilization").unwrap_or(0.0),
             ),
             Some("levels") => {
                 if let Some(top) = cp.get("top").and_then(Json::as_arr) {
@@ -614,10 +528,13 @@ fn render_human(summary: &Json, events: &[Json]) {
     if let Some(s) = summary.get("sampling") {
         println!(
             "-- sampling: {} sweeps, {} runs, {} violations",
-            s.get("sweeps").and_then(Json::as_i64).unwrap_or(0),
-            s.get("runs").and_then(Json::as_i64).unwrap_or(0),
-            s.get("violations").and_then(Json::as_i64).unwrap_or(0),
+            field_i64(s, "sweeps").unwrap_or(0),
+            field_i64(s, "runs").unwrap_or(0),
+            field_i64(s, "violations").unwrap_or(0),
         );
+    }
+    if fold.malformed > 0 {
+        println!("   ({} malformed lines skipped)", fold.malformed);
     }
 }
 
@@ -747,6 +664,14 @@ mod tests {
         Json::parse(line).expect("test event")
     }
 
+    fn fold(events: &[Json]) -> TraceFold {
+        let mut fold = TraceFold::default();
+        for e in events {
+            fold.ingest(e);
+        }
+        fold
+    }
+
     #[test]
     fn direction_classification() {
         assert_eq!(higher_is_worse("n6_seq_min_ns"), Some(true));
@@ -811,13 +736,13 @@ mod tests {
                 r#"{"seq":2,"t_us":9,"event":"ws.steal","worker":1,"victim":0,"outcome":"hit","latency_us":1}"#,
             ),
             ev(
-                r#"{"seq":3,"t_us":20,"event":"ws.worker","worker":0,"expanded":10,"transitions":20,"steals":0,"steal_fails":1,"local_hits":10,"busy_us":15,"idle_us":5}"#,
+                r#"{"seq":3,"t_us":20,"event":"ws.done","worker":0,"expanded":10,"transitions":20,"steals":0,"steal_fails":1,"local_hits":10,"busy_us":15,"idle_us":5}"#,
             ),
             ev(
-                r#"{"seq":4,"t_us":21,"event":"ws.worker","worker":1,"expanded":4,"transitions":8,"steals":2,"steal_fails":0,"local_hits":2,"busy_us":5,"idle_us":15}"#,
+                r#"{"seq":4,"t_us":21,"event":"ws.done","worker":1,"expanded":4,"transitions":8,"steals":2,"steal_fails":0,"local_hits":2,"busy_us":5,"idle_us":15}"#,
             ),
         ];
-        let rows = worker_rows(&events);
+        let rows = worker_rows(&fold(&events));
         assert_eq!(rows.len(), 2);
         assert_eq!(
             rows[1]
@@ -834,10 +759,10 @@ mod tests {
     #[test]
     fn steal_storm_detection_thresholds() {
         let quiet = vec![ev(
-            r#"{"event":"ws.worker","worker":0,"expanded":100,"steal_fails":10,"idle_spins":10}"#,
+            r#"{"event":"ws.done","worker":0,"expanded":100,"steal_fails":10,"idle_spins":10}"#,
         )];
         let storm = vec![ev(
-            r#"{"event":"ws.worker","worker":0,"expanded":10,"steal_fails":600,"idle_spins":600}"#,
+            r#"{"event":"ws.done","worker":0,"expanded":10,"steal_fails":600,"idle_spins":600}"#,
         )];
         assert_eq!(
             steal_storm(&quiet).get("detected").and_then(Json::as_bool),
@@ -854,14 +779,14 @@ mod tests {
         // Same 600 failed sweeps, but 580 ended in a timed park: the
         // worker was asleep, not burning a core — no storm.
         let parked = vec![ev(
-            r#"{"event":"ws.worker","worker":0,"expanded":10,"steal_fails":600,"idle_spins":20,"park_count":580,"parked_us":58000}"#,
+            r#"{"event":"ws.done","worker":0,"expanded":10,"steal_fails":600,"idle_spins":20,"park_count":580,"parked_us":58000}"#,
         )];
         let report = steal_storm(&parked);
         assert_eq!(report.get("detected").and_then(Json::as_bool), Some(false));
         assert_eq!(report.get("parked").and_then(Json::as_i64), Some(580));
         // But a genuinely spinning majority still trips detection.
         let spinning = vec![ev(
-            r#"{"event":"ws.worker","worker":0,"expanded":10,"steal_fails":600,"idle_spins":550,"park_count":50,"parked_us":5000}"#,
+            r#"{"event":"ws.done","worker":0,"expanded":10,"steal_fails":600,"idle_spins":550,"park_count":50,"parked_us":5000}"#,
         )];
         assert_eq!(
             steal_storm(&spinning)
@@ -874,17 +799,17 @@ mod tests {
     #[test]
     fn worker_rows_carry_lock_free_engine_counters() {
         let events = vec![ev(
-            r#"{"event":"ws.worker","worker":0,"expanded":10,"transitions":20,"steals":1,"steal_fails":3,"local_hits":9,"idle_spins":2,"park_count":4,"parked_us":400,"deque_grows":2,"busy_us":10,"idle_us":2}"#,
+            r#"{"event":"ws.done","worker":0,"expanded":10,"transitions":20,"steals":1,"steal_fails":3,"local_hits":9,"idle_spins":2,"park_count":4,"parked_us":400,"deque_grows":2,"busy_us":10,"idle_us":2}"#,
         )];
-        let rows = worker_rows(&events);
+        let rows = worker_rows(&fold(&events));
         assert_eq!(field_i64(&rows[0], "park_count"), Some(4));
         assert_eq!(field_i64(&rows[0], "parked_us"), Some(400));
         assert_eq!(field_i64(&rows[0], "deque_grows"), Some(2));
         // Old traces without the fields default to zero, not absence.
         let old = vec![ev(
-            r#"{"event":"ws.worker","worker":0,"expanded":10,"busy_us":10,"idle_us":2}"#,
+            r#"{"event":"ws.done","worker":0,"expanded":10,"busy_us":10,"idle_us":2}"#,
         )];
-        let rows = worker_rows(&old);
+        let rows = worker_rows(&fold(&old));
         assert_eq!(field_i64(&rows[0], "park_count"), Some(0));
         assert_eq!(field_i64(&rows[0], "deque_grows"), Some(0));
     }
@@ -911,12 +836,12 @@ mod tests {
             ),
             ev(r#"{"seq":5,"t_us":150,"event":"explore.end","configs":129}"#),
         ];
-        let summary = analyze_trace(Path::new("legacy.trace.jsonl"), &events);
+        let summary = analyze_trace(Path::new("legacy.trace.jsonl"), &events, &fold(&events));
         let levels = summary.get("levels").expect("level summary");
         assert_eq!(levels.get("count").and_then(Json::as_i64), Some(3));
         assert_eq!(levels.get("widest").and_then(Json::as_i64), Some(64));
         assert_eq!(levels.get("expand_us").and_then(Json::as_i64), Some(135));
-        render_human(&summary, &events);
+        render_human(&summary, &fold(&events));
     }
 
     #[test]
@@ -944,13 +869,39 @@ mod tests {
             ev(r#"{"event":"ws.expand","t_us":10,"worker":0,"expanded":1,"busy_us":8}"#),
             ev(r#"{"event":"ws.done","t_us":100,"worker":0,"expanded":40,"busy_us":95}"#),
         ];
-        let workers = vec![ev(r#"{"worker":0,"expanded":40,"utilization":0.95}"#)];
-        let rows = render_gantt(&events, &workers);
+        let rows = render_gantt(&fold(&events));
         assert_eq!(rows.len(), 1);
         assert!(
             rows[0].contains('█'),
             "a busy worker renders busy: {rows:?}"
         );
+    }
+
+    #[test]
+    fn truncated_traces_are_read_up_to_the_cut() {
+        // A trace cut off mid-write: the last line is half a ws.done.
+        let path = std::env::temp_dir().join(format!(
+            "obs_analyze_truncated_{}.trace.jsonl",
+            std::process::id()
+        ));
+        let text = [
+            r#"{"seq":0,"t_us":0,"event":"explore.begin","threads":2,"frontier":"work-stealing"}"#,
+            r#"{"seq":1,"t_us":5,"event":"ws.expand","worker":0,"expanded":1,"busy_us":4}"#,
+            r#"{"seq":2,"t_us":40,"event":"ws.done","worker":0,"expanded":12,"steals":0,"busy_us":30,"idle_us":10}"#,
+            r#"{"seq":3,"t_us":41,"event":"ws.done","worker":1,"expan"#,
+        ]
+        .join("\n");
+        std::fs::write(&path, text).expect("write trace");
+        let loaded = load_trace(&path);
+        std::fs::remove_file(&path).ok();
+        let (events, fold) = loaded.expect("a cut trace still loads");
+        assert_eq!(events.len(), 3);
+        let summary = analyze_trace(&path, &events, &fold);
+        assert_eq!(field_i64(&summary, "malformed_lines"), Some(1));
+        assert_eq!(field_i64(&summary, "events"), Some(3));
+        let workers = summary.get("workers").and_then(Json::as_arr).unwrap();
+        assert_eq!(workers.len(), 1, "only the worker whose sign-off survived");
+        assert!((field_f64(&workers[0], "utilization").unwrap() - 0.75).abs() < 1e-9);
     }
 
     #[test]

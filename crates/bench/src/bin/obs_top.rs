@@ -8,7 +8,9 @@
 //!   expanded, instantaneous + EMA configs/sec, frontier depth, worker
 //!   utilization, ETA, and approximate memory footprint;
 //! * per-worker rows built from the `ws.expand` beats — expansion rate
-//!   bars plus steal attribution (`ws.steal` hits, who stole from whom);
+//!   bars plus steal attribution (`ws.steal` hits, who stole from whom),
+//!   folded by the trace fold `obs_analyze` shares
+//!   ([`lbsa_bench::trace_fold`]);
 //! * sampling sweeps from the `sample.batch` / `sample.end` events.
 //!
 //! In `--follow` mode the file is tailed while it grows: partial lines
@@ -24,8 +26,8 @@
 //! `--no-clear` appends frames instead of redrawing in place (useful when
 //! piping to a file or reading the output in a test).
 
+use lbsa_bench::trace_fold::{read_lines, TraceFold};
 use lbsa_support::json::Json;
-use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
 use std::path::Path;
 
@@ -71,17 +73,8 @@ fn flag_u64(args: &[String], flag: &str) -> Option<u64> {
 
 /// One-shot mode: ingest the whole trace, render a single frame.
 fn render_once(path: &Path, out: &mut impl Write) -> std::io::Result<()> {
-    let file = std::fs::File::open(path)?;
-    let mut reader = std::io::BufReader::new(file);
     let mut cockpit = Cockpit::default();
-    let mut line = String::new();
-    loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            break;
-        }
-        cockpit.ingest_line(&line);
-    }
+    read_lines(path, |line| cockpit.ingest_line(line))?;
     out.write_all(cockpit.render_frame().as_bytes())
 }
 
@@ -124,31 +117,17 @@ fn follow_trace(
     }
 }
 
-/// Accumulated per-worker view, fed by `ws.expand` beats and finalized by
-/// the assembly-time `ws.worker` summary.
-#[derive(Default)]
-struct WorkerRow {
-    expanded: i64,
-    /// Last two beats as `(t_us, expanded)`, for the instantaneous rate.
-    prev_beat: Option<(i64, i64)>,
-    rate_per_sec: f64,
-    steals: i64,
-    /// Steal hits attributed per victim worker id.
-    victims: BTreeMap<i64, i64>,
-}
-
 /// The dashboard model: everything one frame renders, folded one event at
 /// a time so follow mode never re-reads the trace.
 #[derive(Default)]
 struct Cockpit {
-    events: usize,
-    parse_errors: usize,
+    /// Event and malformed-line counts and the per-worker rows.
+    trace: TraceFold,
     strategy: Option<String>,
     threads: i64,
     /// Latest `progress` event, verbatim.
     progress: Option<Json>,
     progress_seen: usize,
-    workers: BTreeMap<i64, WorkerRow>,
     sample_batches: usize,
     sample_runs: i64,
     finished: bool,
@@ -158,19 +137,13 @@ impl Cockpit {
     /// Folds one JSONL line into the model. Malformed lines are counted,
     /// not fatal: a tail can race a writer even with line buffering.
     fn ingest_line(&mut self, line: &str) {
-        let line = line.trim();
-        if line.is_empty() {
-            return;
-        }
-        match Json::parse(line) {
-            Ok(event) => self.ingest(&event),
-            Err(_) => self.parse_errors += 1,
+        if let Some(event) = self.trace.ingest_line(line) {
+            self.ingest(&event);
         }
     }
 
+    /// Folds the headline events; [`TraceFold`] has the per-worker ones.
     fn ingest(&mut self, event: &Json) {
-        self.events += 1;
-        let t_us = event.get("t_us").and_then(Json::as_i64).unwrap_or(0);
         match event.get("event").and_then(Json::as_str).unwrap_or("") {
             "explore.begin" | "sample.begin" => {
                 if let Some(threads) = event.get("threads").and_then(Json::as_i64) {
@@ -186,48 +159,6 @@ impl Cockpit {
                     self.finished = true;
                 }
                 self.progress = Some(event.clone());
-            }
-            "ws.expand" | "ws.done" => {
-                let Some(id) = event.get("worker").and_then(Json::as_i64) else {
-                    return;
-                };
-                let expanded = event.get("expanded").and_then(Json::as_i64).unwrap_or(0);
-                let row = self.workers.entry(id).or_default();
-                row.expanded = row.expanded.max(expanded);
-                if let Some((prev_t, prev_expanded)) = row.prev_beat {
-                    let dt_us = t_us - prev_t;
-                    if dt_us > 0 {
-                        row.rate_per_sec =
-                            (expanded - prev_expanded) as f64 * 1_000_000.0 / dt_us as f64;
-                    }
-                }
-                row.prev_beat = Some((t_us, expanded));
-            }
-            "ws.steal" => {
-                if event.get("outcome").and_then(Json::as_str) != Some("hit") {
-                    return;
-                }
-                let (Some(thief), Some(victim)) = (
-                    event.get("worker").and_then(Json::as_i64),
-                    event.get("victim").and_then(Json::as_i64),
-                ) else {
-                    return;
-                };
-                let row = self.workers.entry(thief).or_default();
-                row.steals += 1;
-                *row.victims.entry(victim).or_insert(0) += 1;
-            }
-            "ws.worker" => {
-                let Some(id) = event.get("worker").and_then(Json::as_i64) else {
-                    return;
-                };
-                let row = self.workers.entry(id).or_default();
-                row.expanded = row
-                    .expanded
-                    .max(event.get("expanded").and_then(Json::as_i64).unwrap_or(0));
-                row.steals = row
-                    .steals
-                    .max(event.get("steals").and_then(Json::as_i64).unwrap_or(0));
             }
             "sample.batch" => {
                 self.sample_batches += 1;
@@ -256,8 +187,8 @@ impl Cockpit {
         let status = if self.finished { "done" } else { "live" };
         frame.push_str(&format!(
             "obs_top · {strategy} · {} workers · {} events · {status}\n",
-            self.threads.max(self.workers.len() as i64),
-            self.events,
+            self.threads.max(self.trace.workers.len() as i64),
+            self.trace.events,
         ));
         if let Some(p) = &self.progress {
             let configs = p.get("configs").and_then(Json::as_i64).unwrap_or(0);
@@ -286,16 +217,17 @@ impl Cockpit {
         } else {
             frame.push_str("  no progress events yet (run with Exploration::progress_every)\n");
         }
-        if !self.workers.is_empty() {
+        if !self.trace.workers.is_empty() {
             let max_expanded = self
+                .trace
                 .workers
                 .values()
-                .map(|w| w.expanded)
+                .map(|w| w.expanded())
                 .max()
                 .unwrap_or(0)
                 .max(1);
-            for (id, row) in &self.workers {
-                let fill = (row.expanded * BAR_WIDTH as i64 / max_expanded).max(0) as usize;
+            for (id, row) in &self.trace.workers {
+                let fill = (row.expanded() * BAR_WIDTH as i64 / max_expanded).max(0) as usize;
                 let bar: String = "█".repeat(fill.min(BAR_WIDTH));
                 let pad: String = "·".repeat(BAR_WIDTH - fill.min(BAR_WIDTH));
                 let victims = if row.victims.is_empty() {
@@ -310,9 +242,9 @@ impl Cockpit {
                 };
                 frame.push_str(&format!(
                     "  worker {id} {bar}{pad} {} expanded, {}/s, {} steals{victims}\n",
-                    row.expanded,
-                    fmt_rate(row.rate_per_sec),
-                    row.steals,
+                    row.expanded(),
+                    fmt_rate(row.rate_per_sec()),
+                    row.steals(),
                 ));
             }
         }
@@ -322,10 +254,10 @@ impl Cockpit {
                 self.sample_batches, self.sample_runs,
             ));
         }
-        if self.parse_errors > 0 {
+        if self.trace.malformed > 0 {
             frame.push_str(&format!(
                 "  ({} unparseable lines skipped)\n",
-                self.parse_errors
+                self.trace.malformed
             ));
         }
         frame
@@ -400,18 +332,18 @@ mod tests {
     fn cockpit_folds_recorded_trace_lines() {
         let mut cockpit = Cockpit::default();
         feed(&mut cockpit, RECORDED);
-        assert_eq!(cockpit.events, RECORDED.len());
-        assert_eq!(cockpit.parse_errors, 0);
+        assert_eq!(cockpit.trace.events, RECORDED.len());
+        assert_eq!(cockpit.trace.malformed, 0);
         assert_eq!(cockpit.threads, 4);
         assert_eq!(cockpit.strategy.as_deref(), Some("work-stealing"));
         assert_eq!(cockpit.progress_seen, 1);
         assert!(!cockpit.finished, "no final progress event yet");
-        let w0 = &cockpit.workers[&0];
-        assert_eq!(w0.expanded, 300);
+        let w0 = &cockpit.trace.workers[&0];
+        assert_eq!(w0.expanded(), 300);
         // 200 more configs over the 1000us between the two beats.
-        assert!((w0.rate_per_sec - 200_000.0).abs() < 1.0);
-        let w1 = &cockpit.workers[&1];
-        assert_eq!(w1.steals, 2);
+        assert!((w0.rate_per_sec() - 200_000.0).abs() < 1.0);
+        let w1 = &cockpit.trace.workers[&1];
+        assert_eq!(w1.steals(), 2);
         assert_eq!(w1.victims[&0], 2);
     }
 
@@ -460,7 +392,7 @@ mod tests {
         cockpit.ingest_line("");
         cockpit
             .ingest_line(r#"{"event":"progress","strategy":"sampling","configs":7,"final":false}"#);
-        assert_eq!(cockpit.parse_errors, 1);
+        assert_eq!(cockpit.trace.malformed, 1);
         assert_eq!(cockpit.progress_seen, 1);
         assert!(cockpit
             .render_frame()

@@ -10,12 +10,14 @@
 //!   linearizability checking, certification, and the universal
 //!   construction.
 //!
-//! The library itself provides the shared helpers used by both.
+//! The library itself provides the shared helpers used by both, and the
+//! trace fold ([`trace_fold`]) the trace-reading binaries share.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod harness;
+pub mod trace_fold;
 
 use lbsa_core::Value;
 

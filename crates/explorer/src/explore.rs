@@ -15,8 +15,10 @@
 //!     .exploration()
 //!     .limits(Limits::new(1_000_000))
 //!     .threads(4)
-//!     .on_progress(|level| eprintln!("level width {}", level.width))
 //!     .run()?;
+//! for level in &graph.stats.levels {
+//!     eprintln!("level {} width {}", level.level, level.width);
+//! }
 //! ```
 //!
 //! ## Engine
@@ -48,10 +50,10 @@
 
 use crate::config::Configuration;
 use crate::intern::{CompactConfig, ConcurrentIndex, Interner, ShardedIndex, SHARDS};
-use crate::live::{EtaModel, LiveMetrics, ProgressWatcher};
+use crate::live::{EtaModel, LiveMetrics, MemBytes, ProgressWatcher};
 use crate::sampling::SampleConfig;
 use crate::stats::{
-    duration_ns, duration_us, ExploreStats, LatencyHistograms, LevelStats, PhaseTimes, WorkerStats,
+    duration_us, ExploreStats, LatencyHistograms, LevelStats, PhaseTimes, WorkerStats,
 };
 use crate::symmetry::ConfigSymmetry;
 use lbsa_core::spec::ObjectSpec;
@@ -66,10 +68,6 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
-
-/// A per-level progress callback, invoked by [`Exploration::run`] after
-/// each BFS level with that level's [`LevelStats`].
-type ProgressCallback<'e> = Box<dyn FnMut(&LevelStats) + 'e>;
 
 /// Resource limits for exploration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -460,8 +458,6 @@ type CanonEntry<L> = (CompactConfig, Arc<Configuration<L>>);
 
 struct CanonMemo<L> {
     shards: Vec<RwLock<CanonShard<L>>>,
-    hits: Counter,
-    misses: Counter,
     bytes: Counter,
 }
 
@@ -471,8 +467,6 @@ impl<L> CanonMemo<L> {
             shards: (0..SHARDS)
                 .map(|_| RwLock::new(Default::default()))
                 .collect(),
-            hits: Counter::new(),
-            misses: Counter::new(),
             bytes: Counter::new(),
         }
     }
@@ -485,16 +479,11 @@ impl<L> CanonMemo<L> {
     }
 
     fn get(&self, raw_key: &[u32]) -> Option<CanonEntry<L>> {
-        let found = self.shards[ShardedIndex::shard_of(raw_key)]
+        self.shards[ShardedIndex::shard_of(raw_key)]
             .read()
             .expect("canon memo lock poisoned")
             .get(raw_key)
-            .cloned();
-        match found {
-            Some(_) => self.hits.bump(),
-            None => self.misses.bump(),
-        }
-        found
+            .cloned()
     }
 
     fn insert(&self, raw_key: CompactConfig, entry: CanonEntry<L>) {
@@ -584,11 +573,13 @@ enum WsFixup<L> {
     },
 }
 
-/// What one work-stealing worker hands back at join: the sub-graph it
-/// built and its scheduling counters. Node indices come from the shared
+/// What one work-stealing worker hands back at join: its tally and the
+/// sub-graph it built. Node indices come from the shared
 /// [`ConcurrentIndex`], so the per-worker pieces assemble by plain index
 /// assignment.
 struct WsWorkerOut<L> {
+    /// The worker's one tally, bumped directly by the worker loop.
+    stats: WorkerStats,
     /// Flat pool of every edge this worker emitted, in expansion order —
     /// one growing allocation instead of a `Vec` per task.
     edge_pool: Vec<Edge>,
@@ -603,64 +594,6 @@ struct WsWorkerOut<L> {
     /// worker expanded or discarded over budget — ownership rides the task,
     /// so the record is made where the task ends, not where it was spawned.
     discovered_owned: Vec<(u32, Configuration<L>)>,
-    transitions: usize,
-    dedup_hits: usize,
-    steals: u64,
-    steal_fails: u64,
-    local_hits: u64,
-    /// Deepest this worker's own deque ever got (sampled at push time).
-    max_deque_depth: usize,
-    /// CPU-burning backoff rounds (spin or yield) while looking for work.
-    /// Bounded per idle episode by the backoff thresholds — parked waits
-    /// count in `park_count`, not here.
-    idle_spins: u64,
-    /// Times this worker parked after exhausting the spin/yield budget.
-    park_count: u64,
-    /// Nanoseconds spent parked — always measured (the park path is cold).
-    parked_ns: u64,
-    /// Times this worker's deque buffer grew (retiring its predecessor).
-    deque_grows: u64,
-    /// Final estimated footprint of this worker's deque buffers (live +
-    /// retired), read at loop exit while the owner end is still in scope.
-    deque_bytes: usize,
-    /// Keys resolved to existing nodes by batched index probes.
-    index_batch_hits: u64,
-    /// Transition-memo hits served by this worker's private L1 map
-    /// without touching the shared sharded memo.
-    memo_l1_hits: u64,
-    /// Nanoseconds spent in steal sweeps, spinning, and yielding — the
-    /// clock is only read on the no-local-work path, so this is always
-    /// measured. Excludes parked time.
-    idle_ns: u64,
-    /// Nanoseconds spent expanding tasks. Needs a clock read per task, so
-    /// per the overhead policy it stays zero unless the run is traced.
-    busy_ns: u64,
-}
-
-impl<L> Default for WsWorkerOut<L> {
-    fn default() -> Self {
-        WsWorkerOut {
-            edge_pool: Vec::new(),
-            tasks: Vec::new(),
-            discovered: Vec::new(),
-            discovered_owned: Vec::new(),
-            transitions: 0,
-            dedup_hits: 0,
-            steals: 0,
-            steal_fails: 0,
-            local_hits: 0,
-            max_deque_depth: 0,
-            idle_spins: 0,
-            park_count: 0,
-            parked_ns: 0,
-            deque_grows: 0,
-            deque_bytes: 0,
-            index_batch_hits: 0,
-            memo_l1_hits: 0,
-            idle_ns: 0,
-            busy_ns: 0,
-        }
-    }
 }
 
 /// Canonicalizes through the optional probe timer: traced runs clock the
@@ -699,6 +632,175 @@ struct CanonProbe {
     hist: HistogramNs,
 }
 
+/// The instruments both engines run under, and the one place an
+/// [`ExploreStats`] is built. [`RunMeter::start`] opens a run: start
+/// clock, `explore.begin`, the root's canonicalization and the snapshot of
+/// the canonicalization counters. [`RunMeter::finish`] closes it: the
+/// stats, the final live-gauge sync and `explore.end`.
+struct RunMeter<'r, 's, L> {
+    started: Instant,
+    tracer: &'r Tracer,
+    live: Option<&'r LiveMetrics>,
+    sym: Option<&'r ConfigSymmetry<'s, L>>,
+    /// `sym`'s `(calls, fast hits, full calls)` after the root was
+    /// canonicalized, so the stats account for successors only:
+    /// `canon_patches + canon_full == transitions`.
+    canon_before: (u64, u64, u64),
+    /// Per-call canonicalization timing; engines attach it through
+    /// [`RunMeter::canon_probe`], which is `None` unless traced.
+    canon: CanonProbe,
+    /// Latency distributions, shared (relaxed atomics) by every worker.
+    hists: LatencyHistograms,
+}
+
+/// What an engine alone knows at the end of its run; [`RunMeter::finish`]
+/// reads everything else off the shared instruments.
+struct EngineEnd<'i, L> {
+    /// One tally per engine thread. Every counting aggregate of the stats
+    /// is a sum over them; a work-stealing run also keeps them as its
+    /// per-worker rows.
+    tallies: Vec<WorkerStats>,
+    /// The BFS levels of a level-sync run; `None` marks a work-stealing
+    /// run, which has none.
+    levels: Option<Vec<LevelStats>>,
+    configs: usize,
+    peak_frontier: usize,
+    canon_memo_bytes: usize,
+    state_interner: &'i Interner<AnyState>,
+    proc_interner: &'i Interner<ProcStatus<L>>,
+    index_bytes: usize,
+}
+
+/// `(calls, fast hits, full calls)` of a symmetry's canonicalization
+/// counters; zeros without one.
+fn canon_counters<L: Clone>(sym: Option<&ConfigSymmetry<'_, L>>) -> (u64, u64, u64) {
+    sym.map_or((0, 0, 0), |s| {
+        (s.canon_calls(), s.canon_fast_hits(), s.canon_full_calls())
+    })
+}
+
+impl<'r, 's, L: Clone + Eq + std::hash::Hash> RunMeter<'r, 's, L> {
+    /// Starts the clock and announces the run, then returns the meter and
+    /// the root to explore from: `initial`, or under symmetry reduction
+    /// its orbit representative (every graph node is one).
+    fn start(
+        tracer: &'r Tracer,
+        live: Option<&'r LiveMetrics>,
+        sym: Option<&'r ConfigSymmetry<'s, L>>,
+        options: ExploreOptions,
+        threads: usize,
+        initial: Configuration<L>,
+    ) -> (Self, Configuration<L>) {
+        let started = Instant::now();
+        if let Some(live) = live {
+            live.workers.set_usize(threads);
+        }
+        tracer.emit_with("explore.begin", || {
+            Json::object()
+                .set("threads", threads)
+                .set("max_configs", options.limits.max_configs)
+                .set("reduced", sym.is_some())
+                .set(
+                    "frontier",
+                    match options.frontier {
+                        Frontier::Deterministic => "level-sync",
+                        Frontier::WorkStealing => "work-stealing",
+                    },
+                )
+        });
+        let root = match sym {
+            Some(s) => s.canonicalize(&initial),
+            None => initial,
+        };
+        let meter = RunMeter {
+            started,
+            tracer,
+            live,
+            sym,
+            canon_before: canon_counters(sym),
+            canon: CanonProbe::default(),
+            hists: LatencyHistograms::default(),
+        };
+        (meter, root)
+    }
+
+    /// The per-call canonicalization probe, attached only under an enabled
+    /// tracer: timing each call is a clock read per successor (overhead
+    /// policy), so untraced runs report `PhaseTimes::canonicalize == 0`.
+    fn canon_probe(&self) -> Option<&CanonProbe> {
+        self.tracer.enabled().then_some(&self.canon)
+    }
+
+    /// Builds the run's [`ExploreStats`], syncs the live gauges to the end
+    /// state and emits `explore.end`.
+    fn finish(self, end: EngineEnd<'_, L>) -> ExploreStats {
+        // One clock read for the total and, without levels, the expand
+        // phase: a work-stealing run has no barrier, so the whole run is
+        // one expansion phase, and a second read would make
+        // `phases.expand` exceed `elapsed`.
+        let elapsed = self.started.elapsed();
+        let sum = |count: fn(&WorkerStats) -> u64| end.tallies.iter().map(count).sum::<u64>();
+        let (calls, fast, full) = canon_counters(self.sym);
+        let work_stealing = end.levels.is_none();
+        let expand = end
+            .levels
+            .as_ref()
+            .map_or(elapsed, |ls| ls.iter().map(|l| l.expand).sum());
+        let levels = end.levels.unwrap_or_default();
+        let stats = ExploreStats {
+            configs: end.configs,
+            expanded: end.tallies.iter().map(|t| t.expanded).sum(),
+            transitions: end.tallies.iter().map(|t| t.transitions).sum(),
+            dedup_hits: end.tallies.iter().map(|t| t.dedup_hits).sum(),
+            distinct_object_states: end.state_interner.len(),
+            distinct_proc_statuses: end.proc_interner.len(),
+            peak_frontier: end.peak_frontier,
+            threads: end.tallies.len(),
+            reduced: self.sym.is_some(),
+            elapsed,
+            phases: PhaseTimes {
+                expand,
+                canonicalize: self.canon.timer.total(),
+            },
+            memo_hits: sum(|t| t.memo_hits),
+            memo_misses: sum(|t| t.memo_misses),
+            intern_hits: end.state_interner.hits() + end.proc_interner.hits(),
+            intern_misses: end.state_interner.misses() + end.proc_interner.misses(),
+            canon_calls: calls - self.canon_before.0,
+            canon_patches: fast - self.canon_before.1 + sum(|t| t.canon_memo_hits),
+            canon_full: full - self.canon_before.2,
+            work_stealing,
+            steals: sum(|t| t.steals),
+            steal_fails: sum(|t| t.steal_fails),
+            local_hits: sum(|t| t.local_hits),
+            park_count: sum(|t| t.park_count),
+            deque_grows: sum(|t| t.deque_grows),
+            index_batch_hits: sum(|t| t.index_batch_hits),
+            interner_bytes: end.state_interner.approx_bytes() + end.proc_interner.approx_bytes(),
+            index_bytes: end.index_bytes,
+            levels,
+            workers: if work_stealing { end.tallies } else { vec![] },
+            hist: {
+                self.hists.canonicalize.merge(&self.canon.hist);
+                self.hists
+            },
+        };
+        // The run is over: nothing is pending, and the deque footprint is
+        // only known once the workers returned.
+        if let Some(live) = self.live {
+            let mem = MemBytes {
+                interner: stats.interner_bytes,
+                index: stats.index_bytes,
+                canon: end.canon_memo_bytes,
+                deques: stats.workers.iter().map(|w| w.deque_bytes).sum(),
+            };
+            live.publish(0, 0, 0, 0, Some(mem));
+        }
+        self.tracer.emit_with("explore.end", || stats.to_json());
+        stats
+    }
+}
+
 /// Memoized transition function.
 ///
 /// By the determinism contract, the successors of one `(pid, local state,
@@ -712,8 +814,6 @@ type MemoShard = lbsa_support::hash::FxHashMap<(u32, u32, u32), Arc<Pairs>>;
 
 struct TransitionMemo {
     shards: Vec<RwLock<MemoShard>>,
-    hits: Counter,
-    misses: Counter,
 }
 
 impl TransitionMemo {
@@ -722,8 +822,6 @@ impl TransitionMemo {
             shards: (0..16)
                 .map(|_| RwLock::new(lbsa_support::hash::FxHashMap::default()))
                 .collect(),
-            hits: Counter::new(),
-            misses: Counter::new(),
         }
     }
 
@@ -732,16 +830,11 @@ impl TransitionMemo {
     }
 
     fn get(&self, key: (u32, u32, u32)) -> Option<Arc<Pairs>> {
-        let found = self.shards[Self::shard_of(key)]
+        self.shards[Self::shard_of(key)]
             .read()
             .expect("memo lock poisoned")
             .get(&key)
-            .cloned();
-        match found {
-            Some(_) => self.hits.bump(),
-            None => self.misses.bump(),
-        }
-        found
+            .cloned()
     }
 
     fn insert(&self, key: (u32, u32, u32), value: Pairs) -> Arc<Pairs> {
@@ -925,47 +1018,18 @@ impl<'a, P: Protocol> Explorer<'a, P> {
     /// parent's key with two slots patched — and steps go through a
     /// transition memo keyed by `(object state, process status, pid)` ids,
     /// so recurring steps skip the specification and the protocol. It
-    /// takes no thread count; parallel exploration is
+    /// ignores `options.threads`; parallel exploration is
     /// [`Explorer::run_engine_ws`].
     fn run_engine(
         &self,
         initial: Configuration<P::LocalState>,
-        limits: Limits,
-        mut on_progress: Option<ProgressCallback<'_>>,
+        options: ExploreOptions,
         sym: Option<&ConfigSymmetry<'_, P::LocalState>>,
         tracer: &Tracer,
         live: Option<&LiveMetrics>,
     ) -> Result<ExplorationGraph<P::LocalState>, RuntimeError> {
-        let started = Instant::now();
-        if let Some(live) = live {
-            live.workers.set_usize(1);
-        }
-        tracer.emit_with("explore.begin", || {
-            Json::object()
-                .set("threads", 1usize)
-                .set("max_configs", limits.max_configs)
-                .set("reduced", sym.is_some())
-                .set("frontier", "level-sync")
-        });
-        // Per-call canonicalization timing means a clock read per successor,
-        // so by the overhead policy it runs only under an attached tracer;
-        // untraced runs report PhaseTimes::canonicalize == 0.
-        let canon_store = CanonProbe::default();
-        let canon_probe = tracer.enabled().then_some(&canon_store);
-        // Under symmetry reduction every graph node is the canonical
-        // representative of its orbit, starting with the root. The root is
-        // canonicalized before the counters are read, so they account for
-        // successors only: canon_patches + canon_full == transitions.
-        let initial = match sym {
-            Some(s) => s.canonicalize(&initial),
-            None => initial,
-        };
-        let canon_calls_before = sym.map_or(0, ConfigSymmetry::canon_calls);
-        let canon_fast_before = sym.map_or(0, ConfigSymmetry::canon_fast_hits);
-        let canon_full_before = sym.map_or(0, ConfigSymmetry::canon_full_calls);
-        // Per-level latency distributions: the level clocks are read anyway,
-        // so these are always on.
-        let hists = LatencyHistograms::default();
+        let (meter, initial) = RunMeter::start(tracer, live, sym, options, 1, initial);
+        let canon_probe = meter.canon_probe();
 
         let mut state_interner: Interner<AnyState> = Interner::new();
         let mut proc_interner: Interner<ProcStatus<P::LocalState>> = Interner::new();
@@ -980,35 +1044,27 @@ impl<'a, P: Protocol> Explorer<'a, P> {
         let mut configs = vec![initial];
         let mut edges: Vec<Vec<Edge>> = vec![vec![]];
         let mut expanded = vec![false];
-        let mut transitions = 0usize;
         let mut complete = true;
         let mut frontier: Vec<(u32, CompactConfig)> = vec![(0, initial_key)];
 
-        let mut expanded_count = 0usize;
-        let mut dedup_hits = 0usize;
-        // Cumulative dedup already mirrored into the live registry, so the
-        // per-level live update adds exactly the level's delta.
-        let mut live_dedup_reported = 0usize;
+        // The run's one tally (see [`WorkerStats`]).
+        let mut tally = WorkerStats::default();
         let mut peak_frontier = 0usize;
         let mut levels: Vec<LevelStats> = Vec::new();
-        let mut total_expand = Duration::ZERO;
         // Transition memo: a plain map owned by this thread (entry API, no
         // locks, no `Arc` traffic), unlike the sharded [`TransitionMemo`]
         // the work-stealing workers share.
-        let mut memo_hits = 0u64;
-        let mut memo_misses = 0u64;
         let mut memo: lbsa_support::hash::FxHashMap<(u32, u32, u32), Pairs> =
             lbsa_support::hash::FxHashMap::with_capacity_and_hasher(256, Default::default());
         // Canonicalization memo, likewise a private plain-map analogue of
         // [`CanonMemo`]: raw delta-patched successor key → canonical form.
         let mut canon_memo: CanonShard<P::LocalState> = Default::default();
-        let mut canon_hits = 0u64;
 
         while !frontier.is_empty() {
             peak_frontier = peak_frontier.max(frontier.len());
             // The budget counts *expanded* configurations: truncate the
             // level to whatever budget remains, in one pass.
-            let budget = limits.max_configs.saturating_sub(expanded_count);
+            let budget = options.limits.max_configs.saturating_sub(tally.expanded);
             let take = frontier.len().min(budget);
             if take < frontier.len() {
                 complete = false;
@@ -1033,11 +1089,11 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                         let memo_key = (parent_key[obj.index()], parent_key[n_obj + i], i as u32);
                         let pairs = match memo.entry(memo_key) {
                             std::collections::hash_map::Entry::Occupied(e) => {
-                                memo_hits += 1;
+                                tally.memo_hits += 1;
                                 &*e.into_mut()
                             }
                             std::collections::hash_map::Entry::Vacant(v) => {
-                                memo_misses += 1;
+                                tally.memo_misses += 1;
                                 &*v.insert(self.compute_pairs(
                                     &configs[node],
                                     pid,
@@ -1064,7 +1120,7 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                             scratch[n_obj + i] = succ_proc;
                             let (key, shared) = match canon_memo.get(scratch.as_slice()).cloned() {
                                 Some((ck, arc)) => {
-                                    canon_hits += 1;
+                                    tally.canon_memo_hits += 1;
                                     (ck, arc)
                                 }
                                 None => {
@@ -1085,7 +1141,7 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                                 }
                             };
                             let target = if let Some(t) = index.probe(&key) {
-                                dedup_hits += 1;
+                                tally.dedup_hits += 1;
                                 t
                             } else {
                                 let t = u32::try_from(configs.len())
@@ -1109,7 +1165,7 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                         scratch[obj.index()] = succ_state;
                         scratch[n_obj + i] = succ_proc;
                         let target = if let Some(t) = index.probe(&scratch) {
-                            dedup_hits += 1;
+                            tally.dedup_hits += 1;
                             t
                         } else {
                             let t = u32::try_from(configs.len())
@@ -1140,26 +1196,31 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                 edges[node] = out_scratch.clone();
                 expanded[node] = true;
             }
-            expanded_count += take;
-            transitions += level_transitions;
-            // Live mirror: one batch of relaxed bumps per level (never per
-            // successor), plus O(1) gauge refreshes for the watcher.
+            tally.expanded += take;
+            tally.transitions += level_transitions;
+            // Every successor of the level either deduplicated or opened a
+            // node of the next frontier.
+            let dedup = level_transitions - next_frontier.len();
+            // Live mirror: one publish per level, never per successor.
             if let Some(live) = live {
-                live.configs.add(take as u64);
-                live.transitions.add(level_transitions as u64);
-                live.dedup_hits
-                    .add((dedup_hits - live_dedup_reported) as u64);
-                live_dedup_reported = dedup_hits;
-                live.frontier_depth.set_usize(next_frontier.len());
-                live.mem_interner
-                    .set_usize(state_interner.approx_bytes() + proc_interner.approx_bytes());
-                live.mem_index.set_usize(index.approx_bytes());
+                let mem = MemBytes {
+                    interner: state_interner.approx_bytes() + proc_interner.approx_bytes(),
+                    index: index.approx_bytes(),
+                    ..MemBytes::default()
+                };
+                live.publish(
+                    take,
+                    level_transitions,
+                    dedup,
+                    next_frontier.len(),
+                    Some(mem),
+                );
             }
             // The fused loop interleaves expansion and merge, so the whole
-            // level counts as expansion.
+            // level counts as expansion. Level clocks are read anyway, so
+            // the per-level histogram is always on.
             let level_elapsed = level_started.elapsed();
-            total_expand += level_elapsed;
-            hists.level_expand.record(level_elapsed);
+            meter.hists.level_expand.record(level_elapsed);
             levels.push(LevelStats {
                 level,
                 width: take,
@@ -1172,13 +1233,10 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                     .set("level", level)
                     .set("width", take)
                     .set("transitions", level_transitions)
-                    .set("dedup", level_transitions - next_frontier.len())
+                    .set("dedup", dedup)
                     .set("expand_us", duration_us(level_elapsed))
                     .set("elapsed_us", duration_us(level_elapsed))
             });
-            if let Some(cb) = on_progress.as_mut() {
-                cb(levels.last().expect("level just pushed"));
-            }
             if take < frontier.len() {
                 // Truncated: the rest of this frontier (and everything newly
                 // discovered) stays unexpanded.
@@ -1187,52 +1245,22 @@ impl<'a, P: Protocol> Explorer<'a, P> {
             frontier = next_frontier;
         }
 
-        let stats = ExploreStats {
+        let stats = meter.finish(EngineEnd {
+            tallies: vec![tally],
+            levels: Some(levels),
             configs: configs.len(),
-            expanded: expanded_count,
-            transitions,
-            dedup_hits,
-            distinct_object_states: state_interner.len(),
-            distinct_proc_statuses: proc_interner.len(),
             peak_frontier,
-            threads: 1,
-            reduced: sym.is_some(),
-            elapsed: started.elapsed(),
-            phases: PhaseTimes {
-                expand: total_expand,
-                canonicalize: canon_store.timer.total(),
-            },
-            memo_hits,
-            memo_misses,
-            intern_hits: state_interner.hits() + proc_interner.hits(),
-            intern_misses: state_interner.misses() + proc_interner.misses(),
-            canon_calls: sym.map_or(0, ConfigSymmetry::canon_calls) - canon_calls_before,
-            canon_patches: (sym.map_or(0, ConfigSymmetry::canon_fast_hits) - canon_fast_before)
-                + canon_hits,
-            canon_full: sym.map_or(0, ConfigSymmetry::canon_full_calls) - canon_full_before,
-            work_stealing: false,
-            steals: 0,
-            steal_fails: 0,
-            local_hits: 0,
-            park_count: 0,
-            deque_grows: 0,
-            index_batch_hits: 0,
-            interner_bytes: state_interner.approx_bytes() + proc_interner.approx_bytes(),
+            canon_memo_bytes: 0,
+            state_interner: &state_interner,
+            proc_interner: &proc_interner,
             index_bytes: index.approx_bytes(),
-            levels,
-            workers: Vec::new(),
-            hist: {
-                hists.canonicalize.merge(&canon_store.hist);
-                hists
-            },
-        };
-        tracer.emit_with("explore.end", || stats.to_json());
+        });
         Ok(ExplorationGraph {
             configs,
             edges,
             expanded,
             complete,
-            transitions,
+            transitions: stats.transitions,
             stats,
         })
     }
@@ -1273,36 +1301,13 @@ impl<'a, P: Protocol> Explorer<'a, P> {
         tracer: &Tracer,
         live: Option<&LiveMetrics>,
     ) -> Result<ExplorationGraph<P::LocalState>, RuntimeError> {
-        let started = Instant::now();
         let workers = options.resolved_threads().max(1);
         let limits = options.limits;
-        if let Some(live) = live {
-            live.workers.set_usize(workers);
-        }
-        tracer.emit_with("explore.begin", || {
-            Json::object()
-                .set("threads", workers)
-                .set("max_configs", limits.max_configs)
-                .set("reduced", sym.is_some())
-                .set("frontier", "work-stealing")
-        });
-        let canon_store = CanonProbe::default();
-        let canon_probe = tracer.enabled().then_some(&canon_store);
-        // Under symmetry reduction every graph node is the canonical
-        // representative of its orbit, starting with the root. The root is
-        // canonicalized before the counters are read, so they account for
-        // successors only: canon_patches + canon_full == transitions.
-        let initial = match sym {
-            Some(s) => s.canonicalize(&initial),
-            None => initial,
-        };
-        let canon_calls_before = sym.map_or(0, ConfigSymmetry::canon_calls);
-        let canon_fast_before = sym.map_or(0, ConfigSymmetry::canon_fast_hits);
-        let canon_full_before = sym.map_or(0, ConfigSymmetry::canon_full_calls);
+        let (meter, initial) = RunMeter::start(tracer, live, sym, options, workers, initial);
+        let canon_probe = meter.canon_probe();
         // Steal and per-task expand latencies need extra clock reads on the
-        // worker hot path, so they are recorded only when traced; the
-        // histograms themselves are relaxed atomics shared across workers.
-        let hists = LatencyHistograms::default();
+        // worker hot path, so they are recorded only when traced.
+        let hists = &meter.hists;
         let traced = tracer.enabled();
 
         let state_interner: Interner<AnyState> = Interner::new();
@@ -1356,7 +1361,16 @@ impl<'a, P: Protocol> Explorer<'a, P> {
         // round-trip on the gated 1-core path), while real fleets spawn it
         // per worker under a scope. Captures the run state by reference.
         let run_worker = |me: usize, own: lfdeque::Owner<WsTask<P::LocalState>>| {
-            let mut out = WsWorkerOut::default();
+            let mut out = WsWorkerOut {
+                stats: WorkerStats {
+                    worker: me,
+                    ..WorkerStats::default()
+                },
+                edge_pool: Vec::new(),
+                tasks: Vec::new(),
+                discovered: Vec::new(),
+                discovered_owned: Vec::new(),
+            };
             let mut scratch = vec![0u32; n_obj + n_procs];
             // Per-task scratch reused for the whole run: the
             // phase-A successor records, the batched-probe key
@@ -1388,10 +1402,6 @@ impl<'a, P: Protocol> Explorer<'a, P> {
             // Consecutive failed sweeps drive the
             // spin→yield→park backoff; any found task resets it.
             let mut backoff: u32 = 0;
-            // Cumulative counts already mirrored into the live
-            // registry; each task adds only its delta.
-            let mut live_tx_reported = 0usize;
-            let mut live_dd_reported = 0usize;
             // Per-worker xorshift32 stream (odd seed from a
             // golden-ratio multiply) rotating each sweep's
             // starting victim so simultaneous thieves fan out
@@ -1406,13 +1416,13 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                 // own deque (depth-first locally, cache-warm
                 // parents), then sweep the victims.
                 let task = if let Some(task) = in_hand.take() {
-                    out.local_hits += 1;
+                    out.stats.local_hits += 1;
                     backoff = 0;
                     task
                 } else {
                     match own.pop() {
                         Some(task) => {
-                            out.local_hits += 1;
+                            out.stats.local_hits += 1;
                             backoff = 0;
                             task
                         }
@@ -1422,7 +1432,7 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                             // only runs while this worker is not
                             // expanding, so it is measured even on
                             // untraced runs. Parked waits are timed
-                            // separately in `parked_ns` so reported
+                            // separately in `parked` so reported
                             // idle stays proportional to burned CPU.
                             let sweep_t0 = Instant::now();
                             let mut stolen = None;
@@ -1448,7 +1458,7 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                             }
                             match stolen {
                                 Some((task, victim_hit, extra)) => {
-                                    out.steals += 1;
+                                    out.stats.steals += 1;
                                     if let Some(live) = live {
                                         live.steals.bump();
                                     }
@@ -1456,9 +1466,10 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                                     // The batched extras landed in
                                     // our own deque; the task in
                                     // hand counts toward depth too.
-                                    out.max_deque_depth = out.max_deque_depth.max(own.len() + 1);
+                                    out.stats.max_deque_depth =
+                                        out.stats.max_deque_depth.max(own.len() + 1);
                                     let sweep = sweep_t0.elapsed();
-                                    out.idle_ns = out.idle_ns.saturating_add(duration_ns(sweep));
+                                    out.stats.idle += sweep;
                                     if traced {
                                         hists.steal.record(sweep);
                                         hists.steal_batch.record_ns(extra as u64 + 1);
@@ -1474,22 +1485,21 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                                     task
                                 }
                                 None => {
-                                    out.steal_fails += 1;
-                                    out.idle_ns =
-                                        out.idle_ns.saturating_add(duration_ns(sweep_t0.elapsed()));
+                                    out.stats.steal_fails += 1;
+                                    out.stats.idle += sweep_t0.elapsed();
                                     // Per-attempt miss events would
                                     // be unbounded in a spin storm;
                                     // power-of-two sampling keeps the
                                     // trace logarithmic while the
                                     // `spins`/`parks` fields preserve
                                     // the storm's true intensity.
-                                    if traced && out.steal_fails.is_power_of_two() {
+                                    if traced && out.stats.steal_fails.is_power_of_two() {
                                         tracer.emit_with("ws.steal", || {
                                             Json::object()
                                                 .set("worker", me)
                                                 .set("outcome", "miss")
-                                                .set("spins", out.idle_spins)
-                                                .set("parks", out.park_count)
+                                                .set("spins", out.stats.idle_spins)
+                                                .set("parks", out.stats.park_count)
                                                 .set("pending", pending.load(Ordering::Relaxed))
                                         });
                                     }
@@ -1507,15 +1517,15 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                                     // detects quiescence promptly.
                                     backoff = backoff.saturating_add(1);
                                     if backoff <= WS_SPIN_ROUNDS {
-                                        out.idle_spins += 1;
+                                        out.stats.idle_spins += 1;
                                         for _ in 0..(1u32 << backoff) {
                                             std::hint::spin_loop();
                                         }
                                     } else if backoff <= WS_SPIN_ROUNDS + WS_YIELD_ROUNDS {
-                                        out.idle_spins += 1;
+                                        out.stats.idle_spins += 1;
                                         std::thread::yield_now();
                                     } else {
-                                        out.park_count += 1;
+                                        out.stats.park_count += 1;
                                         if let Some(live) = live {
                                             live.parked_workers.add(1);
                                         }
@@ -1524,9 +1534,7 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                                         if let Some(live) = live {
                                             live.parked_workers.sub(1);
                                         }
-                                        out.parked_ns = out
-                                            .parked_ns
-                                            .saturating_add(duration_ns(park_t0.elapsed()));
+                                        out.stats.parked += park_t0.elapsed();
                                     }
                                     continue;
                                 }
@@ -1574,23 +1582,28 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                     // deterministic engine's zero-clone memo.
                     let pairs = match memo_l1.entry(memo_key) {
                         std::collections::hash_map::Entry::Occupied(e) => {
-                            out.memo_l1_hits += 1;
+                            out.stats.memo_hits += 1;
                             e.into_mut()
                         }
                         std::collections::hash_map::Entry::Vacant(slot) => {
                             // The shared memo next; only a miss there
                             // runs the step.
                             let shared = match memo.get(memo_key) {
-                                Some(hit) => Ok(hit),
-                                None => self
-                                    .compute_pairs(
+                                Some(hit) => {
+                                    out.stats.memo_hits += 1;
+                                    Ok(hit)
+                                }
+                                None => {
+                                    out.stats.memo_misses += 1;
+                                    self.compute_pairs(
                                         config,
                                         pid,
                                         (obj, op),
                                         &state_interner,
                                         &proc_interner,
                                     )
-                                    .map(|pairs| memo.insert(memo_key, pairs)),
+                                    .map(|pairs| memo.insert(memo_key, pairs))
+                                }
                             };
                             match shared {
                                 Ok(pairs) => slot.insert(pairs),
@@ -1608,10 +1621,13 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                         scratch.copy_from_slice(parent_key);
                         scratch[obj.index()] = succ_state;
                         scratch[n_obj + i] = succ_proc;
-                        out.transitions += 1;
+                        out.stats.transitions += 1;
                         if let Some(symmetry) = sym {
                             let (key, arc) = match canon_memo.get(&scratch) {
-                                Some(entry) => entry,
+                                Some(entry) => {
+                                    out.stats.canon_memo_hits += 1;
+                                    entry
+                                }
                                 None => {
                                     let raw = config.after(
                                         obj,
@@ -1631,7 +1647,7 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                             };
                             match index.probe(&key) {
                                 Some(t) => {
-                                    out.dedup_hits += 1;
+                                    out.stats.dedup_hits += 1;
                                     out.edge_pool.push(Edge {
                                         pid,
                                         outcome,
@@ -1653,7 +1669,7 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                         } else {
                             match index.probe(&scratch) {
                                 Some(t) => {
-                                    out.dedup_hits += 1;
+                                    out.stats.dedup_hits += 1;
                                     out.edge_pool.push(Edge {
                                         pid,
                                         outcome,
@@ -1688,7 +1704,7 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                 if batch_keys.is_empty() {
                     batch_results.clear();
                 } else {
-                    out.index_batch_hits +=
+                    out.stats.index_batch_hits +=
                         index.get_or_insert_batch(&batch_keys, &mut batch_results);
                 }
                 for (b, fix) in fixups.drain(..).enumerate() {
@@ -1704,7 +1720,7 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                                     config: WsConfig::Shared(arc),
                                 });
                             } else {
-                                out.dedup_hits += 1;
+                                out.stats.dedup_hits += 1;
                             }
                         }
                         WsFixup::Raw {
@@ -1731,7 +1747,7 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                                     config: WsConfig::Owned(next),
                                 });
                             } else {
-                                out.dedup_hits += 1;
+                                out.stats.dedup_hits += 1;
                             }
                         }
                     }
@@ -1742,6 +1758,7 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                     u32::try_from(edge_start).expect("edge pool overflow"),
                     u32::try_from(edge_len).expect("edge fan-out overflow"),
                 ));
+                out.stats.expanded += 1;
                 // Expansion done: a raw-mode task surrenders its
                 // configuration to the assembly set here.
                 if let WsConfig::Owned(cfg) = task.config {
@@ -1753,6 +1770,7 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                 // hand and inherits this task's `pending` slot —
                 // so a chain of single-child tasks runs with zero
                 // `pending` RMWs and zero deque traffic.
+                let fresh = spawned.len();
                 if spawned.is_empty() {
                     pending.fetch_sub(1, Ordering::AcqRel);
                 } else {
@@ -1764,76 +1782,44 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                         for child in spawned.drain(..) {
                             own.push(child);
                         }
-                        out.max_deque_depth = out.max_deque_depth.max(own.len() + 1);
+                        out.stats.max_deque_depth = out.stats.max_deque_depth.max(own.len() + 1);
                     }
                 }
-                // Live mirror: a few relaxed bumps per task (never per
-                // successor), and O(1)-readable mem gauges refreshed at a
-                // coarse beat so the watcher never perturbs the hot path.
+                // Live mirror: one publish per task (never per successor),
+                // with the mem gauges refreshed at a coarse beat so the
+                // watcher never perturbs the hot path. Every successor of
+                // the task either deduplicated or spawned a child.
                 if let Some(live) = live {
-                    live.configs.bump();
-                    live.transitions
-                        .add((out.transitions - live_tx_reported) as u64);
-                    live_tx_reported = out.transitions;
-                    live.dedup_hits
-                        .add((out.dedup_hits - live_dd_reported) as u64);
-                    live_dd_reported = out.dedup_hits;
-                    live.frontier_depth
-                        .set_usize(pending.load(Ordering::Relaxed));
-                    if out.tasks.len().is_multiple_of(64) {
-                        live.mem_interner.set_usize(
-                            state_interner.approx_bytes() + proc_interner.approx_bytes(),
-                        );
-                        live.mem_index.set_usize(index.approx_bytes());
-                        live.mem_canon.set_usize(canon_memo.approx_bytes());
-                    }
+                    let mem = out.stats.expanded.is_multiple_of(64).then(|| MemBytes {
+                        interner: state_interner.approx_bytes() + proc_interner.approx_bytes(),
+                        index: index.approx_bytes(),
+                        canon: canon_memo.approx_bytes(),
+                        deques: 0,
+                    });
+                    let frontier = pending.load(Ordering::Relaxed);
+                    live.publish(1, edge_len, edge_len - fresh, frontier, mem);
                 }
                 if let Some(t0) = task_t0 {
                     let d = t0.elapsed();
-                    out.busy_ns = out.busy_ns.saturating_add(duration_ns(d));
+                    out.stats.busy += d;
                     hists.task_expand.record(d);
                     // A progress beat on the first task and every
-                    // 32nd after: the beat timestamps are what
+                    // 32nd after: the worker's tally so far plus its
+                    // deque depth. The beat timestamps are what
                     // obs_analyze turns into the per-worker
                     // utilization timeline.
-                    let done = out.tasks.len();
+                    let done = out.stats.expanded;
                     if done == 1 || done.is_multiple_of(32) {
+                        out.stats.deque_grows = own.grows();
+                        out.stats.deque_bytes = own.approx_bytes();
                         let depth = own.len();
-                        tracer.emit_with("ws.expand", || {
-                            Json::object()
-                                .set("worker", me)
-                                .set("expanded", done)
-                                .set("transitions", out.transitions)
-                                .set("deque", depth)
-                                .set("steals", out.steals)
-                                .set("parks", out.park_count)
-                                .set("busy_us", out.busy_ns / 1_000)
-                                .set("idle_us", out.idle_ns / 1_000)
-                        });
+                        tracer.emit_with("ws.expand", || out.stats.to_json().set("deque", depth));
                     }
                 }
             }
-            out.deque_grows = own.grows();
-            out.deque_bytes = own.approx_bytes();
-            if traced {
-                tracer.emit_with("ws.done", || {
-                    Json::object()
-                        .set("worker", me)
-                        .set("expanded", out.tasks.len())
-                        .set("transitions", out.transitions)
-                        .set("steals", out.steals)
-                        .set("steal_fails", out.steal_fails)
-                        .set("local_hits", out.local_hits)
-                        .set("max_deque_depth", out.max_deque_depth)
-                        .set("idle_spins", out.idle_spins)
-                        .set("park_count", out.park_count)
-                        .set("parked_us", out.parked_ns / 1_000)
-                        .set("deque_grows", out.deque_grows)
-                        .set("index_batch_hits", out.index_batch_hits)
-                        .set("idle_us", out.idle_ns / 1_000)
-                        .set("busy_us", out.busy_ns / 1_000)
-                });
-            }
+            out.stats.deque_grows = own.grows();
+            out.stats.deque_bytes = own.approx_bytes();
+            tracer.emit_with("ws.done", || out.stats.to_json());
             out
         };
         let outs: Vec<WsWorkerOut<P::LocalState>> = if workers == 1 {
@@ -1856,7 +1842,7 @@ impl<'a, P: Protocol> Explorer<'a, P> {
         if let Some(err) = first_error.into_inner().expect("error slot poisoned") {
             return Err(err);
         }
-        let canon_hits = canon_memo.hits.get();
+        let canon_memo_bytes = canon_memo.approx_bytes();
         // Release the memo's and the deques' shares so assembly can unwrap
         // the Arcs (the stealers are the last handles keeping any
         // unexpanded tasks — aborted runs — alive).
@@ -1871,61 +1857,9 @@ impl<'a, P: Protocol> Explorer<'a, P> {
         }
         let mut edges: Vec<Vec<Edge>> = vec![Vec::new(); count];
         let mut expanded = vec![false; count];
-        let mut expanded_count = 0usize;
-        let mut transitions = 0usize;
-        let mut dedup_hits = 0usize;
-        let mut steals = 0u64;
-        let mut steal_fails = 0u64;
-        let mut local_hits = 0u64;
-        let mut park_count = 0u64;
-        let mut deque_grows = 0u64;
-        let mut deque_bytes = 0usize;
-        let mut index_batch_hits = 0u64;
-        let mut memo_l1_hits = 0u64;
-        let mut worker_stats: Vec<WorkerStats> = Vec::with_capacity(outs.len());
-        for (w, out) in outs.into_iter().enumerate() {
-            tracer.emit_with("ws.worker", || {
-                Json::object()
-                    .set("worker", w)
-                    .set("expanded", out.tasks.len())
-                    .set("transitions", out.transitions)
-                    .set("steals", out.steals)
-                    .set("steal_fails", out.steal_fails)
-                    .set("local_hits", out.local_hits)
-                    .set("max_deque_depth", out.max_deque_depth)
-                    .set("idle_spins", out.idle_spins)
-                    .set("park_count", out.park_count)
-                    .set("parked_us", out.parked_ns / 1_000)
-                    .set("deque_grows", out.deque_grows)
-                    .set("index_batch_hits", out.index_batch_hits)
-                    .set("idle_us", out.idle_ns / 1_000)
-                    .set("busy_us", out.busy_ns / 1_000)
-            });
-            transitions += out.transitions;
-            dedup_hits += out.dedup_hits;
-            steals += out.steals;
-            steal_fails += out.steal_fails;
-            local_hits += out.local_hits;
-            park_count += out.park_count;
-            deque_grows += out.deque_grows;
-            deque_bytes += out.deque_bytes;
-            index_batch_hits += out.index_batch_hits;
-            memo_l1_hits += out.memo_l1_hits;
-            worker_stats.push(WorkerStats {
-                worker: w,
-                expanded: out.tasks.len(),
-                transitions: out.transitions,
-                steals: out.steals,
-                steal_fails: out.steal_fails,
-                local_hits: out.local_hits,
-                max_deque_depth: out.max_deque_depth,
-                idle_spins: out.idle_spins,
-                park_count: out.park_count,
-                deque_grows: out.deque_grows,
-                idle: Duration::from_nanos(out.idle_ns),
-                parked: Duration::from_nanos(out.parked_ns),
-                busy: Duration::from_nanos(out.busy_ns),
-            });
+        let mut tallies: Vec<WorkerStats> = Vec::with_capacity(outs.len());
+        for out in outs {
+            tallies.push(out.stats);
             for (id, arc) in out.discovered {
                 configs[id as usize] = Some(Arc::try_unwrap(arc).unwrap_or_else(|a| (*a).clone()));
             }
@@ -1936,7 +1870,6 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                 let start = start as usize;
                 edges[id as usize] = out.edge_pool[start..start + len as usize].to_vec();
                 expanded[id as usize] = true;
-                expanded_count += 1;
             }
         }
         let configs: Vec<Configuration<P::LocalState>> = configs
@@ -1944,65 +1877,22 @@ impl<'a, P: Protocol> Explorer<'a, P> {
             .map(|c| c.expect("every interned node carries a configuration"))
             .collect();
         let complete = !truncated.load(Ordering::Relaxed);
-        // One clock read for both the total and the expand phase: without a
-        // barrier the whole run is one expansion phase, and reading the
-        // clock twice would make `phases.expand` exceed `elapsed`.
-        let elapsed = started.elapsed();
-
-        let stats = ExploreStats {
+        let stats = meter.finish(EngineEnd {
+            tallies,
+            levels: None,
             configs: configs.len(),
-            expanded: expanded_count,
-            transitions,
-            dedup_hits,
-            distinct_object_states: state_interner.len(),
-            distinct_proc_statuses: proc_interner.len(),
             peak_frontier: peak_pending.load(Ordering::Relaxed),
-            threads: workers,
-            reduced: sym.is_some(),
-            elapsed,
-            phases: PhaseTimes {
-                expand: elapsed,
-                canonicalize: canon_store.timer.total(),
-            },
-            memo_hits: memo.hits.get() + memo_l1_hits,
-            memo_misses: memo.misses.get(),
-            intern_hits: state_interner.hits() + proc_interner.hits(),
-            intern_misses: state_interner.misses() + proc_interner.misses(),
-            canon_calls: sym.map_or(0, ConfigSymmetry::canon_calls) - canon_calls_before,
-            canon_patches: (sym.map_or(0, ConfigSymmetry::canon_fast_hits) - canon_fast_before)
-                + canon_hits,
-            canon_full: sym.map_or(0, ConfigSymmetry::canon_full_calls) - canon_full_before,
-            work_stealing: true,
-            steals,
-            steal_fails,
-            local_hits,
-            park_count,
-            deque_grows,
-            index_batch_hits,
-            interner_bytes: state_interner.approx_bytes() + proc_interner.approx_bytes(),
+            canon_memo_bytes,
+            state_interner: &state_interner,
+            proc_interner: &proc_interner,
             index_bytes: index.approx_bytes(),
-            levels: Vec::new(),
-            workers: worker_stats,
-            hist: {
-                hists.canonicalize.merge(&canon_store.hist);
-                hists
-            },
-        };
-        // Final gauge sync: the frontier is drained, and the deque
-        // footprint is only known after the owners returned.
-        if let Some(live) = live {
-            live.frontier_depth.set(0);
-            live.mem_interner.set_usize(stats.interner_bytes);
-            live.mem_index.set_usize(stats.index_bytes);
-            live.mem_deques.set_usize(deque_bytes);
-        }
-        tracer.emit_with("explore.end", || stats.to_json());
+        });
         Ok(ExplorationGraph {
             configs,
             edges,
             expanded,
             complete,
-            transitions,
+            transitions: stats.transitions,
             stats,
         })
     }
@@ -2079,7 +1969,6 @@ pub struct StepRecord<L> {
 ///     .from(config)                 // default: the initial configuration
 ///     .limits(Limits::new(50_000))  // default: Limits::default()
 ///     .threads(1)                   // default: auto
-///     .on_progress(|l| eprintln!("{} configs", l.width))
 ///     .run()?;
 /// ```
 #[must_use = "an Exploration does nothing until .run() is called"]
@@ -2087,7 +1976,6 @@ pub struct Exploration<'e, 'a, P: Protocol> {
     pub(crate) explorer: &'e Explorer<'a, P>,
     from: Option<Configuration<P::LocalState>>,
     options: ExploreOptions,
-    on_progress: Option<ProgressCallback<'e>>,
     pub(crate) symmetry: Option<ConfigSymmetry<'a, P::LocalState>>,
     pub(crate) tracer: Option<Tracer>,
     pub(crate) strategy: Strategy,
@@ -2097,14 +1985,12 @@ pub struct Exploration<'e, 'a, P: Protocol> {
 
 impl<'e, 'a, P: Protocol> Exploration<'e, 'a, P> {
     /// Starts a builder over `explorer` with default options: the initial
-    /// configuration, [`Limits::default`], automatic thread count, no
-    /// progress callback.
+    /// configuration, [`Limits::default`], automatic thread count.
     pub fn builder(explorer: &'e Explorer<'a, P>) -> Self {
         Exploration {
             explorer,
             from: None,
             options: ExploreOptions::default(),
-            on_progress: None,
             symmetry: None,
             tracer: None,
             strategy: Strategy::default(),
@@ -2187,20 +2073,12 @@ impl<'e, 'a, P: Protocol> Exploration<'e, 'a, P> {
     /// [`Frontier::Deterministic`] additionally guarantees byte-identical
     /// graphs — same node indices, same edge targets — on every run;
     /// [`Frontier::WorkStealing`] assigns node indices in
-    /// discovery order, which depends on scheduling, and ignores
-    /// `on_progress` (there are no levels to report). Truncated
+    /// discovery order, which depends on scheduling, and reports no
+    /// [`ExploreStats::levels`] (it has no levels). Truncated
     /// work-stealing runs cut the space at a scheduling-dependent
     /// boundary, so only complete runs are comparable across modes.
     pub fn frontier(mut self, frontier: Frontier) -> Self {
         self.options.frontier = frontier;
-        self
-    }
-
-    /// Registers a callback invoked after each BFS level is merged, with
-    /// that level's [`LevelStats`] (which carries the level's BFS index in
-    /// [`LevelStats::level`]) — for progress reporting on long runs.
-    pub fn on_progress(mut self, callback: impl FnMut(&LevelStats) + 'e) -> Self {
-        self.on_progress = Some(Box::new(callback));
         self
     }
 
@@ -2306,17 +2184,13 @@ impl<'e, 'a, P: Protocol> Exploration<'e, 'a, P> {
             )),
             _ => None,
         };
-        let result = match self.options.frontier {
-            Frontier::Deterministic => explorer.run_engine(
-                initial,
-                self.options.limits,
-                self.on_progress.take(),
-                symmetry,
-                tracer,
-                live,
-            ),
+        let options = self.options;
+        let result = match options.frontier {
+            Frontier::Deterministic => {
+                explorer.run_engine(initial, options, symmetry, tracer, live)
+            }
             Frontier::WorkStealing => {
-                explorer.run_engine_ws(initial, self.options, symmetry, tracer, live)
+                explorer.run_engine_ws(initial, options, symmetry, tracer, live)
             }
         };
         if let (Some(live), Ok(graph)) = (live, &result) {
@@ -2677,21 +2551,27 @@ mod tests {
     }
 
     #[test]
-    fn on_progress_sees_every_level() {
+    fn stats_levels_see_every_level() {
+        use lbsa_support::obs::MemorySink;
         let p = RaceConsensus { n: 3 };
         let objects = vec![AnyObject::consensus(3).unwrap()];
         let ex = Explorer::new(&p, &objects);
-        let mut widths = Vec::new();
+        let sink = MemorySink::new();
         let g = ex
             .exploration()
             .threads(1)
-            .on_progress(|level| widths.push(level.width))
+            .trace(Tracer::new(sink.clone()))
             .run()
             .unwrap();
-        assert_eq!(
-            widths,
-            g.stats.levels.iter().map(|l| l.width).collect::<Vec<_>>()
-        );
+        // One `LevelStats` per traced `level` event, with the same width.
+        let traced: Vec<i64> = sink
+            .events()
+            .iter()
+            .filter(|e| e.name == "level")
+            .filter_map(|e| e.fields.get("width").and_then(Json::as_i64))
+            .collect();
+        let widths: Vec<usize> = g.stats.levels.iter().map(|l| l.width).collect();
+        assert_eq!(traced, widths.iter().map(|&w| w as i64).collect::<Vec<_>>());
         assert_eq!(widths.iter().sum::<usize>(), g.stats.expanded);
     }
 
@@ -2882,13 +2762,8 @@ mod tests {
     fn level_stats_carry_their_bfs_index() {
         let p = RaceConsensus { n: 3 };
         let objects = vec![AnyObject::consensus(3).unwrap()];
-        let mut seen = Vec::new();
-        let g = Explorer::new(&p, &objects)
-            .exploration()
-            .on_progress(|l| seen.push(l.level))
-            .run()
-            .unwrap();
-        assert_eq!(seen, (0..g.stats.levels.len()).collect::<Vec<_>>());
+        let g = Explorer::new(&p, &objects).exploration().run().unwrap();
+        assert!(!g.stats.levels.is_empty());
         for (i, l) in g.stats.levels.iter().enumerate() {
             assert_eq!(l.level, i);
         }
@@ -3196,22 +3071,104 @@ mod tests {
                 "per-task timing needs a tracer; untraced busy must stay zero"
             );
         }
-        let sum = |f: fn(&WorkerStats) -> u64| stats.workers.iter().map(f).sum::<u64>();
-        assert_eq!(
-            stats.workers.iter().map(|w| w.expanded).sum::<usize>(),
-            stats.expanded
-        );
-        assert_eq!(
-            stats.workers.iter().map(|w| w.transitions).sum::<usize>(),
-            stats.transitions
-        );
-        assert_eq!(sum(|w| w.steals), stats.steals);
-        assert_eq!(sum(|w| w.steal_fails), stats.steal_fails);
-        assert_eq!(sum(|w| w.local_hits), stats.local_hits);
+        assert_aggregates_sum_workers(stats);
         assert!(stats.worker_imbalance() >= 1.0);
         // Untraced runs record no per-task or steal latency distributions.
         assert!(stats.hist.task_expand.is_empty());
         assert!(stats.hist.steal.is_empty());
+    }
+
+    /// Every counting aggregate of a work-stealing run is the sum of its
+    /// per-worker tallies.
+    fn assert_aggregates_sum_workers(stats: &ExploreStats) {
+        let sum = |f: fn(&WorkerStats) -> u64| stats.workers.iter().map(f).sum::<u64>();
+        let sum_usize = |f: fn(&WorkerStats) -> usize| stats.workers.iter().map(f).sum::<usize>();
+        assert_eq!(stats.threads, stats.workers.len());
+        assert_eq!(sum_usize(|w| w.expanded), stats.expanded);
+        assert_eq!(sum_usize(|w| w.transitions), stats.transitions);
+        assert_eq!(sum_usize(|w| w.dedup_hits), stats.dedup_hits);
+        assert_eq!(sum(|w| w.steals), stats.steals);
+        assert_eq!(sum(|w| w.steal_fails), stats.steal_fails);
+        assert_eq!(sum(|w| w.local_hits), stats.local_hits);
+        assert_eq!(sum(|w| w.park_count), stats.park_count);
+        assert_eq!(sum(|w| w.deque_grows), stats.deque_grows);
+        assert_eq!(sum(|w| w.index_batch_hits), stats.index_batch_hits);
+        assert_eq!(sum(|w| w.memo_hits), stats.memo_hits);
+        assert_eq!(sum(|w| w.memo_misses), stats.memo_misses);
+    }
+
+    #[test]
+    fn live_counters_end_at_the_stats_totals() {
+        let p = RaceConsensus { n: 4 };
+        let objects = vec![AnyObject::consensus(4).unwrap()];
+        let ex = Explorer::new(&p, &objects);
+        for (frontier, threads) in [(Frontier::Deterministic, 1), (Frontier::WorkStealing, 2)] {
+            let registry = Registry::new();
+            let g = ex
+                .exploration()
+                .frontier(frontier)
+                .threads(threads)
+                .registry(registry.clone())
+                .run()
+                .unwrap();
+            let snapshot = registry.snapshot();
+            let read = |name| snapshot.get(name).and_then(Json::as_i64);
+            assert_eq!(read("explore.configs"), Some(g.stats.expanded as i64));
+            assert_eq!(
+                read("explore.transitions"),
+                Some(g.stats.transitions as i64)
+            );
+            assert_eq!(read("explore.dedup_hits"), Some(g.stats.dedup_hits as i64));
+            assert_eq!(read("explore.frontier_depth"), Some(0), "{frontier:?}");
+            assert_eq!(read("mem.index_bytes"), Some(g.stats.index_bytes as i64));
+        }
+    }
+
+    #[test]
+    fn ws_done_is_the_worker_row() {
+        use lbsa_support::obs::MemorySink;
+        let p = RaceConsensus { n: 4 };
+        let objects = vec![AnyObject::consensus(4).unwrap()];
+        let ex = Explorer::new(&p, &objects);
+        for threads in [2, 4] {
+            let sink = MemorySink::new();
+            let ws = ex
+                .exploration()
+                .threads(threads)
+                .frontier(Frontier::WorkStealing)
+                .trace(Tracer::new(sink.clone()))
+                .run()
+                .unwrap();
+            let stats = &ws.stats;
+            assert_eq!(stats.workers.len(), threads);
+            let done: Vec<Json> = sink
+                .events()
+                .into_iter()
+                .filter(|e| e.name == "ws.done")
+                .map(|e| e.fields)
+                .collect();
+            assert_eq!(done.len(), threads, "one ws.done per worker");
+            for payload in &done {
+                let w = payload
+                    .get("worker")
+                    .and_then(Json::as_i64)
+                    .expect("ws.done names its worker");
+                let row = stats.workers[usize::try_from(w).unwrap()].to_json();
+                let fields = payload.as_obj().expect("object payload");
+                assert_eq!(
+                    fields,
+                    row.as_obj().unwrap(),
+                    "worker {w} at {threads} threads"
+                );
+            }
+            // The report's rows are the same renderer's output.
+            let report = stats.to_json();
+            let rows = report.get("workers").and_then(Json::as_arr).unwrap();
+            for (row, w) in rows.iter().zip(&stats.workers) {
+                assert_eq!(row, &w.to_json());
+            }
+            assert_aggregates_sum_workers(stats);
+        }
     }
 
     #[test]
@@ -3269,12 +3226,7 @@ mod tests {
             "every successful steal records its latency"
         );
         assert!(
-            stats
-                .workers
-                .iter()
-                .map(|w| duration_ns(w.busy))
-                .sum::<u64>()
-                > 0,
+            stats.workers.iter().map(|w| w.busy).sum::<Duration>() > Duration::ZERO,
             "traced workers measure their expansion time"
         );
         let doc = stats.to_json();

@@ -103,6 +103,33 @@ impl LiveMetrics {
         }
     }
 
+    /// Mirrors one batch of engine progress — a BFS level, a work-stealing
+    /// task, or the end of a run — into the registry: `expanded`
+    /// configurations yielded `transitions` successors, `dedup_hits` of
+    /// them onto known nodes, which is exactly what the batch added to the
+    /// engine's tally, leaving `frontier` nodes pending. `mem`, when given,
+    /// sets the memory gauges; the work-stealing engine passes it at a
+    /// coarse beat only.
+    pub fn publish(
+        &self,
+        expanded: usize,
+        transitions: usize,
+        dedup_hits: usize,
+        frontier: usize,
+        mem: Option<MemBytes>,
+    ) {
+        self.configs.add(expanded as u64);
+        self.transitions.add(transitions as u64);
+        self.dedup_hits.add(dedup_hits as u64);
+        self.frontier_depth.set_usize(frontier);
+        if let Some(mem) = mem {
+            self.mem_interner.set_usize(mem.interner);
+            self.mem_index.set_usize(mem.index);
+            self.mem_canon.set_usize(mem.canon);
+            self.mem_deques.set_usize(mem.deques);
+        }
+    }
+
     /// Total estimated footprint across the `mem.*` gauges (the measured
     /// peak resident set, `ttvbench`'s `peak_rss_mb`, is the ground truth).
     fn mem_bytes(&self) -> i64 {
@@ -112,6 +139,22 @@ impl LiveMetrics {
             + self.mem_graph.get()
             + self.mem_deques.get()
     }
+}
+
+/// Footprint estimates for the `mem.*` gauges an engine sets (see
+/// [`LiveMetrics::publish`]); the graph gauge is set by the builder once
+/// the graph exists.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct MemBytes {
+    /// State + proc interners (`mem.interner_bytes`).
+    pub interner: usize,
+    /// Dedup index (`mem.index_bytes`).
+    pub index: usize,
+    /// Canonicalization memo (`mem.canon_memo_bytes`).
+    pub canon: usize,
+    /// Work-stealing deque buffers (`mem.deque_bytes`), known only once
+    /// the workers returned.
+    pub deques: usize,
 }
 
 /// Which ETA model a [`ProgressWatcher`] applies — one per strategy, since

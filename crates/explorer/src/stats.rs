@@ -47,15 +47,19 @@ pub struct PhaseTimes {
     pub canonicalize: Duration,
 }
 
-/// Per-worker measurements of one work-stealing run — the breakdown that
-/// makes load imbalance *diagnosable* rather than just countable from the
-/// aggregate steal counters.
+/// The tally of one engine thread, and the only place an exploration
+/// counts: the level-sync engine keeps one, each work-stealing worker keeps
+/// its own and bumps it directly. The [`ExploreStats`] aggregates are sums
+/// over these tallies, a work-stealing worker's `ws.done` trace event is
+/// its [`WorkerStats::to_json`], and the live registry advances by what
+/// each level or task adds to them.
 ///
-/// The counting fields (`expanded`, `transitions`, steal outcomes, deque
-/// depth, idle spins) are always populated. The wall-clock fields follow
-/// the overhead policy: `idle` is measured unconditionally (the clock is
-/// only read while the worker has no work to do), while `busy` requires a
-/// per-task clock read and is therefore zero unless the run was traced.
+/// The counting fields are always populated (steal, deque and idle fields
+/// stay zero on the level-sync engine, which exposes no per-worker rows).
+/// The wall-clock fields follow the overhead policy: `idle` is measured
+/// unconditionally (the clock is only read while the worker has no work to
+/// do), while `busy` requires a per-task clock read and is therefore zero
+/// unless the run was traced.
 #[derive(Clone, Debug, Default)]
 pub struct WorkerStats {
     /// Worker index, `0..threads`.
@@ -64,6 +68,8 @@ pub struct WorkerStats {
     pub expanded: usize,
     /// Transitions this worker discovered.
     pub transitions: usize,
+    /// Successors this worker resolved to an already-known node.
+    pub dedup_hits: usize,
     /// Successful steal operations this worker performed.
     pub steals: u64,
     /// Full steal sweeps by this worker that came back empty.
@@ -80,6 +86,20 @@ pub struct WorkerStats {
     pub park_count: u64,
     /// Times this worker's lock-free deque buffer doubled.
     pub deque_grows: u64,
+    /// Estimated footprint of this worker's deque buffers (live and
+    /// retired), read at each progress beat and at sign-off.
+    pub deque_bytes: usize,
+    /// Keys this worker's batched index rounds resolved to nodes another
+    /// worker interned between the read-only pre-probe and the insert.
+    pub index_batch_hits: u64,
+    /// Transition-memo lookups this worker answered without stepping, from
+    /// its private memo map or the work-stealing engine's shared one.
+    pub memo_hits: u64,
+    /// Transition-memo lookups that missed every memo and ran the step.
+    pub memo_misses: u64,
+    /// Successors whose canonical form came out of the engine's canon
+    /// memo (zero unless symmetry-reduced).
+    pub canon_memo_hits: u64,
     /// Wall-clock time spent idle burning CPU (failed steal sweeps,
     /// spinning, yielding). Excludes parked time, so it stays proportional
     /// to CPU actually consumed while starved.
@@ -93,13 +113,15 @@ pub struct WorkerStats {
 }
 
 impl WorkerStats {
-    /// Serializes one worker's row of the `metrics.explore.workers` array.
+    /// Serializes one worker's row: the `ws.done` trace payload and an
+    /// element of the `metrics.explore.workers` array.
     #[must_use]
     pub fn to_json(&self) -> Json {
         Json::object()
             .set("worker", self.worker)
             .set("expanded", self.expanded)
             .set("transitions", self.transitions)
+            .set("dedup_hits", self.dedup_hits)
             .set("steals", self.steals)
             .set("steal_fails", self.steal_fails)
             .set("local_hits", self.local_hits)
@@ -107,6 +129,11 @@ impl WorkerStats {
             .set("idle_spins", self.idle_spins)
             .set("park_count", self.park_count)
             .set("deque_grows", self.deque_grows)
+            .set("deque_bytes", self.deque_bytes)
+            .set("index_batch_hits", self.index_batch_hits)
+            .set("memo_hits", self.memo_hits)
+            .set("memo_misses", self.memo_misses)
+            .set("canon_memo_hits", self.canon_memo_hits)
             .set("idle_us", duration_us(self.idle))
             .set("parked_us", duration_us(self.parked))
             .set("busy_us", duration_us(self.busy))
@@ -438,11 +465,6 @@ impl ExploreStats {
 /// A duration in whole microseconds, saturating at `u64::MAX`.
 pub(crate) fn duration_us(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
-}
-
-/// A duration in whole nanoseconds, saturating at `u64::MAX`.
-pub(crate) fn duration_ns(d: Duration) -> u64 {
-    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 #[cfg(test)]

@@ -418,14 +418,7 @@ where
         }
     };
 
-    let result = RunResult {
-        steps: sys.steps(),
-        end,
-        decisions: (0..n).map(|i| sys.decision(Pid(i))).collect(),
-        aborted: vec![],
-        crashed: vec![],
-    };
-    Ok((history, result))
+    Ok((history, sys.result(end)))
 }
 
 #[cfg(test)]
@@ -598,6 +591,48 @@ mod tests {
             .find(|c| c.pid == Pid(1) && c.obj == ObjId(0))
             .unwrap();
         assert_eq!(read.response, int(10));
+    }
+
+    #[test]
+    fn frontend_history_reports_aborted_processes() {
+        // p0 proposes through the native front-end and aborts; p1 proposes
+        // and decides.
+        #[derive(Debug)]
+        struct ProposeThenAbort;
+        impl Protocol for ProposeThenAbort {
+            type LocalState = ();
+            fn num_processes(&self) -> usize {
+                2
+            }
+            fn init(&self, _pid: Pid) {}
+            fn pending_op(&self, pid: Pid, _s: &()) -> (ObjId, Op) {
+                (ObjId(1), Op::Propose(int(pid.index() as i64 + 1)))
+            }
+            fn on_response(&self, pid: Pid, _s: &(), resp: Value) -> Step<()> {
+                if pid.index() == 0 {
+                    Step::Abort
+                } else {
+                    Step::Decide(resp)
+                }
+            }
+        }
+        let inner = ProposeThenAbort;
+        let proc_ = AdderProcedure;
+        let (objects, frontends) = build();
+        let derived = DerivedProtocol::new(&inner, &proc_, frontends);
+        let (history, res) = record_frontend_history(
+            &derived,
+            &objects,
+            &mut RoundRobin::new(),
+            &mut FirstOutcome,
+            100,
+        )
+        .unwrap();
+        assert!(res.is_quiescent());
+        assert_eq!(res.aborted, vec![Pid(0)]);
+        assert!(res.crashed.is_empty());
+        assert_eq!(res.decisions, vec![None, Some(int(1))]);
+        assert_eq!(history.len(), 2, "the aborting propose still completed");
     }
 
     #[test]

@@ -314,7 +314,9 @@ impl<'a, P: Protocol> System<'a, P> {
         Ok(result)
     }
 
-    fn result(&self, end: RunEnd) -> RunResult {
+    /// The outcome of a run that ended with `end`, read off the current
+    /// process statuses.
+    pub(crate) fn result(&self, end: RunEnd) -> RunResult {
         RunResult {
             steps: self.steps,
             end,

@@ -54,6 +54,13 @@ cargo run --release -q -p lbsa-bench --bin obs_top -- \
   "$smoke_dir/progress_smoke.trace.jsonl" --no-clear >/dev/null
 grep -q "explore_configs_total" "$smoke_dir/progress_smoke.prom"
 
+echo "==> per-worker trace smoke (obs_analyze on the work-stealing trace)"
+# The smoke trace above is a work-stealing run, so its summary must carry
+# the per-worker rows folded from the workers' ws.done sign-offs.
+cargo run --release -q -p lbsa-bench --bin obs_analyze -- \
+  "$smoke_dir/progress_smoke.trace.jsonl" --summary-json >"$smoke_dir/ws_summary.json"
+grep -q '"workers"' "$smoke_dir/ws_summary.json"
+
 echo "==> perf smoke (explore_scaling -> BENCH_explore.json gates)"
 # Regenerate BENCH_explore.json from a fresh bench run and gate it against
 # the committed copy (engine-vs-seed speedup floors, work-stealing
