@@ -56,13 +56,15 @@ impl WorkerTrace {
     }
 
     /// Expansions per second over the last pair of beats that are apart
-    /// in time; zero before there are two.
+    /// in time and in count; zero before there are two. A worker whose
+    /// task count ends on a multiple of 32 signs off with the count of its
+    /// last `ws.expand` beat, and that pair says nothing about its rate.
     #[must_use]
     pub fn rate_per_sec(&self) -> f64 {
         self.beats
             .windows(2)
             .rev()
-            .find(|pair| pair[1].t_us > pair[0].t_us)
+            .find(|pair| pair[1].t_us > pair[0].t_us && pair[1].expanded != pair[0].expanded)
             .map_or(0.0, |pair| {
                 pair[1].expanded.saturating_sub(pair[0].expanded) as f64 * 1_000_000.0
                     / pair[1].t_us.saturating_sub(pair[0].t_us) as f64
@@ -185,7 +187,7 @@ mod tests {
             r#"{"seq":0,"t_us":0,"event":"explore.begin","threads":2}"#,
             r#"{"seq":1,"t_us":10,"event":"ws.expand","worker":0,"expanded":1,"busy_us":8}"#,
             r#"{"seq":2,"t_us":12,"event":"ws.steal","worker":1,"victim":0,"outcome":"hit"}"#,
-            r#"{"seq":3,"t_us":13,"event":"ws.steal","worker":1,"outcome":"miss","spins":1}"#,
+            r#"{"seq":3,"t_us":13,"event":"ws.steal","worker":1,"outcome":"miss","idle_spins":1}"#,
             r#"{"seq":4,"t_us":20,"event":"ws.expand","worker":0,"expanded":33,"busy_us":18}"#,
             r#"{"seq":5,"t_us":30,"event":"ws.done","worker":0,"expanded":40,"steals":0,"busy_us":25}"#,
             "",
@@ -207,5 +209,22 @@ mod tests {
         assert_eq!(w1.victims[&0], 1);
         assert_eq!(w1.steals(), 1);
         assert!(w1.done.is_none(), "its sign-off line was cut");
+    }
+
+    #[test]
+    fn a_sign_off_repeating_the_last_beat_keeps_the_rate() {
+        let mut fold = TraceFold::default();
+        for line in [
+            r#"{"seq":0,"t_us":100,"event":"ws.expand","worker":0,"expanded":1}"#,
+            r#"{"seq":1,"t_us":200,"event":"ws.expand","worker":0,"expanded":32}"#,
+            r#"{"seq":2,"t_us":300,"event":"ws.expand","worker":0,"expanded":64}"#,
+            r#"{"seq":3,"t_us":310,"event":"ws.done","worker":0,"expanded":64}"#,
+        ] {
+            fold.ingest_line(line);
+        }
+        let w0 = &fold.workers[&0];
+        assert_eq!(w0.expanded(), 64);
+        // 32 -> 64 expanded over 100 us.
+        assert!((w0.rate_per_sec() - 320_000.0).abs() < 1e-6);
     }
 }

@@ -27,6 +27,7 @@ use lbsa_explorer::checker::Violation;
 use lbsa_explorer::verdict::Outcome;
 use lbsa_explorer::{ExplorationGraph, Explorer, Frontier, Limits};
 use lbsa_protocols::dac::DacFromPac;
+use lbsa_runtime::error::RuntimeError;
 use lbsa_runtime::process::{Protocol, Step, Symmetry};
 use lbsa_support::check::run_cases;
 use lbsa_support::rng::SmallRng;
@@ -464,6 +465,75 @@ fn ws_symmetric_reduction_matches_deterministic_across_thread_counts() {
             det_verdict, ws_verdict,
             "symmetric race: verdict differs on the work-stealing graph ({threads} threads)"
         );
+    }
+}
+
+/// A symmetric protocol with a bug: every process proposes to the one
+/// consensus object, then issues its next operation on an object the
+/// table does not have.
+#[derive(Debug)]
+struct StrayProposer {
+    n: usize,
+}
+
+impl Protocol for StrayProposer {
+    type LocalState = u8;
+    fn num_processes(&self) -> usize {
+        self.n
+    }
+    fn init(&self, _pid: Pid) -> u8 {
+        0
+    }
+    fn pending_op(&self, _pid: Pid, round: &u8) -> (ObjId, Op) {
+        let obj = if *round == 0 { ObjId(0) } else { ObjId(7) };
+        (obj, Op::Propose(int(7)))
+    }
+    fn on_response(&self, _pid: Pid, _round: &u8, _resp: Value) -> Step<u8> {
+        Step::Continue(1)
+    }
+}
+
+impl Symmetry for StrayProposer {
+    fn pid_classes(&self) -> Vec<u32> {
+        vec![0; self.n]
+    }
+}
+
+/// A step error met mid-exploration comes back from `run()` as the
+/// kernel's error on both engines, raw and reduced, at every worker count
+/// (0 is auto: `LBSA_EXPLORE_THREADS` when set), with no panic and no hang.
+#[test]
+fn step_errors_mid_exploration_are_returned_by_every_engine() {
+    let p = StrayProposer { n: 3 };
+    let objects = vec![AnyObject::consensus(3).unwrap()];
+    let explorer = Explorer::new(&p, &objects);
+    let expected = RuntimeError::ObjIdOutOfRange {
+        obj: ObjId(7),
+        len: 1,
+    };
+    for symmetric in [false, true] {
+        let run = |frontier: Frontier, threads: usize| {
+            let exploration = explorer.exploration().frontier(frontier).threads(threads);
+            if symmetric {
+                exploration.symmetric().run()
+            } else {
+                exploration.run()
+            }
+            .err()
+        };
+        let what = if symmetric { "reduced" } else { "raw" };
+        assert_eq!(
+            run(Frontier::Deterministic, 1),
+            Some(expected.clone()),
+            "level-sync, {what}"
+        );
+        for threads in [0usize, 1, 2, 4] {
+            assert_eq!(
+                run(Frontier::WorkStealing, threads),
+                Some(expected.clone()),
+                "work stealing at {threads} threads, {what}"
+            );
+        }
     }
 }
 

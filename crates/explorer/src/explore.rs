@@ -23,8 +23,9 @@
 //!
 //! ## Engine
 //!
-//! Two frontier disciplines share the stepping, interning, and memo code
-//! (see [`Frontier`]):
+//! Two frontier disciplines (see [`Frontier`]) share one successor
+//! routine, a per-thread `Expander` that steps, memoizes, delta-interns and
+//! canonicalizes; each engine keeps only its own dedup and scheduling:
 //!
 //! * [`Frontier::Deterministic`] (the default) is a single-threaded,
 //!   level-by-level BFS that expands each node and numbers its successors
@@ -447,19 +448,15 @@ impl<L> ExplorationGraph<L> {
 /// canonical compact key (for dedup probing) and the canonical
 /// configuration (for the rare hit that still discovers a new node — the
 /// worker that cached a key need not be the one that inserts its node).
-///
-/// Sharded and lock-guarded like [`TransitionMemo`], shared by the
-/// work-stealing workers; the deterministic engine owns a plain-map
-/// analogue.
-type CanonShard<L> = lbsa_support::hash::FxHashMap<CompactConfig, CanonEntry<L>>;
+/// Sharded, with a read-write lock per shard; every engine thread reads it
+/// through its [`Expander`].
+struct CanonMemo<L> {
+    shards: Vec<RwLock<lbsa_support::hash::FxHashMap<CompactConfig, CanonEntry<L>>>>,
+    bytes: Counter,
+}
 
 /// One canon-memo entry: the canonical compact key and its configuration.
 type CanonEntry<L> = (CompactConfig, Arc<Configuration<L>>);
-
-struct CanonMemo<L> {
-    shards: Vec<RwLock<CanonShard<L>>>,
-    bytes: Counter,
-}
 
 impl<L> CanonMemo<L> {
     fn new() -> Self {
@@ -502,33 +499,14 @@ impl<L> CanonMemo<L> {
     }
 }
 
-/// How a [`WsTask`] carries its configuration. Raw mode owns it outright:
-/// the configuration rides the deque by value and the worker that expands
-/// the task moves it into the assembly set — no extra allocation, no
-/// refcounts. Under symmetry reduction the canonical representative is
-/// shared with the canon memo, so tasks hold an `Arc` and assembly unwraps
-/// it after the memo drops.
-enum WsConfig<L> {
-    Owned(Configuration<L>),
-    Shared(Arc<Configuration<L>>),
-}
-
-impl<L> WsConfig<L> {
-    fn get(&self) -> &Configuration<L> {
-        match self {
-            WsConfig::Owned(c) => c,
-            WsConfig::Shared(a) => a,
-        }
-    }
-}
-
 /// One pending node of the work-stealing frontier: its assigned index, its
 /// compact dedup key (the delta-interning base for its successors), and its
-/// configuration (see [`WsConfig`]).
+/// configuration, which the task owns: it rides the deque by value, and
+/// the worker that ends the task moves it into the assembly set.
 struct WsTask<L> {
     id: u32,
     key: CompactConfig,
-    config: WsConfig<L>,
+    config: Configuration<L>,
 }
 
 /// Backoff thresholds of the work-stealing idle loop, in consecutive
@@ -547,32 +525,6 @@ const WS_PARK: Duration = Duration::from_micros(100);
 /// Upper bound on tasks transferred by one batched steal.
 const WS_STEAL_MAX: usize = 32;
 
-/// One pre-probe *miss* of phase A, patched in place by phase B. Successors
-/// whose pre-probe hit emit their edge directly in phase A and leave no
-/// record at all — only misses (one per fresh configuration, a small
-/// minority once dedup saturates) carry state between the phases. `edge`
-/// indexes this worker's edge pool; the batched
-/// [`ConcurrentIndex::get_or_insert_batch`] round supplies its target, and
-/// an insert win obliges this worker to materialize the configuration.
-/// Fixups and batch keys are pushed in lockstep, so the `i`-th fixup reads
-/// the `i`-th batch result.
-enum WsFixup<L> {
-    /// Raw successor: on an insert win, materialize the config by patching
-    /// the parent at `obj` / the edge's process slot.
-    Raw {
-        edge: u32,
-        obj: u32,
-        succ_state: u32,
-        succ_proc: u32,
-    },
-    /// Canonical successor (symmetry reduction): the orbit representative
-    /// is already materialized (canon memo or fresh canonicalization).
-    Canon {
-        edge: u32,
-        arc: Arc<Configuration<L>>,
-    },
-}
-
 /// What one work-stealing worker hands back at join: its tally and the
 /// sub-graph it built. Node indices come from the shared
 /// [`ConcurrentIndex`], so the per-worker pieces assemble by plain index
@@ -586,14 +538,10 @@ struct WsWorkerOut<L> {
     /// `(node, start, len)` slices of [`WsWorkerOut::edge_pool`] for every
     /// node this worker expanded.
     tasks: Vec<(u32, u32, u32)>,
-    /// `(node, configuration)` for every *shared* (symmetry-reduction) node
-    /// this worker discovered, recorded at discovery time — the canon memo
-    /// co-owns these, so unexpanded nodes of truncated runs are covered.
-    discovered: Vec<(u32, Arc<Configuration<L>>)>,
-    /// `(node, configuration)` for every *owned* (raw-mode) node this
-    /// worker expanded or discarded over budget — ownership rides the task,
-    /// so the record is made where the task ends, not where it was spawned.
-    discovered_owned: Vec<(u32, Configuration<L>)>,
+    /// `(node, configuration)` for every task this worker ended, expanded
+    /// or discarded over budget: the record is made where the task ends,
+    /// so unexpanded nodes of truncated runs are covered too.
+    discovered: Vec<(u32, Configuration<L>)>,
 }
 
 /// Canonicalizes through the optional probe timer: traced runs clock the
@@ -801,73 +749,209 @@ impl<'r, 's, L: Clone + Eq + std::hash::Hash> RunMeter<'r, 's, L> {
     }
 }
 
-/// Memoized transition function.
-///
-/// By the determinism contract, the successors of one `(pid, local state,
-/// object state)` triple are a pure function — and after interning, the
-/// triple is three integers. The memo maps it to the interned
-/// `(object-state, proc-status)` id pairs of the successors, in outcome
-/// order, so recurring combinations (retry loops revisit the same local
-/// state against the same object state from thousands of configurations)
-/// skip the specification and protocol code entirely.
-type MemoShard = lbsa_support::hash::FxHashMap<(u32, u32, u32), Arc<Pairs>>;
+/// `(object-state id, proc-status id, pid)`: what pins down one step.
+type MemoKey = (u32, u32, u32);
 
-struct TransitionMemo {
-    shards: Vec<RwLock<MemoShard>>,
+/// One successor found by [`Expander::expand`]: the step that reaches it,
+/// and how to build it should its dedup key turn out to be new.
+struct Succ<L> {
+    pid: Pid,
+    outcome: usize,
+    fresh: Fresh<L>,
 }
 
-impl TransitionMemo {
-    fn new() -> Self {
-        TransitionMemo {
-            shards: (0..16)
-                .map(|_| RwLock::new(lbsa_support::hash::FxHashMap::default()))
-                .collect(),
+/// How [`Expander::materialize`] builds a successor.
+enum Fresh<L> {
+    /// Raw: the parent with `obj`'s state and the stepping process's
+    /// status replaced by these interned values.
+    Patch { obj: ObjId, state: u32, proc: u32 },
+    /// Symmetry reduction: the canonical key and configuration, shared
+    /// with the canon memo.
+    Canon(CanonEntry<L>),
+}
+
+impl<L> Succ<L> {
+    /// `key` (this successor's dedup key) as a persistent one; under
+    /// symmetry reduction that shares the canon memo's allocation.
+    fn owned_key(&self, key: &[u32]) -> CompactConfig {
+        match &self.fresh {
+            Fresh::Canon((canon_key, _)) => Arc::clone(canon_key),
+            Fresh::Patch { .. } => key.into(),
+        }
+    }
+}
+
+/// The successor routine of both engines, one per engine thread.
+///
+/// [`Expander::expand`] lists a node's successors in `(pid, outcome)`
+/// order. Each step goes through the thread's transition memo, and the
+/// step kernel on a miss. Each successor's dedup key is found by
+/// **delta-interning**: a successor differs from its parent in one object
+/// state and one process status, so its key is the parent's key with two
+/// slots patched. Under symmetry reduction the patched key is swapped for
+/// the canonical one, read from the canon memo or computed on a miss. The
+/// engine then dedups each key its own way and calls
+/// [`Expander::materialize`] for the successors that win an insert.
+struct Expander<'x, P: Protocol> {
+    explorer: &'x Explorer<'x, P>,
+    states: &'x Interner<AnyState>,
+    procs: &'x Interner<ProcStatus<P::LocalState>>,
+    /// Memoized transition function. By the determinism contract, the
+    /// successors of one `(pid, local state, object state)` triple are a
+    /// pure function, and after interning the triple is three integers.
+    /// The memo maps it to the interned `(object-state, proc-status)` id
+    /// pairs of the successors, in outcome order, so recurring
+    /// combinations (retry loops revisit the same local state against the
+    /// same object state from thousands of configurations) skip the
+    /// specification and protocol code entirely. It is private to the
+    /// thread: a hit borrows the pairs in place, with one hash and no lock.
+    memo: lbsa_support::hash::FxHashMap<MemoKey, Vec<(u32, u32)>>,
+    sym: Option<&'x ConfigSymmetry<'x, P::LocalState>>,
+    canon_memo: &'x CanonMemo<P::LocalState>,
+    canon_probe: Option<&'x CanonProbe>,
+    /// The last expansion's successors and their patched keys, `width`
+    /// ids each; reused from node to node.
+    succs: Vec<Succ<P::LocalState>>,
+    keys: Vec<u32>,
+    width: usize,
+}
+
+impl<'x, P: Protocol> Expander<'x, P> {
+    fn new(
+        explorer: &'x Explorer<'x, P>,
+        meter: &'x RunMeter<'x, 'x, P::LocalState>,
+        (states, procs): (
+            &'x Interner<AnyState>,
+            &'x Interner<ProcStatus<P::LocalState>>,
+        ),
+        canon_memo: &'x CanonMemo<P::LocalState>,
+    ) -> Self {
+        Expander {
+            explorer,
+            states,
+            procs,
+            memo: lbsa_support::hash::FxHashMap::default(),
+            sym: meter.sym,
+            canon_memo,
+            canon_probe: meter.canon_probe(),
+            succs: Vec::new(),
+            keys: Vec::new(),
+            width: 0,
         }
     }
 
-    fn shard_of(key: (u32, u32, u32)) -> usize {
-        (lbsa_support::hash::fx_hash(&key) as usize) & 15
+    /// Lists the successors of `parent`, whose dedup key is `key`, for
+    /// [`Expander::succs`], counting transitions and memo traffic into
+    /// `tally`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RuntimeError::ObjIdOutOfRange`] for a pending operation
+    /// on an object outside the configuration, and propagates the step
+    /// kernel's error for any other step it rejects.
+    fn expand(
+        &mut self,
+        parent: &Configuration<P::LocalState>,
+        key: &[u32],
+        tally: &mut WorkerStats,
+    ) -> Result<(), RuntimeError> {
+        let n_obj = parent.object_states.len();
+        self.width = key.len();
+        self.succs.clear();
+        self.keys.clear();
+        for (i, status) in parent.procs.iter().enumerate() {
+            let ProcStatus::Running(local) = status else {
+                continue;
+            };
+            let pid = Pid(i);
+            let (obj, op) = self.explorer.protocol().pending_op(pid, local);
+            let &obj_state = key[..n_obj]
+                .get(obj.index())
+                .ok_or(RuntimeError::ObjIdOutOfRange { obj, len: n_obj })?;
+            let memo_key = (obj_state, key[n_obj + i], i as u32);
+            let pairs = match self.memo.entry(memo_key) {
+                std::collections::hash_map::Entry::Occupied(e) => {
+                    tally.memo_hits += 1;
+                    e.into_mut()
+                }
+                std::collections::hash_map::Entry::Vacant(slot) => {
+                    tally.memo_misses += 1;
+                    slot.insert(self.explorer.compute_pairs(
+                        parent,
+                        pid,
+                        (obj, op),
+                        self.states,
+                        self.procs,
+                    )?)
+                }
+            };
+            for (outcome, &(state, proc)) in pairs.iter().enumerate() {
+                let at = self.keys.len();
+                self.keys.extend_from_slice(key);
+                self.keys[at + obj.index()] = state;
+                self.keys[at + n_obj + i] = proc;
+                self.succs.push(Succ {
+                    pid,
+                    outcome,
+                    fresh: Fresh::Patch { obj, state, proc },
+                });
+            }
+        }
+        tally.transitions += self.succs.len();
+        let Some(sym) = self.sym else {
+            return Ok(());
+        };
+        // Orbit mode: the dedup key is the compacted canonical
+        // representative. The patched key is not that key, but it
+        // identifies the raw successor, so it memoizes the
+        // canonicalization: on a hit neither the raw successor nor any
+        // permuted copy is built.
+        for j in 0..self.succs.len() {
+            let patched = &self.keys[j * self.width..(j + 1) * self.width];
+            let entry = if let Some(hit) = self.canon_memo.get(patched) {
+                tally.canon_memo_hits += 1;
+                hit
+            } else {
+                let raw = self.materialize(parent, &self.succs[j]);
+                let canon = timed_canonicalize(sym, &raw, self.canon_probe);
+                let canon_key = self.explorer.compact(&canon, self.states, self.procs);
+                let entry = (canon_key, Arc::new(canon));
+                self.canon_memo.insert(patched.into(), entry.clone());
+                entry
+            };
+            self.succs[j].fresh = Fresh::Canon(entry);
+        }
+        Ok(())
     }
 
-    fn get(&self, key: (u32, u32, u32)) -> Option<Arc<Pairs>> {
-        self.shards[Self::shard_of(key)]
-            .read()
-            .expect("memo lock poisoned")
-            .get(&key)
-            .cloned()
+    /// The last expansion's successors, each with its dedup key: the
+    /// patched key, or under symmetry reduction the canonical one.
+    fn succs(&self) -> impl Iterator<Item = (&Succ<P::LocalState>, &[u32])> {
+        let patched = self.keys.chunks_exact(self.width.max(1));
+        self.succs
+            .iter()
+            .zip(patched)
+            .map(|(succ, patched)| match &succ.fresh {
+                Fresh::Canon((key, _)) => (succ, &**key),
+                Fresh::Patch { .. } => (succ, patched),
+            })
     }
 
-    fn insert(&self, key: (u32, u32, u32), value: Pairs) -> Arc<Pairs> {
-        let arc = Arc::new(value);
-        self.shards[Self::shard_of(key)]
-            .write()
-            .expect("memo lock poisoned")
-            .insert(key, Arc::clone(&arc));
-        arc
-    }
-}
-
-/// The interned `(object-state id, proc-status id)` outcome pairs of one
-/// step, in outcome order.
-type Pairs = Vec<(u32, u32)>;
-
-/// How a step hands freshly computed values to an [`Interner`]. The two
-/// implementations let one `compute_pairs` body serve both engines:
-/// `&Interner` goes through the shard locks (work-stealing workers), `&mut
-/// Interner` proves exclusivity and skips them (deterministic engine).
-trait InternSink<T> {
-    fn put(&mut self, value: &T) -> u32;
-}
-
-impl<T: Eq + std::hash::Hash + Clone> InternSink<T> for &Interner<T> {
-    fn put(&mut self, value: &T) -> u32 {
-        self.intern(value)
-    }
-}
-
-impl<T: Eq + std::hash::Hash + Clone> InternSink<T> for &mut Interner<T> {
-    fn put(&mut self, value: &T) -> u32 {
-        self.intern_mut(value)
+    /// Builds `succ`, a successor of `parent`, for the graph.
+    fn materialize(
+        &self,
+        parent: &Configuration<P::LocalState>,
+        succ: &Succ<P::LocalState>,
+    ) -> Configuration<P::LocalState> {
+        match &succ.fresh {
+            &Fresh::Patch { obj, state, proc } => parent.after(
+                obj,
+                self.states.resolve_with(state, Clone::clone),
+                succ.pid,
+                self.procs.resolve_with(proc, Clone::clone),
+            ),
+            Fresh::Canon((_, config)) => Configuration::clone(config),
+        }
     }
 }
 
@@ -1009,16 +1093,11 @@ impl<'a, P: Protocol> Explorer<'a, P> {
     /// single-threaded breadth-first search that builds the execution graph
     /// reachable from `initial`, level by level.
     ///
-    /// Expansion and merge are fused: each node expands against the live
-    /// index and its successors are numbered on the spot, in frontier
-    /// order, so node indices follow the FIFO order of a plain BFS and the
-    /// graph is identical run to run. Successors are found by
-    /// **delta-interning** — a successor differs from its parent in one
-    /// object state and one process status, so its dedup key is the
-    /// parent's key with two slots patched — and steps go through a
-    /// transition memo keyed by `(object state, process status, pid)` ids,
-    /// so recurring steps skip the specification and the protocol. It
-    /// ignores `options.threads`; parallel exploration is
+    /// Expansion and merge are fused: each node expands through an
+    /// [`Expander`] and its successors are probed against the live index
+    /// and numbered on the spot, in frontier order, so node indices follow
+    /// the FIFO order of a plain BFS and the graph is identical run to run.
+    /// It ignores `options.threads`; parallel exploration is
     /// [`Explorer::run_engine_ws`].
     fn run_engine(
         &self,
@@ -1029,15 +1108,12 @@ impl<'a, P: Protocol> Explorer<'a, P> {
         live: Option<&LiveMetrics>,
     ) -> Result<ExplorationGraph<P::LocalState>, RuntimeError> {
         let (meter, initial) = RunMeter::start(tracer, live, sym, options, 1, initial);
-        let canon_probe = meter.canon_probe();
-
-        let mut state_interner: Interner<AnyState> = Interner::new();
-        let mut proc_interner: Interner<ProcStatus<P::LocalState>> = Interner::new();
+        let state_interner: Interner<AnyState> = Interner::new();
+        let proc_interner: Interner<ProcStatus<P::LocalState>> = Interner::new();
+        let canon_memo: CanonMemo<P::LocalState> = CanonMemo::new();
+        let mut expander =
+            Expander::new(self, &meter, (&state_interner, &proc_interner), &canon_memo);
         let mut index = ShardedIndex::new();
-        let n_obj = initial.object_states.len();
-        let n_procs = initial.procs.len();
-        let mut scratch = vec![0u32; n_obj + n_procs];
-        let mut out_scratch: Vec<Edge> = Vec::new();
         let initial_key = self.compact(&initial, &state_interner, &proc_interner);
         index.insert(initial_key.clone(), 0);
 
@@ -1051,14 +1127,6 @@ impl<'a, P: Protocol> Explorer<'a, P> {
         let mut tally = WorkerStats::default();
         let mut peak_frontier = 0usize;
         let mut levels: Vec<LevelStats> = Vec::new();
-        // Transition memo: a plain map owned by this thread (entry API, no
-        // locks, no `Arc` traffic), unlike the sharded [`TransitionMemo`]
-        // the work-stealing workers share.
-        let mut memo: lbsa_support::hash::FxHashMap<(u32, u32, u32), Pairs> =
-            lbsa_support::hash::FxHashMap::with_capacity_and_hasher(256, Default::default());
-        // Canonicalization memo, likewise a private plain-map analogue of
-        // [`CanonMemo`]: raw delta-patched successor key → canonical form.
-        let mut canon_memo: CanonShard<P::LocalState> = Default::default();
 
         while !frontier.is_empty() {
             peak_frontier = peak_frontier.max(frontier.len());
@@ -1075,129 +1143,38 @@ impl<'a, P: Protocol> Explorer<'a, P> {
             let level = levels.len();
             let level_started = Instant::now();
             let mut next_frontier: Vec<(u32, CompactConfig)> = Vec::new();
-            let mut level_transitions = 0usize;
+            let transitions_before = tally.transitions;
             for (node_id, parent_key) in &frontier[..take] {
                 let node = *node_id as usize;
-                out_scratch.clear();
-                for i in 0..n_procs {
-                    let (obj, pairs) = {
-                        let ProcStatus::Running(local) = &configs[node].procs[i] else {
-                            continue;
-                        };
-                        let pid = Pid(i);
-                        let (obj, op) = self.protocol().pending_op(pid, local);
-                        let memo_key = (parent_key[obj.index()], parent_key[n_obj + i], i as u32);
-                        let pairs = match memo.entry(memo_key) {
-                            std::collections::hash_map::Entry::Occupied(e) => {
-                                tally.memo_hits += 1;
-                                &*e.into_mut()
-                            }
-                            std::collections::hash_map::Entry::Vacant(v) => {
-                                tally.memo_misses += 1;
-                                &*v.insert(self.compute_pairs(
-                                    &configs[node],
-                                    pid,
-                                    (obj, op),
-                                    &mut state_interner,
-                                    &mut proc_interner,
-                                )?)
-                            }
-                        };
-                        (obj, pairs)
+                expander.expand(&configs[node], parent_key, &mut tally)?;
+                let mut out = Vec::with_capacity(expander.succs.len());
+                for (succ, key) in expander.succs() {
+                    let target = if let Some(t) = index.probe(key) {
+                        tally.dedup_hits += 1;
+                        t
+                    } else {
+                        let t = u32::try_from(configs.len())
+                            .expect("graphs are bounded well below u32::MAX nodes");
+                        let key = succ.owned_key(key);
+                        next_frontier.push((t, key.clone()));
+                        index.insert(key, t);
+                        let next = expander.materialize(&configs[node], succ);
+                        configs.push(next);
+                        edges.push(vec![]);
+                        expanded.push(false);
+                        t
                     };
-                    for (outcome, &(succ_state, succ_proc)) in pairs.as_slice().iter().enumerate() {
-                        level_transitions += 1;
-                        if let Some(symmetry) = sym {
-                            // Orbit mode: the dedup key is the compacted
-                            // *canonical representative*. The raw
-                            // delta-patched key below is not that key,
-                            // but it *identifies* the raw successor, so
-                            // it memoizes the canonicalization: on a hit
-                            // neither the raw successor nor any permuted
-                            // copy is materialized.
-                            scratch.copy_from_slice(parent_key);
-                            scratch[obj.index()] = succ_state;
-                            scratch[n_obj + i] = succ_proc;
-                            let (key, shared) = match canon_memo.get(scratch.as_slice()).cloned() {
-                                Some((ck, arc)) => {
-                                    tally.canon_memo_hits += 1;
-                                    (ck, arc)
-                                }
-                                None => {
-                                    let raw = configs[node].after(
-                                        obj,
-                                        state_interner.resolve_mut(succ_state).clone(),
-                                        Pid(i),
-                                        proc_interner.resolve_mut(succ_proc).clone(),
-                                    );
-                                    let canon = timed_canonicalize(symmetry, &raw, canon_probe);
-                                    let key = self.compact(&canon, &state_interner, &proc_interner);
-                                    let arc = Arc::new(canon);
-                                    canon_memo.insert(
-                                        scratch.as_slice().into(),
-                                        (key.clone(), Arc::clone(&arc)),
-                                    );
-                                    (key, arc)
-                                }
-                            };
-                            let target = if let Some(t) = index.probe(&key) {
-                                tally.dedup_hits += 1;
-                                t
-                            } else {
-                                let t = u32::try_from(configs.len())
-                                    .expect("graphs are bounded well below u32::MAX nodes");
-                                next_frontier.push((t, key.clone()));
-                                index.insert(key, t);
-                                configs
-                                    .push(Arc::try_unwrap(shared).unwrap_or_else(|a| (*a).clone()));
-                                edges.push(vec![]);
-                                expanded.push(false);
-                                t
-                            };
-                            out_scratch.push(Edge {
-                                pid: Pid(i),
-                                outcome,
-                                target: target as usize,
-                            });
-                            continue;
-                        }
-                        scratch.copy_from_slice(parent_key);
-                        scratch[obj.index()] = succ_state;
-                        scratch[n_obj + i] = succ_proc;
-                        let target = if let Some(t) = index.probe(&scratch) {
-                            tally.dedup_hits += 1;
-                            t
-                        } else {
-                            let t = u32::try_from(configs.len())
-                                .expect("graphs are bounded well below u32::MAX nodes");
-                            let key: CompactConfig = scratch.as_slice().into();
-                            let next = configs[node].after(
-                                obj,
-                                state_interner.resolve_mut(succ_state).clone(),
-                                Pid(i),
-                                proc_interner.resolve_mut(succ_proc).clone(),
-                            );
-                            next_frontier.push((t, key.clone()));
-                            index.insert(key, t);
-                            configs.push(next);
-                            edges.push(vec![]);
-                            expanded.push(false);
-                            t
-                        };
-                        out_scratch.push(Edge {
-                            pid: Pid(i),
-                            outcome,
-                            target: target as usize,
-                        });
-                    }
+                    out.push(Edge {
+                        pid: succ.pid,
+                        outcome: succ.outcome,
+                        target: target as usize,
+                    });
                 }
-                // Exact-size allocation; the scratch keeps its capacity
-                // for the next node.
-                edges[node] = out_scratch.clone();
+                edges[node] = out;
                 expanded[node] = true;
             }
             tally.expanded += take;
-            tally.transitions += level_transitions;
+            let level_transitions = tally.transitions - transitions_before;
             // Every successor of the level either deduplicated or opened a
             // node of the next frontier.
             let dedup = level_transitions - next_frontier.len();
@@ -1206,7 +1183,8 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                 let mem = MemBytes {
                     interner: state_interner.approx_bytes() + proc_interner.approx_bytes(),
                     index: index.approx_bytes(),
-                    ..MemBytes::default()
+                    canon: canon_memo.approx_bytes(),
+                    deques: 0,
                 };
                 live.publish(
                     take,
@@ -1250,7 +1228,7 @@ impl<'a, P: Protocol> Explorer<'a, P> {
             levels: Some(levels),
             configs: configs.len(),
             peak_frontier,
-            canon_memo_bytes: 0,
+            canon_memo_bytes: canon_memo.approx_bytes(),
             state_interner: &state_interner,
             proc_interner: &proc_interner,
             index_bytes: index.approx_bytes(),
@@ -1289,8 +1267,9 @@ impl<'a, P: Protocol> Explorer<'a, P> {
     /// half the victim (capped at [`WS_STEAL_MAX`]); on a completely empty
     /// sweep it backs off spin → yield → timed park (see
     /// [`WS_SPIN_ROUNDS`]), which keeps an idle worker's CPU burn bounded
-    /// while `pending` polling still detects quiescence. Successor dedup
-    /// is batched: each task pre-probes read-only, then resolves all
+    /// while `pending` polling still detects quiescence. Each worker lists
+    /// successors through its own [`Expander`], and dedups them in a
+    /// batch: each task pre-probes read-only, then resolves all
     /// missing keys with one [`ConcurrentIndex::get_or_insert_batch`] call
     /// — one lock round per shard per task instead of one per successor.
     fn run_engine_ws(
@@ -1304,7 +1283,6 @@ impl<'a, P: Protocol> Explorer<'a, P> {
         let workers = options.resolved_threads().max(1);
         let limits = options.limits;
         let (meter, initial) = RunMeter::start(tracer, live, sym, options, workers, initial);
-        let canon_probe = meter.canon_probe();
         // Steal and per-task expand latencies need extra clock reads on the
         // worker hot path, so they are recorded only when traced.
         let hists = &meter.hists;
@@ -1312,25 +1290,11 @@ impl<'a, P: Protocol> Explorer<'a, P> {
 
         let state_interner: Interner<AnyState> = Interner::new();
         let proc_interner: Interner<ProcStatus<P::LocalState>> = Interner::new();
-        let memo = TransitionMemo::new();
         let canon_memo: CanonMemo<P::LocalState> = CanonMemo::new();
         let index = ConcurrentIndex::new();
-        let n_obj = initial.object_states.len();
-        let n_procs = initial.procs.len();
         let initial_key = self.compact(&initial, &state_interner, &proc_interner);
         let (root, _) = index.get_or_insert(&initial_key);
         debug_assert_eq!(root, 0, "the root is the first interned node");
-        // Raw mode moves the root into its task; shared mode keeps a handle
-        // so assembly can place the root even though `discovered` (which
-        // records at discovery, not expansion) never sees it.
-        let mut initial_shared: Option<Arc<Configuration<P::LocalState>>> = None;
-        let root_config = if sym.is_some() {
-            let arc = Arc::new(initial);
-            initial_shared = Some(Arc::clone(&arc));
-            WsConfig::Shared(arc)
-        } else {
-            WsConfig::Owned(initial)
-        };
 
         let mut owners: Vec<lfdeque::Owner<WsTask<P::LocalState>>> = Vec::with_capacity(workers);
         let mut stealers: Vec<lfdeque::Stealer<WsTask<P::LocalState>>> =
@@ -1343,7 +1307,7 @@ impl<'a, P: Protocol> Explorer<'a, P> {
         owners[0].push(WsTask {
             id: root,
             key: initial_key,
-            config: root_config,
+            config: initial,
         });
         // Queued-or-in-flight nodes; bumped before a task becomes stealable,
         // dropped only after its children are enqueued.
@@ -1369,28 +1333,19 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                 edge_pool: Vec::new(),
                 tasks: Vec::new(),
                 discovered: Vec::new(),
-                discovered_owned: Vec::new(),
             };
-            let mut scratch = vec![0u32; n_obj + n_procs];
-            // Per-task scratch reused for the whole run: the
-            // phase-A successor records, the batched-probe key
-            // set and results, and the children to enqueue.
-            // Cleared between tasks, never reallocated once
-            // warm — the expand path settles into zero heap
-            // traffic beyond genuinely new configurations.
-            let mut fixups: Vec<WsFixup<P::LocalState>> = Vec::new();
+            let interners = (&state_interner, &proc_interner);
+            let mut expander = Expander::new(self, &meter, interners, &canon_memo);
+            // Per-task scratch reused for the whole run: the misses'
+            // `(edge, successor)` indices, the batched-probe key set and
+            // results, and the children to enqueue. Cleared between
+            // tasks, never reallocated once warm — the expand path
+            // settles into zero heap traffic beyond genuinely new
+            // configurations.
+            let mut fixups: Vec<(usize, usize)> = Vec::new();
             let mut batch_keys: Vec<CompactConfig> = Vec::new();
             let mut batch_results: Vec<(u32, bool)> = Vec::new();
             let mut spawned: Vec<WsTask<P::LocalState>> = Vec::new();
-            // Private L1 in front of the shared transition memo:
-            // repeat (state, proc) pairs — the common case on
-            // dense graphs — resolve with a plain map lookup
-            // instead of a shard lock. The shared memo stays the
-            // source of truth, so workers still reuse each
-            // other's first computations; the L1 costs one
-            // `Arc<Pairs>` clone per distinct pair per worker.
-            let mut memo_l1: lbsa_support::hash::FxHashMap<(u32, u32, u32), Arc<Pairs>> =
-                lbsa_support::hash::FxHashMap::default();
             // Depth-first continuation: the newest child of the
             // task just expanded rides here instead of taking a
             // deque round-trip — on chain-shaped frontiers that
@@ -1407,7 +1362,7 @@ impl<'a, P: Protocol> Explorer<'a, P> {
             // starting victim so simultaneous thieves fan out
             // across victims instead of convoying on one.
             let mut rng: u32 = (me as u32).wrapping_mul(0x9E37_79B9) | 1;
-            'work: loop {
+            loop {
                 if abort.load(Ordering::Acquire) {
                     break;
                 }
@@ -1489,17 +1444,18 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                                     out.stats.idle += sweep_t0.elapsed();
                                     // Per-attempt miss events would
                                     // be unbounded in a spin storm;
-                                    // power-of-two sampling keeps the
-                                    // trace logarithmic while the
-                                    // `spins`/`parks` fields preserve
-                                    // the storm's true intensity.
+                                    // sampling at power-of-two
+                                    // `steal_fails` keeps the trace
+                                    // logarithmic while the
+                                    // `idle_spins`/`park_count` fields
+                                    // preserve the storm's intensity.
                                     if traced && out.stats.steal_fails.is_power_of_two() {
                                         tracer.emit_with("ws.steal", || {
                                             Json::object()
                                                 .set("worker", me)
                                                 .set("outcome", "miss")
-                                                .set("spins", out.stats.idle_spins)
-                                                .set("parks", out.stats.park_count)
+                                                .set("idle_spins", out.stats.idle_spins)
+                                                .set("park_count", out.stats.park_count)
                                                 .set("pending", pending.load(Ordering::Relaxed))
                                         });
                                     }
@@ -1544,212 +1500,65 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                 };
                 if claimed.fetch_add(1, Ordering::Relaxed) >= limits.max_configs {
                     truncated.store(true, Ordering::Relaxed);
-                    // An over-budget task dies unexpanded, but
-                    // raw mode must still deliver its (owned)
-                    // configuration to assembly; shared mode
-                    // recorded it at discovery.
-                    if let WsConfig::Owned(cfg) = task.config {
-                        out.discovered_owned.push((task.id, cfg));
-                    }
+                    // An over-budget task dies unexpanded, but its
+                    // configuration still goes to assembly.
+                    out.discovered.push((task.id, task.config));
                     pending.fetch_sub(1, Ordering::AcqRel);
                     continue;
                 }
                 // Per-task expansion timing is a clock read per
                 // task: traced runs only.
                 let task_t0 = traced.then(Instant::now);
-                let config = task.config.get();
-                let parent_key = &task.key;
+                if let Err(err) = expander.expand(&task.config, &task.key, &mut out.stats) {
+                    let mut slot = first_error.lock().expect("error slot poisoned");
+                    slot.get_or_insert(err);
+                    abort.store(true, Ordering::Release);
+                    pending.fetch_sub(1, Ordering::AcqRel);
+                    break;
+                }
+                // Pre-probe the shared index read-only. Hits emit their
+                // edge on the spot; only misses queue a key for the one
+                // batched insert round and a fixup that patches the
+                // placeholder edge — so the record/replay cost is paid
+                // by fresh configurations only.
                 fixups.clear();
                 batch_keys.clear();
                 let edge_start = out.edge_pool.len();
-                // Phase A: enumerate successors and pre-probe the
-                // shared index read-only. Hits emit their edge on
-                // the spot; only misses queue a key for the one
-                // batched insert round and a fixup that phase B
-                // patches into the already-emitted placeholder
-                // edge — so the per-successor record/replay cost
-                // is paid by fresh configurations only.
-                for (i, status) in config.procs.iter().enumerate() {
-                    let ProcStatus::Running(local) = status else {
-                        continue;
+                for (j, (succ, key)) in expander.succs().enumerate() {
+                    let target = if let Some(t) = index.probe(key) {
+                        out.stats.dedup_hits += 1;
+                        t as usize
+                    } else {
+                        fixups.push((out.edge_pool.len(), j));
+                        batch_keys.push(succ.owned_key(key));
+                        usize::MAX
                     };
-                    let pid = Pid(i);
-                    let (obj, op) = self.protocol().pending_op(pid, local);
-                    let memo_key = (parent_key[obj.index()], parent_key[n_obj + i], i as u32);
-                    // Entry API: a hit borrows the cached
-                    // `Arc<Pairs>` in place — one hash, no
-                    // refcount traffic — mirroring the
-                    // deterministic engine's zero-clone memo.
-                    let pairs = match memo_l1.entry(memo_key) {
-                        std::collections::hash_map::Entry::Occupied(e) => {
-                            out.stats.memo_hits += 1;
-                            e.into_mut()
-                        }
-                        std::collections::hash_map::Entry::Vacant(slot) => {
-                            // The shared memo next; only a miss there
-                            // runs the step.
-                            let shared = match memo.get(memo_key) {
-                                Some(hit) => {
-                                    out.stats.memo_hits += 1;
-                                    Ok(hit)
-                                }
-                                None => {
-                                    out.stats.memo_misses += 1;
-                                    self.compute_pairs(
-                                        config,
-                                        pid,
-                                        (obj, op),
-                                        &state_interner,
-                                        &proc_interner,
-                                    )
-                                    .map(|pairs| memo.insert(memo_key, pairs))
-                                }
-                            };
-                            match shared {
-                                Ok(pairs) => slot.insert(pairs),
-                                Err(err) => {
-                                    let mut slot = first_error.lock().expect("error slot poisoned");
-                                    slot.get_or_insert(err);
-                                    abort.store(true, Ordering::Release);
-                                    pending.fetch_sub(1, Ordering::AcqRel);
-                                    break 'work;
-                                }
-                            }
-                        }
-                    };
-                    for (outcome, &(succ_state, succ_proc)) in pairs.as_slice().iter().enumerate() {
-                        scratch.copy_from_slice(parent_key);
-                        scratch[obj.index()] = succ_state;
-                        scratch[n_obj + i] = succ_proc;
-                        out.stats.transitions += 1;
-                        if let Some(symmetry) = sym {
-                            let (key, arc) = match canon_memo.get(&scratch) {
-                                Some(entry) => {
-                                    out.stats.canon_memo_hits += 1;
-                                    entry
-                                }
-                                None => {
-                                    let raw = config.after(
-                                        obj,
-                                        state_interner.resolve_with(succ_state, Clone::clone),
-                                        pid,
-                                        proc_interner.resolve_with(succ_proc, Clone::clone),
-                                    );
-                                    let canon = timed_canonicalize(symmetry, &raw, canon_probe);
-                                    let key = self.compact(&canon, &state_interner, &proc_interner);
-                                    let arc = Arc::new(canon);
-                                    canon_memo.insert(
-                                        scratch.as_slice().into(),
-                                        (key.clone(), Arc::clone(&arc)),
-                                    );
-                                    (key, arc)
-                                }
-                            };
-                            match index.probe(&key) {
-                                Some(t) => {
-                                    out.stats.dedup_hits += 1;
-                                    out.edge_pool.push(Edge {
-                                        pid,
-                                        outcome,
-                                        target: t as usize,
-                                    });
-                                }
-                                None => {
-                                    let edge = u32::try_from(out.edge_pool.len())
-                                        .expect("edge pool overflow");
-                                    out.edge_pool.push(Edge {
-                                        pid,
-                                        outcome,
-                                        target: usize::MAX,
-                                    });
-                                    batch_keys.push(key);
-                                    fixups.push(WsFixup::Canon { edge, arc });
-                                }
-                            }
-                        } else {
-                            match index.probe(&scratch) {
-                                Some(t) => {
-                                    out.stats.dedup_hits += 1;
-                                    out.edge_pool.push(Edge {
-                                        pid,
-                                        outcome,
-                                        target: t as usize,
-                                    });
-                                }
-                                None => {
-                                    let edge = u32::try_from(out.edge_pool.len())
-                                        .expect("edge pool overflow");
-                                    out.edge_pool.push(Edge {
-                                        pid,
-                                        outcome,
-                                        target: usize::MAX,
-                                    });
-                                    batch_keys.push(scratch.as_slice().into());
-                                    fixups.push(WsFixup::Raw {
-                                        edge,
-                                        obj: obj.index() as u32,
-                                        succ_state,
-                                        succ_proc,
-                                    });
-                                }
-                            }
-                        }
-                    }
+                    out.edge_pool.push(Edge {
+                        pid: succ.pid,
+                        outcome: succ.outcome,
+                        target,
+                    });
                 }
-                // Phase B: one batched index round for the keys
-                // the pre-probe missed (keys another worker
-                // interned since the probe come back as hits),
-                // then patch each placeholder edge and
-                // materialize only the insert winners.
-                if batch_keys.is_empty() {
-                    batch_results.clear();
-                } else {
+                // One batched index round for the keys the pre-probe
+                // missed (keys another worker interned since the probe
+                // come back as hits), then patch each placeholder edge
+                // and materialize only the insert winners.
+                if !batch_keys.is_empty() {
                     out.stats.index_batch_hits +=
                         index.get_or_insert_batch(&batch_keys, &mut batch_results);
                 }
-                for (b, fix) in fixups.drain(..).enumerate() {
-                    let (t, inserted) = batch_results[b];
-                    match fix {
-                        WsFixup::Canon { edge, arc } => {
-                            out.edge_pool[edge as usize].target = t as usize;
-                            if inserted {
-                                out.discovered.push((t, Arc::clone(&arc)));
-                                spawned.push(WsTask {
-                                    id: t,
-                                    key: Arc::clone(&batch_keys[b]),
-                                    config: WsConfig::Shared(arc),
-                                });
-                            } else {
-                                out.stats.dedup_hits += 1;
-                            }
-                        }
-                        WsFixup::Raw {
-                            edge,
-                            obj,
-                            succ_state,
-                            succ_proc,
-                        } => {
-                            let pid = {
-                                let slot = &mut out.edge_pool[edge as usize];
-                                slot.target = t as usize;
-                                slot.pid
-                            };
-                            if inserted {
-                                let next = config.after(
-                                    ObjId(obj as usize),
-                                    state_interner.resolve_with(succ_state, Clone::clone),
-                                    pid,
-                                    proc_interner.resolve_with(succ_proc, Clone::clone),
-                                );
-                                spawned.push(WsTask {
-                                    id: t,
-                                    key: Arc::clone(&batch_keys[b]),
-                                    config: WsConfig::Owned(next),
-                                });
-                            } else {
-                                out.stats.dedup_hits += 1;
-                            }
-                        }
+                for ((&(edge, j), key), &(t, inserted)) in
+                    fixups.iter().zip(&batch_keys).zip(&batch_results)
+                {
+                    out.edge_pool[edge].target = t as usize;
+                    if inserted {
+                        spawned.push(WsTask {
+                            id: t,
+                            key: Arc::clone(key),
+                            config: expander.materialize(&task.config, &expander.succs[j]),
+                        });
+                    } else {
+                        out.stats.dedup_hits += 1;
                     }
                 }
                 let edge_len = out.edge_pool.len() - edge_start;
@@ -1759,11 +1568,7 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                     u32::try_from(edge_len).expect("edge fan-out overflow"),
                 ));
                 out.stats.expanded += 1;
-                // Expansion done: a raw-mode task surrenders its
-                // configuration to the assembly set here.
-                if let WsConfig::Owned(cfg) = task.config {
-                    out.discovered_owned.push((task.id, cfg));
-                }
+                out.discovered.push((task.id, task.config));
                 // Retire this task and enqueue its children in
                 // one `pending` update. The newest child (the
                 // task the LIFO pop would return next) stays in
@@ -1842,28 +1647,15 @@ impl<'a, P: Protocol> Explorer<'a, P> {
         if let Some(err) = first_error.into_inner().expect("error slot poisoned") {
             return Err(err);
         }
-        let canon_memo_bytes = canon_memo.approx_bytes();
-        // Release the memo's and the deques' shares so assembly can unwrap
-        // the Arcs (the stealers are the last handles keeping any
-        // unexpanded tasks — aborted runs — alive).
-        drop(canon_memo);
-        drop(stealers);
-
         let count = index.len();
         let mut configs: Vec<Option<Configuration<P::LocalState>>> =
             (0..count).map(|_| None).collect();
-        if let Some(arc) = initial_shared {
-            configs[0] = Some(Arc::try_unwrap(arc).unwrap_or_else(|a| (*a).clone()));
-        }
         let mut edges: Vec<Vec<Edge>> = vec![Vec::new(); count];
         let mut expanded = vec![false; count];
         let mut tallies: Vec<WorkerStats> = Vec::with_capacity(outs.len());
         for out in outs {
             tallies.push(out.stats);
-            for (id, arc) in out.discovered {
-                configs[id as usize] = Some(Arc::try_unwrap(arc).unwrap_or_else(|a| (*a).clone()));
-            }
-            for (id, cfg) in out.discovered_owned {
+            for (id, cfg) in out.discovered {
                 configs[id as usize] = Some(cfg);
             }
             for (id, start, len) in out.tasks {
@@ -1882,7 +1674,7 @@ impl<'a, P: Protocol> Explorer<'a, P> {
             levels: None,
             configs: configs.len(),
             peak_frontier: peak_pending.load(Ordering::Relaxed),
-            canon_memo_bytes,
+            canon_memo_bytes: canon_memo.approx_bytes(),
             state_interner: &state_interner,
             proc_interner: &proc_interner,
             index_bytes: index.approx_bytes(),
@@ -1914,29 +1706,23 @@ impl<'a, P: Protocol> Explorer<'a, P> {
     }
 
     /// The raw (un-memoized) step: run the specification and the protocol
-    /// through the kernel, intern the results. Generic over the intern
-    /// handle so the deterministic engine gets the lock-free `&mut`
-    /// interners while work-stealing workers share the locking `&` ones.
-    fn compute_pairs<SI, PI>(
+    /// through the kernel, intern the results.
+    fn compute_pairs(
         &self,
         config: &Configuration<P::LocalState>,
         pid: Pid,
         pending: (ObjId, Op),
-        mut state_interner: SI,
-        mut proc_interner: PI,
-    ) -> Result<Pairs, RuntimeError>
-    where
-        SI: InternSink<AnyState>,
-        PI: InternSink<ProcStatus<P::LocalState>>,
-    {
+        state_interner: &Interner<AnyState>,
+        proc_interner: &Interner<ProcStatus<P::LocalState>>,
+    ) -> Result<Vec<(u32, u32)>, RuntimeError> {
         let step = self
             .kernel
             .begin(&config.object_states, &config.procs, pid, Some(pending))?;
         let mut pairs = Vec::with_capacity(step.outcome_count());
         step.for_each(|t| {
             pairs.push((
-                state_interner.put(&t.obj_state),
-                proc_interner.put(&t.status),
+                state_interner.intern(&t.obj_state),
+                proc_interner.intern(&t.status),
             ));
         });
         Ok(pairs)
@@ -3210,7 +2996,7 @@ mod tests {
                     "steal hits name their victim"
                 ),
                 Some("miss") => assert!(
-                    e.fields.get("spins").and_then(Json::as_i64).is_some(),
+                    e.fields.get("idle_spins").and_then(Json::as_i64).is_some(),
                     "steal misses carry the spin count"
                 ),
                 other => panic!("unexpected steal outcome {other:?}"),

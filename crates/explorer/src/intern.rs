@@ -143,26 +143,6 @@ impl<T: Eq + Hash + Clone> Interner<T> {
         Self::insert(&mut guard, shard, value)
     }
 
-    /// [`Interner::intern`] for exclusive access: `&mut self` proves no
-    /// other thread holds any lock, so `RwLock::get_mut` skips them
-    /// entirely. This is the fast path of single-threaded exploration.
-    ///
-    /// # Panics
-    ///
-    /// Panics as [`Interner::intern`] does.
-    pub fn intern_mut(&mut self, value: &T) -> u32 {
-        let shard = Self::shard_of(value);
-        let store = self.shards[shard]
-            .get_mut()
-            .expect("interner lock poisoned");
-        if let Some(&id) = store.map.get(value) {
-            self.metrics[shard].hits.bump();
-            return id;
-        }
-        self.metrics[shard].misses.bump();
-        Self::insert(store, shard, value)
-    }
-
     fn insert(store: &mut Store<T>, shard: usize, value: &T) -> u32 {
         let local = u32::try_from(store.items.len()).expect("interner overflow");
         assert!(
@@ -175,22 +155,6 @@ impl<T: Eq + Hash + Clone> Interner<T> {
         let id = (local << SHARD_BITS) | shard as u32;
         store.map.insert(arc, id);
         id
-    }
-
-    /// [`Interner::resolve`] for exclusive access: returns a plain reference
-    /// without touching a lock or the reference count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was not produced by this interner.
-    #[must_use]
-    pub fn resolve_mut(&mut self, id: u32) -> &T {
-        self.shards[(id as usize) & (SHARDS - 1)]
-            .get_mut()
-            .expect("interner lock poisoned")
-            .items
-            .get((id >> SHARD_BITS) as usize)
-            .expect("unknown interned id")
     }
 
     /// Resolves an id back to its value.
@@ -216,8 +180,7 @@ impl<T: Eq + Hash + Clone> Interner<T> {
 
     /// Applies `f` to the value behind `id` without cloning the `Arc`: the
     /// borrow lives under the shard's read lock only as long as `f` runs.
-    /// This is the shared-access analogue of [`Interner::resolve_mut`] —
-    /// it skips the atomic reference-count round-trip that makes
+    /// It skips the atomic reference-count round-trip that makes
     /// [`Interner::resolve`] show up in expansion profiles.
     ///
     /// # Panics
@@ -584,7 +547,7 @@ mod tests {
 
     #[test]
     fn resolve_with_matches_resolve() {
-        let mut interner: Interner<String> = Interner::new();
+        let interner: Interner<String> = Interner::new();
         let ids: Vec<u32> = (0..64)
             .map(|i| interner.intern(&format!("value-{i}")))
             .collect();
@@ -592,7 +555,6 @@ mod tests {
             let expected = format!("value-{i}");
             assert_eq!(*interner.resolve(id), expected);
             assert_eq!(interner.resolve_with(id, |v| v.len()), expected.len());
-            assert_eq!(interner.resolve_mut(id), &expected);
             // The shard lives in the id's low bits and matches the value's
             // shard function, so every accessor agrees on the store.
             assert_eq!(
