@@ -281,3 +281,38 @@ fn large_group_reduced_graphs_agree_across_frontiers() {
         }
     }
 }
+
+/// Explores T2 (Algorithm 2 over PAC(n), process 0 distinguished with input
+/// 1, the rest 0) on one thread, raw or symmetry-reduced.
+fn t2_graph(n: usize, symmetric: bool) -> ExplorationGraph<lbsa_protocols::dac::DacPhase> {
+    let p = DacFromPac::new(mixed_binary_inputs(n), Pid(0), ObjId(0)).expect("n >= 2");
+    let objects = vec![AnyObject::pac(n).expect("PAC(n) for n >= 2")];
+    let ex = Explorer::new(&p, &objects);
+    let builder = ex.exploration().threads(1);
+    let builder = if symmetric {
+        builder.symmetric()
+    } else {
+        builder
+    };
+    let g = builder.run().expect("explorable");
+    assert!(g.complete);
+    g
+}
+
+/// The exact gate `perf_smoke` applies to `n8_reduced_configs`: the
+/// reduced T2 n = 8 quotient (|S_7| = 5,040) has exactly 339 orbits. A
+/// canonicalizer that merged orbits or split one would move the count.
+#[test]
+fn t2_n8_quotient_has_exactly_339_orbits() {
+    assert_eq!(t2_graph(8, true).len(), 339);
+}
+
+/// The gate `perf_smoke` applies to `n5_reduction_ratio`, computed the way
+/// `explore_scaling` reports it: symmetry reduction shrinks the T2 n = 5
+/// state space at least five-fold.
+#[test]
+fn t2_n5_reduction_ratio_is_at_least_five() {
+    let (raw, reduced) = (t2_graph(5, false).len(), t2_graph(5, true).len());
+    let ratio = (raw as f64 / reduced as f64 * 100.0).round() / 100.0;
+    assert!(ratio >= 5.0, "{raw} / {reduced} = {ratio}");
+}

@@ -22,6 +22,7 @@
 //!   candidate protocols.
 
 use crate::explore::{Edge, ExplorationGraph};
+use crate::graph::{first_cycle, GraphView};
 use crate::valency::ValencyAnalysis;
 use lbsa_core::Pid;
 use std::collections::BTreeSet;
@@ -64,57 +65,19 @@ impl NonTerminationWitness {
 pub fn find_nontermination<L: Clone + Eq + Hash + Debug>(
     graph: &ExplorationGraph<L>,
 ) -> Option<NonTerminationWitness> {
-    // Iterative DFS keeping the current path of edges so the cycle can be
-    // extracted when a grey node is re-entered.
-    #[derive(Clone, Copy, PartialEq)]
-    enum Color {
-        White,
-        Grey,
-        Black,
-    }
-    let n = graph.configs.len();
-    let mut color = vec![Color::White; n];
-    // Stack of (node, next edge index); path_edges[i] is the edge taken from
-    // stack[i] to stack[i+1].
-    let mut stack: Vec<(usize, usize)> = vec![(0, 0)];
-    let mut path_edges: Vec<Edge> = Vec::new();
-    color[0] = Color::Grey;
+    nontermination_in(graph)
+}
 
-    while let Some(&mut (node, ref mut next)) = stack.last_mut() {
-        if *next < graph.edges[node].len() {
-            let edge = graph.edges[node][*next];
-            *next += 1;
-            match color[edge.target] {
-                Color::Grey => {
-                    // Found a cycle: locate the target on the current stack.
-                    let pos = stack
-                        .iter()
-                        .position(|&(v, _)| v == edge.target)
-                        .expect("grey nodes are on the stack");
-                    let mut cycle: Vec<Edge> = path_edges[pos..].to_vec();
-                    cycle.push(edge);
-                    let prefix = path_edges[..pos].to_vec();
-                    let victims: BTreeSet<Pid> = cycle.iter().map(|e| e.pid).collect();
-                    return Some(NonTerminationWitness {
-                        prefix,
-                        cycle,
-                        victims: victims.into_iter().collect(),
-                    });
-                }
-                Color::White => {
-                    color[edge.target] = Color::Grey;
-                    stack.push((edge.target, 0));
-                    path_edges.push(edge);
-                }
-                Color::Black => {}
-            }
-        } else {
-            color[node] = Color::Black;
-            stack.pop();
-            path_edges.pop();
-        }
-    }
-    None
+/// [`find_nontermination`] over any [`GraphView`]: the first cycle a
+/// depth-first search from the root closes, and the path that leads to it.
+pub(crate) fn nontermination_in<G: GraphView>(graph: &G) -> Option<NonTerminationWitness> {
+    let (prefix, cycle) = first_cycle(graph)?;
+    let victims: BTreeSet<Pid> = cycle.iter().map(|e| e.pid).collect();
+    Some(NonTerminationWitness {
+        prefix,
+        cycle,
+        victims: victims.into_iter().collect(),
+    })
 }
 
 /// Replays a witness against the graph and confirms it is genuine: the

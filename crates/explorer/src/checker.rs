@@ -25,9 +25,10 @@
 //! equivariance. Violations found on the quotient are translated back to
 //! real executions by the verdict layer (see [`crate::verdict`]).
 
-use crate::adversary::{find_nontermination, NonTerminationWitness};
+use crate::adversary::{nontermination_in, NonTerminationWitness};
 use crate::config::Configuration;
 use crate::explore::{ExplorationGraph, Explorer};
+use crate::graph::GraphView;
 use lbsa_core::{Pid, Value};
 use lbsa_runtime::error::RuntimeError;
 use lbsa_runtime::process::{ProcStatus, Protocol};
@@ -140,13 +141,6 @@ impl From<RuntimeError> for Violation {
     }
 }
 
-fn stats<L>(graph: &ExplorationGraph<L>) -> CheckStats {
-    CheckStats {
-        configs: graph.configs.len(),
-        transitions: graph.transitions,
-    }
-}
-
 /// Checks the k-set agreement properties over a complete graph:
 ///
 /// * **k-Agreement** — at most `k` distinct values are decided in any
@@ -163,24 +157,38 @@ pub fn check_k_set_agreement_graph<L: Clone + Eq + std::hash::Hash + std::fmt::D
     k: usize,
     valid_inputs: &[Value],
 ) -> Result<CheckStats, Violation> {
-    if !graph.complete {
+    check_k_set_agreement_in(graph, k, valid_inputs)
+}
+
+/// [`check_k_set_agreement_graph`] over any [`GraphView`]. Each
+/// configuration's decisions are gathered into one reused buffer, so the
+/// scan allocates nothing per configuration.
+///
+/// # Errors
+///
+/// Returns the first [`Violation`] found.
+pub(crate) fn check_k_set_agreement_in<G: GraphView>(
+    graph: &G,
+    k: usize,
+    valid_inputs: &[Value],
+) -> Result<CheckStats, Violation> {
+    if !graph.is_complete() {
         return Err(Violation::Truncated);
     }
-    for (idx, config) in graph.configs.iter().enumerate() {
-        let decided = config.distinct_decisions();
+    let mut decided: Vec<Value> = Vec::new();
+    for idx in 0..graph.node_count() {
+        decided.clear();
+        decided.extend(graph.statuses(idx).filter_map(|s| s.decision));
+        decided.sort();
+        decided.dedup();
         if decided.len() > k {
             return Err(Violation::Agreement {
                 config: idx,
                 values: decided,
             });
         }
-        for v in &decided {
-            if !valid_inputs.contains(v) {
-                return Err(Violation::Validity {
-                    config: idx,
-                    value: *v,
-                });
-            }
+        if let Some(&value) = decided.iter().find(|v| !valid_inputs.contains(v)) {
+            return Err(Violation::Validity { config: idx, value });
         }
     }
     check_wait_free_graph(graph)
@@ -192,21 +200,18 @@ pub fn check_k_set_agreement_graph<L: Clone + Eq + std::hash::Hash + std::fmt::D
 /// # Errors
 ///
 /// Returns the first [`Violation`] found.
-pub(crate) fn check_wait_free_graph<L: Clone + Eq + std::hash::Hash + std::fmt::Debug>(
-    graph: &ExplorationGraph<L>,
-) -> Result<CheckStats, Violation> {
-    if !graph.complete {
+pub(crate) fn check_wait_free_graph<G: GraphView>(graph: &G) -> Result<CheckStats, Violation> {
+    if !graph.is_complete() {
         return Err(Violation::Truncated);
     }
-    if let Some(w) = find_nontermination(graph) {
+    if let Some(w) = nontermination_in(graph) {
         return Err(Violation::NonTermination(w));
     }
-    for idx in graph.terminal_indices() {
-        if !graph.configs[idx].all_decided() {
-            return Err(Violation::UndecidedTerminal { config: idx });
-        }
+    let n = graph.node_count();
+    if let Some(idx) = (0..n).find(|&i| graph.is_terminal(i) && !graph.all_decided(i)) {
+        return Err(Violation::UndecidedTerminal { config: idx });
     }
-    Ok(stats(graph))
+    Ok(graph.check_stats())
 }
 
 /// The n-DAC problem instance being checked (Section 4 of the paper).
@@ -351,7 +356,7 @@ pub fn check_dac_graph<P: Protocol>(
         }
     }
 
-    Ok(stats(graph))
+    Ok(graph.check_stats())
 }
 
 #[cfg(test)]

@@ -44,12 +44,18 @@
 //! process statuses are hash-consed into `u32` ids
 //! ([`crate::intern::Interner`]), and a configuration is keyed by its short
 //! id vector in a dedup index ([`crate::intern::ShardedIndex`] or
-//! [`crate::intern::ConcurrentIndex`]).
+//! [`crate::intern::ConcurrentIndex`]). Neither engine builds a
+//! configuration per node: both produce the crate's interned graph, whose
+//! nodes are those key rows and whose edges are one compressed array. The
+//! `check_*` terminals check it as it is; [`Exploration::run`] turns it
+//! into an [`ExplorationGraph`] once, at the end.
 //!
 //! Every exploration reports [`ExploreStats`] — throughput, dedup rate,
 //! frontier shape, per-level timing — on the resulting graph.
 
 use crate::config::Configuration;
+use crate::graph::{Csr, InternedGraph, PackedEdge};
+pub use crate::graph::{Edge, ExplorationGraph};
 use crate::intern::{CompactConfig, ConcurrentIndex, Interner, ShardedIndex, SHARDS};
 use crate::live::{EtaModel, LiveMetrics, MemBytes, ProgressWatcher};
 use crate::sampling::SampleConfig;
@@ -65,7 +71,6 @@ use lbsa_runtime::process::{ProcStatus, Protocol, Symmetry};
 use lbsa_support::deque as lfdeque;
 use lbsa_support::json::Json;
 use lbsa_support::obs::{Counter, HistogramNs, Registry, TimerNs, Tracer};
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
@@ -195,246 +200,6 @@ impl Default for ExploreOptions {
     }
 }
 
-/// One labelled edge of the execution graph.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct Edge {
-    /// The process that takes the step.
-    pub pid: Pid,
-    /// The index of the object outcome chosen (0 for deterministic objects).
-    pub outcome: usize,
-    /// Index of the target configuration.
-    pub target: usize,
-}
-
-/// The (possibly truncated) execution graph of a protocol.
-#[derive(Clone, Debug)]
-pub struct ExplorationGraph<L> {
-    /// All discovered configurations; index 0 is the initial configuration.
-    pub configs: Vec<Configuration<L>>,
-    /// Outgoing edges per configuration. Empty for unexpanded (frontier)
-    /// configurations of a truncated graph and for terminal configurations.
-    pub edges: Vec<Vec<Edge>>,
-    /// `expanded[i]` is `true` if configuration `i`'s successors were
-    /// computed (always true when `complete`).
-    pub expanded: Vec<bool>,
-    /// `true` if the whole reachable space was covered.
-    pub complete: bool,
-    /// Total number of transitions discovered.
-    pub transitions: usize,
-    /// Metrics of the exploration that built this graph. Timing fields vary
-    /// run to run; everything structural is deterministic.
-    pub stats: ExploreStats,
-}
-
-impl<L> ExplorationGraph<L> {
-    /// Number of discovered configurations.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.configs.len()
-    }
-
-    /// Returns `true` if the graph holds no configurations (never the case
-    /// for graphs built by [`Explorer::explore`], which always contain at
-    /// least the initial configuration).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.configs.is_empty()
-    }
-
-    /// Approximate heap bytes held by the graph itself: the configuration
-    /// and edge storage (shallow — per-configuration heap such as deep
-    /// object states is estimated at one `Configuration` header each, not
-    /// traversed). Feeds the `mem.graph_bytes` report metric.
-    #[must_use]
-    pub fn approx_bytes(&self) -> usize {
-        let configs = self.configs.capacity() * std::mem::size_of::<Configuration<L>>();
-        let edges: usize = self
-            .edges
-            .iter()
-            .map(|e| e.capacity() * std::mem::size_of::<Edge>())
-            .sum::<usize>()
-            + self.edges.capacity() * std::mem::size_of::<Vec<Edge>>();
-        configs + edges + self.expanded.capacity()
-    }
-
-    /// Iterates over the indices of terminal configurations (no process can
-    /// step).
-    pub fn terminal_indices(&self) -> impl Iterator<Item = usize> + '_
-    where
-        L: Clone + Eq + std::hash::Hash + std::fmt::Debug,
-    {
-        self.configs
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.is_terminal())
-            .map(|(i, _)| i)
-    }
-
-    /// Structural equality: same configurations at the same indices, same
-    /// edges, same expansion set, same completeness. Stats (timings) are
-    /// deliberately ignored — this is the equality under which the engine
-    /// guarantees thread-count independence.
-    #[must_use]
-    pub fn same_structure(&self, other: &Self) -> bool
-    where
-        L: PartialEq,
-    {
-        self.configs == other.configs
-            && self.edges == other.edges
-            && self.expanded == other.expanded
-            && self.complete == other.complete
-            && self.transitions == other.transitions
-    }
-
-    /// A hash over the graph's structural content (configurations, edges,
-    /// expansion set, completeness) — a cheap fingerprint for determinism
-    /// checks across runs and thread counts.
-    #[must_use]
-    pub fn structural_digest(&self) -> u64
-    where
-        L: std::hash::Hash,
-    {
-        use std::hash::{Hash, Hasher};
-        let mut h = lbsa_support::hash::FxHasher::default();
-        self.configs.hash(&mut h);
-        self.edges.hash(&mut h);
-        self.expanded.hash(&mut h);
-        self.complete.hash(&mut h);
-        self.transitions.hash(&mut h);
-        h.finish()
-    }
-
-    /// Returns `true` if the graph contains a cycle reachable from the
-    /// initial configuration (iterative three-color DFS).
-    #[must_use]
-    pub fn has_cycle(&self) -> bool {
-        self.find_cycle().is_some()
-    }
-
-    /// Finds a cycle if one exists: returns the index of a configuration
-    /// that lies on a cycle.
-    #[must_use]
-    pub fn find_cycle(&self) -> Option<usize> {
-        #[derive(Clone, Copy, PartialEq)]
-        enum Color {
-            White,
-            Grey,
-            Black,
-        }
-        let mut color = vec![Color::White; self.configs.len()];
-        // Iterative DFS: stack of (node, next-edge-index).
-        let mut stack: Vec<(usize, usize)> = vec![(0, 0)];
-        color[0] = Color::Grey;
-        while let Some(&mut (node, ref mut next)) = stack.last_mut() {
-            if *next < self.edges[node].len() {
-                let target = self.edges[node][*next].target;
-                *next += 1;
-                match color[target] {
-                    Color::Grey => return Some(target),
-                    Color::White => {
-                        color[target] = Color::Grey;
-                        stack.push((target, 0));
-                    }
-                    Color::Black => {}
-                }
-            } else {
-                color[node] = Color::Black;
-                stack.pop();
-            }
-        }
-        None
-    }
-
-    /// BFS depth of each configuration from the initial one (`None` for
-    /// configurations unreachable through recorded edges — only possible in
-    /// truncated graphs).
-    #[must_use]
-    pub fn depths(&self) -> Vec<Option<usize>> {
-        let mut depth = vec![None; self.configs.len()];
-        depth[0] = Some(0);
-        let mut queue = VecDeque::from([0usize]);
-        while let Some(node) = queue.pop_front() {
-            let d = depth[node].expect("queued nodes have depths");
-            for e in &self.edges[node] {
-                if depth[e.target].is_none() {
-                    depth[e.target] = Some(d + 1);
-                    queue.push_back(e.target);
-                }
-            }
-        }
-        depth
-    }
-
-    /// Renders the graph in Graphviz DOT format. `label` produces each
-    /// node's label; terminal configurations are drawn as double circles,
-    /// the initial configuration as a box.
-    #[must_use]
-    pub fn to_dot<F>(&self, mut label: F) -> String
-    where
-        L: Clone + Eq + std::hash::Hash + std::fmt::Debug,
-        F: FnMut(usize, &Configuration<L>) -> String,
-    {
-        use std::fmt::Write as _;
-        let mut out = String::from("digraph execution {\n  rankdir=LR;\n");
-        for (i, config) in self.configs.iter().enumerate() {
-            let text = label(i, config).replace('"', "'");
-            let shape = if i == 0 {
-                "box"
-            } else if config.is_terminal() {
-                "doublecircle"
-            } else {
-                "ellipse"
-            };
-            let _ = writeln!(out, "  n{i} [label=\"{text}\", shape={shape}];");
-        }
-        for (i, edges) in self.edges.iter().enumerate() {
-            for e in edges {
-                let _ = writeln!(
-                    out,
-                    "  n{i} -> n{} [label=\"{}/{}\"];",
-                    e.target, e.pid, e.outcome
-                );
-            }
-        }
-        out.push_str("}\n");
-        out
-    }
-
-    /// Reconstructs a path (as a list of edges) from the initial
-    /// configuration to `target` by BFS.
-    #[must_use]
-    pub fn path_to(&self, target: usize) -> Option<Vec<Edge>> {
-        if target == 0 {
-            return Some(vec![]);
-        }
-        let mut pred: Vec<Option<(usize, Edge)>> = vec![None; self.configs.len()];
-        let mut queue = VecDeque::from([0usize]);
-        let mut seen = vec![false; self.configs.len()];
-        seen[0] = true;
-        while let Some(node) = queue.pop_front() {
-            for &e in &self.edges[node] {
-                if !seen[e.target] {
-                    seen[e.target] = true;
-                    pred[e.target] = Some((node, e));
-                    if e.target == target {
-                        let mut path = vec![];
-                        let mut cur = target;
-                        while cur != 0 {
-                            let (p, edge) = pred[cur].expect("predecessor recorded");
-                            path.push(edge);
-                            cur = p;
-                        }
-                        path.reverse();
-                        return Some(path);
-                    }
-                    queue.push_back(e.target);
-                }
-            }
-        }
-        None
-    }
-}
-
 /// Canonicalization memo for symmetry-reduced exploration: maps a raw
 /// successor's **delta-patched compact key** (the parent's canonical key
 /// with the stepped object-state and process-status slots replaced) to the
@@ -443,22 +208,17 @@ impl<L> ExplorationGraph<L> {
 /// Every graph node under reduction is canonical, so a successor is fully
 /// determined by `(parent key, patched slots)` — the patched key. Retry
 /// loops and diamond interleavings reproduce the same patched keys from
-/// thousands of parents; on a hit the engine skips materializing the raw
-/// successor *and* the whole orbit computation. Entries hold both the
-/// canonical compact key (for dedup probing) and the canonical
-/// configuration (for the rare hit that still discovers a new node — the
-/// worker that cached a key need not be the one that inserts its node).
-/// Sharded, with a read-write lock per shard; every engine thread reads it
-/// through its [`Expander`].
-struct CanonMemo<L> {
-    shards: Vec<RwLock<lbsa_support::hash::FxHashMap<CompactConfig, CanonEntry<L>>>>,
+/// thousands of parents; on a hit the engine skips resolving the raw
+/// successor *and* the whole orbit computation. Each entry is the
+/// canonical compact key, shared with the dedup index and the graph row
+/// when its node is new. Sharded, with a read-write lock per shard; every
+/// engine thread reads it through its [`Expander`].
+struct CanonMemo {
+    shards: Vec<RwLock<lbsa_support::hash::FxHashMap<CompactConfig, CompactConfig>>>,
     bytes: Counter,
 }
 
-/// One canon-memo entry: the canonical compact key and its configuration.
-type CanonEntry<L> = (CompactConfig, Arc<Configuration<L>>);
-
-impl<L> CanonMemo<L> {
+impl CanonMemo {
     fn new() -> Self {
         CanonMemo {
             shards: (0..SHARDS)
@@ -469,13 +229,13 @@ impl<L> CanonMemo<L> {
     }
 
     /// Approximate heap bytes held by the memo, tracked incrementally at
-    /// insert time (structural estimate: key payloads plus a shallow
-    /// `Configuration`; O(1) to read, so a live watcher can poll it).
+    /// insert time (structural estimate: both keys' payloads and the map
+    /// slot; O(1) to read, so a live watcher can poll it).
     fn approx_bytes(&self) -> usize {
         usize::try_from(self.bytes.get()).unwrap_or(usize::MAX)
     }
 
-    fn get(&self, raw_key: &[u32]) -> Option<CanonEntry<L>> {
+    fn get(&self, raw_key: &[u32]) -> Option<CompactConfig> {
         self.shards[ShardedIndex::shard_of(raw_key)]
             .read()
             .expect("canon memo lock poisoned")
@@ -483,30 +243,26 @@ impl<L> CanonMemo<L> {
             .cloned()
     }
 
-    fn insert(&self, raw_key: CompactConfig, entry: CanonEntry<L>) {
+    fn insert(&self, raw_key: CompactConfig, canon: CompactConfig) {
         // 16 per Arc header, 24 assumed map-slot overhead; matches the
         // estimate discipline of `Interner::approx_bytes`.
         let bytes = 2 * 16
             + 24
-            + (raw_key.len() + entry.0.len()) * std::mem::size_of::<u32>()
-            + std::mem::size_of::<(CompactConfig, CanonEntry<L>)>()
-            + std::mem::size_of::<Configuration<L>>();
+            + (raw_key.len() + canon.len()) * std::mem::size_of::<u32>()
+            + std::mem::size_of::<(CompactConfig, CompactConfig)>();
         self.bytes.add(bytes as u64);
         self.shards[ShardedIndex::shard_of(&raw_key)]
             .write()
             .expect("canon memo lock poisoned")
-            .insert(raw_key, entry);
+            .insert(raw_key, canon);
     }
 }
 
-/// One pending node of the work-stealing frontier: its assigned index, its
-/// compact dedup key (the delta-interning base for its successors), and its
-/// configuration, which the task owns: it rides the deque by value, and
-/// the worker that ends the task moves it into the assembly set.
-struct WsTask<L> {
+/// One pending node of the work-stealing frontier: its assigned index and
+/// its compact dedup key, the row its successors are expanded from.
+struct WsTask {
     id: u32,
     key: CompactConfig,
-    config: Configuration<L>,
 }
 
 /// Backoff thresholds of the work-stealing idle loop, in consecutive
@@ -526,22 +282,18 @@ const WS_PARK: Duration = Duration::from_micros(100);
 const WS_STEAL_MAX: usize = 32;
 
 /// What one work-stealing worker hands back at join: its tally and the
-/// sub-graph it built. Node indices come from the shared
-/// [`ConcurrentIndex`], so the per-worker pieces assemble by plain index
-/// assignment.
-struct WsWorkerOut<L> {
+/// edges it found. Node indices come from the shared [`ConcurrentIndex`],
+/// which also holds every node's row, so the per-worker pieces assemble
+/// into one edge array by index (see [`Csr::assemble`]).
+struct WsWorkerOut {
     /// The worker's one tally, bumped directly by the worker loop.
     stats: WorkerStats,
     /// Flat pool of every edge this worker emitted, in expansion order —
     /// one growing allocation instead of a `Vec` per task.
-    edge_pool: Vec<Edge>,
+    edge_pool: Vec<PackedEdge>,
     /// `(node, start, len)` slices of [`WsWorkerOut::edge_pool`] for every
     /// node this worker expanded.
     tasks: Vec<(u32, u32, u32)>,
-    /// `(node, configuration)` for every task this worker ended, expanded
-    /// or discarded over budget: the record is made where the task ends,
-    /// so unexpanded nodes of truncated runs are covered too.
-    discovered: Vec<(u32, Configuration<L>)>,
 }
 
 /// Canonicalizes through the optional probe timer: traced runs clock the
@@ -752,50 +504,48 @@ impl<'r, 's, L: Clone + Eq + std::hash::Hash> RunMeter<'r, 's, L> {
 /// `(object-state id, proc-status id, pid)`: what pins down one step.
 type MemoKey = (u32, u32, u32);
 
-/// One successor found by [`Expander::expand`]: the step that reaches it,
-/// and how to build it should its dedup key turn out to be new.
-struct Succ<L> {
+/// One successor found by [`Expander::expand`]: the step that reaches it
+/// and, under symmetry reduction, its canonical key, shared with the canon
+/// memo.
+struct Succ {
     pid: Pid,
     outcome: usize,
-    fresh: Fresh<L>,
+    canon: Option<CompactConfig>,
 }
 
-/// How [`Expander::materialize`] builds a successor.
-enum Fresh<L> {
-    /// Raw: the parent with `obj`'s state and the stepping process's
-    /// status replaced by these interned values.
-    Patch { obj: ObjId, state: u32, proc: u32 },
-    /// Symmetry reduction: the canonical key and configuration, shared
-    /// with the canon memo.
-    Canon(CanonEntry<L>),
-}
-
-impl<L> Succ<L> {
+impl Succ {
     /// `key` (this successor's dedup key) as a persistent one; under
     /// symmetry reduction that shares the canon memo's allocation.
     fn owned_key(&self, key: &[u32]) -> CompactConfig {
-        match &self.fresh {
-            Fresh::Canon((canon_key, _)) => Arc::clone(canon_key),
-            Fresh::Patch { .. } => key.into(),
+        match &self.canon {
+            Some(canon) => Arc::clone(canon),
+            None => key.into(),
         }
     }
 }
 
 /// The successor routine of both engines, one per engine thread.
 ///
-/// [`Expander::expand`] lists a node's successors in `(pid, outcome)`
-/// order. Each step goes through the thread's transition memo, and the
-/// step kernel on a miss. Each successor's dedup key is found by
-/// **delta-interning**: a successor differs from its parent in one object
-/// state and one process status, so its key is the parent's key with two
-/// slots patched. Under symmetry reduction the patched key is swapped for
-/// the canonical one, read from the canon memo or computed on a miss. The
-/// engine then dedups each key its own way and calls
-/// [`Expander::materialize`] for the successors that win an insert.
+/// [`Expander::expand`] lists the successors of a node, given by its key
+/// row alone, in `(pid, outcome)` order. Each running process's pending
+/// operation comes from a memo keyed by `(status id, pid)`, and each step
+/// goes through the thread's transition memo, and the step kernel on a
+/// miss; only a miss resolves ids back into values (the stepping process's
+/// status and the target object's state). Each successor's dedup
+/// key is found by **delta-interning**: a successor differs from its
+/// parent in one object state and one process status, so its key is the
+/// parent's key with two slots patched. Under symmetry reduction the
+/// patched key is swapped for the canonical one, read from the canon memo
+/// or computed on a miss. The engine then dedups each key its own way.
 struct Expander<'x, P: Protocol> {
     explorer: &'x Explorer<'x, P>,
     states: &'x Interner<AnyState>,
     procs: &'x Interner<ProcStatus<P::LocalState>>,
+    /// `(proc-status id, pid)` → the pending operation, `None` when the
+    /// status is not running. By the protocol contract the operation is a
+    /// function of the pid and the local state, so it is computed once per
+    /// distinct pair.
+    pending: lbsa_support::hash::FxHashMap<(u32, u32), Option<(ObjId, Op)>>,
     /// Memoized transition function. By the determinism contract, the
     /// successors of one `(pid, local state, object state)` triple are a
     /// pure function, and after interning the triple is three integers.
@@ -807,11 +557,13 @@ struct Expander<'x, P: Protocol> {
     /// thread: a hit borrows the pairs in place, with one hash and no lock.
     memo: lbsa_support::hash::FxHashMap<MemoKey, Vec<(u32, u32)>>,
     sym: Option<&'x ConfigSymmetry<'x, P::LocalState>>,
-    canon_memo: &'x CanonMemo<P::LocalState>,
+    canon_memo: &'x CanonMemo,
     canon_probe: Option<&'x CanonProbe>,
+    /// Object-state ids at the head of every key row.
+    n_obj: usize,
     /// The last expansion's successors and their patched keys, `width`
     /// ids each; reused from node to node.
-    succs: Vec<Succ<P::LocalState>>,
+    succs: Vec<Succ>,
     keys: Vec<u32>,
     width: usize,
 }
@@ -824,23 +576,26 @@ impl<'x, P: Protocol> Expander<'x, P> {
             &'x Interner<AnyState>,
             &'x Interner<ProcStatus<P::LocalState>>,
         ),
-        canon_memo: &'x CanonMemo<P::LocalState>,
+        canon_memo: &'x CanonMemo,
+        n_obj: usize,
     ) -> Self {
         Expander {
             explorer,
             states,
             procs,
+            pending: lbsa_support::hash::FxHashMap::default(),
             memo: lbsa_support::hash::FxHashMap::default(),
             sym: meter.sym,
             canon_memo,
             canon_probe: meter.canon_probe(),
+            n_obj,
             succs: Vec::new(),
             keys: Vec::new(),
             width: 0,
         }
     }
 
-    /// Lists the successors of `parent`, whose dedup key is `key`, for
+    /// Lists the successors of the node whose key row is `key`, for
     /// [`Expander::succs`], counting transitions and memo traffic into
     /// `tally`.
     ///
@@ -849,26 +604,24 @@ impl<'x, P: Protocol> Expander<'x, P> {
     /// Returns [`RuntimeError::ObjIdOutOfRange`] for a pending operation
     /// on an object outside the configuration, and propagates the step
     /// kernel's error for any other step it rejects.
-    fn expand(
-        &mut self,
-        parent: &Configuration<P::LocalState>,
-        key: &[u32],
-        tally: &mut WorkerStats,
-    ) -> Result<(), RuntimeError> {
-        let n_obj = parent.object_states.len();
+    fn expand(&mut self, key: &[u32], tally: &mut WorkerStats) -> Result<(), RuntimeError> {
+        let n_obj = self.n_obj;
         self.width = key.len();
         self.succs.clear();
         self.keys.clear();
-        for (i, status) in parent.procs.iter().enumerate() {
-            let ProcStatus::Running(local) = status else {
+        let (procs, protocol) = (self.procs, self.explorer.protocol());
+        for (i, &status) in key[n_obj..].iter().enumerate() {
+            let pid = Pid(i);
+            let pending = *self.pending.entry((status, i as u32)).or_insert_with(|| {
+                procs.resolve_with(status, |s| s.local().map(|l| protocol.pending_op(pid, l)))
+            });
+            let Some((obj, op)) = pending else {
                 continue;
             };
-            let pid = Pid(i);
-            let (obj, op) = self.explorer.protocol().pending_op(pid, local);
             let &obj_state = key[..n_obj]
                 .get(obj.index())
                 .ok_or(RuntimeError::ObjIdOutOfRange { obj, len: n_obj })?;
-            let memo_key = (obj_state, key[n_obj + i], i as u32);
+            let memo_key = (obj_state, status, i as u32);
             let pairs = match self.memo.entry(memo_key) {
                 std::collections::hash_map::Entry::Occupied(e) => {
                     tally.memo_hits += 1;
@@ -876,12 +629,17 @@ impl<'x, P: Protocol> Expander<'x, P> {
                 }
                 std::collections::hash_map::Entry::Vacant(slot) => {
                     tally.memo_misses += 1;
+                    let running = procs.resolve(status);
+                    let local = running
+                        .local()
+                        .expect("only running statuses have pending ops");
+                    let state = self.states.resolve(obj_state);
                     slot.insert(self.explorer.compute_pairs(
-                        parent,
-                        pid,
+                        (pid, local),
                         (obj, op),
+                        &state,
                         self.states,
-                        self.procs,
+                        procs,
                     )?)
                 }
             };
@@ -893,7 +651,7 @@ impl<'x, P: Protocol> Expander<'x, P> {
                 self.succs.push(Succ {
                     pid,
                     outcome,
-                    fresh: Fresh::Patch { obj, state, proc },
+                    canon: None,
                 });
             }
         }
@@ -906,52 +664,59 @@ impl<'x, P: Protocol> Expander<'x, P> {
         // identifies the raw successor, so it memoizes the
         // canonicalization: on a hit neither the raw successor nor any
         // permuted copy is built.
-        for j in 0..self.succs.len() {
-            let patched = &self.keys[j * self.width..(j + 1) * self.width];
-            let entry = if let Some(hit) = self.canon_memo.get(patched) {
+        for (succ, patched) in self
+            .succs
+            .iter_mut()
+            .zip(self.keys.chunks_exact(self.width))
+        {
+            let canon = if let Some(hit) = self.canon_memo.get(patched) {
                 tally.canon_memo_hits += 1;
                 hit
             } else {
-                let raw = self.materialize(parent, &self.succs[j]);
+                let raw = resolve_row(self.states, procs, n_obj, patched);
                 let canon = timed_canonicalize(sym, &raw, self.canon_probe);
-                let canon_key = self.explorer.compact(&canon, self.states, self.procs);
-                let entry = (canon_key, Arc::new(canon));
-                self.canon_memo.insert(patched.into(), entry.clone());
-                entry
+                let canon_key = self.explorer.compact(&canon, self.states, procs);
+                self.canon_memo
+                    .insert(patched.into(), Arc::clone(&canon_key));
+                canon_key
             };
-            self.succs[j].fresh = Fresh::Canon(entry);
+            succ.canon = Some(canon);
         }
         Ok(())
     }
 
     /// The last expansion's successors, each with its dedup key: the
     /// patched key, or under symmetry reduction the canonical one.
-    fn succs(&self) -> impl Iterator<Item = (&Succ<P::LocalState>, &[u32])> {
+    fn succs(&self) -> impl Iterator<Item = (&Succ, &[u32])> {
         let patched = self.keys.chunks_exact(self.width.max(1));
         self.succs
             .iter()
             .zip(patched)
-            .map(|(succ, patched)| match &succ.fresh {
-                Fresh::Canon((key, _)) => (succ, &**key),
-                Fresh::Patch { .. } => (succ, patched),
+            .map(|(succ, patched)| match &succ.canon {
+                Some(canon) => (succ, &**canon),
+                None => (succ, patched),
             })
     }
+}
 
-    /// Builds `succ`, a successor of `parent`, for the graph.
-    fn materialize(
-        &self,
-        parent: &Configuration<P::LocalState>,
-        succ: &Succ<P::LocalState>,
-    ) -> Configuration<P::LocalState> {
-        match &succ.fresh {
-            &Fresh::Patch { obj, state, proc } => parent.after(
-                obj,
-                self.states.resolve_with(state, Clone::clone),
-                succ.pid,
-                self.procs.resolve_with(proc, Clone::clone),
-            ),
-            Fresh::Canon((_, config)) => Configuration::clone(config),
-        }
+/// The configuration behind the key row `key`, each id resolved through
+/// its interner.
+fn resolve_row<L: Clone + Eq + std::hash::Hash>(
+    states: &Interner<AnyState>,
+    procs: &Interner<ProcStatus<L>>,
+    n_obj: usize,
+    key: &[u32],
+) -> Configuration<L> {
+    let (objs, ps) = key.split_at(n_obj);
+    Configuration {
+        object_states: objs
+            .iter()
+            .map(|&id| states.resolve_with(id, Clone::clone))
+            .collect(),
+        procs: ps
+            .iter()
+            .map(|&id| procs.resolve_with(id, Clone::clone))
+            .collect(),
     }
 }
 
@@ -1090,8 +855,8 @@ impl<'a, P: Protocol> Explorer<'a, P> {
     }
 
     /// The deterministic engine behind [`Frontier::Deterministic`]: a
-    /// single-threaded breadth-first search that builds the execution graph
-    /// reachable from `initial`, level by level.
+    /// single-threaded breadth-first search that builds the interned
+    /// execution graph reachable from `initial`, level by level.
     ///
     /// Expansion and merge are fused: each node expands through an
     /// [`Expander`] and its successors are probed against the live index
@@ -1106,22 +871,26 @@ impl<'a, P: Protocol> Explorer<'a, P> {
         sym: Option<&ConfigSymmetry<'_, P::LocalState>>,
         tracer: &Tracer,
         live: Option<&LiveMetrics>,
-    ) -> Result<ExplorationGraph<P::LocalState>, RuntimeError> {
+    ) -> Result<InternedGraph<P::LocalState>, RuntimeError> {
         let (meter, initial) = RunMeter::start(tracer, live, sym, options, 1, initial);
         let state_interner: Interner<AnyState> = Interner::new();
         let proc_interner: Interner<ProcStatus<P::LocalState>> = Interner::new();
-        let canon_memo: CanonMemo<P::LocalState> = CanonMemo::new();
-        let mut expander =
-            Expander::new(self, &meter, (&state_interner, &proc_interner), &canon_memo);
+        let canon_memo = CanonMemo::new();
+        let n_obj = initial.object_states.len();
+        let interners = (&state_interner, &proc_interner);
+        let mut expander = Expander::new(self, &meter, interners, &canon_memo, n_obj);
         let mut index = ShardedIndex::new();
-        let initial_key = self.compact(&initial, &state_interner, &proc_interner);
-        index.insert(initial_key.clone(), 0);
+        let root = self.compact(&initial, &state_interner, &proc_interner);
+        index.insert(Arc::clone(&root), 0);
 
-        let mut configs = vec![initial];
-        let mut edges: Vec<Vec<Edge>> = vec![vec![]];
-        let mut expanded = vec![false];
+        // Node `i`'s row is `rows[i]`, shared with the index. Nodes are
+        // numbered and expanded in BFS order, so each level's frontier is
+        // the index range the previous level discovered, and the expanded
+        // nodes are a prefix of the rows.
+        let mut rows = vec![root];
+        let mut csr = Csr::new();
         let mut complete = true;
-        let mut frontier: Vec<(u32, CompactConfig)> = vec![(0, initial_key)];
+        let mut frontier = 0..1;
 
         // The run's one tally (see [`WorkerStats`]).
         let mut tally = WorkerStats::default();
@@ -1142,39 +911,30 @@ impl<'a, P: Protocol> Explorer<'a, P> {
             }
             let level = levels.len();
             let level_started = Instant::now();
-            let mut next_frontier: Vec<(u32, CompactConfig)> = Vec::new();
+            let discovered = rows.len();
             let transitions_before = tally.transitions;
-            for (node_id, parent_key) in &frontier[..take] {
-                let node = *node_id as usize;
-                expander.expand(&configs[node], parent_key, &mut tally)?;
-                let mut out = Vec::with_capacity(expander.succs.len());
+            for node in frontier.start..frontier.start + take {
+                expander.expand(&rows[node], &mut tally)?;
                 for (succ, key) in expander.succs() {
                     let target = if let Some(t) = index.probe(key) {
                         tally.dedup_hits += 1;
                         t
                     } else {
-                        let t = u32::try_from(configs.len())
+                        let t = u32::try_from(rows.len())
                             .expect("graphs are bounded well below u32::MAX nodes");
                         let key = succ.owned_key(key);
-                        next_frontier.push((t, key.clone()));
-                        index.insert(key, t);
-                        let next = expander.materialize(&configs[node], succ);
-                        configs.push(next);
-                        edges.push(vec![]);
-                        expanded.push(false);
+                        index.insert(Arc::clone(&key), t);
+                        rows.push(key);
                         t
                     };
-                    out.push(Edge {
-                        pid: succ.pid,
-                        outcome: succ.outcome,
-                        target: target as usize,
-                    });
+                    csr.edges
+                        .push(PackedEdge::new(target, succ.pid, succ.outcome));
                 }
-                edges[node] = out;
-                expanded[node] = true;
+                csr.close_node();
             }
             tally.expanded += take;
             let level_transitions = tally.transitions - transitions_before;
+            let next_frontier = discovered..rows.len();
             // Every successor of the level either deduplicated or opened a
             // node of the next frontier.
             let dedup = level_transitions - next_frontier.len();
@@ -1223,24 +983,29 @@ impl<'a, P: Protocol> Explorer<'a, P> {
             frontier = next_frontier;
         }
 
+        let expanded = tally.expanded;
         let stats = meter.finish(EngineEnd {
             tallies: vec![tally],
             levels: Some(levels),
-            configs: configs.len(),
+            configs: rows.len(),
             peak_frontier,
             canon_memo_bytes: canon_memo.approx_bytes(),
             state_interner: &state_interner,
             proc_interner: &proc_interner,
             index_bytes: index.approx_bytes(),
         });
-        Ok(ExplorationGraph {
-            configs,
-            edges,
-            expanded,
+        let nodes = rows.len();
+        Ok(InternedGraph::new(
+            rows,
+            n_obj,
+            (
+                csr.finish(nodes),
+                (0..nodes).map(|i| i < expanded).collect(),
+            ),
             complete,
-            transitions: stats.transitions,
             stats,
-        })
+            (state_interner, proc_interner),
+        ))
     }
 
     /// The work-stealing engine behind [`Frontier::WorkStealing`]: no BFS
@@ -1272,6 +1037,8 @@ impl<'a, P: Protocol> Explorer<'a, P> {
     /// batch: each task pre-probes read-only, then resolves all
     /// missing keys with one [`ConcurrentIndex::get_or_insert_batch`] call
     /// — one lock round per shard per task instead of one per successor.
+    /// At join the index's keys become the graph's rows and the workers'
+    /// edge pools are assembled into one edge array ([`Csr::assemble`]).
     fn run_engine_ws(
         &self,
         initial: Configuration<P::LocalState>,
@@ -1279,7 +1046,7 @@ impl<'a, P: Protocol> Explorer<'a, P> {
         sym: Option<&ConfigSymmetry<'_, P::LocalState>>,
         tracer: &Tracer,
         live: Option<&LiveMetrics>,
-    ) -> Result<ExplorationGraph<P::LocalState>, RuntimeError> {
+    ) -> Result<InternedGraph<P::LocalState>, RuntimeError> {
         let workers = options.resolved_threads().max(1);
         let limits = options.limits;
         let (meter, initial) = RunMeter::start(tracer, live, sym, options, workers, initial);
@@ -1290,15 +1057,15 @@ impl<'a, P: Protocol> Explorer<'a, P> {
 
         let state_interner: Interner<AnyState> = Interner::new();
         let proc_interner: Interner<ProcStatus<P::LocalState>> = Interner::new();
-        let canon_memo: CanonMemo<P::LocalState> = CanonMemo::new();
+        let canon_memo = CanonMemo::new();
+        let n_obj = initial.object_states.len();
         let index = ConcurrentIndex::new();
         let initial_key = self.compact(&initial, &state_interner, &proc_interner);
         let (root, _) = index.get_or_insert(&initial_key);
         debug_assert_eq!(root, 0, "the root is the first interned node");
 
-        let mut owners: Vec<lfdeque::Owner<WsTask<P::LocalState>>> = Vec::with_capacity(workers);
-        let mut stealers: Vec<lfdeque::Stealer<WsTask<P::LocalState>>> =
-            Vec::with_capacity(workers);
+        let mut owners: Vec<lfdeque::Owner<WsTask>> = Vec::with_capacity(workers);
+        let mut stealers: Vec<lfdeque::Stealer<WsTask>> = Vec::with_capacity(workers);
         for _ in 0..workers {
             let (owner, stealer) = lfdeque::deque();
             owners.push(owner);
@@ -1307,7 +1074,6 @@ impl<'a, P: Protocol> Explorer<'a, P> {
         owners[0].push(WsTask {
             id: root,
             key: initial_key,
-            config: initial,
         });
         // Queued-or-in-flight nodes; bumped before a task becomes stealable,
         // dropped only after its children are enqueued.
@@ -1324,7 +1090,7 @@ impl<'a, P: Protocol> Explorer<'a, P> {
         // a lone worker runs it inline on the calling thread (no spawn/join
         // round-trip on the gated 1-core path), while real fleets spawn it
         // per worker under a scope. Captures the run state by reference.
-        let run_worker = |me: usize, own: lfdeque::Owner<WsTask<P::LocalState>>| {
+        let run_worker = |me: usize, own: lfdeque::Owner<WsTask>| {
             let mut out = WsWorkerOut {
                 stats: WorkerStats {
                     worker: me,
@@ -1332,20 +1098,18 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                 },
                 edge_pool: Vec::new(),
                 tasks: Vec::new(),
-                discovered: Vec::new(),
             };
             let interners = (&state_interner, &proc_interner);
-            let mut expander = Expander::new(self, &meter, interners, &canon_memo);
+            let mut expander = Expander::new(self, &meter, interners, &canon_memo, n_obj);
             // Per-task scratch reused for the whole run: the misses'
-            // `(edge, successor)` indices, the batched-probe key set and
-            // results, and the children to enqueue. Cleared between
-            // tasks, never reallocated once warm — the expand path
-            // settles into zero heap traffic beyond genuinely new
-            // configurations.
-            let mut fixups: Vec<(usize, usize)> = Vec::new();
+            // edge indices, the batched-probe key set and results, and the
+            // children to enqueue. Cleared between tasks, never
+            // reallocated once warm — the expand path settles into zero
+            // heap traffic beyond genuinely new configurations.
+            let mut fixups: Vec<usize> = Vec::new();
             let mut batch_keys: Vec<CompactConfig> = Vec::new();
             let mut batch_results: Vec<(u32, bool)> = Vec::new();
-            let mut spawned: Vec<WsTask<P::LocalState>> = Vec::new();
+            let mut spawned: Vec<WsTask> = Vec::new();
             // Depth-first continuation: the newest child of the
             // task just expanded rides here instead of taking a
             // deque round-trip — on chain-shaped frontiers that
@@ -1353,7 +1117,7 @@ impl<'a, P: Protocol> Explorer<'a, P> {
             // RMWs for almost every task. Held work is invisible
             // to thieves for exactly one expansion, the same
             // window a popped task always was.
-            let mut in_hand: Option<WsTask<P::LocalState>> = None;
+            let mut in_hand: Option<WsTask> = None;
             // Consecutive failed sweeps drive the
             // spin→yield→park backoff; any found task resets it.
             let mut backoff: u32 = 0;
@@ -1500,16 +1264,15 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                 };
                 if claimed.fetch_add(1, Ordering::Relaxed) >= limits.max_configs {
                     truncated.store(true, Ordering::Relaxed);
-                    // An over-budget task dies unexpanded, but its
-                    // configuration still goes to assembly.
-                    out.discovered.push((task.id, task.config));
+                    // An over-budget task dies unexpanded; its row stays
+                    // in the index, so assembly still covers it.
                     pending.fetch_sub(1, Ordering::AcqRel);
                     continue;
                 }
                 // Per-task expansion timing is a clock read per
                 // task: traced runs only.
                 let task_t0 = traced.then(Instant::now);
-                if let Err(err) = expander.expand(&task.config, &task.key, &mut out.stats) {
+                if let Err(err) = expander.expand(&task.key, &mut out.stats) {
                     let mut slot = first_error.lock().expect("error slot poisoned");
                     slot.get_or_insert(err);
                     abort.store(true, Ordering::Release);
@@ -1524,38 +1287,34 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                 fixups.clear();
                 batch_keys.clear();
                 let edge_start = out.edge_pool.len();
-                for (j, (succ, key)) in expander.succs().enumerate() {
+                for (succ, key) in expander.succs() {
                     let target = if let Some(t) = index.probe(key) {
                         out.stats.dedup_hits += 1;
-                        t as usize
+                        t
                     } else {
-                        fixups.push((out.edge_pool.len(), j));
+                        fixups.push(out.edge_pool.len());
                         batch_keys.push(succ.owned_key(key));
-                        usize::MAX
+                        u32::MAX
                     };
-                    out.edge_pool.push(Edge {
-                        pid: succ.pid,
-                        outcome: succ.outcome,
-                        target,
-                    });
+                    out.edge_pool
+                        .push(PackedEdge::new(target, succ.pid, succ.outcome));
                 }
                 // One batched index round for the keys the pre-probe
                 // missed (keys another worker interned since the probe
                 // come back as hits), then patch each placeholder edge
-                // and materialize only the insert winners.
+                // and spawn a task for each insert winner.
                 if !batch_keys.is_empty() {
                     out.stats.index_batch_hits +=
                         index.get_or_insert_batch(&batch_keys, &mut batch_results);
                 }
-                for ((&(edge, j), key), &(t, inserted)) in
+                for ((&edge, key), &(t, inserted)) in
                     fixups.iter().zip(&batch_keys).zip(&batch_results)
                 {
-                    out.edge_pool[edge].target = t as usize;
+                    out.edge_pool[edge].target = t;
                     if inserted {
                         spawned.push(WsTask {
                             id: t,
                             key: Arc::clone(key),
-                            config: expander.materialize(&task.config, &expander.succs[j]),
                         });
                     } else {
                         out.stats.dedup_hits += 1;
@@ -1568,7 +1327,6 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                     u32::try_from(edge_len).expect("edge fan-out overflow"),
                 ));
                 out.stats.expanded += 1;
-                out.discovered.push((task.id, task.config));
                 // Retire this task and enqueue its children in
                 // one `pending` update. The newest child (the
                 // task the LIFO pop would return next) stays in
@@ -1627,7 +1385,7 @@ impl<'a, P: Protocol> Explorer<'a, P> {
             tracer.emit_with("ws.done", || out.stats.to_json());
             out
         };
-        let outs: Vec<WsWorkerOut<P::LocalState>> = if workers == 1 {
+        let outs: Vec<WsWorkerOut> = if workers == 1 {
             let own = owners.pop().expect("exactly one owner at workers == 1");
             vec![run_worker(0, own)]
         } else {
@@ -1648,45 +1406,27 @@ impl<'a, P: Protocol> Explorer<'a, P> {
             return Err(err);
         }
         let count = index.len();
-        let mut configs: Vec<Option<Configuration<P::LocalState>>> =
-            (0..count).map(|_| None).collect();
-        let mut edges: Vec<Vec<Edge>> = vec![Vec::new(); count];
-        let mut expanded = vec![false; count];
-        let mut tallies: Vec<WorkerStats> = Vec::with_capacity(outs.len());
-        for out in outs {
-            tallies.push(out.stats);
-            for (id, cfg) in out.discovered {
-                configs[id as usize] = Some(cfg);
-            }
-            for (id, start, len) in out.tasks {
-                let start = start as usize;
-                edges[id as usize] = out.edge_pool[start..start + len as usize].to_vec();
-                expanded[id as usize] = true;
-            }
-        }
-        let configs: Vec<Configuration<P::LocalState>> = configs
-            .into_iter()
-            .map(|c| c.expect("every interned node carries a configuration"))
-            .collect();
+        let pieces = outs.iter().map(|out| (&out.edge_pool[..], &out.tasks[..]));
+        let edges = Csr::assemble(count, pieces);
         let complete = !truncated.load(Ordering::Relaxed);
         let stats = meter.finish(EngineEnd {
-            tallies,
+            tallies: outs.into_iter().map(|out| out.stats).collect(),
             levels: None,
-            configs: configs.len(),
+            configs: count,
             peak_frontier: peak_pending.load(Ordering::Relaxed),
             canon_memo_bytes: canon_memo.approx_bytes(),
             state_interner: &state_interner,
             proc_interner: &proc_interner,
             index_bytes: index.approx_bytes(),
         });
-        Ok(ExplorationGraph {
-            configs,
+        Ok(InternedGraph::new(
+            index.into_rows(),
+            n_obj,
             edges,
-            expanded,
             complete,
-            transitions: stats.transitions,
             stats,
-        })
+            (state_interner, proc_interner),
+        ))
     }
 
     /// Interns every component of `config` into a compact id vector:
@@ -1705,19 +1445,19 @@ impl<'a, P: Protocol> Explorer<'a, P> {
             .collect()
     }
 
-    /// The raw (un-memoized) step: run the specification and the protocol
-    /// through the kernel, intern the results.
+    /// The raw (un-memoized) step of `pid`, running in local state `local`,
+    /// applying `pending` to an object in state `state`: run the
+    /// specification and the protocol through the kernel, intern the
+    /// results.
     fn compute_pairs(
         &self,
-        config: &Configuration<P::LocalState>,
-        pid: Pid,
+        (pid, local): (Pid, &P::LocalState),
         pending: (ObjId, Op),
+        state: &AnyState,
         state_interner: &Interner<AnyState>,
         proc_interner: &Interner<ProcStatus<P::LocalState>>,
     ) -> Result<Vec<(u32, u32)>, RuntimeError> {
-        let step = self
-            .kernel
-            .begin(&config.object_states, &config.procs, pid, Some(pending))?;
+        let step = self.kernel.begin_at(pid, local, pending, state)?;
         let mut pairs = Vec::with_capacity(step.outcome_count());
         step.for_each(|t| {
             pairs.push((
@@ -1925,7 +1665,8 @@ impl<'e, 'a, P: Protocol> Exploration<'e, 'a, P> {
         }
     }
 
-    /// Runs the exploration and returns the execution graph.
+    /// Runs the exploration and returns the execution graph, with every
+    /// node's configuration built from its interned row.
     ///
     /// # Errors
     ///
@@ -1940,18 +1681,26 @@ impl<'e, 'a, P: Protocol> Exploration<'e, 'a, P> {
             .unwrap_or_else(|| self.explorer.tracer.clone());
         let symmetry = self.symmetry.take();
         let live = self.live_metrics();
+        // Work-stealing runs build their configurations on as many
+        // threads as they explored on; the deterministic frontier stays
+        // on one.
+        let threads = match self.options.frontier {
+            Frontier::Deterministic => 1,
+            Frontier::WorkStealing => self.options.resolved_threads(),
+        };
         self.explore(&tracer, symmetry.as_ref(), live.as_ref())
+            .map(|graph| graph.materialize(threads))
     }
 
     /// Runs the engine the frontier option selects from the start
     /// configuration, under a progress watcher when one was requested, and
-    /// records the graph's footprint in the live registry.
+    /// records the interned graph's footprint in the live registry.
     pub(crate) fn explore(
         &mut self,
         tracer: &Tracer,
         symmetry: Option<&ConfigSymmetry<'a, P::LocalState>>,
         live: Option<&LiveMetrics>,
-    ) -> Result<ExplorationGraph<P::LocalState>, RuntimeError> {
+    ) -> Result<InternedGraph<P::LocalState>, RuntimeError> {
         let explorer = self.explorer;
         let initial = self
             .from
@@ -2907,6 +2656,9 @@ mod tests {
             assert_eq!(read("explore.dedup_hits"), Some(g.stats.dedup_hits as i64));
             assert_eq!(read("explore.frontier_depth"), Some(0), "{frontier:?}");
             assert_eq!(read("mem.index_bytes"), Some(g.stats.index_bytes as i64));
+            // The graph gauge is the interned graph's footprint, which the
+            // materialized graph reports too.
+            assert_eq!(read("mem.graph_bytes"), Some(g.approx_bytes() as i64));
         }
     }
 

@@ -32,7 +32,7 @@ pub(crate) const SHARDS: usize = 16;
 const MAP_ENTRY_OVERHEAD: usize = 24;
 
 /// Heap bytes behind one `Arc` header (strong + weak counts).
-const ARC_HEADER: usize = 16;
+pub(crate) const ARC_HEADER: usize = 16;
 
 /// Approximate heap bytes of one dedup-index entry: the shared
 /// `Arc<[u32]>` key payload plus the map slot holding the `(Arc, u32)`
@@ -193,6 +193,24 @@ impl<T: Eq + Hash + Clone> Interner<T> {
             .items
             .get((id >> SHARD_BITS) as usize)
             .expect("unknown interned id"))
+    }
+
+    /// Every value interned so far, in a table indexed by id (`None` in
+    /// the gaps the shard bits leave): bulk resolution without a lock per
+    /// id.
+    pub(crate) fn by_id(&self) -> Vec<Option<Arc<T>>> {
+        let mut table = Vec::new();
+        for (shard, store) in self.shards.iter().enumerate() {
+            let store = store.read().expect("interner lock poisoned");
+            for (local, item) in store.items.iter().enumerate() {
+                let id = (local << SHARD_BITS) | shard;
+                if table.len() <= id {
+                    table.resize(id + 1, None);
+                }
+                table[id] = Some(Arc::clone(item));
+            }
+        }
+        table
     }
 
     /// Number of distinct values interned so far.
@@ -469,6 +487,20 @@ impl ConcurrentIndex {
             }
         }
         hits
+    }
+
+    /// Consumes the index into its keys, ordered by node index: the rows
+    /// of the graph it numbered, sharing each key's allocation.
+    pub(crate) fn into_rows(self) -> Vec<CompactConfig> {
+        let mut rows: Vec<Option<CompactConfig>> = vec![None; self.len()];
+        for shard in self.shards {
+            for (key, id) in shard.into_inner().expect("index lock poisoned") {
+                rows[id as usize] = Some(key);
+            }
+        }
+        rows.into_iter()
+            .map(|row| row.expect("node indices are dense"))
+            .collect()
     }
 
     /// Number of configurations claimed so far.

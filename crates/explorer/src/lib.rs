@@ -51,6 +51,7 @@ pub mod checker;
 pub mod config;
 pub mod error;
 pub mod explore;
+mod graph;
 pub mod intern;
 pub mod linearizability;
 mod live;

@@ -39,17 +39,19 @@
 //! unreduced verdicts.
 
 use crate::checker::{
-    check_dac_graph, check_k_set_agreement_graph, check_wait_free_graph, solo_terminates,
-    CheckStats, DacInstance, Violation,
+    check_dac_graph, check_k_set_agreement_in, check_wait_free_graph, solo_terminates, CheckStats,
+    DacInstance, Violation,
 };
 use crate::config::Configuration;
 use crate::error::CheckError;
-use crate::explore::{Edge, Exploration, ExplorationGraph, Explorer, Strategy};
+use crate::explore::{Edge, Exploration, Explorer, Strategy};
+use crate::graph::{path_to, GraphView, InternedGraph};
 use crate::linearizability::{check_linearizable, LinearizabilityError};
 use crate::live::{EtaModel, LiveMetrics, ProgressWatcher};
 use crate::sampling::{
     run_one, sample_confidence, sample_k_set_agreement, SampleConfig, SampleViolation,
 };
+use crate::stats::duration_us;
 use crate::symmetry::{Concretizer, ConfigSymmetry};
 use lbsa_core::{AnyObject, Pid, Value};
 use lbsa_runtime::derived::CompletedOp;
@@ -60,6 +62,7 @@ use lbsa_support::json::Json;
 use lbsa_support::obs::Tracer;
 use std::collections::VecDeque;
 use std::fmt;
+use std::time::{Duration, Instant};
 
 /// One step of a replayable schedule: which process moves and which
 /// admissible object outcome resolves (0 for deterministic objects).
@@ -561,13 +564,6 @@ impl fmt::Display for Verdict {
     }
 }
 
-fn graph_stats<L>(graph: &ExplorationGraph<L>) -> CheckStats {
-    CheckStats {
-        configs: graph.configs.len(),
-        transitions: graph.transitions,
-    }
-}
-
 const EMPTY_STATS: CheckStats = CheckStats {
     configs: 0,
     transitions: 0,
@@ -575,14 +571,25 @@ const EMPTY_STATS: CheckStats = CheckStats {
 
 /// Emits the end-of-check `verdict` trace event and passes the verdict
 /// through. Every check routes its result here exactly once, so a traced
-/// run shows one `verdict` line per check.
-fn traced(tracer: &Tracer, check: &'static str, verdict: Verdict) -> Verdict {
+/// run shows one `verdict` line per check. `check_time` is what the
+/// verdict layer itself took past exploration (graph predicates, witness
+/// extraction and dropping the graph; the whole sweep for a sampled
+/// check), `graph_bytes` the footprint of the graph it checked.
+fn traced(
+    tracer: &Tracer,
+    check: &'static str,
+    verdict: Verdict,
+    check_time: Duration,
+    graph_bytes: usize,
+) -> Verdict {
     tracer.emit_with("verdict", || {
         Json::object()
             .set("check", check)
             .set("outcome", verdict.outcome.tag())
             .set("configs", verdict.stats.configs)
             .set("transitions", verdict.stats.transitions)
+            .set("check_us", duration_us(check_time))
+            .set("graph_bytes", graph_bytes)
             .set(
                 "witness_len",
                 verdict
@@ -622,19 +629,49 @@ impl Property<'_> {
         }
     }
 
-    /// Checks the property over an explored graph.
-    fn check_graph<P: Protocol>(
+    /// Checks the property over an explored graph and builds the verdict.
+    /// k-set agreement and wait-freedom are decided on the interned graph
+    /// itself; the n-DAC predicates run solo extensions from owned
+    /// configurations, so that check materializes the graph first.
+    fn verdict<P: Protocol>(
         &self,
         explorer: &Explorer<'_, P>,
-        graph: &ExplorationGraph<P::LocalState>,
-    ) -> Result<CheckStats, Violation> {
-        match *self {
-            Property::KSet { k, valid } => check_k_set_agreement_graph(graph, k, valid),
+        sym: Option<&ConfigSymmetry<'_, P::LocalState>>,
+        graph: InternedGraph<P::LocalState>,
+    ) -> Verdict {
+        let checked = match *self {
+            Property::KSet { k, valid } => check_k_set_agreement_in(&graph, k, valid),
+            Property::WaitFree => check_wait_free_graph(&graph),
             Property::Dac {
                 instance,
                 solo_bound,
-            } => check_dac_graph(explorer, graph, instance, solo_bound),
-            Property::WaitFree => check_wait_free_graph(graph),
+            } => {
+                let graph = graph.materialize(1);
+                let checked = check_dac_graph(explorer, &graph, instance, solo_bound);
+                return self.conclude(explorer, sym, &graph, checked);
+            }
+        };
+        self.conclude(explorer, sym, &graph, checked)
+    }
+
+    /// The verdict of `checked`, the outcome of checking `graph`.
+    fn conclude<P: Protocol, G: GraphView>(
+        &self,
+        explorer: &Explorer<'_, P>,
+        sym: Option<&ConfigSymmetry<'_, P::LocalState>>,
+        graph: &G,
+        checked: Result<CheckStats, Violation>,
+    ) -> Verdict {
+        match checked {
+            Ok(stats) => Verdict {
+                outcome: Outcome::Holds,
+                stats,
+                witness: None,
+            },
+            Err(violation) => {
+                let kind = self.witness_kind(&violation);
+                violation_verdict(explorer, sym, graph, violation, kind)
+            }
         }
     }
 
@@ -739,6 +776,7 @@ impl<P: Protocol> Exploration<'_, '_, P> {
             .unwrap_or_else(|| explorer.tracer().clone());
         let live = self.live_metrics();
         if let Strategy::Sample(config) = self.strategy {
+            let started = Instant::now();
             let verdict = match *property {
                 Property::KSet { k, valid } => {
                     // The sweep runs here, not in the engine, so the
@@ -768,25 +806,21 @@ impl<P: Protocol> Exploration<'_, '_, P> {
                     },
                 ),
             };
-            return traced(&tracer, property.name(true), verdict);
+            let name = property.name(true);
+            return traced(&tracer, name, verdict, started.elapsed(), 0);
         }
         let symmetry = self.symmetry.take();
-        let verdict = match self.explore(&tracer, symmetry.as_ref(), live.as_ref()) {
-            Err(e) => Verdict::error(EMPTY_STATS, e.into()),
-            Ok(graph) => match property.check_graph(explorer, &graph) {
-                Ok(stats) => Verdict {
-                    outcome: Outcome::Holds,
-                    stats,
-                    witness: None,
-                },
-                Err(violation) => {
-                    let kind = property.witness_kind(&violation);
-                    let stats = graph_stats(&graph);
-                    violation_verdict(explorer, symmetry.as_ref(), &graph, violation, stats, kind)
-                }
-            },
+        let explored = self.explore(&tracer, symmetry.as_ref(), live.as_ref());
+        let started = Instant::now();
+        let (verdict, graph_bytes) = match explored {
+            Err(e) => (Verdict::error(EMPTY_STATS, e.into()), 0),
+            Ok(graph) => {
+                let bytes = graph.approx_bytes();
+                (property.verdict(explorer, symmetry.as_ref(), graph), bytes)
+            }
         };
-        traced(&tracer, property.name(false), verdict)
+        let name = property.name(false);
+        traced(&tracer, name, verdict, started.elapsed(), graph_bytes)
     }
 }
 
@@ -914,14 +948,14 @@ pub fn verdict_linearizable(history: &[CompletedOp], specs: &[AnyObject]) -> Ver
 /// witnesses need none). `sym` is the symmetry a quotient `graph` was
 /// reduced by: its schedules are de-canonicalized into real ones, so the
 /// witness replays on the raw system either way.
-fn violation_verdict<P: Protocol>(
+fn violation_verdict<P: Protocol, G: GraphView>(
     explorer: &Explorer<'_, P>,
     sym: Option<&ConfigSymmetry<'_, P::LocalState>>,
-    graph: &ExplorationGraph<P::LocalState>,
+    graph: &G,
     violation: Violation,
-    stats: CheckStats,
     kind: Option<WitnessKind>,
 ) -> Verdict {
+    let stats = graph.check_stats();
     if matches!(violation, Violation::Truncated) {
         return Verdict {
             outcome: Outcome::Truncated,
@@ -938,7 +972,7 @@ fn violation_verdict<P: Protocol>(
         | Violation::Validity { config, .. }
         | Violation::UndecidedTerminal { config }
         | Violation::SoloNonTermination { config, .. } => kind.and_then(|kind| {
-            let path = graph.path_to(*config)?;
+            let path = path_to(graph, *config)?;
             let steps = path.into_iter().map(ScheduleStep::from).collect();
             graph_witness(explorer, sym, steps, kind)
         }),
@@ -1010,21 +1044,21 @@ fn graph_witness<P: Protocol>(
 /// [`pump_cycle`]). The victims are the distinct pids stepping on the
 /// cycle — sound because decisions are absorbing, so a process that steps
 /// on a closed cycle can never have decided anywhere on it.
-fn nontermination_witness<P: Protocol>(
+fn nontermination_witness<P: Protocol, G: GraphView>(
     explorer: &Explorer<'_, P>,
     sym: Option<&ConfigSymmetry<'_, P::LocalState>>,
-    graph: &ExplorationGraph<P::LocalState>,
+    graph: &G,
     w: &crate::adversary::NonTerminationWitness,
 ) -> Option<Witness> {
     // Locate the cycle entry by walking the recorded prefix.
     let mut entry = 0usize;
     for e in &w.prefix {
-        entry = graph.edges[entry]
-            .iter()
+        entry = graph
+            .out_edges(entry)
             .find(|g| g.pid == e.pid && g.outcome == e.outcome)?
             .target;
     }
-    let shortest = graph.path_to(entry)?;
+    let shortest = path_to(graph, entry)?;
     let prefix = if shortest.len() <= w.prefix.len() {
         shortest
     } else {
@@ -1102,8 +1136,8 @@ fn pump_cycle<P: Protocol>(
 /// restricted to the distinguished process's edges, to a configuration
 /// where it has aborted — reachable this way by construction of the
 /// (config, others-stepped) product BFS in the checker.
-fn nontriviality_schedule<L: Clone + Eq + std::hash::Hash + std::fmt::Debug>(
-    graph: &ExplorationGraph<L>,
+fn nontriviality_schedule<G: GraphView>(
+    graph: &G,
     target: usize,
     kind: &WitnessKind,
 ) -> Option<Vec<ScheduleStep>> {
@@ -1111,19 +1145,20 @@ fn nontriviality_schedule<L: Clone + Eq + std::hash::Hash + std::fmt::Debug>(
         return None;
     };
     let p = *distinguished;
-    let mut pred: Vec<Option<(usize, Edge)>> = vec![None; graph.configs.len()];
-    let mut seen = vec![false; graph.configs.len()];
+    let n = graph.node_count();
+    let mut pred: Vec<Option<(usize, Edge)>> = vec![None; n];
+    let mut seen = vec![false; n];
     let mut queue = VecDeque::from([0usize]);
     seen[0] = true;
-    let mut found = graph.configs[0].has_aborted(p).then_some(0usize);
+    let mut found = graph.has_aborted(0, p).then_some(0usize);
     'bfs: while let Some(node) = queue.pop_front() {
-        for &e in &graph.edges[node] {
+        for e in graph.out_edges(node) {
             if e.pid != p || seen[e.target] {
                 continue;
             }
             seen[e.target] = true;
             pred[e.target] = Some((node, e));
-            if e.target == target || graph.configs[e.target].has_aborted(p) {
+            if e.target == target || graph.has_aborted(e.target, p) {
                 found = Some(e.target);
                 break 'bfs;
             }
@@ -1480,6 +1515,18 @@ mod tests {
         assert_eq!(
             verdict_ev.fields.get("witness_len").and_then(Json::as_i64),
             Some(2)
+        );
+        // The verdict layer's own cost: its time, and the footprint of the
+        // graph it checked, which `run()` reports for the same options.
+        assert!(verdict_ev
+            .fields
+            .get("check_us")
+            .and_then(Json::as_i64)
+            .is_some());
+        let graph = ex.exploration().run().unwrap();
+        assert_eq!(
+            verdict_ev.fields.get("graph_bytes").and_then(Json::as_i64),
+            Some(graph.approx_bytes() as i64)
         );
         let confirm_ev = events.iter().find(|e| e.name == "witness.confirm").unwrap();
         assert_eq!(

@@ -68,11 +68,33 @@ impl<'a, P: Protocol> StepKernel<'a, P> {
             Some(_) => return Err(RuntimeError::ProcessNotRunning(pid)),
         };
         let (obj, op) = pending.unwrap_or_else(|| self.protocol.pending_op(pid, local));
-        let (Some(spec), Some(state)) = (
-            self.objects.get(obj.index()),
-            object_states.get(obj.index()),
-        ) else {
+        let Some(state) = object_states.get(obj.index()) else {
             let len = self.objects.len().min(object_states.len());
+            return Err(RuntimeError::ObjIdOutOfRange { obj, len });
+        };
+        self.begin_at(pid, local, (obj, op), state)
+    }
+
+    /// The part of [`StepKernel::begin`] past the configuration lookups:
+    /// `pid`, running in local state `local`, applies `op` to object `obj`,
+    /// whose state is `state`. For callers that hold a configuration's
+    /// parts rather than the configuration (the exploration engines keep
+    /// interned ids).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RuntimeError::ObjIdOutOfRange`] if `obj` lies outside the
+    /// object table, and propagates specification errors.
+    #[inline]
+    pub fn begin_at<'c>(
+        &self,
+        pid: Pid,
+        local: &'c P::LocalState,
+        (obj, op): (ObjId, Op),
+        state: &AnyState,
+    ) -> Result<PendingStep<'a, 'c, P>, RuntimeError> {
+        let Some(spec) = self.objects.get(obj.index()) else {
+            let len = self.objects.len();
             return Err(RuntimeError::ObjIdOutOfRange { obj, len });
         };
         Ok(PendingStep {
