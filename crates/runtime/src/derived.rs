@@ -340,7 +340,7 @@ where
         if sys.steps() >= max_steps {
             break RunEnd::MaxSteps;
         }
-        let Some(pid) = scheduler.next_pid(&enabled) else {
+        let Some(pid) = scheduler.next_pid(enabled) else {
             break RunEnd::SchedulerStopped;
         };
         let i = pid.index();

@@ -150,7 +150,7 @@ impl Scheduler for Solo {
 /// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CrashPlan {
-    crashes: BTreeSet<(usize, usize)>, // (pid index, after-step)
+    crashes: BTreeSet<(usize, Pid)>, // (after-step, pid), so ordered by time
 }
 
 impl CrashPlan {
@@ -163,7 +163,7 @@ impl CrashPlan {
     /// Schedules `pid` to crash once `after` steps have executed
     /// (`after = 0` crashes it before it takes any step).
     pub fn crash(&mut self, pid: Pid, after: usize) -> &mut Self {
-        self.crashes.insert((pid.index(), after));
+        self.crashes.insert((after, pid));
         self
     }
 
@@ -172,7 +172,13 @@ impl CrashPlan {
     pub fn is_crashed(&self, pid: Pid, step: usize) -> bool {
         self.crashes
             .iter()
-            .any(|&(p, after)| p == pid.index() && step >= after)
+            .take_while(|&&(after, _)| after <= step)
+            .any(|&(_, p)| p == pid)
+    }
+
+    /// The planned crashes as `(after, pid)`, in increasing `after`.
+    pub(crate) fn in_order(&self) -> impl Iterator<Item = (usize, Pid)> + '_ {
+        self.crashes.iter().copied()
     }
 
     /// Returns `true` if the plan crashes no one.

@@ -88,6 +88,10 @@ pub struct System<'a, P: Protocol> {
     kernel: StepKernel<'a, P>,
     object_states: Vec<AnyState>,
     statuses: Vec<ProcStatus<P::LocalState>>,
+    /// The pids whose status is `Running`, ascending. Only
+    /// [`System::step_pid`] and [`System::crash`] change a status, and both
+    /// keep this in step, so the run loop hands it to the scheduler as is.
+    enabled: Vec<Pid>,
     trace: Trace,
     steps: usize,
     record_trace: bool,
@@ -112,6 +116,7 @@ impl<'a, P: Protocol> System<'a, P> {
             statuses: (0..n)
                 .map(|i| ProcStatus::Running(protocol.init(Pid(i))))
                 .collect(),
+            enabled: (0..n).map(Pid).collect(),
             trace: Trace::new(),
             steps: 0,
             record_trace: true,
@@ -179,13 +184,15 @@ impl<'a, P: Protocol> System<'a, P> {
 
     /// The pids currently able to take a step, in increasing order.
     #[must_use]
-    pub fn enabled_pids(&self) -> Vec<Pid> {
-        self.statuses
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.is_running())
-            .map(|(i, _)| Pid(i))
-            .collect()
+    pub fn enabled_pids(&self) -> &[Pid] {
+        &self.enabled
+    }
+
+    /// Drops `pid`, which just stopped running, from the enabled set.
+    fn disable(&mut self, pid: Pid) {
+        if let Ok(at) = self.enabled.binary_search(&pid) {
+            self.enabled.remove(at);
+        }
     }
 
     /// Marks `pid` as crashed. A crashed process never steps again.
@@ -202,6 +209,7 @@ impl<'a, P: Protocol> System<'a, P> {
             .ok_or(RuntimeError::PidOutOfRange { pid, len })?;
         if status.is_running() {
             *status = ProcStatus::Crashed;
+            self.disable(pid);
         }
         Ok(())
     }
@@ -231,6 +239,9 @@ impl<'a, P: Protocol> System<'a, P> {
         };
         let t = step.take(chosen)?;
         self.object_states[obj.index()] = t.obj_state;
+        if !t.status.is_running() {
+            self.disable(pid);
+        }
         self.statuses[pid.index()] = t.status;
         if self.record_trace {
             self.trace.push(TraceEvent {
@@ -262,7 +273,11 @@ impl<'a, P: Protocol> System<'a, P> {
         self.run_with_crashes(scheduler, resolver, &CrashPlan::new(), max_steps)
     }
 
-    /// Like [`System::run`], additionally applying a [`CrashPlan`].
+    /// Like [`System::run`], additionally applying a [`CrashPlan`]: at the
+    /// top of every iteration, each planned `(pid, after)` with
+    /// `after <= steps` crashes `pid` if it is still running. Entries are
+    /// walked once, in order of `after`; pids outside the system are
+    /// ignored.
     ///
     /// # Errors
     ///
@@ -280,21 +295,22 @@ impl<'a, P: Protocol> System<'a, P> {
                 .set("max_steps", max_steps)
                 .set("at_step", self.steps)
         });
+        let n = self.statuses.len();
+        let mut due = crashes
+            .in_order()
+            .filter(|&(_, pid)| pid.index() < n)
+            .peekable();
         let end = loop {
-            // Apply due crashes.
-            for i in 0..self.statuses.len() {
-                if self.statuses[i].is_running() && crashes.is_crashed(Pid(i), self.steps) {
-                    self.statuses[i] = ProcStatus::Crashed;
-                }
+            while let Some((_, pid)) = due.next_if(|&(after, _)| after <= self.steps) {
+                self.crash(pid)?;
             }
-            let enabled = self.enabled_pids();
-            if enabled.is_empty() {
+            if self.enabled.is_empty() {
                 break RunEnd::Quiescent;
             }
             if self.steps >= max_steps {
                 break RunEnd::MaxSteps;
             }
-            let Some(pid) = scheduler.next_pid(&enabled) else {
+            let Some(pid) = scheduler.next_pid(&self.enabled) else {
                 break RunEnd::SchedulerStopped;
             };
             self.step_pid(pid, resolver)?;
@@ -536,6 +552,67 @@ mod tests {
             Some(i64::try_from(res.steps).unwrap())
         );
         assert_eq!(end.fields.get("decided").and_then(Json::as_i64), Some(2));
+    }
+
+    /// `pid` writes to its own register `steps[pid]` times, then decides,
+    /// aborts or halts (by `pid % 3`), so every way out of `Running` is
+    /// taken.
+    #[derive(Debug)]
+    struct Countdown {
+        steps: Vec<u8>,
+    }
+
+    impl Protocol for Countdown {
+        type LocalState = u8;
+
+        fn num_processes(&self) -> usize {
+            self.steps.len()
+        }
+
+        fn init(&self, pid: Pid) -> u8 {
+            self.steps[pid.index()]
+        }
+
+        fn pending_op(&self, pid: Pid, _left: &u8) -> (ObjId, Op) {
+            (ObjId(pid.index()), Op::Write(Value::Int(1)))
+        }
+
+        fn on_response(&self, pid: Pid, left: &u8, _response: Value) -> Step<u8> {
+            match (left, pid.index() % 3) {
+                (1.., _) => Step::Continue(left - 1),
+                (0, 0) => Step::Decide(Value::Int(0)),
+                (0, 1) => Step::Abort,
+                (0, _) => Step::Halt,
+            }
+        }
+    }
+
+    #[test]
+    fn enabled_set_tracks_statuses_under_any_calls() {
+        lbsa_support::check::run_cases("enabled_set_tracks_statuses", 200, |rng| {
+            let n = 1 + rng.random_range(0..6);
+            let steps: Vec<u8> = (0..n).map(|_| rng.random_range(0..4) as u8).collect();
+            let p = Countdown { steps };
+            let objects = regs(n);
+            let mut sys = System::new(&p, &objects).unwrap();
+            for _ in 0..40 {
+                // One pid past the end, so out-of-range calls are covered.
+                let pid = Pid(rng.random_range(0..n + 1));
+                if rng.ratio(1, 4) {
+                    let _ = sys.crash(pid);
+                } else {
+                    let _ = sys.step_pid(pid, &mut FirstOutcome);
+                }
+                let derived: Vec<Pid> = sys
+                    .statuses()
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, s)| s.is_running())
+                    .map(|(i, _)| Pid(i))
+                    .collect();
+                assert_eq!(sys.enabled_pids(), derived.as_slice());
+            }
+        });
     }
 
     #[test]
