@@ -7,7 +7,7 @@
 //! rest to [`Visit::raw`]; what is done with a case is up to the visitor.
 
 use lbsa_core::value::int;
-use lbsa_core::{AnyObject, ObjId, Pid, Value};
+use lbsa_core::{AnyObject, ObjId, Op, Pid, Value};
 use lbsa_explorer::checker::DacInstance;
 use lbsa_explorer::{Exploration, Explorer, Verdict};
 use lbsa_protocols::candidates::{
@@ -18,7 +18,7 @@ use lbsa_protocols::consensus_protocols::ConsensusViaObject;
 use lbsa_protocols::dac::DacFromPac;
 use lbsa_protocols::set_agreement_protocols::{GroupSplitKSet, KSetViaPowerLevel, KSetViaStrongSa};
 use lbsa_runtime::derived::DerivedProtocol;
-use lbsa_runtime::process::{Protocol, Symmetry};
+use lbsa_runtime::process::{classes_by_input, Protocol, Step, Symmetry};
 
 /// The property a case checks, one per terminal.
 #[derive(Clone, Copy)]
@@ -113,6 +113,71 @@ pub fn dac(v: &mut impl Visit) {
     let pin = "violated 18/21 solo-non-termination";
     let pins = format!("{pin} | {pin}");
     v.both("wrong distinguished", &ex, Check::Dac(&wrong, 8), &pins);
+
+    let objects = [
+        AnyObject::set_agreement(4, 2).unwrap(),
+        AnyObject::consensus(3).unwrap(),
+    ];
+    let p = AbortsAlone {
+        inputs: vec![int(1), int(0), int(0)],
+    };
+    let ex = Explorer::new(&p, &objects);
+    let instance = p.instance();
+    let pins = "violated 28/60 nontriviality | violated 21/45 nontriviality";
+    v.both("aborts alone", &ex, Check::Dac(&instance, 6), pins);
+}
+
+/// An n-DAC protocol that breaks Nontriviality and nothing else. The
+/// distinguished process (pid 0) proposes 1, 2, 3 to a (4, 2)-SA object,
+/// ignores the answers and aborts, so it can abort before anyone else
+/// steps; the object's choices give it several such aborts. Every other
+/// process proposes its input to a consensus object and decides the
+/// answer. With equal inputs for the others, Agreement, Validity and both
+/// Termination clauses hold.
+#[derive(Debug)]
+pub struct AbortsAlone {
+    pub inputs: Vec<Value>,
+}
+
+impl AbortsAlone {
+    pub fn instance(&self) -> DacInstance {
+        DacInstance {
+            distinguished: Pid(0),
+            inputs: self.inputs.clone(),
+        }
+    }
+}
+
+impl Protocol for AbortsAlone {
+    /// Steps taken so far.
+    type LocalState = u8;
+    fn num_processes(&self) -> usize {
+        self.inputs.len()
+    }
+    fn init(&self, _pid: Pid) -> u8 {
+        0
+    }
+    fn pending_op(&self, pid: Pid, steps: &u8) -> (ObjId, Op) {
+        match pid.index() {
+            0 => (ObjId(0), Op::Propose(int(i64::from(*steps) + 1))),
+            q => (ObjId(1), Op::Propose(self.inputs[q])),
+        }
+    }
+    fn on_response(&self, pid: Pid, steps: &u8, resp: Value) -> Step<u8> {
+        match (pid.index(), steps) {
+            (0, 2) => Step::Abort,
+            (0, _) => Step::Continue(steps + 1),
+            _ => Step::Decide(resp),
+        }
+    }
+}
+
+/// Processes with equal inputs are interchangeable; pid 0's input differs
+/// from the others', so it is alone in its class.
+impl Symmetry for AbortsAlone {
+    fn pid_classes(&self) -> Vec<u32> {
+        classes_by_input(&self.inputs)
+    }
 }
 
 pub fn set_agreement_protocols(v: &mut impl Visit) {

@@ -1,23 +1,24 @@
-//! The `check_*` terminals decide k-set agreement and wait-freedom on the
-//! engine's interned graph; the n-DAC check runs on the materialized one.
-//! This test holds every terminal to the materialized path it replaced:
-//! for every protocol catalogued in `common/catalog.rs`, raw and
-//! symmetry-reduced, complete and truncated, the terminal's verdict must
-//! equal what `Exploration::run` plus the public graph predicates
+//! Every `check_*` terminal decides on the engine's interned graph. This
+//! test holds each to the materialized path it replaced: for every
+//! protocol catalogued in `common/catalog.rs`, raw and symmetry-reduced,
+//! complete and truncated, the terminal's verdict must equal what
+//! `Exploration::run` plus the public graph predicates
 //! (`check_k_set_agreement_graph`, `check_dac_graph`, `find_nontermination`)
 //! give on the same options: the same outcome, the same `Violation` with
 //! the same configuration index, the same stats, and a witness whose
 //! schedule and cycle are the ones the materialized graph yields — the
 //! shortest confirming prefix of the BFS path to the violating
-//! configuration, or the shorter prefix to the cycle entry and the cycle,
-//! de-canonicalized on a reduced graph. Every witness must `confirm()`.
-//! Only the deterministic frontier numbers nodes reproducibly, so only it
-//! is compared.
+//! configuration (for n-DAC Nontriviality, of the BFS path along the
+//! distinguished process's own edges to its first abort), or the shorter
+//! prefix to the cycle entry and the cycle, de-canonicalized on a reduced
+//! graph. Every witness must `confirm()`. Only the deterministic frontier
+//! numbers nodes reproducibly, so only it is compared.
 
 #[path = "common/catalog.rs"]
 mod catalog;
 
 use catalog::{terminal, Check, Visit};
+use lbsa_core::Pid;
 use lbsa_explorer::adversary::find_nontermination;
 use lbsa_explorer::checker::{check_dac_graph, check_k_set_agreement_graph, CheckStats, Violation};
 use lbsa_explorer::explore::Edge;
@@ -25,6 +26,7 @@ use lbsa_explorer::verdict::{Outcome, ScheduleStep, Witness, WitnessKind};
 use lbsa_explorer::{Concretizer, ConfigSymmetry, ExplorationGraph, Explorer, Limits, Verdict};
 use lbsa_runtime::process::{Protocol, Symmetry};
 use lbsa_runtime::trace::Trace;
+use std::collections::VecDeque;
 
 /// What the materialized path concludes: the public graph predicate of
 /// `check` on `g`.
@@ -100,6 +102,32 @@ fn pump<P: Protocol>(
     panic!("a real configuration repeats within |G| + 1 laps");
 }
 
+/// The path along `p`'s edges alone from the root to the first
+/// configuration, in breadth-first order, where `p` has aborted.
+fn solo_abort_path<L: Clone + Eq + std::hash::Hash + std::fmt::Debug>(
+    g: &ExplorationGraph<L>,
+    p: Pid,
+) -> Vec<Edge> {
+    let mut paths: Vec<Option<Vec<Edge>>> = vec![None; g.len()];
+    paths[0] = Some(vec![]);
+    let mut queue = VecDeque::from([0]);
+    while let Some(node) = queue.pop_front() {
+        let path = paths[node].clone().expect("queued nodes have paths");
+        if g.configs[node].has_aborted(p) {
+            return path;
+        }
+        for e in g.edges[node].iter().filter(|e| e.pid == p) {
+            if paths[e.target].is_none() {
+                let mut longer = path.clone();
+                longer.push(*e);
+                paths[e.target] = Some(longer);
+                queue.push_back(e.target);
+            }
+        }
+    }
+    panic!("{p} aborts along its own edges");
+}
+
 /// The schedule and cycle the materialized graph `g` gives for
 /// `violation`, whose witness kind is `kind`.
 fn expected_witness<P: Protocol>(
@@ -130,14 +158,20 @@ fn expected_witness<P: Protocol>(
             Some(sym) => pump(ex, sym, &steps(&prefix), &steps(&w.cycle)),
         };
     }
-    let config = match violation {
-        Violation::Agreement { config, .. }
-        | Violation::Validity { config, .. }
-        | Violation::UndecidedTerminal { config }
-        | Violation::SoloNonTermination { config, .. } => *config,
-        other => panic!("no path witness for {other}"),
+    let path = match (violation, kind) {
+        (Violation::Nontriviality { .. }, WitnessKind::Nontriviality { distinguished }) => {
+            solo_abort_path(g, *distinguished)
+        }
+        (
+            Violation::Agreement { config, .. }
+            | Violation::Validity { config, .. }
+            | Violation::UndecidedTerminal { config }
+            | Violation::SoloNonTermination { config, .. },
+            _,
+        ) => g.path_to(*config).expect("violations are reachable"),
+        (other, _) => panic!("no path witness for {other}"),
     };
-    let path = steps(&g.path_to(config).expect("violations are reachable"));
+    let path = steps(&path);
     let path = match sym {
         None => path,
         Some(sym) => concretize(&mut Concretizer::new(ex, sym), &path),

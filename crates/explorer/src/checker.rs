@@ -27,8 +27,8 @@
 
 use crate::adversary::{nontermination_in, NonTerminationWitness};
 use crate::config::Configuration;
-use crate::explore::{ExplorationGraph, Explorer};
-use crate::graph::GraphView;
+use crate::explore::{Edge, ExplorationGraph, Explorer};
+use crate::graph::{bfs_path, GraphView};
 use lbsa_core::{Pid, Value};
 use lbsa_runtime::error::RuntimeError;
 use lbsa_runtime::process::{ProcStatus, Protocol};
@@ -226,9 +226,10 @@ pub struct DacInstance {
 /// Runs `pid` solo from `config`, following every object-outcome branch.
 ///
 /// Returns `Ok(true)` if on **every** branch `pid` stops running within
-/// `bound` of its own steps and without revisiting a configuration (a
-/// revisit is a solo loop — non-termination). Stopping means deciding,
-/// aborting or halting; with `must_decide` only deciding counts.
+/// `bound` of its own steps. Stopping means deciding, aborting or halting;
+/// with `must_decide` only deciding counts. A solo loop never stops, so it
+/// fails once it reaches the bound. Branches that meet again at the same
+/// depth are followed once.
 ///
 /// # Errors
 ///
@@ -240,7 +241,7 @@ pub(crate) fn solo_terminates<P: Protocol>(
     bound: usize,
     must_decide: bool,
 ) -> Result<bool, RuntimeError> {
-    let mut visited: HashSet<Configuration<P::LocalState>> = HashSet::new();
+    let mut visited: HashSet<(Configuration<P::LocalState>, usize)> = HashSet::new();
     let mut stack: Vec<(Configuration<P::LocalState>, usize)> = vec![(config.clone(), 0)];
     while let Some((cfg, depth)) = stack.pop() {
         match cfg.procs.get(pid.index()) {
@@ -253,8 +254,8 @@ pub(crate) fn solo_terminates<P: Protocol>(
         if depth >= bound {
             return Ok(false);
         }
-        if !visited.insert(cfg.clone()) {
-            return Ok(false); // solo loop
+        if !visited.insert((cfg.clone(), depth)) {
+            continue;
         }
         for succ in explorer.successors_of(&cfg, pid)? {
             stack.push((succ, depth + 1));
@@ -285,50 +286,68 @@ pub fn check_dac_graph<P: Protocol>(
     instance: &DacInstance,
     solo_bound: usize,
 ) -> Result<CheckStats, Violation> {
-    if !graph.complete {
+    let config = |node: usize| graph.configs[node].clone();
+    check_dac_in(explorer, graph, config, instance, solo_bound)
+}
+
+/// [`check_dac_graph`] over any [`GraphView`]; `config` builds the
+/// configuration of a node. Agreement and Validity read the statuses
+/// through one reused buffer; only nodes where some process runs are
+/// built, as the start of their solo runs.
+///
+/// # Errors
+///
+/// Returns the first [`Violation`] found.
+pub(crate) fn check_dac_in<P: Protocol, G: GraphView>(
+    explorer: &Explorer<'_, P>,
+    graph: &G,
+    mut config: impl FnMut(usize) -> Configuration<P::LocalState>,
+    instance: &DacInstance,
+    solo_bound: usize,
+) -> Result<CheckStats, Violation> {
+    if !graph.is_complete() {
         return Err(Violation::Truncated);
     }
     let p = instance.distinguished;
-    let n = explorer.protocol().num_processes();
 
     // Agreement + Validity, per configuration.
-    for (idx, config) in graph.configs.iter().enumerate() {
-        let decided = config.distinct_decisions();
+    let mut decided: Vec<Value> = Vec::new();
+    for idx in 0..graph.node_count() {
+        decided.clear();
+        decided.extend(graph.statuses(idx).filter_map(|s| s.decision));
+        decided.sort();
+        decided.dedup();
         if decided.len() > 1 {
             return Err(Violation::Agreement {
                 config: idx,
                 values: decided,
             });
         }
-        for v in &decided {
-            let supported =
-                (0..n).any(|q| instance.inputs.get(q) == Some(v) && !config.has_aborted(Pid(q)));
+        if let Some(&value) = decided.first() {
+            let supported = graph
+                .statuses(idx)
+                .zip(&instance.inputs)
+                .any(|(s, &input)| input == value && !s.aborted);
             if !supported {
-                return Err(Violation::Validity {
-                    config: idx,
-                    value: *v,
-                });
+                return Err(Violation::Validity { config: idx, value });
             }
         }
     }
 
-    // Termination (a) and (b): solo runs from every reachable configuration.
-    for (idx, config) in graph.configs.iter().enumerate() {
-        if matches!(config.procs.get(p.index()), Some(ProcStatus::Running(_)))
-            && !solo_terminates(explorer, config, p, solo_bound, false)?
-        {
-            return Err(Violation::SoloNonTermination {
-                config: idx,
-                pid: p,
-            });
+    // Termination (a) and (b): solo runs from every reachable configuration
+    // where some process runs — `p` first, then each `q ≠ p` in pid order.
+    for idx in 0..graph.node_count() {
+        if graph.is_terminal(idx) {
+            continue;
         }
-        for q in 0..n {
-            let q = Pid(q);
-            if q == p {
-                continue;
-            }
-            if matches!(config.procs.get(q.index()), Some(ProcStatus::Running(_)))
-                && !solo_terminates(explorer, config, q, solo_bound, true)?
+        let start = config(idx);
+        let others = (0..start.procs.len()).map(Pid).filter(|&q| q != p);
+        for q in std::iter::once(p).chain(others) {
+            if start
+                .procs
+                .get(q.index())
+                .is_some_and(ProcStatus::is_running)
+                && !solo_terminates(explorer, &start, q, solo_bound, q != p)?
             {
                 return Err(Violation::SoloNonTermination {
                     config: idx,
@@ -338,25 +357,22 @@ pub fn check_dac_graph<P: Protocol>(
         }
     }
 
-    // Nontriviality: BFS over (configuration, has-any-other-process-stepped).
-    {
-        let mut seen: HashSet<(usize, bool)> = HashSet::new();
-        let mut queue: Vec<(usize, bool)> = vec![(0, false)];
-        seen.insert((0, false));
-        while let Some((idx, others_stepped)) = queue.pop() {
-            if graph.configs[idx].has_aborted(p) && !others_stepped {
-                return Err(Violation::Nontriviality { config: idx });
-            }
-            for e in &graph.edges[idx] {
-                let next_flag = others_stepped || e.pid != p;
-                if seen.insert((e.target, next_flag)) {
-                    queue.push((e.target, next_flag));
-                }
-            }
-        }
+    // Nontriviality: every execution in which `p` aborts before another
+    // process steps runs along `p`'s edges alone.
+    if let Some(path) = solo_abort_path(graph, p) {
+        let at = path.last().map_or(0, |e| e.target);
+        return Err(Violation::Nontriviality { config: at });
     }
 
     Ok(graph.check_stats())
+}
+
+/// The path along `p`'s own edges from the root to the first node, in
+/// breadth-first order, where `p` has aborted: the shortest execution in
+/// which `p` aborts before any other process has taken a step. `None` if
+/// there is none.
+pub(crate) fn solo_abort_path<G: GraphView>(graph: &G, p: Pid) -> Option<Vec<Edge>> {
+    bfs_path(graph, |e| e.pid == p, |node| graph.has_aborted(node, p))
 }
 
 #[cfg(test)]
@@ -458,6 +474,32 @@ mod tests {
         }
         fn on_response(&self, _pid: Pid, _s: &(), _r: Value) -> Step<()> {
             Step::Continue(())
+        }
+    }
+
+    /// One process proposes 1, 2, 3, 4 to a (4, 2)-SA object, ignores
+    /// every answer, then decides 0. The object's choices split its solo
+    /// run and the branches meet again, but every branch decides after
+    /// four steps.
+    #[derive(Debug)]
+    struct SplitRejoin;
+
+    impl Protocol for SplitRejoin {
+        type LocalState = u8;
+        fn num_processes(&self) -> usize {
+            1
+        }
+        fn init(&self, _pid: Pid) -> u8 {
+            0
+        }
+        fn pending_op(&self, _pid: Pid, s: &u8) -> (ObjId, Op) {
+            (ObjId(0), Op::Propose(int(i64::from(*s) + 1)))
+        }
+        fn on_response(&self, _pid: Pid, s: &u8, _r: Value) -> Step<u8> {
+            match s {
+                3 => Step::Decide(int(0)),
+                _ => Step::Continue(s + 1),
+            }
         }
     }
 
@@ -591,6 +633,31 @@ mod tests {
             ("solo loop", solo(&Spin, &reg(), false), false),
             ("solo loop, must decide", solo(&Spin, &reg(), true), false),
         ]);
+    }
+
+    #[test]
+    fn solo_branches_that_rejoin_are_not_a_loop() {
+        let objects = vec![AnyObject::set_agreement(4, 2).unwrap()];
+        let ex = Explorer::new(&SplitRejoin, &objects);
+        let start = ex.initial_config();
+        assert!(!solo_terminates(&ex, &start, Pid(0), 3, true).unwrap());
+        assert!(solo_terminates(&ex, &start, Pid(0), 4, true).unwrap());
+        let instance = DacInstance {
+            distinguished: Pid(0),
+            inputs: vec![int(0)],
+        };
+        let graph = ex.exploration().run().unwrap();
+        for bound in [4, 10] {
+            assert!(check_dac_graph(&ex, &graph, &instance, bound).is_ok());
+            assert!(ex.exploration().check_dac(&instance, bound).holds());
+        }
+        assert_eq!(
+            check_dac_graph(&ex, &graph, &instance, 3),
+            Err(Violation::SoloNonTermination {
+                config: 0,
+                pid: Pid(0)
+            })
+        );
     }
 
     #[test]

@@ -4,15 +4,17 @@
 //! [`CompactConfig`] key row the dedup index already holds (shared by
 //! `Arc`, never copied), and the edges are one compressed-sparse-row
 //! array — `u32` offsets into packed `(target, pid, outcome)` triples.
-//! The `check_*` terminals decide k-set agreement and wait-freedom on it
-//! directly, reading each process status through a table with one entry
-//! per distinct status id. [`ExplorationGraph`], the public form with one
-//! owned [`Configuration`] per node, is built from it once, by
-//! [`crate::explore::Exploration::run`] and by the n-DAC check.
+//! Every `check_*` terminal decides on it directly, reading each process
+//! status through a table with one entry per distinct status id; the n-DAC
+//! check also builds the configurations its solo runs start from, one node
+//! at a time. [`ExplorationGraph`], the public form with one owned
+//! [`Configuration`] per node, is built from it once, by
+//! [`crate::explore::Exploration::run`] alone.
 //!
 //! The graph predicates — non-termination search, path reconstruction,
-//! agreement, validity and undecided terminals — are written once, over
-//! [`GraphView`], which both forms implement.
+//! the n-DAC solo-abort search, agreement, validity and undecided
+//! terminals — are written once, over [`GraphView`], which both forms
+//! implement.
 
 use crate::checker::CheckStats;
 use crate::config::Configuration;
@@ -305,7 +307,18 @@ impl<L> GraphView for ExplorationGraph<L> {
 /// Reconstructs a path (as a list of edges) from the root to `target` by
 /// BFS; `None` if `target` is unreachable through recorded edges.
 pub(crate) fn path_to<G: GraphView>(graph: &G, target: usize) -> Option<Vec<Edge>> {
-    if target == 0 {
+    bfs_path(graph, |_| true, |node| node == target)
+}
+
+/// Breadth-first search from the root along the edges `follow` admits, to
+/// the first node `hit` accepts (the root included); returns the edge path
+/// to it, or `None` if no such node is reachable that way.
+pub(crate) fn bfs_path<G: GraphView>(
+    graph: &G,
+    follow: impl Fn(&Edge) -> bool,
+    hit: impl Fn(usize) -> bool,
+) -> Option<Vec<Edge>> {
+    if hit(0) {
         return Some(vec![]);
     }
     let n = graph.node_count();
@@ -315,14 +328,14 @@ pub(crate) fn path_to<G: GraphView>(graph: &G, target: usize) -> Option<Vec<Edge
     seen[0] = true;
     while let Some(node) = queue.pop_front() {
         for e in graph.out_edges(node) {
-            if seen[e.target] {
+            if seen[e.target] || !follow(&e) {
                 continue;
             }
             seen[e.target] = true;
             pred[e.target] = Some((node, e));
-            if e.target == target {
+            if hit(e.target) {
                 let mut path = vec![];
-                let mut cur = target;
+                let mut cur = e.target;
                 while cur != 0 {
                     let (p, edge) = pred[cur].expect("predecessor recorded");
                     path.push(edge);
@@ -564,19 +577,9 @@ impl<L: Clone + Eq + std::hash::Hash> InternedGraph<L> {
     where
         L: Send + Sync,
     {
-        let states = self.states.by_id();
-        let procs = self.procs.by_id();
+        let config = self.config_resolver();
         let build = |nodes: std::ops::Range<usize>| -> (Vec<Configuration<L>>, Vec<Vec<Edge>>) {
-            let configs = self.rows[nodes.clone()]
-                .iter()
-                .map(|row| {
-                    let (objs, ps) = row.split_at(self.n_obj);
-                    Configuration {
-                        object_states: objs.iter().map(|&id| resolved(&states, id)).collect(),
-                        procs: ps.iter().map(|&id| resolved(&procs, id)).collect(),
-                    }
-                })
-                .collect();
+            let configs = nodes.clone().map(&config).collect();
             let edges = nodes.map(|node| self.out_edges(node).collect()).collect();
             (configs, edges)
         };
@@ -611,6 +614,23 @@ impl<L: Clone + Eq + std::hash::Hash> InternedGraph<L> {
             complete: self.complete,
             transitions: self.stats.transitions,
             stats: self.stats.clone(),
+        }
+    }
+
+    /// Resolves nodes into owned [`Configuration`]s through one id-indexed
+    /// table per interner, taken once, so resolving takes no lock per id.
+    pub(crate) fn config_resolver(&self) -> impl Fn(usize) -> Configuration<L> + Sync + '_
+    where
+        L: Send + Sync,
+    {
+        let states = self.states.by_id();
+        let procs = self.procs.by_id();
+        move |node| {
+            let (objs, ps) = self.rows[node].split_at(self.n_obj);
+            Configuration {
+                object_states: objs.iter().map(|&id| resolved(&states, id)).collect(),
+                procs: ps.iter().map(|&id| resolved(&procs, id)).collect(),
+            }
         }
     }
 }

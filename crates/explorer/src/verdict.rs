@@ -39,8 +39,8 @@
 //! unreduced verdicts.
 
 use crate::checker::{
-    check_dac_graph, check_k_set_agreement_in, check_wait_free_graph, solo_terminates, CheckStats,
-    DacInstance, Violation,
+    check_dac_in, check_k_set_agreement_in, check_wait_free_graph, solo_abort_path,
+    solo_terminates, CheckStats, DacInstance, Violation,
 };
 use crate::config::Configuration;
 use crate::error::CheckError;
@@ -60,7 +60,6 @@ use lbsa_runtime::process::{ProcStatus, Protocol};
 use lbsa_runtime::trace::{Trace, TraceEvent};
 use lbsa_support::json::Json;
 use lbsa_support::obs::Tracer;
-use std::collections::VecDeque;
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -629,10 +628,7 @@ impl Property<'_> {
         }
     }
 
-    /// Checks the property over an explored graph and builds the verdict.
-    /// k-set agreement and wait-freedom are decided on the interned graph
-    /// itself; the n-DAC predicates run solo extensions from owned
-    /// configurations, so that check materializes the graph first.
+    /// Checks the property on the interned graph and builds the verdict.
     fn verdict<P: Protocol>(
         &self,
         explorer: &Explorer<'_, P>,
@@ -645,23 +641,14 @@ impl Property<'_> {
             Property::Dac {
                 instance,
                 solo_bound,
-            } => {
-                let graph = graph.materialize(1);
-                let checked = check_dac_graph(explorer, &graph, instance, solo_bound);
-                return self.conclude(explorer, sym, &graph, checked);
-            }
+            } => check_dac_in(
+                explorer,
+                &graph,
+                graph.config_resolver(),
+                instance,
+                solo_bound,
+            ),
         };
-        self.conclude(explorer, sym, &graph, checked)
-    }
-
-    /// The verdict of `checked`, the outcome of checking `graph`.
-    fn conclude<P: Protocol, G: GraphView>(
-        &self,
-        explorer: &Explorer<'_, P>,
-        sym: Option<&ConfigSymmetry<'_, P::LocalState>>,
-        graph: &G,
-        checked: Result<CheckStats, Violation>,
-    ) -> Verdict {
         match checked {
             Ok(stats) => Verdict {
                 outcome: Outcome::Holds,
@@ -670,7 +657,7 @@ impl Property<'_> {
             },
             Err(violation) => {
                 let kind = self.witness_kind(&violation);
-                violation_verdict(explorer, sym, graph, violation, kind)
+                violation_verdict(explorer, sym, &graph, violation, kind)
             }
         }
     }
@@ -971,13 +958,15 @@ fn violation_verdict<P: Protocol, G: GraphView>(
         Violation::Agreement { config, .. }
         | Violation::Validity { config, .. }
         | Violation::UndecidedTerminal { config }
-        | Violation::SoloNonTermination { config, .. } => kind.and_then(|kind| {
-            let path = path_to(graph, *config)?;
+        | Violation::SoloNonTermination { config, .. }
+        | Violation::Nontriviality { config } => kind.and_then(|kind| {
+            let path = match kind {
+                WitnessKind::Nontriviality { distinguished } => {
+                    solo_abort_path(graph, distinguished)?
+                }
+                _ => path_to(graph, *config)?,
+            };
             let steps = path.into_iter().map(ScheduleStep::from).collect();
-            graph_witness(explorer, sym, steps, kind)
-        }),
-        Violation::Nontriviality { config } => kind.and_then(|kind| {
-            let steps = nontriviality_schedule(graph, *config, &kind)?;
             graph_witness(explorer, sym, steps, kind)
         }),
         _ => None,
@@ -1130,50 +1119,6 @@ fn pump_cycle<P: Protocol>(
     }
     let cycle = laps[start..].iter().flatten().copied().collect();
     Some((schedule, cycle))
-}
-
-/// The `p`-solo schedule behind an n-DAC Nontriviality witness: BFS
-/// restricted to the distinguished process's edges, to a configuration
-/// where it has aborted — reachable this way by construction of the
-/// (config, others-stepped) product BFS in the checker.
-fn nontriviality_schedule<G: GraphView>(
-    graph: &G,
-    target: usize,
-    kind: &WitnessKind,
-) -> Option<Vec<ScheduleStep>> {
-    let WitnessKind::Nontriviality { distinguished } = kind else {
-        return None;
-    };
-    let p = *distinguished;
-    let n = graph.node_count();
-    let mut pred: Vec<Option<(usize, Edge)>> = vec![None; n];
-    let mut seen = vec![false; n];
-    let mut queue = VecDeque::from([0usize]);
-    seen[0] = true;
-    let mut found = graph.has_aborted(0, p).then_some(0usize);
-    'bfs: while let Some(node) = queue.pop_front() {
-        for e in graph.out_edges(node) {
-            if e.pid != p || seen[e.target] {
-                continue;
-            }
-            seen[e.target] = true;
-            pred[e.target] = Some((node, e));
-            if e.target == target || graph.has_aborted(e.target, p) {
-                found = Some(e.target);
-                break 'bfs;
-            }
-            queue.push_back(e.target);
-        }
-    }
-    let mut cur = found?;
-    let mut schedule = Vec::new();
-    while cur != 0 {
-        let (prev, edge) = pred[cur]?;
-        schedule.push(ScheduleStep::from(edge));
-        cur = prev;
-    }
-    schedule.reverse();
-    Some(schedule)
 }
 
 /// Delta-minimizes `schedule` against `kind`'s predicate (shortest failing

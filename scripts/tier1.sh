@@ -75,11 +75,18 @@ cargo bench -q -p lbsa-bench --bench explore_scaling >/dev/null
 # perf trajectory; committing the grown file is a deliberate act, like
 # regenerating BENCH_explore.json). The regression comparison against the
 # trailing same-host median is advisory: it warns, it does not gate.
+# A failing perf_smoke gate still fails the script, but only after the
+# advisory comparison has run, so its output is there to read either way.
+perf_status=0
 cargo run --release -q -p lbsa-bench --bin perf_smoke -- \
   "$smoke_dir/BENCH_committed.json" BENCH_explore.json \
-  --history BENCH_history.jsonl
+  --history BENCH_history.jsonl || perf_status=$?
 cargo run --release -q -p lbsa-bench --bin obs_analyze -- \
   --regress BENCH_history.jsonl \
   || echo "WARNING: perf regression vs trailing median (advisory)"
+if [ "$perf_status" -ne 0 ]; then
+  echo "tier-1: FAILED (perf smoke exited $perf_status)"
+  exit "$perf_status"
+fi
 
 echo "tier-1: OK"
