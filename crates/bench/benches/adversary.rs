@@ -1,9 +1,10 @@
-//! **F2 (bench)** — adversary machinery cost: valency analysis and
-//! non-termination certificate search over doomed candidates.
+//! **F2 (bench)** — adversary machinery cost over a doomed candidate:
+//! valency analysis, the wait-freedom check that yields the
+//! non-termination certificate, and bivalent survival.
 
 use lbsa_bench::mixed_binary_inputs;
 use lbsa_core::AnyObject;
-use lbsa_explorer::adversary::{bivalent_survival, find_nontermination};
+use lbsa_explorer::adversary::bivalent_survival;
 use lbsa_explorer::valency::ValencyAnalysis;
 use lbsa_explorer::Explorer;
 use lbsa_protocols::candidates::WaitForWinner;
@@ -23,8 +24,8 @@ fn bench_adversary(c: &mut Criterion) {
         b.iter(|| black_box(ValencyAnalysis::analyze(&graph).census()));
     });
 
-    group.bench_function("find_nontermination", |b| {
-        b.iter(|| black_box(find_nontermination(&graph)));
+    group.bench_function("check_wait_free", |b| {
+        b.iter(|| black_box(Explorer::new(&p, &objects).exploration().check_wait_free()));
     });
 
     let analysis = ValencyAnalysis::analyze(&graph);

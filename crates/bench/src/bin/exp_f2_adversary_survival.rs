@@ -2,7 +2,8 @@
 //!
 //! For each target, reports (i) how long the greedy bivalency-preserving
 //! adversary keeps the outcome open, and (ii) the size of the
-//! non-termination certificate (prefix + cycle) when one exists. The
+//! non-termination certificate (prefix + cycle) when one exists: the
+//! witness of the wait-freedom check. The
 //! contrast reproduces the mechanics of the paper's impossibility proofs:
 //! against *solvable* instances the adversary gets stuck immediately (some
 //! step seals the outcome — the critical configuration); against the doomed
@@ -13,9 +14,10 @@
 use lbsa_bench::harness::run_experiment;
 use lbsa_bench::mixed_binary_inputs;
 use lbsa_core::{AnyObject, ObjId};
-use lbsa_explorer::adversary::{bivalent_survival, find_nontermination};
+use lbsa_explorer::adversary::bivalent_survival;
+use lbsa_explorer::checker::Violation;
 use lbsa_explorer::valency::ValencyAnalysis;
-use lbsa_explorer::{Explorer, Limits, Tracer};
+use lbsa_explorer::{Explorer, Limits, Outcome, Tracer};
 use lbsa_hierarchy::report::Table;
 use lbsa_protocols::candidates::{SaThenConsensus, WaitForWinner};
 use lbsa_protocols::consensus_protocols::ConsensusViaObject;
@@ -28,16 +30,13 @@ fn analyze<P: Protocol>(
     tracer: Tracer,
     table: &mut Table,
 ) {
-    let g = Explorer::new(protocol, objects)
-        .with_trace(tracer)
-        .exploration()
-        .limits(Limits::new(5_000_000))
-        .run()
-        .expect("explorable");
+    let ex = Explorer::new(protocol, objects).with_trace(tracer);
+    let limits = Limits::new(5_000_000);
+    let g = ex.exploration().limits(limits).run().expect("explorable");
     let va = ValencyAnalysis::analyze(&g);
     let (barren, univalent, multivalent) = va.census();
     let survival = bivalent_survival(&g, &va, 100_000);
-    let witness = find_nontermination(&g);
+    let wait_free = ex.exploration().limits(limits).check_wait_free();
     let crit = va.critical_configurations(&g).len();
     table.row(vec![
         name.to_string(),
@@ -51,9 +50,11 @@ fn analyze<P: Protocol>(
         } else {
             format!(">= {}", survival.steps)
         },
-        match witness {
-            Some(w) => format!("prefix {} + cycle {}", w.prefix.len(), w.cycle.len()),
-            None => "none (wait-free)".to_string(),
+        match (&wait_free.outcome, &wait_free.witness) {
+            (Outcome::Violated(Violation::NonTermination { .. }), Some(w)) => {
+                format!("prefix {} + cycle {}", w.schedule.len(), w.cycle.len())
+            }
+            _ => "none (wait-free)".to_string(),
         },
     ]);
 }

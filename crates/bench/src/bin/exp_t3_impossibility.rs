@@ -13,7 +13,6 @@
 use lbsa_bench::harness::run_experiment;
 use lbsa_bench::mixed_binary_inputs;
 use lbsa_core::{AnyObject, ObjId, Pid};
-use lbsa_explorer::adversary::{find_nontermination, verify_witness};
 use lbsa_explorer::checker::{DacInstance, Violation};
 use lbsa_explorer::{Explorer, Limits, Outcome, Verdict};
 use lbsa_hierarchy::report::Table;
@@ -37,8 +36,8 @@ fn refutation(v: &Verdict) -> String {
     match &v.outcome {
         Outcome::Violated(Violation::Agreement { .. }) => "agreement violation".to_string(),
         Outcome::Violated(Violation::Validity { .. }) => "validity violation".to_string(),
-        Outcome::Violated(Violation::NonTermination(w)) => {
-            format!("non-termination (cycle len {})", w.cycle.len())
+        Outcome::Violated(Violation::NonTermination { cycle, .. }) => {
+            format!("non-termination (cycle len {})", cycle.len())
         }
         Outcome::Violated(Violation::SoloNonTermination { pid, .. }) => {
             format!("solo non-termination ({pid})")
@@ -114,10 +113,7 @@ fn body(exp: &mut lbsa_bench::harness::Experiment, limits: Limits) {
         let v = ex.exploration().limits(limits).check_consensus(&inputs);
         let verdict = if v.is_violated() {
             // Confirm the certificate replays.
-            let g = ex.exploration().limits(limits).run().expect("explorable");
-            let replayed = find_nontermination(&g)
-                .map(|w| verify_witness(&g, &w))
-                .unwrap_or(false);
+            let replayed = v.witness.as_ref().is_some_and(|w| w.confirm(&ex).is_ok());
             format!("{} — certificate replays: {replayed}", refutation(&v))
         } else {
             refutation(&v)

@@ -73,8 +73,8 @@ fn body(exp: &mut lbsa_bench::harness::Experiment, limits: Limits) {
             let ex = Explorer::new(&p, &objects).with_trace(exp.tracer());
             let v = ex.exploration().limits(limits).check_consensus(&inputs);
             let verdict = match &v.outcome {
-                Outcome::Violated(Violation::NonTermination(w)) => {
-                    format!("refuted: non-termination (cycle len {})", w.cycle.len())
+                Outcome::Violated(Violation::NonTermination { cycle, .. }) => {
+                    format!("refuted: non-termination (cycle len {})", cycle.len())
                 }
                 Outcome::Violated(violation) => format!("refuted: {violation}"),
                 _ => format!("NOT REFUTED (machinery bug): {v}"),

@@ -3,15 +3,15 @@
 //! protocol catalogued in `common/catalog.rs`, raw and symmetry-reduced,
 //! complete and truncated, the terminal's verdict must equal what
 //! `Exploration::run` plus the public graph predicates
-//! (`check_k_set_agreement_graph`, `check_dac_graph`, `find_nontermination`)
-//! give on the same options: the same outcome, the same `Violation` with
-//! the same configuration index, the same stats, and a witness whose
+//! (`check_k_set_agreement_graph`, `check_dac_graph`) or, for wait-freedom,
+//! a three-colour depth-first cycle search written out here give on the
+//! same options: the same outcome, the same `Violation` with the same
+//! configuration index (and cycle), the same stats, and a witness whose
 //! schedule and cycle are the ones the materialized graph yields — the
 //! shortest confirming prefix of the BFS path to the violating
 //! configuration (for n-DAC Nontriviality, of the BFS path along the
-//! distinguished process's own edges to its first abort), or the shorter
-//! prefix to the cycle entry and the cycle, de-canonicalized on a reduced
-//! graph. Every witness must `confirm()`. Only the deterministic frontier
+//! distinguished process's own edges to its first abort), or the BFS path
+//! to the cycle entry and the cycle, de-canonicalized on a reduced graph. Every witness must `confirm()`. Only the deterministic frontier
 //! numbers nodes reproducibly, so only it is compared.
 
 #[path = "common/catalog.rs"]
@@ -19,7 +19,6 @@ mod catalog;
 
 use catalog::{terminal, Check, Visit};
 use lbsa_core::Pid;
-use lbsa_explorer::adversary::find_nontermination;
 use lbsa_explorer::checker::{check_dac_graph, check_k_set_agreement_graph, CheckStats, Violation};
 use lbsa_explorer::explore::Edge;
 use lbsa_explorer::verdict::{Outcome, ScheduleStep, Witness, WitnessKind};
@@ -42,8 +41,8 @@ fn reference<P: Protocol>(
             if !g.complete {
                 return Err(Violation::Truncated);
             }
-            if let Some(w) = find_nontermination(g) {
-                return Err(Violation::NonTermination(w));
+            if let Some((config, cycle)) = first_cycle(g) {
+                return Err(Violation::NonTermination { config, cycle });
             }
             match g.terminal_indices().find(|&i| !g.configs[i].all_decided()) {
                 Some(config) => Err(Violation::UndecidedTerminal { config }),
@@ -51,6 +50,50 @@ fn reference<P: Protocol>(
             }
         }
     }
+}
+
+/// The first cycle a three-colour depth-first search from the root closes,
+/// taking each node's edges in recorded order: the cycle's entry node and
+/// its edges from the entry back to it.
+fn first_cycle<L>(g: &ExplorationGraph<L>) -> Option<(usize, Vec<Edge>)> {
+    #[derive(Clone, Copy, PartialEq)]
+    enum Color {
+        White,
+        Grey,
+        Black,
+    }
+    let mut color = vec![Color::White; g.len()];
+    color[0] = Color::Grey;
+    // `path[i]` is the edge from `stack[i]` to `stack[i + 1]`.
+    let mut stack = vec![(0, 0)];
+    let mut path: Vec<Edge> = vec![];
+    while let Some((node, next)) = stack.last_mut() {
+        let Some(&e) = g.edges[*node].get(*next) else {
+            color[*node] = Color::Black;
+            stack.pop();
+            path.pop();
+            continue;
+        };
+        *next += 1;
+        match color[e.target] {
+            Color::Grey => {
+                let entry = stack
+                    .iter()
+                    .position(|&(v, _)| v == e.target)
+                    .expect("grey nodes are on the stack");
+                let mut cycle = path.split_off(entry);
+                cycle.push(e);
+                return Some((e.target, cycle));
+            }
+            Color::White => {
+                color[e.target] = Color::Grey;
+                stack.push((e.target, 0));
+                path.push(e);
+            }
+            Color::Black => {}
+        }
+    }
+    None
 }
 
 fn graph_stats<L>(g: &ExplorationGraph<L>) -> CheckStats {
@@ -137,25 +180,11 @@ fn expected_witness<P: Protocol>(
     violation: &Violation,
     kind: &WitnessKind,
 ) -> (Vec<ScheduleStep>, Vec<ScheduleStep>) {
-    if let Violation::NonTermination(w) = violation {
-        let mut entry = 0;
-        for e in &w.prefix {
-            let edges = &g.edges[entry];
-            entry = edges
-                .iter()
-                .find(|f| (f.pid, f.outcome) == (e.pid, e.outcome))
-                .expect("the prefix is a path of the graph")
-                .target;
-        }
-        let shortest = g.path_to(entry).expect("the cycle entry is reachable");
-        let prefix = if shortest.len() <= w.prefix.len() {
-            shortest
-        } else {
-            w.prefix.clone()
-        };
+    if let Violation::NonTermination { config, cycle } = violation {
+        let prefix = g.path_to(*config).expect("the cycle entry is reachable");
         return match sym {
-            None => (steps(&prefix), steps(&w.cycle)),
-            Some(sym) => pump(ex, sym, &steps(&prefix), &steps(&w.cycle)),
+            None => (steps(&prefix), steps(cycle)),
+            Some(sym) => pump(ex, sym, &steps(&prefix), &steps(cycle)),
         };
     }
     let path = match (violation, kind) {

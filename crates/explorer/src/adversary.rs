@@ -1,135 +1,30 @@
-//! Adversarial schedulers and non-termination certificates.
+//! The bivalency adversary of the paper's impossibility proofs.
 //!
 //! The impossibility proofs of the paper (Theorems 4.2 and 5.2) are
 //! constructive adversary arguments: an adversary schedules steps so that the
 //! configuration stays bivalent forever, so some process takes infinitely
-//! many steps without deciding — contradicting Termination. This module is
-//! that adversary, made executable:
+//! many steps without deciding — contradicting Termination.
+//! [`bivalent_survival`] is that adversary over a complete execution graph:
+//! starting from the (bivalent) initial configuration it greedily steps to
+//! bivalent successors, reporting how long it can keep the outcome open. On
+//! the object families covered by the paper's theorems it never gets stuck —
+//! the experiments use this to trace the proofs' mechanics on concrete
+//! candidate protocols.
 //!
-//! * [`find_nontermination`] searches the (complete) execution graph for a
-//!   reachable **cycle**. Because configurations on a cycle repeat exactly,
-//!   pumping the cycle yields an infinite execution in which every process
-//!   that steps on the cycle takes infinitely many steps while remaining
-//!   undecided — a sound, machine-checkable violation of wait-free
-//!   termination. The returned [`NonTerminationWitness`] contains the finite
-//!   prefix and the cycle schedule; [`verify_witness`] replays it against the
-//!   protocol to confirm.
-//! * [`bivalent_survival`] is the *online* flavour: starting from the
-//!   (bivalent) initial configuration it greedily steps to bivalent
-//!   successors, reporting how long it can keep the outcome open. On the
-//!   object families covered by the paper's theorems it never gets stuck —
-//!   the experiments use this to trace the proofs' mechanics on concrete
-//!   candidate protocols.
+//! The execution such an argument ends in is certified elsewhere: a
+//! reachable cycle is a [`crate::checker::Violation::NonTermination`], and
+//! its [`crate::verdict::Witness`] (the shortest schedule to the cycle's
+//! entry, plus the cycle) replays on the raw system through
+//! [`crate::verdict::Witness::confirm`]. Run
+//! [`crate::Exploration::check_wait_free`] to get one.
 
-use crate::explore::{Edge, ExplorationGraph};
-use crate::graph::{first_cycle, GraphView};
+use crate::explore::ExplorationGraph;
 use crate::valency::ValencyAnalysis;
-use lbsa_core::Pid;
 use std::collections::BTreeSet;
 use std::fmt::Debug;
 use std::hash::Hash;
 
-/// A machine-checkable witness that a protocol admits an infinite execution
-/// in which the `victims` take infinitely many steps without deciding.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct NonTerminationWitness {
-    /// Edge path from the initial configuration to the cycle entry.
-    pub prefix: Vec<Edge>,
-    /// The cycle: edges from the entry configuration back to itself.
-    pub cycle: Vec<Edge>,
-    /// Processes that take at least one step on the cycle (and therefore
-    /// infinitely many steps in the pumped execution) while never deciding.
-    pub victims: Vec<Pid>,
-}
-
-impl NonTerminationWitness {
-    /// The schedule of one pump: prefix then `k` repetitions of the cycle.
-    #[must_use]
-    pub fn schedule(&self, pumps: usize) -> Vec<Pid> {
-        let mut s: Vec<Pid> = self.prefix.iter().map(|e| e.pid).collect();
-        for _ in 0..pumps {
-            s.extend(self.cycle.iter().map(|e| e.pid));
-        }
-        s
-    }
-}
-
-/// Searches `graph` for a non-termination witness.
-///
-/// Returns `None` if the graph is acyclic — which, for a **complete** graph,
-/// proves that every execution of the protocol is finite (each process
-/// decides or halts after boundedly many steps: wait-freedom).
-///
-/// On a truncated graph a `None` is inconclusive; check `graph.complete`.
-#[must_use]
-pub fn find_nontermination<L: Clone + Eq + Hash + Debug>(
-    graph: &ExplorationGraph<L>,
-) -> Option<NonTerminationWitness> {
-    nontermination_in(graph)
-}
-
-/// [`find_nontermination`] over any [`GraphView`]: the first cycle a
-/// depth-first search from the root closes, and the path that leads to it.
-pub(crate) fn nontermination_in<G: GraphView>(graph: &G) -> Option<NonTerminationWitness> {
-    let (prefix, cycle) = first_cycle(graph)?;
-    let victims: BTreeSet<Pid> = cycle.iter().map(|e| e.pid).collect();
-    Some(NonTerminationWitness {
-        prefix,
-        cycle,
-        victims: victims.into_iter().collect(),
-    })
-}
-
-/// Replays a witness against the graph and confirms it is genuine: the
-/// prefix leads from the initial configuration to a configuration `C`, the
-/// cycle leads from `C` back to `C`, and every victim steps on the cycle and
-/// is undecided in every cycle configuration.
-///
-/// Returns `true` if the witness checks out.
-#[must_use]
-pub fn verify_witness<L: Clone + Eq + Hash + Debug>(
-    graph: &ExplorationGraph<L>,
-    witness: &NonTerminationWitness,
-) -> bool {
-    if witness.cycle.is_empty() {
-        return false;
-    }
-    // Walk the prefix.
-    let mut cur = 0usize;
-    for e in &witness.prefix {
-        match graph.edges[cur]
-            .iter()
-            .find(|g| g.pid == e.pid && g.outcome == e.outcome)
-        {
-            Some(g) => cur = g.target,
-            None => return false,
-        }
-    }
-    let entry = cur;
-    // Walk the cycle, checking victims remain undecided.
-    let mut stepped: BTreeSet<Pid> = BTreeSet::new();
-    for e in &witness.cycle {
-        for victim in &witness.victims {
-            match graph.configs[cur].procs.get(victim.index()) {
-                Some(status) if status.decision().is_none() => {}
-                _ => return false, // decided victim, or bogus pid
-            }
-        }
-        match graph.edges[cur]
-            .iter()
-            .find(|g| g.pid == e.pid && g.outcome == e.outcome)
-        {
-            Some(g) => {
-                stepped.insert(e.pid);
-                cur = g.target;
-            }
-            None => return false,
-        }
-    }
-    cur == entry && witness.victims.iter().all(|v| stepped.contains(v))
-}
-
-/// Outcome of an online bivalency-preservation run.
+/// Outcome of a bivalency-preservation run.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SurvivalReport {
     /// Steps taken while keeping the configuration multivalent.
@@ -195,113 +90,12 @@ pub fn bivalent_survival<L: Clone + Eq + Hash + Debug>(
     }
 }
 
-/// Report of an **online** lookahead-driven adversary run
-/// (see [`drive_multivalent`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DriveReport {
-    /// Steps taken while keeping at least two values decidable.
-    pub steps: usize,
-    /// `true` if a configuration repeated (the adversary can loop forever).
-    pub looped: bool,
-    /// `true` if no successor could be certified multivalent before
-    /// `max_steps`.
-    pub stuck: bool,
-    /// Configurations explored across all lookahead probes (cost metric).
-    pub lookahead_configs: usize,
-}
-
-/// The **online** bivalency adversary: instead of precomputing the whole
-/// execution graph (as [`bivalent_survival`] requires), it re-explores a
-/// bounded neighbourhood from each candidate successor and only moves to
-/// configurations whose decision closure it can *certify* as multivalent.
-///
-/// This is the form of the adversary usable on systems too large for a full
-/// graph, and it mirrors how the paper's proofs actually argue: a local
-/// extension argument ("there is a step keeping the configuration
-/// bivalent"), not a global one. Probes whose bounded exploration is
-/// truncated are treated as *not* certified (sound but conservative).
-///
-/// # Errors
-///
-/// Propagates runtime errors from stepping (protocol bugs).
-pub fn drive_multivalent<P: lbsa_runtime::process::Protocol>(
-    explorer: &crate::explore::Explorer<'_, P>,
-    lookahead: crate::explore::Limits,
-    max_steps: usize,
-) -> Result<DriveReport, lbsa_runtime::error::RuntimeError> {
-    use crate::valency::ValencyAnalysis;
-    let mut current = explorer.initial_config();
-    let mut seen: std::collections::HashSet<crate::config::Configuration<P::LocalState>> =
-        std::collections::HashSet::new();
-    seen.insert(current.clone());
-    let mut steps = 0usize;
-    let mut lookahead_configs = 0usize;
-
-    // Certify the start.
-    let probe = explorer
-        .exploration()
-        .from(current.clone())
-        .limits(lookahead)
-        .run()?;
-    lookahead_configs += probe.configs.len();
-    let analysis = ValencyAnalysis::analyze(&probe);
-    if !(analysis.exact && analysis.is_multivalent(0)) {
-        return Ok(DriveReport {
-            steps: 0,
-            looped: false,
-            stuck: true,
-            lookahead_configs,
-        });
-    }
-
-    while steps < max_steps {
-        let mut moved = false;
-        'candidates: for pid in current.enabled_pids() {
-            for succ in explorer.successors_of(&current, pid)? {
-                let probe = explorer
-                    .exploration()
-                    .from(succ.clone())
-                    .limits(lookahead)
-                    .run()?;
-                lookahead_configs += probe.configs.len();
-                let analysis = ValencyAnalysis::analyze(&probe);
-                if analysis.exact && analysis.is_multivalent(0) {
-                    steps += 1;
-                    if !seen.insert(succ.clone()) {
-                        return Ok(DriveReport {
-                            steps,
-                            looped: true,
-                            stuck: false,
-                            lookahead_configs,
-                        });
-                    }
-                    current = succ;
-                    moved = true;
-                    break 'candidates;
-                }
-            }
-        }
-        if !moved {
-            return Ok(DriveReport {
-                steps,
-                looped: false,
-                stuck: true,
-                lookahead_configs,
-            });
-        }
-    }
-    Ok(DriveReport {
-        steps,
-        looped: false,
-        stuck: false,
-        lookahead_configs,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::CheckError;
     use crate::explore::Explorer;
+    use crate::verdict::{Outcome, ScheduleStep, Witness, WitnessKind};
     use lbsa_core::{AnyObject, ObjId, Op, Pid, Value};
     use lbsa_runtime::process::{Protocol, Step};
 
@@ -373,48 +167,85 @@ mod tests {
     fn wait_free_protocol_has_no_witness() {
         let p = Race;
         let objects = vec![AnyObject::consensus(2).unwrap()];
-        let g = Explorer::new(&p, &objects).exploration().run().unwrap();
-        assert!(g.complete);
-        assert_eq!(find_nontermination(&g), None);
+        let v = Explorer::new(&p, &objects).exploration().check_wait_free();
+        assert_eq!(v.outcome, Outcome::Holds);
+        assert!(v.witness.is_none());
+    }
+
+    /// The wait-freedom witness against [`RegisterConsensusAttempt`].
+    fn register_consensus_witness(ex: &Explorer<'_, RegisterConsensusAttempt>) -> Witness {
+        let v = ex.exploration().check_wait_free();
+        assert!(v.is_violated(), "{v}");
+        v.witness
+            .expect("the adversary must defeat register consensus")
     }
 
     #[test]
     fn register_consensus_attempt_is_refuted() {
         let p = RegisterConsensusAttempt;
         let objects = vec![AnyObject::register(), AnyObject::register()];
-        let g = Explorer::new(&p, &objects).exploration().run().unwrap();
-        assert!(g.complete);
-        let w = find_nontermination(&g).expect("the adversary must defeat register consensus");
+        let ex = Explorer::new(&p, &objects);
+        let w = register_consensus_witness(&ex);
+        let WitnessKind::NonTermination { victims } = &w.kind else {
+            panic!("wrong kind: {:?}", w.kind);
+        };
         assert!(!w.cycle.is_empty());
-        assert!(!w.victims.is_empty());
-        assert!(
-            verify_witness(&g, &w),
-            "the witness must replay successfully"
-        );
-        // The pumped schedule has the right length.
-        assert_eq!(w.schedule(3).len(), w.prefix.len() + 3 * w.cycle.len());
+        assert!(!victims.is_empty());
+        w.confirm(&ex)
+            .expect("the witness must replay successfully");
     }
 
     #[test]
     fn tampered_witnesses_are_rejected() {
         let p = RegisterConsensusAttempt;
         let objects = vec![AnyObject::register(), AnyObject::register()];
-        let g = Explorer::new(&p, &objects).exploration().run().unwrap();
-        let w = find_nontermination(&g).unwrap();
+        let ex = Explorer::new(&p, &objects);
+        let w = register_consensus_witness(&ex);
+        let diverges = |w: &Witness, why: &str| match w.confirm(&ex) {
+            Err(CheckError::WitnessDiverged { reason, .. }) => {
+                assert!(reason.contains(why), "{reason:?} does not say {why:?}");
+            }
+            other => panic!("expected a diverged witness ({why}), got {other:?}"),
+        };
 
         let mut empty_cycle = w.clone();
         empty_cycle.cycle.clear();
-        assert!(!verify_witness(&g, &empty_cycle));
+        diverges(&empty_cycle, "empty cycle");
 
         let mut wrong_victim = w.clone();
-        wrong_victim.victims = vec![Pid(99)];
-        assert!(!verify_witness(&g, &wrong_victim));
+        wrong_victim.kind = WitnessKind::NonTermination {
+            victims: vec![Pid(99)],
+        };
+        diverges(&wrong_victim, "victim p99");
 
         let mut broken_edge = w.clone();
-        if let Some(e) = broken_edge.cycle.first_mut() {
-            e.outcome += 17;
-        }
-        assert!(!verify_witness(&g, &broken_edge));
+        broken_edge.cycle[0].outcome += 17;
+        diverges(&broken_edge, "outcome");
+
+        assert!(w.cycle.len() > 1, "{:?}", w.cycle);
+        let mut open_cycle = w.clone();
+        open_cycle.cycle.pop();
+        diverges(&open_cycle, "does not return to its entry");
+
+        // p0 writes, then p1 spins (write, read the other's value) with p0
+        // undecided but idle: a real cycle, on which p0 never steps.
+        let step = |pid| ScheduleStep { pid, outcome: 0 };
+        let spin = Witness {
+            schedule: vec![step(Pid(0)), step(Pid(1)), step(Pid(1))],
+            cycle: vec![step(Pid(1)), step(Pid(1))],
+            kind: WitnessKind::NonTermination {
+                victims: vec![Pid(1)],
+            },
+            ..w
+        };
+        spin.confirm(&ex).expect("p1 spins forever");
+        let idle_victim = Witness {
+            kind: WitnessKind::NonTermination {
+                victims: vec![Pid(0), Pid(1)],
+            },
+            ..spin
+        };
+        diverges(&idle_victim, "victim p0 never steps on the cycle");
     }
 
     /// A protocol against which bivalence persists forever: q0 loops
@@ -488,44 +319,5 @@ mod tests {
             "one step on the consensus object fixes the outcome"
         );
         assert_eq!(report.steps, 0);
-    }
-
-    #[test]
-    fn online_adversary_loops_forever_against_yielders() {
-        use crate::explore::Limits;
-        let p = Yielders;
-        let objects = vec![AnyObject::register()];
-        let ex = Explorer::new(&p, &objects);
-        let report = drive_multivalent(&ex, Limits::default(), 10_000).unwrap();
-        assert!(
-            report.looped,
-            "online adversary must find the loop: {report:?}"
-        );
-        assert!(report.lookahead_configs > 0);
-    }
-
-    #[test]
-    fn online_adversary_stuck_against_real_consensus() {
-        use crate::explore::Limits;
-        let p = Race;
-        let objects = vec![AnyObject::consensus(2).unwrap()];
-        let ex = Explorer::new(&p, &objects);
-        let report = drive_multivalent(&ex, Limits::default(), 10_000).unwrap();
-        assert!(report.stuck);
-        assert_eq!(report.steps, 0, "one consensus step seals the outcome");
-    }
-
-    #[test]
-    fn online_and_offline_adversaries_agree() {
-        use crate::explore::Limits;
-        let p = Yielders;
-        let objects = vec![AnyObject::register()];
-        let ex = Explorer::new(&p, &objects);
-        let g = ex.exploration().run().unwrap();
-        let va = ValencyAnalysis::analyze(&g);
-        let offline = bivalent_survival(&g, &va, 10_000);
-        let online = drive_multivalent(&ex, Limits::default(), 10_000).unwrap();
-        assert_eq!(offline.looped, online.looped);
-        assert_eq!(offline.stuck, online.stuck);
     }
 }

@@ -25,10 +25,9 @@
 //! equivariance. Violations found on the quotient are translated back to
 //! real executions by the verdict layer (see [`crate::verdict`]).
 
-use crate::adversary::{nontermination_in, NonTerminationWitness};
 use crate::config::Configuration;
 use crate::explore::{Edge, ExplorationGraph, Explorer};
-use crate::graph::{bfs_path, GraphView};
+use crate::graph::{bfs_path, first_cycle, GraphView};
 use lbsa_core::{Pid, Value};
 use lbsa_runtime::error::RuntimeError;
 use lbsa_runtime::process::{ProcStatus, Protocol};
@@ -65,8 +64,15 @@ pub enum Violation {
         value: Value,
     },
     /// An infinite execution in which some process steps forever without
-    /// deciding.
-    NonTermination(NonTerminationWitness),
+    /// deciding: a reachable cycle. Every process that steps on it steps
+    /// forever when the cycle is pumped, and none of them has decided,
+    /// because decisions are absorbing.
+    NonTermination {
+        /// The cycle's entry configuration.
+        config: usize,
+        /// The cycle's edges, from the entry back to it.
+        cycle: Vec<Edge>,
+    },
     /// A terminal configuration in which some process neither decided nor
     /// (where permitted) aborted.
     UndecidedTerminal {
@@ -87,11 +93,6 @@ pub enum Violation {
         /// Configuration where the abort is visible.
         config: usize,
     },
-    /// A recorded front-end history admits no legal linearization.
-    NotLinearizable {
-        /// The object whose history cannot be linearized.
-        obj: lbsa_core::ObjId,
-    },
     /// The protocol itself misbehaved (spec error, bad object id).
     Runtime(RuntimeError),
     /// A violation found by a sampling sweep rather than an exhaustive
@@ -110,12 +111,16 @@ impl fmt::Display for Violation {
             Violation::Validity { config, value } => {
                 write!(f, "validity violated in configuration {config}: decided {value}")
             }
-            Violation::NonTermination(w) => write!(
-                f,
-                "non-termination: cycle of length {} (victims: {:?})",
-                w.cycle.len(),
-                w.victims
-            ),
+            Violation::NonTermination { cycle, .. } => {
+                let mut victims: Vec<Pid> = cycle.iter().map(|e| e.pid).collect();
+                victims.sort_unstable();
+                victims.dedup();
+                write!(
+                    f,
+                    "non-termination: cycle of length {} (victims: {victims:?})",
+                    cycle.len()
+                )
+            }
             Violation::UndecidedTerminal { config } => {
                 write!(f, "terminal configuration {config} leaves a process undecided")
             }
@@ -126,9 +131,6 @@ impl fmt::Display for Violation {
                 f,
                 "nontriviality violated in configuration {config}: p aborted before any other process stepped"
             ),
-            Violation::NotLinearizable { obj } => {
-                write!(f, "history of {obj} is not linearizable")
-            }
             Violation::Runtime(e) => write!(f, "runtime error during checking: {e}"),
             Violation::Sampled(v) => write!(f, "{v}"),
         }
@@ -204,8 +206,8 @@ pub(crate) fn check_wait_free_graph<G: GraphView>(graph: &G) -> Result<CheckStat
     if !graph.is_complete() {
         return Err(Violation::Truncated);
     }
-    if let Some(w) = nontermination_in(graph) {
-        return Err(Violation::NonTermination(w));
+    if let Some((config, cycle)) = first_cycle(graph) {
+        return Err(Violation::NonTermination { config, cycle });
     }
     let n = graph.node_count();
     if let Some(idx) = (0..n).find(|&i| graph.is_terminal(i) && !graph.all_decided(i)) {

@@ -2,15 +2,14 @@
 //!
 //! Checks can fail for reasons that are not counterexamples: a protocol can
 //! hit a runtime fault (stepping a halted process, an out-of-range object),
-//! a specification can reject an operation, a linearizability history can
-//! exceed the checker's capacity, or a replayed witness schedule can
-//! diverge from the graph it was extracted from. [`CheckError`] folds all
+//! a specification can reject an operation, a replayed witness schedule can
+//! diverge from the graph it was extracted from, or a check can be asked of
+//! a sampling sweep that has no sampled semantics. [`CheckError`] folds all
 //! of these into one `thiserror`-style tree — `Display` + `Error::source` +
 //! `From` conversions, hand-written because the workspace builds offline —
 //! so a [`crate::verdict::Verdict`] carries a structured cause instead of a
 //! string.
 
-use crate::linearizability::LinearizabilityError;
 use lbsa_core::SpecError;
 use lbsa_runtime::error::RuntimeError;
 use std::error::Error;
@@ -23,8 +22,6 @@ use std::fmt;
 pub enum CheckError {
     /// The runtime/explorer failed to step the protocol.
     Runtime(RuntimeError),
-    /// The linearizability checker could not process the history.
-    Linearizability(LinearizabilityError),
     /// A witness replay did not reproduce the recorded violation: the
     /// schedule no longer describes this protocol/object combination.
     WitnessDiverged {
@@ -47,7 +44,6 @@ impl fmt::Display for CheckError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CheckError::Runtime(e) => write!(f, "runtime error: {e}"),
-            CheckError::Linearizability(e) => write!(f, "linearizability check failed: {e}"),
             CheckError::WitnessDiverged { step, reason } => {
                 write!(f, "witness replay diverged at step {step}: {reason}")
             }
@@ -62,7 +58,6 @@ impl Error for CheckError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             CheckError::Runtime(e) => Some(e),
-            CheckError::Linearizability(e) => Some(e),
             CheckError::WitnessDiverged { .. } | CheckError::SamplingUnsupported { .. } => None,
         }
     }
@@ -71,12 +66,6 @@ impl Error for CheckError {
 impl From<RuntimeError> for CheckError {
     fn from(e: RuntimeError) -> Self {
         CheckError::Runtime(e)
-    }
-}
-
-impl From<LinearizabilityError> for CheckError {
-    fn from(e: LinearizabilityError) -> Self {
-        CheckError::Linearizability(e)
     }
 }
 
@@ -102,12 +91,6 @@ mod tests {
 
         let e = CheckError::from(RuntimeError::ProcessNotRunning(Pid(1)));
         assert!(e.to_string().contains("p1"));
-
-        let e = CheckError::from(LinearizabilityError::NotLinearizable {
-            obj: lbsa_core::ObjId(0),
-        });
-        assert!(e.to_string().contains("not linearizable"));
-        assert!(Error::source(&e).is_some());
 
         let e = CheckError::WitnessDiverged {
             step: 3,

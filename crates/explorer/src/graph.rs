@@ -138,35 +138,7 @@ impl<L> ExplorationGraph<L> {
     /// initial configuration (iterative three-color DFS).
     #[must_use]
     pub fn has_cycle(&self) -> bool {
-        self.find_cycle().is_some()
-    }
-
-    /// Finds a cycle if one exists: returns the index of a configuration
-    /// that lies on a cycle.
-    #[must_use]
-    pub fn find_cycle(&self) -> Option<usize> {
-        let (_, cycle) = first_cycle(self)?;
-        cycle.last().map(|back| back.target)
-    }
-
-    /// BFS depth of each configuration from the initial one (`None` for
-    /// configurations unreachable through recorded edges — only possible in
-    /// truncated graphs).
-    #[must_use]
-    pub fn depths(&self) -> Vec<Option<usize>> {
-        let mut depth = vec![None; self.configs.len()];
-        depth[0] = Some(0);
-        let mut queue = VecDeque::from([0usize]);
-        while let Some(node) = queue.pop_front() {
-            let d = depth[node].expect("queued nodes have depths");
-            for e in &self.edges[node] {
-                if depth[e.target].is_none() {
-                    depth[e.target] = Some(d + 1);
-                    queue.push_back(e.target);
-                }
-            }
-        }
-        depth
+        first_cycle(self).is_some()
     }
 
     /// Renders the graph in Graphviz DOT format. `label` produces each
@@ -351,9 +323,9 @@ pub(crate) fn bfs_path<G: GraphView>(
 }
 
 /// The first cycle an iterative three-colour DFS from the root closes:
-/// the edge path from the root to the cycle's entry, and the cycle's edges
-/// from the entry back to it. `None` if no cycle is reachable.
-pub(crate) fn first_cycle<G: GraphView>(graph: &G) -> Option<(Vec<Edge>, Vec<Edge>)> {
+/// the cycle's entry node, and the cycle's edges from the entry back to
+/// it. `None` if no cycle is reachable.
+pub(crate) fn first_cycle<G: GraphView>(graph: &G) -> Option<(usize, Vec<Edge>)> {
     #[derive(Clone, Copy, PartialEq)]
     enum Color {
         White,
@@ -380,7 +352,7 @@ pub(crate) fn first_cycle<G: GraphView>(graph: &G) -> Option<(Vec<Edge>, Vec<Edg
                         .expect("grey nodes are on the stack");
                     let mut cycle = path.split_off(pos);
                     cycle.push(edge);
-                    return Some((path, cycle));
+                    return Some((edge.target, cycle));
                 }
                 Color::White => {
                     color[edge.target] = Color::Grey;

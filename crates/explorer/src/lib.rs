@@ -14,10 +14,11 @@
 //!   classify configurations as 0-valent, 1-valent, or bivalent, and locate
 //!   *critical* configurations (bivalent, all successors univalent) — the
 //!   combinatorial heart of the FLP-style proofs.
-//! * [`adversary`] — the executable counterpart of the impossibility proofs:
-//!   find cycles of undecided configurations. A reachable cycle in which a
-//!   process keeps stepping without deciding is a *machine-checkable
-//!   certificate* that the protocol violates wait-free termination.
+//! * [`adversary`] — the bivalency adversary of the impossibility proofs:
+//!   how long a greedy scheduler keeps the outcome open on a complete graph.
+//!   The certificate such an argument ends in — a reachable cycle on which a
+//!   process keeps stepping without deciding — is the [`verdict::Witness`]
+//!   of a non-termination violation (see [`Exploration::check_wait_free`]).
 //! * [`checker`] — the whole-execution-space predicates for the problems of
 //!   the paper: consensus, k-set agreement, and the n-DAC problem with its
 //!   four properties (Agreement, Validity, Termination (a)/(b),

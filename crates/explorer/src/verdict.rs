@@ -15,8 +15,8 @@
 //!    by step through [`crate::explore::Explorer::step`], rebuilding the
 //!    object-level [`lbsa_runtime::trace::Trace`];
 //! 2. **is delta-minimized**: the schedule is cut to the shortest failing
-//!    prefix (for state-predicate violations) or re-routed through the
-//!    BFS-shortest prefix (for cycle witnesses), and minimization never
+//!    prefix (for state-predicate violations) or is the BFS-shortest path
+//!    to the cycle's entry (for cycle witnesses), and minimization never
 //!    lengthens it;
 //! 3. **confirms the violation**: [`Witness::confirm`] replays and then
 //!    re-evaluates the violated property on the replayed configuration,
@@ -46,15 +46,13 @@ use crate::config::Configuration;
 use crate::error::CheckError;
 use crate::explore::{Edge, Exploration, Explorer, Strategy};
 use crate::graph::{path_to, GraphView, InternedGraph};
-use crate::linearizability::{check_linearizable, LinearizabilityError};
 use crate::live::{EtaModel, LiveMetrics, ProgressWatcher};
 use crate::sampling::{
     run_one, sample_confidence, sample_k_set_agreement, SampleConfig, SampleViolation,
 };
 use crate::stats::duration_us;
 use crate::symmetry::{Concretizer, ConfigSymmetry};
-use lbsa_core::{AnyObject, Pid, Value};
-use lbsa_runtime::derived::CompletedOp;
+use lbsa_core::{Pid, Value};
 use lbsa_runtime::error::RuntimeError;
 use lbsa_runtime::process::{ProcStatus, Protocol};
 use lbsa_runtime::trace::{Trace, TraceEvent};
@@ -906,30 +904,6 @@ fn sampled_violation_verdict<P: Protocol>(
     }
 }
 
-/// Checks linearizability of a recorded front-end history, returning a
-/// typed verdict. (The history itself is the evidence either way, so no
-/// schedule witness is attached.)
-#[must_use]
-pub fn verdict_linearizable(history: &[CompletedOp], specs: &[AnyObject]) -> Verdict {
-    let stats = CheckStats {
-        configs: history.len(),
-        transitions: 0,
-    };
-    match check_linearizable(history, specs) {
-        Ok(_) => Verdict {
-            outcome: Outcome::Holds,
-            stats,
-            witness: None,
-        },
-        Err(LinearizabilityError::NotLinearizable { obj }) => Verdict {
-            outcome: Outcome::Violated(Violation::NotLinearizable { obj }),
-            stats,
-            witness: None,
-        },
-        Err(e) => Verdict::error(stats, e.into()),
-    }
-}
-
 /// Builds the `Violated` verdict for `violation`, extracting and
 /// minimizing a witness when `kind` gives the re-checkable predicate (cycle
 /// witnesses need none). `sym` is the symmetry a quotient `graph` was
@@ -954,7 +928,9 @@ fn violation_verdict<P: Protocol, G: GraphView>(
         return Verdict::error(stats, e.into());
     }
     let witness = match &violation {
-        Violation::NonTermination(w) => nontermination_witness(explorer, sym, graph, w),
+        Violation::NonTermination { config, cycle } => {
+            nontermination_witness(explorer, sym, graph, *config, cycle)
+        }
         Violation::Agreement { config, .. }
         | Violation::Validity { config, .. }
         | Violation::UndecidedTerminal { config }
@@ -1026,38 +1002,25 @@ fn graph_witness<P: Protocol>(
     finish_witness(explorer, schedule, kind)
 }
 
-/// Builds a non-termination witness: the DFS prefix is re-routed through
-/// the BFS-shortest path to the cycle entry (this is the minimization —
-/// never longer than the DFS prefix). On a raw graph the cycle is kept
-/// verbatim; on a quotient graph it is pumped into a real cycle (see
-/// [`pump_cycle`]). The victims are the distinct pids stepping on the
-/// cycle — sound because decisions are absorbing, so a process that steps
-/// on a closed cycle can never have decided anywhere on it.
+/// Builds a non-termination witness for the cycle `cycle` entered at
+/// `entry`: the schedule is the BFS-shortest path to the entry (this is
+/// the minimization). On a raw graph the cycle is kept verbatim; on a
+/// quotient graph it is pumped into a real cycle (see [`pump_cycle`]). The
+/// victims are the distinct pids stepping on the cycle — sound because
+/// decisions are absorbing, so a process that steps on a closed cycle can
+/// never have decided anywhere on it.
 fn nontermination_witness<P: Protocol, G: GraphView>(
     explorer: &Explorer<'_, P>,
     sym: Option<&ConfigSymmetry<'_, P::LocalState>>,
     graph: &G,
-    w: &crate::adversary::NonTerminationWitness,
+    entry: usize,
+    cycle: &[Edge],
 ) -> Option<Witness> {
-    // Locate the cycle entry by walking the recorded prefix.
-    let mut entry = 0usize;
-    for e in &w.prefix {
-        entry = graph
-            .out_edges(entry)
-            .find(|g| g.pid == e.pid && g.outcome == e.outcome)?
-            .target;
-    }
-    let shortest = path_to(graph, entry)?;
-    let prefix = if shortest.len() <= w.prefix.len() {
-        shortest
-    } else {
-        w.prefix.clone()
-    };
-    let prefix: Vec<ScheduleStep> = prefix.into_iter().map(ScheduleStep::from).collect();
-    let lap: Vec<ScheduleStep> = w.cycle.iter().copied().map(ScheduleStep::from).collect();
-    if lap.is_empty() {
-        return None;
-    }
+    let prefix: Vec<ScheduleStep> = path_to(graph, entry)?
+        .into_iter()
+        .map(ScheduleStep::from)
+        .collect();
+    let lap: Vec<ScheduleStep> = cycle.iter().copied().map(ScheduleStep::from).collect();
     let (schedule, cycle) = match sym {
         None => (prefix, lap),
         Some(sym) => pump_cycle(explorer, sym, &prefix, &lap)?,

@@ -273,7 +273,7 @@ mod tests {
                     Violation::Agreement { .. }
                         | Violation::Validity { .. }
                         | Violation::SoloNonTermination { .. }
-                        | Violation::NonTermination(_)
+                        | Violation::NonTermination { .. }
                 ),
                 "unexpected refutation shape for {}: {}",
                 r.candidate,

@@ -502,7 +502,6 @@ mod tests {
     use crate::dac::DacFromPac;
     use lbsa_core::value::int;
     use lbsa_core::AnyObject;
-    use lbsa_explorer::adversary::{find_nontermination, verify_witness};
     use lbsa_explorer::checker::{DacInstance, Violation};
     use lbsa_explorer::verdict::Outcome;
     use lbsa_explorer::Explorer;
@@ -530,13 +529,15 @@ mod tests {
         let ex = Explorer::new(&p, &objects);
         let v = ex.exploration().check_consensus(&inputs);
         assert!(
-            matches!(v.outcome, Outcome::Violated(Violation::NonTermination(_))),
+            matches!(
+                v.outcome,
+                Outcome::Violated(Violation::NonTermination { .. })
+            ),
             "{v}"
         );
         // And the certificate replays.
-        let g = ex.exploration().run().unwrap();
-        let w = find_nontermination(&g).unwrap();
-        assert!(verify_witness(&g, &w));
+        let w = v.witness.expect("non-termination carries a witness");
+        w.confirm(&ex).expect("the certificate replays");
     }
 
     #[test]
@@ -571,7 +572,7 @@ mod tests {
             matches!(
                 v.outcome,
                 Outcome::Violated(
-                    Violation::SoloNonTermination { .. } | Violation::NonTermination(_)
+                    Violation::SoloNonTermination { .. } | Violation::NonTermination { .. }
                 )
             ),
             "{v}"
@@ -614,7 +615,7 @@ mod tests {
         assert!(
             matches!(
                 v,
-                Violation::SoloNonTermination { .. } | Violation::NonTermination(_)
+                Violation::SoloNonTermination { .. } | Violation::NonTermination { .. }
             ),
             "expected a termination failure from port exhaustion, got {v}"
         );
@@ -628,7 +629,7 @@ mod tests {
         assert!(
             matches!(
                 v,
-                Violation::SoloNonTermination { .. } | Violation::NonTermination(_)
+                Violation::SoloNonTermination { .. } | Violation::NonTermination { .. }
             ),
             "expected a termination failure from port exhaustion, got {v}"
         );
@@ -644,7 +645,7 @@ mod tests {
                 v,
                 Violation::Agreement { .. }
                     | Violation::SoloNonTermination { .. }
-                    | Violation::NonTermination(_)
+                    | Violation::NonTermination { .. }
             ),
             "expected an agreement or termination failure, got {v}"
         );
@@ -661,7 +662,10 @@ mod tests {
         let ex = Explorer::new(&p, &objects);
         let v = ex.exploration().check_consensus(&inputs);
         assert!(
-            matches!(v.outcome, Outcome::Violated(Violation::NonTermination(_))),
+            matches!(
+                v.outcome,
+                Outcome::Violated(Violation::NonTermination { .. })
+            ),
             "{v}"
         );
 

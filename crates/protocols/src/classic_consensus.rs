@@ -312,7 +312,10 @@ mod tests {
                 let ex = Explorer::new(&p, &objects);
                 let v = ex.exploration().check_consensus(&inputs);
                 assert!(
-                    matches!(v.outcome, Outcome::Violated(Violation::NonTermination(_))),
+                    matches!(
+                        v.outcome,
+                        Outcome::Violated(Violation::NonTermination { .. })
+                    ),
                     "{prim:?}/{n}: expected non-termination, got {v}"
                 );
             }

@@ -4,11 +4,10 @@
 //!
 //! Run with `cargo run --release --example adversary_flp`.
 
-use life_beyond_set_agreement::core::{AnyObject, Value};
-use life_beyond_set_agreement::explorer::adversary::{
-    bivalent_survival, find_nontermination, verify_witness,
-};
+use life_beyond_set_agreement::core::{AnyObject, Pid, Value};
+use life_beyond_set_agreement::explorer::adversary::bivalent_survival;
 use life_beyond_set_agreement::explorer::valency::ValencyAnalysis;
+use life_beyond_set_agreement::explorer::verdict::WitnessKind;
 use life_beyond_set_agreement::explorer::Explorer;
 use life_beyond_set_agreement::protocols::candidates::WaitForWinner;
 use life_beyond_set_agreement::runtime::outcome::FirstOutcome;
@@ -41,28 +40,44 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let survival = bivalent_survival(&graph, &analysis, 10_000);
     println!("Greedy bivalency preservation: {survival:?}");
 
-    // 3. The certificate.
-    let witness = find_nontermination(&graph)
+    // 3. The certificate: the witness of the wait-freedom check.
+    let witness = explorer
+        .exploration()
+        .check_wait_free()
+        .witness
         .ok_or("expected a non-termination certificate against this candidate")?;
+    let WitnessKind::NonTermination { victims } = &witness.kind else {
+        return Err(format!(
+            "expected a non-termination certificate, got {}",
+            witness.kind
+        )
+        .into());
+    };
     println!(
         "\nNon-termination certificate found: prefix of {} steps, cycle of {} step(s),",
-        witness.prefix.len(),
+        witness.schedule.len(),
         witness.cycle.len()
     );
-    println!(
-        "victims (step forever, never decide): {:?}",
-        witness.victims
-    );
-    assert!(
-        verify_witness(&graph, &witness),
-        "the certificate must replay in the graph"
-    );
-    println!("Certificate verified against the execution graph.");
+    println!("victims (step forever, never decide): {victims:?}");
+    witness.confirm(&explorer)?;
+    println!("Certificate confirmed by replaying it step by step.");
 
     // 4. Replay the certificate in a live system: pump the cycle 50 times
     //    and observe the victims still undecided after hundreds of steps.
+    //    `FirstOutcome` resolves every step with outcome 0, so it follows
+    //    the certificate only if that is the outcome each step chose.
     let pumps = 50;
-    let schedule = witness.schedule(pumps);
+    let steps: Vec<_> = witness
+        .schedule
+        .iter()
+        .chain(&witness.cycle.repeat(pumps))
+        .copied()
+        .collect();
+    assert!(
+        steps.iter().all(|s| s.outcome == 0),
+        "FirstOutcome must follow the certificate"
+    );
+    let schedule: Vec<Pid> = steps.iter().map(|s| s.pid).collect();
     let total = schedule.len();
     let mut sys = System::new(&protocol, &objects)?;
     let result = sys.run(&mut Scripted::new(schedule), &mut FirstOutcome, 10 * total)?;
@@ -70,7 +85,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\nReplayed prefix + {pumps} cycle pumps in a live system: {} steps executed.",
         result.steps
     );
-    for victim in &witness.victims {
+    for victim in victims {
         assert_eq!(
             sys.decision(*victim),
             None,

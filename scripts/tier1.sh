@@ -10,6 +10,11 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test --workspace --quiet
 
+echo "==> examples (cargo test only compiles them; each must run to exit 0)"
+for example in examples/*.rs; do
+  cargo run --release -q --example "$(basename "$example" .rs)" >/dev/null
+done
+
 echo "==> ttvbench self-test (the benchmark's use of the public API)"
 cargo test --release --offline --quiet --manifest-path ttvbench/Cargo.toml
 

@@ -11,7 +11,7 @@
 //! ```
 
 use life_beyond_set_agreement::core::{AnyObject, ObjId, Pid, Value};
-use life_beyond_set_agreement::explorer::adversary::{find_nontermination, verify_witness};
+use life_beyond_set_agreement::explorer::verdict::WitnessKind;
 use life_beyond_set_agreement::explorer::{Explorer, Limits, Outcome};
 use life_beyond_set_agreement::hierarchy::certify::{certified_consensus_number, Face};
 use life_beyond_set_agreement::hierarchy::report::Table;
@@ -148,24 +148,36 @@ fn cmd_adversary() -> Result<(), String> {
         AnyObject::register(),
     ];
     let explorer = Explorer::new(&protocol, &objects);
-    match explorer
-        .exploration()
-        .check_consensus(&mixed_inputs(3))
-        .outcome
-    {
+    let verdict = explorer.exploration().check_consensus(&mixed_inputs(3));
+    match &verdict.outcome {
         Outcome::Violated(v) => println!("candidate refuted: {v}"),
         other => return Err(format!("candidate not refuted: {other:?}")),
     }
-    let graph = explorer.exploration().run().map_err(|e| e.to_string())?;
-    let witness = find_nontermination(&graph).ok_or("expected a non-termination certificate")?;
+    let witness = verdict
+        .witness
+        .ok_or("expected a non-termination certificate")?;
+    let WitnessKind::NonTermination { victims } = &witness.kind else {
+        return Err(format!(
+            "expected a non-termination certificate, got {}",
+            witness.kind
+        ));
+    };
     println!(
-        "certificate: prefix {} step(s), cycle {} step(s), victims {:?}",
-        witness.prefix.len(),
-        witness.cycle.len(),
-        witness.victims
+        "certificate: prefix {} step(s), cycle {} step(s), victims {victims:?}",
+        witness.schedule.len(),
+        witness.cycle.len()
     );
-    println!("certificate verifies: {}", verify_witness(&graph, &witness));
-    println!("schedule (3 pumps): {:?}", witness.schedule(3));
+    println!(
+        "certificate verifies: {}",
+        witness.confirm(&explorer).is_ok()
+    );
+    let pumped: Vec<Pid> = witness
+        .schedule
+        .iter()
+        .chain(&witness.cycle.repeat(3))
+        .map(|s| s.pid)
+        .collect();
+    println!("schedule (3 pumps): {pumped:?}");
     Ok(())
 }
 

@@ -6,9 +6,9 @@
 use life_beyond_set_agreement::core::history::is_legal_pac_history;
 use life_beyond_set_agreement::core::value::int;
 use life_beyond_set_agreement::core::{AnyObject, ObjId, Op, Pid, Value};
-use life_beyond_set_agreement::explorer::adversary::find_nontermination;
 use life_beyond_set_agreement::explorer::linearizability::check_linearizable;
 use life_beyond_set_agreement::explorer::valency::ValencyAnalysis;
+use life_beyond_set_agreement::explorer::verdict::WitnessKind;
 use life_beyond_set_agreement::explorer::Explorer;
 use life_beyond_set_agreement::protocols::candidates::WaitForWinner;
 use life_beyond_set_agreement::protocols::consensus_protocols::ConsensusViaObject;
@@ -75,26 +75,44 @@ fn algorithm_2_never_upsets_its_pac_object() {
     }
 }
 
-/// Non-termination witnesses found by the adversary replay in live systems:
+/// Non-termination witnesses of the wait-freedom check replay in live systems:
 /// pumping the cycle leaves every victim undecided.
 #[test]
 fn witnesses_pump_in_live_systems() {
     let inputs = vec![int(1), int(0), int(0)];
     let protocol = WaitForWinner::new(inputs);
     let objects = vec![AnyObject::consensus(2).unwrap(), AnyObject::register()];
-    let graph = Explorer::new(&protocol, &objects)
+    let explorer = Explorer::new(&protocol, &objects);
+    let witness = explorer
         .exploration()
-        .run()
-        .unwrap();
-    let witness = find_nontermination(&graph).expect("candidate must be refutable");
+        .check_wait_free()
+        .witness
+        .expect("candidate must be refutable");
+    witness
+        .confirm(&explorer)
+        .expect("the certificate confirms");
+    let WitnessKind::NonTermination { victims } = &witness.kind else {
+        panic!(
+            "expected a non-termination certificate, got {}",
+            witness.kind
+        );
+    };
 
     for pumps in [1usize, 10, 100] {
-        let schedule = witness.schedule(pumps);
+        let steps: Vec<_> = witness
+            .schedule
+            .iter()
+            .chain(&witness.cycle.repeat(pumps))
+            .copied()
+            .collect();
+        // FirstOutcome resolves every step with outcome 0.
+        assert!(steps.iter().all(|s| s.outcome == 0), "{steps:?}");
+        let schedule: Vec<Pid> = steps.iter().map(|s| s.pid).collect();
         let budget = schedule.len() + 1;
         let mut sys = System::new(&protocol, &objects).unwrap();
         sys.run(&mut Scripted::new(schedule), &mut FirstOutcome, budget)
             .unwrap();
-        for victim in &witness.victims {
+        for victim in victims {
             assert_eq!(
                 sys.decision(*victim),
                 None,

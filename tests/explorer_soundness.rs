@@ -4,7 +4,6 @@
 
 use life_beyond_set_agreement::core::value::int;
 use life_beyond_set_agreement::core::{AnyObject, ObjId, Op, Pid, Value};
-use life_beyond_set_agreement::explorer::adversary::find_nontermination;
 use life_beyond_set_agreement::explorer::linearizability::check_linearizable;
 use life_beyond_set_agreement::explorer::sampling::SampleConfig;
 use life_beyond_set_agreement::explorer::valency::ValencyAnalysis;
@@ -135,7 +134,7 @@ fn samplers_and_exhaustive_checkers_agree_on_correct_protocols() {
     let ex = Explorer::new(&p, &objects);
     assert!(ex.exploration().check_consensus(&inputs).holds());
     let g = ex.exploration().run().unwrap();
-    assert_eq!(find_nontermination(&g), None);
+    assert!(!g.has_cycle());
     let v = ex
         .exploration()
         .sample(SampleConfig {

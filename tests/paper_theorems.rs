@@ -79,7 +79,7 @@ fn theorem_4_2_candidates_refuted() {
     let ex = Explorer::new(&p, &objects);
     assert!(matches!(
         ex.exploration().check_consensus(&inputs).outcome,
-        Outcome::Violated(Violation::NonTermination(_))
+        Outcome::Violated(Violation::NonTermination { .. })
     ));
 
     let p = SaThenConsensus::new(inputs.clone());
