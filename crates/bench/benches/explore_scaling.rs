@@ -441,7 +441,6 @@ fn write_speedup_report(
         .set("n6_ws_steal_fails", ws6.stats.steal_fails)
         .set("n6_ws_local_hits", ws6.stats.local_hits)
         .set("n6_ws_park_count", ws6.stats.park_count)
-        .set("n6_ws_deque_grows", ws6.stats.deque_grows)
         .set("n6_ws_index_batch_hits", ws6.stats.index_batch_hits)
         // Level-expand latency quantiles from the always-on histograms of
         // the sequential n = 6 run (octave resolution — see HistogramNs).
@@ -480,7 +479,6 @@ fn write_speedup_report(
         .set("kset_ws_steal_fails", ksetg.stats.steal_fails)
         .set("kset_ws_local_hits", ksetg.stats.local_hits)
         .set("kset_ws_park_count", ksetg.stats.park_count)
-        .set("kset_ws_deque_grows", ksetg.stats.deque_grows)
         .set("kset_ws_index_batch_hits", ksetg.stats.index_batch_hits);
     // Sampling-engine throughput (schedules/sec on the F8 workload): an
     // advisory floor in perf_smoke, and a BENCH_history.jsonl column.

@@ -27,9 +27,9 @@
 //!    report (`effective_cores`): ≥ 1.5 with eight or more cores — real
 //!    parallel win, the acceptance bar — ≥ 1.0 with 2–7 cores, and ≥ 0.6
 //!    on a single core, where stealing cannot win and the gate bounds
-//!    the overhead of the lock-free frontier (raised from 0.4 when the
-//!    mutexed deques were replaced by Chase–Lev deques and batched
-//!    index probes);
+//!    the overhead of the work-stealing frontier (raised from 0.4 with
+//!    the batched index probes; a lone worker's deque lock is never
+//!    contended and is taken once per pop and once per task's children);
 //! 5. symmetry reduction wins *wall clock*, not just state count, on the
 //!    committed n = 6 workload: `n6_speedup_reduced_vs_raw ≥ 1.0`, i.e.
 //!    reduced-over-raw elapsed < 1.0. This is the gate on canonicalization
@@ -196,10 +196,10 @@ fn main() -> ExitCode {
     } else if cores >= 2.0 {
         1.0
     } else {
-        // The lock-free frontier keeps single-core overhead well below
-        // what the old mutexed deques allowed (0.4): one worker on one
-        // core never contends, so the remaining cost is deque bookkeeping
-        // plus the batched index round.
+        // One worker on one core never contends: its deque lock is
+        // always free and is taken once per pop and once per task's
+        // children, so the cost over the sequential engine is that
+        // bookkeeping plus the batched index round.
         0.6
     };
     for key in ["n6_speedup_par_vs_seq", "kset_speedup_par_vs_seq"] {

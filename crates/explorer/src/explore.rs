@@ -35,8 +35,8 @@
 //!   downstream analysis (valency, adversary search, certification) and
 //!   every recorded experiment output reproducible. It ignores
 //!   [`ExploreOptions::threads`].
-//! * [`Frontier::WorkStealing`] is the parallel engine: per-worker
-//!   lock-free deques, a concurrent dedup index, no barrier between BFS
+//! * [`Frontier::WorkStealing`] is the parallel engine: a mutex-guarded
+//!   deque per worker, a concurrent dedup index, no barrier between BFS
 //!   depths. It reaches the same configurations, transitions, and verdicts,
 //!   but numbers nodes in discovery order.
 //!
@@ -68,9 +68,9 @@ use lbsa_core::{AnyObject, AnyState, ObjId, Op, Pid, Value};
 use lbsa_runtime::error::RuntimeError;
 use lbsa_runtime::kernel::StepKernel;
 use lbsa_runtime::process::{ProcStatus, Protocol, Symmetry};
-use lbsa_support::deque as lfdeque;
 use lbsa_support::json::Json;
 use lbsa_support::obs::{Counter, HistogramNs, Registry, TimerNs, Tracer};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
@@ -281,6 +281,31 @@ const WS_PARK: Duration = Duration::from_micros(100);
 /// Upper bound on tasks transferred by one batched steal.
 const WS_STEAL_MAX: usize = 32;
 
+/// One batched steal from `victim` by a worker whose own deque is `own`:
+/// moves half the victim's tasks (rounded up, at most [`WS_STEAL_MAX`])
+/// off its front — the oldest, closest to the root — into `scratch`,
+/// unlocks the victim, then appends all but the first to `own` with one
+/// lock. Never holds two deque locks at once. Returns the first task and
+/// how many extras landed in `own`, or `None` if the victim was empty.
+fn steal_half<T>(
+    victim: &Mutex<VecDeque<T>>,
+    own: &Mutex<VecDeque<T>>,
+    scratch: &mut Vec<T>,
+) -> Option<(T, usize)> {
+    {
+        let mut victim = victim.lock().expect("deque lock poisoned");
+        let take = victim.len().div_ceil(2).min(WS_STEAL_MAX);
+        scratch.extend(victim.drain(..take));
+    }
+    let mut stolen = scratch.drain(..);
+    let first = stolen.next()?;
+    let extra = stolen.len();
+    if extra > 0 {
+        own.lock().expect("deque lock poisoned").extend(stolen);
+    }
+    Some((first, extra))
+}
+
 /// What one work-stealing worker hands back at join: its tally and the
 /// edges it found. Node indices come from the shared [`ConcurrentIndex`],
 /// which also holds every node's row, so the per-worker pieces assemble
@@ -474,7 +499,6 @@ impl<'r, 's, L: Clone + Eq + std::hash::Hash> RunMeter<'r, 's, L> {
             steal_fails: sum(|t| t.steal_fails),
             local_hits: sum(|t| t.local_hits),
             park_count: sum(|t| t.park_count),
-            deque_grows: sum(|t| t.deque_grows),
             index_batch_hits: sum(|t| t.index_batch_hits),
             interner_bytes: end.state_interner.approx_bytes() + end.proc_interner.approx_bytes(),
             index_bytes: end.index_bytes,
@@ -1023,13 +1047,13 @@ impl<'a, P: Protocol> Explorer<'a, P> {
     /// expansion (including enqueuing all children), so `pending == 0` with
     /// all deques empty proves quiescence.
     ///
-    /// The frontier itself is lock-free: each worker owns the bottom end of
-    /// a Chase–Lev deque ([`lfdeque`], DESIGN.md §12) and thieves race on
-    /// the top end with a single CAS, so no deque mutex exists anywhere on
-    /// the hot path. An idle worker sweeps the other deques in ring order
-    /// from a per-sweep xorshift-randomized start (so simultaneous thieves
-    /// fan out instead of convoying on one victim), batch-stealing up to
-    /// half the victim (capped at [`WS_STEAL_MAX`]); on a completely empty
+    /// Each worker's deque is a `Mutex<VecDeque>` (DESIGN.md §10): the
+    /// owner pops from the back and appends a task's children with one
+    /// lock; a thief takes from the front in [`steal_half`]. An idle worker
+    /// sweeps the other deques in ring order from a per-sweep
+    /// xorshift-randomized start (so simultaneous thieves fan out instead
+    /// of convoying on one victim), batch-stealing up to half the victim
+    /// (capped at [`WS_STEAL_MAX`]); on a completely empty
     /// sweep it backs off spin → yield → timed park (see
     /// [`WS_SPIN_ROUNDS`]), which keeps an idle worker's CPU burn bounded
     /// while `pending` polling still detects quiescence. Each worker lists
@@ -1064,17 +1088,15 @@ impl<'a, P: Protocol> Explorer<'a, P> {
         let (root, _) = index.get_or_insert(&initial_key);
         debug_assert_eq!(root, 0, "the root is the first interned node");
 
-        let mut owners: Vec<lfdeque::Owner<WsTask>> = Vec::with_capacity(workers);
-        let mut stealers: Vec<lfdeque::Stealer<WsTask>> = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (owner, stealer) = lfdeque::deque();
-            owners.push(owner);
-            stealers.push(stealer);
-        }
-        owners[0].push(WsTask {
-            id: root,
-            key: initial_key,
-        });
+        let deques: Vec<Mutex<VecDeque<WsTask>>> =
+            (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
+        deques[0]
+            .lock()
+            .expect("deque lock poisoned")
+            .push_back(WsTask {
+                id: root,
+                key: initial_key,
+            });
         // Queued-or-in-flight nodes; bumped before a task becomes stealable,
         // dropped only after its children are enqueued.
         let pending = AtomicUsize::new(1);
@@ -1090,7 +1112,8 @@ impl<'a, P: Protocol> Explorer<'a, P> {
         // a lone worker runs it inline on the calling thread (no spawn/join
         // round-trip on the gated 1-core path), while real fleets spawn it
         // per worker under a scope. Captures the run state by reference.
-        let run_worker = |me: usize, own: lfdeque::Owner<WsTask>| {
+        let run_worker = |me: usize| {
+            let own = &deques[me];
             let mut out = WsWorkerOut {
                 stats: WorkerStats {
                     worker: me,
@@ -1110,11 +1133,12 @@ impl<'a, P: Protocol> Explorer<'a, P> {
             let mut batch_keys: Vec<CompactConfig> = Vec::new();
             let mut batch_results: Vec<(u32, bool)> = Vec::new();
             let mut spawned: Vec<WsTask> = Vec::new();
+            let mut steal_buf: Vec<WsTask> = Vec::new();
             // Depth-first continuation: the newest child of the
             // task just expanded rides here instead of taking a
             // deque round-trip — on chain-shaped frontiers that
-            // skips the pop's mandatory fence and both `pending`
-            // RMWs for almost every task. Held work is invisible
+            // skips a lock round and both `pending` RMWs for
+            // almost every task. Held work is invisible
             // to thieves for exactly one expansion, the same
             // window a popped task always was.
             let mut in_hand: Option<WsTask> = None;
@@ -1131,7 +1155,7 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                     break;
                 }
                 // In-hand continuation first (same task the LIFO
-                // pop would return, without the fence), then the
+                // pop would return, without the lock), then the
                 // own deque (depth-first locally, cache-warm
                 // parents), then sweep the victims.
                 let task = if let Some(task) = in_hand.take() {
@@ -1139,7 +1163,10 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                     backoff = 0;
                     task
                 } else {
-                    match own.pop() {
+                    // Bound first: a guard in the `match` scrutinee
+                    // would hold this lock through the steal sweep.
+                    let popped = own.lock().expect("deque lock poisoned").pop_back();
+                    match popped {
                         Some(task) => {
                             out.stats.local_hits += 1;
                             backoff = 0;
@@ -1162,16 +1189,11 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                                 let rot = rng as usize % (workers - 1);
                                 for k in 0..workers - 1 {
                                     let victim = (me + 1 + (rot + k) % (workers - 1)) % workers;
-                                    match stealers[victim].steal_batch_and_pop(&own, WS_STEAL_MAX) {
-                                        lfdeque::Steal::Taken((task, extra)) => {
-                                            stolen = Some((task, victim, extra));
-                                            break;
-                                        }
-                                        // A lost CAS race means the
-                                        // victim is being drained by
-                                        // someone; move on rather
-                                        // than contend on one deque.
-                                        lfdeque::Steal::Empty | lfdeque::Steal::Retry => {}
+                                    if let Some((task, extra)) =
+                                        steal_half(&deques[victim], own, &mut steal_buf)
+                                    {
+                                        stolen = Some((task, victim, extra));
+                                        break;
                                     }
                                 }
                             }
@@ -1182,11 +1204,13 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                                         live.steals.bump();
                                     }
                                     backoff = 0;
-                                    // The batched extras landed in
-                                    // our own deque; the task in
-                                    // hand counts toward depth too.
+                                    // The extras landed in our own
+                                    // deque, which was empty (its
+                                    // pop failed, and only we push
+                                    // to it); the task in hand
+                                    // counts toward depth too.
                                     out.stats.max_deque_depth =
-                                        out.stats.max_deque_depth.max(own.len() + 1);
+                                        out.stats.max_deque_depth.max(extra + 1);
                                     let sweep = sweep_t0.elapsed();
                                     out.stats.idle += sweep;
                                     if traced {
@@ -1342,9 +1366,8 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                     if extra > 0 {
                         let now = pending.fetch_add(extra, Ordering::AcqRel) + extra + 1;
                         peak_pending.fetch_max(now, Ordering::Relaxed);
-                        for child in spawned.drain(..) {
-                            own.push(child);
-                        }
+                        let mut own = own.lock().expect("deque lock poisoned");
+                        own.extend(spawned.drain(..));
                         out.stats.max_deque_depth = out.stats.max_deque_depth.max(own.len() + 1);
                     }
                 }
@@ -1373,28 +1396,27 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                     // utilization timeline.
                     let done = out.stats.expanded;
                     if done == 1 || done.is_multiple_of(32) {
-                        out.stats.deque_grows = own.grows();
-                        out.stats.deque_bytes = own.approx_bytes();
-                        let depth = own.len();
+                        let depth = {
+                            let own = own.lock().expect("deque lock poisoned");
+                            out.stats.deque_bytes = own.capacity() * size_of::<WsTask>();
+                            own.len()
+                        };
                         tracer.emit_with("ws.expand", || out.stats.to_json().set("deque", depth));
                     }
                 }
             }
-            out.stats.deque_grows = own.grows();
-            out.stats.deque_bytes = own.approx_bytes();
+            out.stats.deque_bytes =
+                own.lock().expect("deque lock poisoned").capacity() * size_of::<WsTask>();
             tracer.emit_with("ws.done", || out.stats.to_json());
             out
         };
         let outs: Vec<WsWorkerOut> = if workers == 1 {
-            let own = owners.pop().expect("exactly one owner at workers == 1");
-            vec![run_worker(0, own)]
+            vec![run_worker(0)]
         } else {
             std::thread::scope(|s| {
                 let run_worker = &run_worker;
-                let handles: Vec<_> = owners
-                    .into_iter()
-                    .enumerate()
-                    .map(|(me, own)| s.spawn(move || run_worker(me, own)))
+                let handles: Vec<_> = (0..workers)
+                    .map(|me| s.spawn(move || run_worker(me)))
                     .collect();
                 handles
                     .into_iter()
@@ -2477,6 +2499,89 @@ mod tests {
     }
 
     #[test]
+    fn steal_half_takes_the_oldest_half_up_to_the_cap() {
+        let mut scratch = Vec::new();
+        for len in [1, 2, 3, 7, 2 * WS_STEAL_MAX + 5] {
+            let victim = Mutex::new((0..len).collect::<VecDeque<usize>>());
+            let own = Mutex::new(VecDeque::new());
+            let (first, extra) = steal_half(&victim, &own, &mut scratch).unwrap();
+            let take = len.div_ceil(2).min(WS_STEAL_MAX);
+            assert!(take <= WS_STEAL_MAX);
+            assert_eq!(extra + 1, take, "victim of {len}");
+            // The thief gets the oldest task, and the extras land behind
+            // it in order, so its own LIFO pops start at the newest stolen.
+            assert_eq!(first, 0);
+            assert!(own.into_inner().unwrap().into_iter().eq(1..take));
+            // The victim keeps its newest tasks in LIFO order.
+            let mut victim = victim.into_inner().unwrap();
+            assert!(victim.iter().copied().eq(take..len));
+            assert_eq!(victim.pop_back(), (take < len).then_some(len - 1));
+            assert!(scratch.is_empty());
+        }
+        let empty = Mutex::new(VecDeque::<usize>::new());
+        let own = Mutex::new(VecDeque::new());
+        assert!(steal_half(&empty, &own, &mut scratch).is_none());
+        assert!(own.into_inner().unwrap().is_empty());
+    }
+
+    #[test]
+    fn an_owner_and_two_thieves_see_every_task_once() {
+        const TASKS: usize = 100_000;
+        let deques: Vec<Mutex<VecDeque<usize>>> =
+            (0..3).map(|_| Mutex::new(VecDeque::new())).collect();
+        let owner_done = AtomicBool::new(false);
+        let mut seen = std::thread::scope(|s| {
+            let thieves: Vec<_> = (1..3)
+                .map(|me| {
+                    let (deques, owner_done) = (&deques, &owner_done);
+                    s.spawn(move || {
+                        let mut seen = Vec::new();
+                        let mut scratch = Vec::new();
+                        loop {
+                            // Read before trying: once the owner is done,
+                            // its deque stays empty, so a miss after that
+                            // is final.
+                            let finished = owner_done.load(Ordering::Acquire);
+                            let popped = deques[me].lock().unwrap().pop_back();
+                            if let Some(task) = popped {
+                                seen.push(task);
+                            } else if let Some((task, _)) =
+                                steal_half(&deques[0], &deques[me], &mut scratch)
+                            {
+                                seen.push(task);
+                            } else if finished {
+                                return seen;
+                            }
+                        }
+                    })
+                })
+                .collect();
+            // The owner pushes three tasks with one lock and pops one,
+            // then drains what the thieves left.
+            let mut seen = Vec::new();
+            for start in (0..TASKS).step_by(3) {
+                deques[0]
+                    .lock()
+                    .unwrap()
+                    .extend(start..(start + 3).min(TASKS));
+                seen.extend(deques[0].lock().unwrap().pop_back());
+            }
+            loop {
+                let popped = deques[0].lock().unwrap().pop_back();
+                let Some(task) = popped else { break };
+                seen.push(task);
+            }
+            owner_done.store(true, Ordering::Release);
+            for thief in thieves {
+                seen.extend(thief.join().unwrap());
+            }
+            seen
+        });
+        seen.sort_unstable();
+        assert!(seen.into_iter().eq(0..TASKS));
+    }
+
+    #[test]
     fn work_stealing_reduced_matches_deterministic_reduced() {
         let p = SymmetricRace { n: 4 };
         let objects = vec![AnyObject::consensus(4).unwrap()];
@@ -2607,7 +2712,6 @@ mod tests {
         assert_eq!(sum(|w| w.steal_fails), stats.steal_fails);
         assert_eq!(sum(|w| w.local_hits), stats.local_hits);
         assert_eq!(sum(|w| w.park_count), stats.park_count);
-        assert_eq!(sum(|w| w.deque_grows), stats.deque_grows);
         assert_eq!(sum(|w| w.index_batch_hits), stats.index_batch_hits);
         assert_eq!(sum(|w| w.memo_hits), stats.memo_hits);
         assert_eq!(sum(|w| w.memo_misses), stats.memo_misses);

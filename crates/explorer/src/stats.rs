@@ -84,10 +84,8 @@ pub struct WorkerStats {
     pub idle_spins: u64,
     /// Times this worker parked after exhausting its spin/yield budget.
     pub park_count: u64,
-    /// Times this worker's lock-free deque buffer doubled.
-    pub deque_grows: u64,
-    /// Estimated footprint of this worker's deque buffers (live and
-    /// retired), read at each progress beat and at sign-off.
+    /// Footprint of this worker's deque buffer (its capacity in tasks),
+    /// read at each progress beat and at sign-off.
     pub deque_bytes: usize,
     /// Keys this worker's batched index rounds resolved to nodes another
     /// worker interned between the read-only pre-probe and the insert.
@@ -128,7 +126,6 @@ impl WorkerStats {
             .set("max_deque_depth", self.max_deque_depth)
             .set("idle_spins", self.idle_spins)
             .set("park_count", self.park_count)
-            .set("deque_grows", self.deque_grows)
             .set("deque_bytes", self.deque_bytes)
             .set("index_batch_hits", self.index_batch_hits)
             .set("memo_hits", self.memo_hits)
@@ -299,9 +296,6 @@ pub struct ExploreStats {
     /// Times a starved worker parked after exhausting its spin/yield
     /// backoff budget (work-stealing only).
     pub park_count: u64,
-    /// Lock-free deque buffer doublings across workers (work-stealing
-    /// only).
-    pub deque_grows: u64,
     /// Keys the batched index round resolved to already-interned nodes —
     /// i.e. races another worker won between a task's read-only pre-probe
     /// and its insert round (work-stealing only).
@@ -445,7 +439,6 @@ impl ExploreStats {
             .set("steal_fails", self.steal_fails)
             .set("local_hits", self.local_hits)
             .set("park_count", self.park_count)
-            .set("deque_grows", self.deque_grows)
             .set("index_batch_hits", self.index_batch_hits)
             .set("interner_bytes", self.interner_bytes)
             .set("index_bytes", self.index_bytes);
@@ -510,7 +503,6 @@ mod tests {
             steal_fails: 3,
             local_hits: 250,
             park_count: 7,
-            deque_grows: 2,
             index_batch_hits: 5,
             canon_patches: 40,
             canon_full: 2,
@@ -526,7 +518,6 @@ mod tests {
         assert_eq!(doc.get("steal_fails"), Some(&Json::Int(3)));
         assert_eq!(doc.get("local_hits"), Some(&Json::Int(250)));
         assert_eq!(doc.get("park_count"), Some(&Json::Int(7)));
-        assert_eq!(doc.get("deque_grows"), Some(&Json::Int(2)));
         assert_eq!(doc.get("index_batch_hits"), Some(&Json::Int(5)));
         assert_eq!(doc.get("canon_patches"), Some(&Json::Int(40)));
         assert_eq!(doc.get("canon_full"), Some(&Json::Int(2)));

@@ -21,21 +21,13 @@
 //! * [`obs`] — the tracing/metrics layer (`Tracer`, pluggable sinks, relaxed
 //!   atomic counters/gauges, and the live-metrics `Registry` with
 //!   OpenMetrics rendering) the exploration engine threads through its hot
-//!   phases, replacing `tracing` + `tracing-subscriber` + a metrics crate;
-//! * [`deque`] — a lock-free Chase–Lev work-stealing deque (single-owner
-//!   LIFO end, CAS-steal FIFO end, steal-half batching) replacing
-//!   `crossbeam-deque` for the explorer's work-stealing frontier.
-//!
-//! Unsafe code is denied crate-wide and allowed in exactly one place: the
-//! [`deque`] buffer management, whose safety argument lives with the module
-//! (and in DESIGN.md §12) and is exercised under Miri in CI.
+//!   phases, replacing `tracing` + `tracing-subscriber` + a metrics crate.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bench;
 pub mod check;
-pub mod deque;
 pub mod hash;
 pub mod json;
 pub mod obs;
