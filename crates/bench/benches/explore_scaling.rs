@@ -454,10 +454,11 @@ fn write_speedup_report(
         .set("n8_reduced_configs", reduced8.configs.len())
         .set("n8_reduced_min_ns", reduced8_min.round())
         .set("n8_reduced_median_ns", reduced8_ns.round())
-        // Memory accounting (structural estimates, see `ExploreStats`):
-        // the interner footprint after the full n = 6 run, and the total
-        // retained bytes (interner + index + graph) per reachable state.
-        // Both feed advisory warn-only ceilings in `perf_smoke` and ride
+        // Memory accounting (see `ExploreStats`): the interner footprint
+        // after the full n = 6 run, and the bytes held at the end of the
+        // run (interner + index + graph) per reachable state, for the
+        // level-sync n = 6 run and, below, the work-stealing k-set run.
+        // All feed advisory warn-only ceilings in `perf_smoke` and ride
         // into `BENCH_history.jsonl`.
         .set("n6_peak_interner_bytes", raw6.stats.interner_bytes)
         .set("n6_index_bytes", raw6.stats.index_bytes)
@@ -479,7 +480,15 @@ fn write_speedup_report(
         .set("kset_ws_steal_fails", ksetg.stats.steal_fails)
         .set("kset_ws_local_hits", ksetg.stats.local_hits)
         .set("kset_ws_park_count", ksetg.stats.park_count)
-        .set("kset_ws_index_batch_hits", ksetg.stats.index_batch_hits);
+        .set("kset_ws_index_batch_hits", ksetg.stats.index_batch_hits)
+        .set(
+            "kset_bytes_per_state",
+            round2(
+                (ksetg.stats.interner_bytes + ksetg.stats.index_bytes + ksetg.approx_bytes())
+                    as f64
+                    / ksetg.configs.len().max(1) as f64,
+            ),
+        );
     // Sampling-engine throughput (schedules/sec on the F8 workload): an
     // advisory floor in perf_smoke, and a BENCH_history.jsonl column.
     if let Some((sampling_min, sampling_med)) =
@@ -494,8 +503,15 @@ fn write_speedup_report(
                 (SAMPLING_RUNS as f64 / (sampling_min / 1e9)).round(),
             );
     }
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_explore.json");
-    if std::fs::write(path, json.pretty() + "\n").is_ok() {
+    // Resolved when the bench runs, not when it is built: `cargo bench`
+    // sets CARGO_MANIFEST_DIR for the checkout it runs in, so a binary
+    // built in one tree and run from a copy writes into the copy. Run
+    // outside cargo, the bench writes into the working directory.
+    let path = std::env::var_os("CARGO_MANIFEST_DIR").map_or_else(
+        || std::path::PathBuf::from("BENCH_explore.json"),
+        |dir| std::path::Path::new(&dir).join("../../BENCH_explore.json"),
+    );
+    if std::fs::write(&path, json.pretty() + "\n").is_ok() {
         println!("\nT2 n=4 engine speedup vs seed baseline: {speedup:.2}x");
         println!(
             "T2 n=5 engine speedup vs seed baseline: {:.2}x",
@@ -529,7 +545,7 @@ fn write_speedup_report(
             reduced6.configs.len(),
             ratio(raw6.configs.len(), reduced6.configs.len()),
         );
-        println!("wrote {path}");
+        println!("wrote {}", path.display());
     }
 }
 

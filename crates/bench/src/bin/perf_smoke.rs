@@ -278,7 +278,11 @@ fn main() -> ExitCode {
     // friends) are stable across hosts, but growth here usually tracks an
     // intentional capacity change — warn-and-record beats hard-failing,
     // and the history trail catches slow leaks via `obs_analyze --regress`.
-    for key in ["n6_peak_interner_bytes", "bytes_per_state"] {
+    for key in [
+        "n6_peak_interner_bytes",
+        "bytes_per_state",
+        "kset_bytes_per_state",
+    ] {
         match num(&fresh, key) {
             Some(b) => {
                 let committed_b = committed.as_ref().and_then(|c| num(c, key));

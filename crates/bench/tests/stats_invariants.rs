@@ -7,12 +7,13 @@
 //! corrupt every trace downstream.
 
 use lbsa_bench::mixed_binary_inputs;
-use lbsa_core::{AnyObject, ObjId, Pid};
+use lbsa_core::{AnyObject, ObjId, Pid, Value};
 use lbsa_explorer::{
     ExploreStats, Explorer, Frontier, Limits, MemorySink, Registry, SampleConfig, Tracer,
 };
 use lbsa_protocols::consensus_protocols::ConsensusViaObject;
 use lbsa_protocols::dac::DacFromPac;
+use lbsa_protocols::set_agreement_protocols::KSetViaStrongSa;
 use lbsa_support::json::Json;
 use lbsa_support::obs::Event;
 use std::time::Duration;
@@ -383,4 +384,58 @@ fn sampling_progress_events_reconcile_with_the_report() {
         Some(4000),
         "every budgeted run is mirrored into the registry"
     );
+}
+
+/// The memory gauges count what the engine holds, exactly. On k-set
+/// agreement at n = 4 (167 configs, 244 transitions, rows of one object
+/// state and four statuses) the checked graph is its flat rows, its CSR
+/// offsets and packed 8-byte edges, and one expansion flag per node. The
+/// level-sync index hands its rows to the graph and keeps only its slot
+/// array: the smallest power of two, at least 16, that stays at most half
+/// full — 512 four-byte slots for 167 rows.
+#[test]
+fn kset_memory_gauges_are_exact() {
+    let inputs: Vec<Value> = (0..4).map(Value::Int).collect();
+    let p = KSetViaStrongSa::new(inputs.clone(), ObjId(0));
+    let objects = vec![AnyObject::strong_sa()];
+    let explorer = Explorer::new(&p, &objects);
+    let (nodes, width, transitions) = (167, 1 + 4, 244);
+    let graph_bytes = nodes * width * 4 + (nodes + 1) * 4 + transitions * 8 + nodes;
+    for frontier in [Frontier::Deterministic, Frontier::WorkStealing] {
+        let registry = Registry::new();
+        let verdict = explorer
+            .exploration()
+            .frontier(frontier)
+            .threads(2)
+            .registry(registry.clone())
+            .check_k_set_agreement(2, &inputs);
+        assert!(verdict.holds(), "{frontier:?}");
+        let gauge = |name: &str| {
+            registry
+                .snapshot()
+                .get(name)
+                .and_then(Json::as_i64)
+                .unwrap_or_else(|| panic!("{name} is set"))
+        };
+        assert_eq!(gauge("explore.configs"), nodes as i64, "{frontier:?}");
+        assert_eq!(gauge("mem.graph_bytes"), graph_bytes as i64, "{frontier:?}");
+        let g = explorer
+            .exploration()
+            .frontier(frontier)
+            .threads(2)
+            .run()
+            .expect("explorable");
+        assert_eq!((g.len(), g.transitions), (nodes, transitions));
+        assert_eq!(g.approx_bytes(), graph_bytes, "{frontier:?}");
+        let index = gauge("mem.index_bytes");
+        assert_eq!(index, g.stats.index_bytes as i64, "{frontier:?}");
+        match frontier {
+            Frontier::Deterministic => assert_eq!(index, 512 * 4),
+            // Every shard's rows and id column, plus at least 16 slots
+            // per shard holding rows.
+            Frontier::WorkStealing => {
+                assert!(index >= (nodes * (width + 1) * 4 + 16 * 4) as i64)
+            }
+        }
+    }
 }

@@ -43,12 +43,14 @@
 //! Deduplication never compares full configurations: object states and
 //! process statuses are hash-consed into `u32` ids
 //! ([`crate::intern::Interner`]), and a configuration is keyed by its short
-//! id vector in a dedup index ([`crate::intern::ShardedIndex`] or
-//! [`crate::intern::ConcurrentIndex`]). Neither engine builds a
-//! configuration per node: both produce the crate's interned graph, whose
-//! nodes are those key rows and whose edges are one compressed array. The
-//! `check_*` terminals check it as it is; [`Exploration::run`] turns it
-//! into an [`ExplorationGraph`] once, at the end.
+//! row of ids in a dedup index ([`crate::intern::ShardedIndex`] or
+//! [`crate::intern::ConcurrentIndex`]), which stores the rows flat, end to
+//! end, and finds them through a table of `u32` ids. Neither engine builds
+//! a configuration per node, nor an allocation per row: both produce the
+//! crate's interned graph, whose nodes are the index's rows in one flat
+//! array and whose edges are one compressed array. The `check_*`
+//! terminals check it as it is; [`Exploration::run`] turns it into an
+//! [`ExplorationGraph`] once, at the end.
 //!
 //! Every exploration reports [`ExploreStats`] — throughput, dedup rate,
 //! frontier shape, per-level timing — on the resulting graph.
@@ -56,7 +58,9 @@
 use crate::config::Configuration;
 use crate::graph::{Csr, InternedGraph, PackedEdge};
 pub use crate::graph::{Edge, ExplorationGraph};
-use crate::intern::{CompactConfig, ConcurrentIndex, Interner, ShardedIndex, SHARDS};
+use crate::intern::{
+    reserve_quadrupling, row_hash, shard_of, ConcurrentIndex, Interner, ShardedIndex, SHARDS,
+};
 use crate::live::{EtaModel, LiveMetrics, MemBytes, ProgressWatcher};
 use crate::sampling::SampleConfig;
 use crate::stats::{
@@ -72,7 +76,7 @@ use lbsa_support::json::Json;
 use lbsa_support::obs::{Counter, HistogramNs, Registry, TimerNs, Tracer};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 /// Resource limits for exploration.
@@ -200,6 +204,9 @@ impl Default for ExploreOptions {
     }
 }
 
+/// One [`CanonMemo`] shard: patched key → canonical key.
+type CanonShard = lbsa_support::hash::FxHashMap<Box<[u32]>, Box<[u32]>>;
+
 /// Canonicalization memo for symmetry-reduced exploration: maps a raw
 /// successor's **delta-patched compact key** (the parent's canonical key
 /// with the stepped object-state and process-status slots replaced) to the
@@ -209,12 +216,11 @@ impl Default for ExploreOptions {
 /// determined by `(parent key, patched slots)` — the patched key. Retry
 /// loops and diamond interleavings reproduce the same patched keys from
 /// thousands of parents; on a hit the engine skips resolving the raw
-/// successor *and* the whole orbit computation. Each entry is the
-/// canonical compact key, shared with the dedup index and the graph row
-/// when its node is new. Sharded, with a read-write lock per shard; every
-/// engine thread reads it through its [`Expander`].
+/// successor *and* the whole orbit computation, and copies the canonical
+/// key over the patched one. Sharded, with a read-write lock per shard;
+/// every engine thread reads it through its [`Expander`].
 struct CanonMemo {
-    shards: Vec<RwLock<lbsa_support::hash::FxHashMap<CompactConfig, CompactConfig>>>,
+    shards: Vec<RwLock<CanonShard>>,
     bytes: Counter,
 }
 
@@ -235,34 +241,39 @@ impl CanonMemo {
         usize::try_from(self.bytes.get()).unwrap_or(usize::MAX)
     }
 
-    fn get(&self, raw_key: &[u32]) -> Option<CompactConfig> {
-        self.shards[ShardedIndex::shard_of(raw_key)]
+    /// Overwrites the patched key `key` with its canonical form if the
+    /// memo holds it; `false` on a miss, leaving `key` as it was.
+    fn canonicalize_in_place(&self, key: &mut [u32]) -> bool {
+        let shard = self.shards[shard_of(key)]
             .read()
-            .expect("canon memo lock poisoned")
-            .get(raw_key)
-            .cloned()
+            .expect("canon memo lock poisoned");
+        let Some(canon) = shard.get(&*key) else {
+            return false;
+        };
+        key.copy_from_slice(canon);
+        true
     }
 
-    fn insert(&self, raw_key: CompactConfig, canon: CompactConfig) {
-        // 16 per Arc header, 24 assumed map-slot overhead; matches the
-        // estimate discipline of `Interner::approx_bytes`.
-        let bytes = 2 * 16
-            + 24
+    fn insert(&self, raw_key: &[u32], canon: &[u32]) {
+        // 24 assumed map-slot overhead; matches the estimate discipline
+        // of `Interner::approx_bytes`.
+        let bytes = 24
             + (raw_key.len() + canon.len()) * std::mem::size_of::<u32>()
-            + std::mem::size_of::<(CompactConfig, CompactConfig)>();
+            + std::mem::size_of::<(Box<[u32]>, Box<[u32]>)>();
         self.bytes.add(bytes as u64);
-        self.shards[ShardedIndex::shard_of(&raw_key)]
+        self.shards[shard_of(raw_key)]
             .write()
             .expect("canon memo lock poisoned")
-            .insert(raw_key, canon);
+            .insert(raw_key.into(), canon.into());
     }
 }
 
 /// One pending node of the work-stealing frontier: its assigned index and
-/// its compact dedup key, the row its successors are expanded from.
+/// a copy of its key row, which its successors are expanded from. The copy
+/// lives only until the task is expanded; the index keeps the row itself.
 struct WsTask {
     id: u32,
-    key: CompactConfig,
+    row: Box<[u32]>,
 }
 
 /// Backoff thresholds of the work-stealing idle loop, in consecutive
@@ -528,24 +539,10 @@ impl<'r, 's, L: Clone + Eq + std::hash::Hash> RunMeter<'r, 's, L> {
 /// `(object-state id, proc-status id, pid)`: what pins down one step.
 type MemoKey = (u32, u32, u32);
 
-/// One successor found by [`Expander::expand`]: the step that reaches it
-/// and, under symmetry reduction, its canonical key, shared with the canon
-/// memo.
+/// One successor found by [`Expander::expand`]: the step that reaches it.
 struct Succ {
     pid: Pid,
     outcome: usize,
-    canon: Option<CompactConfig>,
-}
-
-impl Succ {
-    /// `key` (this successor's dedup key) as a persistent one; under
-    /// symmetry reduction that shares the canon memo's allocation.
-    fn owned_key(&self, key: &[u32]) -> CompactConfig {
-        match &self.canon {
-            Some(canon) => Arc::clone(canon),
-            None => key.into(),
-        }
-    }
 }
 
 /// The successor routine of both engines, one per engine thread.
@@ -559,8 +556,8 @@ impl Succ {
 /// key is found by **delta-interning**: a successor differs from its
 /// parent in one object state and one process status, so its key is the
 /// parent's key with two slots patched. Under symmetry reduction the
-/// patched key is swapped for the canonical one, read from the canon memo
-/// or computed on a miss. The engine then dedups each key its own way.
+/// patched key is overwritten with the canonical one, read from the canon
+/// memo or computed on a miss. The engine then dedups each key its own way.
 struct Expander<'x, P: Protocol> {
     explorer: &'x Explorer<'x, P>,
     states: &'x Interner<AnyState>,
@@ -585,8 +582,8 @@ struct Expander<'x, P: Protocol> {
     canon_probe: Option<&'x CanonProbe>,
     /// Object-state ids at the head of every key row.
     n_obj: usize,
-    /// The last expansion's successors and their patched keys, `width`
-    /// ids each; reused from node to node.
+    /// The last expansion's successors and their dedup keys, `width` ids
+    /// each; reused from node to node.
     succs: Vec<Succ>,
     keys: Vec<u32>,
     width: usize,
@@ -672,11 +669,7 @@ impl<'x, P: Protocol> Expander<'x, P> {
                 self.keys.extend_from_slice(key);
                 self.keys[at + obj.index()] = state;
                 self.keys[at + n_obj + i] = proc;
-                self.succs.push(Succ {
-                    pid,
-                    outcome,
-                    canon: None,
-                });
+                self.succs.push(Succ { pid, outcome });
             }
         }
         tally.transitions += self.succs.len();
@@ -688,23 +681,16 @@ impl<'x, P: Protocol> Expander<'x, P> {
         // identifies the raw successor, so it memoizes the
         // canonicalization: on a hit neither the raw successor nor any
         // permuted copy is built.
-        for (succ, patched) in self
-            .succs
-            .iter_mut()
-            .zip(self.keys.chunks_exact(self.width))
-        {
-            let canon = if let Some(hit) = self.canon_memo.get(patched) {
+        for patched in self.keys.chunks_exact_mut(self.width) {
+            if self.canon_memo.canonicalize_in_place(patched) {
                 tally.canon_memo_hits += 1;
-                hit
-            } else {
-                let raw = resolve_row(self.states, procs, n_obj, patched);
-                let canon = timed_canonicalize(sym, &raw, self.canon_probe);
-                let canon_key = self.explorer.compact(&canon, self.states, procs);
-                self.canon_memo
-                    .insert(patched.into(), Arc::clone(&canon_key));
-                canon_key
-            };
-            succ.canon = Some(canon);
+                continue;
+            }
+            let raw = resolve_row(self.states, procs, n_obj, patched);
+            let canon = timed_canonicalize(sym, &raw, self.canon_probe);
+            let canon_key = self.explorer.compact(&canon, self.states, procs);
+            self.canon_memo.insert(patched, &canon_key);
+            patched.copy_from_slice(&canon_key);
         }
         Ok(())
     }
@@ -712,14 +698,14 @@ impl<'x, P: Protocol> Expander<'x, P> {
     /// The last expansion's successors, each with its dedup key: the
     /// patched key, or under symmetry reduction the canonical one.
     fn succs(&self) -> impl Iterator<Item = (&Succ, &[u32])> {
-        let patched = self.keys.chunks_exact(self.width.max(1));
         self.succs
             .iter()
-            .zip(patched)
-            .map(|(succ, patched)| match &succ.canon {
-                Some(canon) => (succ, &**canon),
-                None => (succ, patched),
-            })
+            .zip(self.keys.chunks_exact(self.width.max(1)))
+    }
+
+    /// The dedup key of the `k`-th successor of the last expansion.
+    fn key(&self, k: usize) -> &[u32] {
+        &self.keys[k * self.width..(k + 1) * self.width]
     }
 }
 
@@ -903,15 +889,13 @@ impl<'a, P: Protocol> Explorer<'a, P> {
         let n_obj = initial.object_states.len();
         let interners = (&state_interner, &proc_interner);
         let mut expander = Expander::new(self, &meter, interners, &canon_memo, n_obj);
+        let width = n_obj + initial.procs.len();
+        // The index is the row store: node `i`'s row is its `i`-th
+        // insert. Nodes are numbered and expanded in BFS order, so each
+        // level's frontier is the index range the previous level
+        // discovered, and the expanded nodes are a prefix of the rows.
         let mut index = ShardedIndex::new();
-        let root = self.compact(&initial, &state_interner, &proc_interner);
-        index.insert(Arc::clone(&root), 0);
-
-        // Node `i`'s row is `rows[i]`, shared with the index. Nodes are
-        // numbered and expanded in BFS order, so each level's frontier is
-        // the index range the previous level discovered, and the expanded
-        // nodes are a prefix of the rows.
-        let mut rows = vec![root];
+        index.insert(self.compact(&initial, &state_interner, &proc_interner), 0);
         let mut csr = Csr::new();
         let mut complete = true;
         let mut frontier = 0..1;
@@ -935,22 +919,16 @@ impl<'a, P: Protocol> Explorer<'a, P> {
             }
             let level = levels.len();
             let level_started = Instant::now();
-            let discovered = rows.len();
+            let discovered = index.len();
             let transitions_before = tally.transitions;
             for node in frontier.start..frontier.start + take {
-                expander.expand(&rows[node], &mut tally)?;
+                expander.expand(index.row(node as u32), &mut tally)?;
+                reserve_quadrupling(&mut csr.edges, expander.succs.len());
                 for (succ, key) in expander.succs() {
-                    let target = if let Some(t) = index.probe(key) {
+                    let (target, fresh) = index.get_or_insert(key);
+                    if !fresh {
                         tally.dedup_hits += 1;
-                        t
-                    } else {
-                        let t = u32::try_from(rows.len())
-                            .expect("graphs are bounded well below u32::MAX nodes");
-                        let key = succ.owned_key(key);
-                        index.insert(Arc::clone(&key), t);
-                        rows.push(key);
-                        t
-                    };
+                    }
                     csr.edges
                         .push(PackedEdge::new(target, succ.pid, succ.outcome));
                 }
@@ -958,7 +936,7 @@ impl<'a, P: Protocol> Explorer<'a, P> {
             }
             tally.expanded += take;
             let level_transitions = tally.transitions - transitions_before;
-            let next_frontier = discovered..rows.len();
+            let next_frontier = discovered..index.len();
             // Every successor of the level either deduplicated or opened a
             // node of the next frontier.
             let dedup = level_transitions - next_frontier.len();
@@ -1008,20 +986,21 @@ impl<'a, P: Protocol> Explorer<'a, P> {
         }
 
         let expanded = tally.expanded;
+        let nodes = index.len();
+        // The rows pass to the graph as they are, so the index's own
+        // footprint is its slot array.
         let stats = meter.finish(EngineEnd {
             tallies: vec![tally],
             levels: Some(levels),
-            configs: rows.len(),
+            configs: nodes,
             peak_frontier,
             canon_memo_bytes: canon_memo.approx_bytes(),
             state_interner: &state_interner,
             proc_interner: &proc_interner,
-            index_bytes: index.approx_bytes(),
+            index_bytes: index.slot_bytes(),
         });
-        let nodes = rows.len();
         Ok(InternedGraph::new(
-            rows,
-            n_obj,
+            (index.into_rows(), width, n_obj),
             (
                 csr.finish(nodes),
                 (0..nodes).map(|i| i < expanded).collect(),
@@ -1059,10 +1038,12 @@ impl<'a, P: Protocol> Explorer<'a, P> {
     /// while `pending` polling still detects quiescence. Each worker lists
     /// successors through its own [`Expander`], and dedups them in a
     /// batch: each task pre-probes read-only, then resolves all
-    /// missing keys with one [`ConcurrentIndex::get_or_insert_batch`] call
-    /// — one lock round per shard per task instead of one per successor.
-    /// At join the index's keys become the graph's rows and the workers'
-    /// edge pools are assembled into one edge array ([`Csr::assemble`]).
+    /// missing keys with one batched [`ConcurrentIndex`] claim — one lock
+    /// round per shard per task instead of one per successor — hashing
+    /// each key once for both. A task carries a copy of its row, freed
+    /// once it is expanded. At join the index writes its rows out in node
+    /// order as the graph's, and the workers' edge pools are assembled
+    /// into one edge array ([`Csr::assemble`]).
     fn run_engine_ws(
         &self,
         initial: Configuration<P::LocalState>,
@@ -1083,9 +1064,10 @@ impl<'a, P: Protocol> Explorer<'a, P> {
         let proc_interner: Interner<ProcStatus<P::LocalState>> = Interner::new();
         let canon_memo = CanonMemo::new();
         let n_obj = initial.object_states.len();
+        let width = n_obj + initial.procs.len();
         let index = ConcurrentIndex::new();
-        let initial_key = self.compact(&initial, &state_interner, &proc_interner);
-        let (root, _) = index.get_or_insert(&initial_key);
+        let initial_row = self.compact(&initial, &state_interner, &proc_interner);
+        let (root, _) = index.get_or_insert(&initial_row);
         debug_assert_eq!(root, 0, "the root is the first interned node");
 
         let deques: Vec<Mutex<VecDeque<WsTask>>> =
@@ -1095,7 +1077,7 @@ impl<'a, P: Protocol> Explorer<'a, P> {
             .expect("deque lock poisoned")
             .push_back(WsTask {
                 id: root,
-                key: initial_key,
+                row: initial_row.into(),
             });
         // Queued-or-in-flight nodes; bumped before a task becomes stealable,
         // dropped only after its children are enqueued.
@@ -1124,13 +1106,13 @@ impl<'a, P: Protocol> Explorer<'a, P> {
             };
             let interners = (&state_interner, &proc_interner);
             let mut expander = Expander::new(self, &meter, interners, &canon_memo, n_obj);
-            // Per-task scratch reused for the whole run: the misses'
-            // edge indices, the batched-probe key set and results, and the
-            // children to enqueue. Cleared between tasks, never
-            // reallocated once warm — the expand path settles into zero
-            // heap traffic beyond genuinely new configurations.
-            let mut fixups: Vec<usize> = Vec::new();
-            let mut batch_keys: Vec<CompactConfig> = Vec::new();
+            // Per-task scratch reused for the whole run: each miss's edge
+            // and successor index and its key's hash, the batch results,
+            // and the children to enqueue. Cleared between tasks, never
+            // reallocated once warm — the expand path settles into one
+            // heap block per genuinely new configuration, its task's row.
+            let mut fixups: Vec<(usize, usize)> = Vec::new();
+            let mut miss_hashes: Vec<u64> = Vec::new();
             let mut batch_results: Vec<(u32, bool)> = Vec::new();
             let mut spawned: Vec<WsTask> = Vec::new();
             let mut steal_buf: Vec<WsTask> = Vec::new();
@@ -1296,7 +1278,7 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                 // Per-task expansion timing is a clock read per
                 // task: traced runs only.
                 let task_t0 = traced.then(Instant::now);
-                if let Err(err) = expander.expand(&task.key, &mut out.stats) {
+                if let Err(err) = expander.expand(&task.row, &mut out.stats) {
                     let mut slot = first_error.lock().expect("error slot poisoned");
                     slot.get_or_insert(err);
                     abort.store(true, Ordering::Release);
@@ -1309,15 +1291,16 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                 // placeholder edge — so the record/replay cost is paid
                 // by fresh configurations only.
                 fixups.clear();
-                batch_keys.clear();
+                miss_hashes.clear();
                 let edge_start = out.edge_pool.len();
-                for (succ, key) in expander.succs() {
-                    let target = if let Some(t) = index.probe(key) {
+                for (k, (succ, key)) in expander.succs().enumerate() {
+                    let hash = row_hash(key);
+                    let target = if let Some(t) = index.find(key, hash) {
                         out.stats.dedup_hits += 1;
                         t
                     } else {
-                        fixups.push(out.edge_pool.len());
-                        batch_keys.push(succ.owned_key(key));
+                        fixups.push((out.edge_pool.len(), k));
+                        miss_hashes.push(hash);
                         u32::MAX
                     };
                     out.edge_pool
@@ -1327,18 +1310,19 @@ impl<'a, P: Protocol> Explorer<'a, P> {
                 // missed (keys another worker interned since the probe
                 // come back as hits), then patch each placeholder edge
                 // and spawn a task for each insert winner.
-                if !batch_keys.is_empty() {
-                    out.stats.index_batch_hits +=
-                        index.get_or_insert_batch(&batch_keys, &mut batch_results);
+                if !miss_hashes.is_empty() {
+                    out.stats.index_batch_hits += index.claim_missed(
+                        |j| expander.key(fixups[j].1),
+                        &miss_hashes,
+                        &mut batch_results,
+                    );
                 }
-                for ((&edge, key), &(t, inserted)) in
-                    fixups.iter().zip(&batch_keys).zip(&batch_results)
-                {
+                for (&(edge, k), &(t, inserted)) in fixups.iter().zip(&batch_results) {
                     out.edge_pool[edge].target = t;
                     if inserted {
                         spawned.push(WsTask {
                             id: t,
-                            key: Arc::clone(key),
+                            row: expander.key(k).into(),
                         });
                     } else {
                         out.stats.dedup_hits += 1;
@@ -1442,8 +1426,7 @@ impl<'a, P: Protocol> Explorer<'a, P> {
             index_bytes: index.approx_bytes(),
         });
         Ok(InternedGraph::new(
-            index.into_rows(),
-            n_obj,
+            (index.into_rows(), width, n_obj),
             edges,
             complete,
             stats,
@@ -1451,14 +1434,14 @@ impl<'a, P: Protocol> Explorer<'a, P> {
         ))
     }
 
-    /// Interns every component of `config` into a compact id vector:
-    /// object-state ids followed by process-status ids.
+    /// Interns every component of `config` into its key row: object-state
+    /// ids followed by process-status ids.
     fn compact(
         &self,
         config: &Configuration<P::LocalState>,
         state_interner: &Interner<AnyState>,
         proc_interner: &Interner<ProcStatus<P::LocalState>>,
-    ) -> CompactConfig {
+    ) -> Vec<u32> {
         config
             .object_states
             .iter()

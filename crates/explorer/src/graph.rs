@@ -1,9 +1,11 @@
 //! The execution graph, in the two forms an exploration produces.
 //!
-//! Both engines build an [`InternedGraph`]: each node is the
-//! [`CompactConfig`] key row the dedup index already holds (shared by
-//! `Arc`, never copied), and the edges are one compressed-sparse-row
-//! array — `u32` offsets into packed `(target, pid, outcome)` triples.
+//! Both engines build an [`InternedGraph`]: its nodes are the key rows the
+//! dedup index numbered, end to end in one flat `Vec<u32>` (node `i` is
+//! `rows[i * width..(i + 1) * width]`; the level-sync index hands its
+//! store over as it is, the work-stealing index writes its shards' rows
+//! out in node order), and the edges are one compressed-sparse-row array —
+//! `u32` offsets into packed `(target, pid, outcome)` triples.
 //! Every `check_*` terminal decides on it directly, reading each process
 //! status through a table with one entry per distinct status id; the n-DAC
 //! check also builds the configurations its solo runs start from, one node
@@ -18,7 +20,7 @@
 
 use crate::checker::CheckStats;
 use crate::config::Configuration;
-use crate::intern::{CompactConfig, Interner, ARC_HEADER};
+use crate::intern::Interner;
 use crate::stats::ExploreStats;
 use lbsa_core::{AnyState, Pid, Value};
 use lbsa_runtime::process::ProcStatus;
@@ -72,10 +74,10 @@ impl<L> ExplorationGraph<L> {
     }
 
     /// Heap bytes of the interned graph the engine built this graph from:
-    /// one shared key row per configuration, the compressed edge array and
-    /// the expansion set — what a `check_*` terminal holds while it
-    /// checks. It is a structural estimate (allocator rounding is not
-    /// counted), equal to the `mem.graph_bytes` gauge of the run. The
+    /// the flat key rows, the compressed edge array and the expansion set —
+    /// what a `check_*` terminal holds while it checks, exactly
+    /// `nodes·width·4 + (nodes + 1)·4 + transitions·8 + nodes` (allocator
+    /// rounding aside), equal to the `mem.graph_bytes` gauge of the run. The
     /// owned configurations and edge lists of this materialized form, and
     /// the interners (`ExploreStats::interner_bytes`), are not counted.
     #[must_use]
@@ -426,11 +428,18 @@ impl Csr {
     }
 
     /// Gives every node past the last closed one, up to `nodes`, an empty
-    /// edge list.
+    /// edge list, and trims both arrays to their length.
     pub(crate) fn finish(mut self, nodes: usize) -> Self {
         let end = offset(self.edges.len());
         self.offsets.resize(nodes + 1, end);
+        self.offsets.shrink_to_fit();
+        self.edges.shrink_to_fit();
         self
+    }
+
+    /// Number of nodes the edge array covers.
+    fn nodes(&self) -> usize {
+        self.offsets.len() - 1
     }
 
     /// Assembles the edge array of `nodes` nodes from per-worker pieces:
@@ -471,12 +480,10 @@ fn offset(len: usize) -> u32 {
 }
 
 /// Heap bytes of an interned graph of `nodes` key rows of `width` ids
-/// with `transitions` edges: the rows (one `Arc<[u32]>` each, plus its
-/// slot), the CSR offsets and packed edges, and the expansion flags.
+/// with `transitions` edges: the flat rows, the CSR offsets and packed
+/// edges, and the expansion flags.
 fn interned_bytes(nodes: usize, width: usize, transitions: usize) -> usize {
-    let row =
-        ARC_HEADER + width * std::mem::size_of::<u32>() + std::mem::size_of::<CompactConfig>();
-    nodes * row
+    nodes * width * std::mem::size_of::<u32>()
         + (nodes + 1) * std::mem::size_of::<u32>()
         + transitions * std::mem::size_of::<PackedEdge>()
         + nodes
@@ -485,9 +492,11 @@ fn interned_bytes(nodes: usize, width: usize, transitions: usize) -> usize {
 /// The graph both engines build (see the module docs). It owns the
 /// interners its rows' ids refer to.
 pub(crate) struct InternedGraph<L> {
-    /// One key row per node — object-state ids, then process-status ids —
-    /// shared with the dedup index that numbered it.
-    rows: Vec<CompactConfig>,
+    /// Every node's key row — object-state ids, then process-status ids —
+    /// end to end, in node order.
+    rows: Vec<u32>,
+    /// Ids per row.
+    width: usize,
     /// Object-state ids at the head of each row.
     n_obj: usize,
     csr: Csr,
@@ -501,18 +510,19 @@ pub(crate) struct InternedGraph<L> {
 }
 
 impl<L: Clone + Eq + std::hash::Hash> InternedGraph<L> {
-    /// Assembles a graph from an engine's output. `csr` must cover every
-    /// row (see [`Csr::finish`]); `interners` are the ones the rows' ids
-    /// came from.
+    /// Assembles a graph from an engine's output: `rows` holds the nodes'
+    /// key rows end to end, `width` ids each, the first `n_obj` of them
+    /// object states. `csr` must cover every row (see [`Csr::finish`]);
+    /// `interners` are the ones the rows' ids came from.
     pub(crate) fn new(
-        rows: Vec<CompactConfig>,
-        n_obj: usize,
+        (mut rows, width, n_obj): (Vec<u32>, usize, usize),
         (csr, expanded): (Csr, Vec<bool>),
         complete: bool,
         stats: ExploreStats,
         (states, procs): (Interner<AnyState>, Interner<ProcStatus<L>>),
     ) -> Self {
-        debug_assert_eq!(csr.offsets.len(), rows.len() + 1);
+        debug_assert_eq!(rows.len(), csr.nodes() * width);
+        rows.shrink_to_fit();
         let facts = procs
             .by_id()
             .iter()
@@ -523,6 +533,7 @@ impl<L: Clone + Eq + std::hash::Hash> InternedGraph<L> {
             .collect();
         InternedGraph {
             rows,
+            width,
             n_obj,
             csr,
             expanded,
@@ -534,11 +545,14 @@ impl<L: Clone + Eq + std::hash::Hash> InternedGraph<L> {
         }
     }
 
-    /// Heap bytes of the rows, edges and expansion set (see
-    /// [`ExplorationGraph::approx_bytes`]).
+    /// Heap bytes held by the rows, edges and expansion set, by
+    /// capacity; both engines trim them to their lengths, so this is
+    /// [`ExplorationGraph::approx_bytes`]'s formula.
     pub(crate) fn approx_bytes(&self) -> usize {
-        let width = self.rows.first().map_or(0, |r| r.len());
-        interned_bytes(self.rows.len(), width, self.csr.edges.len())
+        self.rows.capacity() * std::mem::size_of::<u32>()
+            + self.csr.offsets.capacity() * std::mem::size_of::<u32>()
+            + self.csr.edges.capacity() * std::mem::size_of::<PackedEdge>()
+            + self.expanded.capacity()
     }
 
     /// Builds the public graph: every row resolved into an owned
@@ -555,7 +569,7 @@ impl<L: Clone + Eq + std::hash::Hash> InternedGraph<L> {
             let edges = nodes.map(|node| self.out_edges(node).collect()).collect();
             (configs, edges)
         };
-        let n = self.rows.len();
+        let n = self.node_count();
         let (configs, edges) = if threads <= 1 {
             build(0..n)
         } else {
@@ -598,7 +612,7 @@ impl<L: Clone + Eq + std::hash::Hash> InternedGraph<L> {
         let states = self.states.by_id();
         let procs = self.procs.by_id();
         move |node| {
-            let (objs, ps) = self.rows[node].split_at(self.n_obj);
+            let (objs, ps) = self.row(node).split_at(self.n_obj);
             Configuration {
                 object_states: objs.iter().map(|&id| resolved(&states, id)).collect(),
                 procs: ps.iter().map(|&id| resolved(&procs, id)).collect(),
@@ -616,9 +630,16 @@ fn resolved<T: Clone>(table: &[Option<Arc<T>>], id: u32) -> T {
     )
 }
 
+impl<L> InternedGraph<L> {
+    /// Node `node`'s key row.
+    fn row(&self, node: usize) -> &[u32] {
+        &self.rows[node * self.width..(node + 1) * self.width]
+    }
+}
+
 impl<L> GraphView for InternedGraph<L> {
     fn node_count(&self) -> usize {
-        self.rows.len()
+        self.csr.nodes()
     }
 
     fn is_complete(&self) -> bool {
@@ -645,7 +666,7 @@ impl<L> GraphView for InternedGraph<L> {
     }
 
     fn statuses(&self, node: usize) -> impl Iterator<Item = StatusFacts> + '_ {
-        self.rows[node][self.n_obj..]
+        self.row(node)[self.n_obj..]
             .iter()
             .map(|&id| self.facts[id as usize])
     }

@@ -69,13 +69,14 @@ pub(crate) struct LiveMetrics {
     pub sample_runs_total: Arc<Gauge>,
     /// `mem.interner_bytes` — state + proc interner footprint estimate.
     pub mem_interner: Arc<Gauge>,
-    /// `mem.index_bytes` — dedup index footprint estimate.
+    /// `mem.index_bytes` — dedup index footprint: rows, slots and id
+    /// columns while the run lasts; at the end, what the index holds
+    /// beyond the rows it hands to the graph (`ExploreStats::index_bytes`).
     pub mem_index: Arc<Gauge>,
     /// `mem.canon_memo_bytes` — canonicalization memo footprint estimate.
     pub mem_canon: Arc<Gauge>,
-    /// `mem.graph_bytes` — final graph footprint estimate (set at the end
-    /// of a run; the graph's backing vectors are not cheaply measurable
-    /// mid-flight).
+    /// `mem.graph_bytes` — the interned graph's rows, edges and expansion
+    /// flags (set at the end of a run, once the graph exists).
     pub mem_graph: Arc<Gauge>,
     /// `mem.deque_bytes` — work-stealing deque buffers (set at worker
     /// join; the owner end is not shareable mid-run).

@@ -304,7 +304,12 @@ pub struct ExploreStats {
     /// of the run (see `Interner::approx_bytes` — a structural estimate,
     /// not an allocator measurement).
     pub interner_bytes: usize,
-    /// Estimated heap footprint of the dedup index at the end of the run.
+    /// Heap bytes the dedup index held at the end of the run, beyond the
+    /// rows it passes to the graph: the level-sync index's slot array (its
+    /// rows become the graph's as they are, counted once, in the graph's
+    /// `approx_bytes`), or the whole work-stealing index — shard rows,
+    /// slot arrays and id columns — which is freed once its rows are
+    /// copied out into the graph.
     pub index_bytes: usize,
     /// Per-level breakdown, in BFS order. Empty in work-stealing mode,
     /// which has no levels.
