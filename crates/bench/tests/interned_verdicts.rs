@@ -2,28 +2,31 @@
 //! test holds each to the materialized path it replaced: for every
 //! protocol catalogued in `common/catalog.rs`, raw and symmetry-reduced,
 //! complete and truncated, the terminal's verdict must equal what
-//! `Exploration::run` plus the public graph predicates
-//! (`check_k_set_agreement_graph`, `check_dac_graph`) or, for wait-freedom,
-//! a three-colour depth-first cycle search written out here give on the
-//! same options: the same outcome, the same `Violation` with the same
-//! configuration index (and cycle), the same stats, and a witness whose
-//! schedule and cycle are the ones the materialized graph yields — the
-//! shortest confirming prefix of the BFS path to the violating
-//! configuration (for n-DAC Nontriviality, of the BFS path along the
-//! distinguished process's own edges to its first abort), or the BFS path
-//! to the cycle entry and the cycle, de-canonicalized on a reduced graph. Every witness must `confirm()`. Only the deterministic frontier
-//! numbers nodes reproducibly, so only it is compared.
+//! `Exploration::run` plus a reference predicate give on the same options.
+//! For k-set agreement and wait-freedom the reference is written out here,
+//! independent of the checker's status table: a scan of each materialized
+//! configuration's sorted decided values, then a three-colour depth-first
+//! cycle search; for n-DAC it is the public `check_dac_graph`. Both must
+//! give the same outcome, the same `Violation` with the same configuration
+//! index (and cycle), the same stats, and a witness whose schedule and
+//! cycle are the ones the materialized graph yields — the shortest
+//! confirming prefix of the BFS path to the violating configuration (for
+//! n-DAC Nontriviality, of the BFS path along the distinguished process's
+//! own edges to its first abort), or the BFS path to the cycle entry and
+//! the cycle, de-canonicalized on a reduced graph. Every witness must
+//! `confirm()`. Only the deterministic frontier numbers nodes
+//! reproducibly, so only it is compared.
 
 #[path = "common/catalog.rs"]
 mod catalog;
 
 use catalog::{terminal, Check, Visit};
-use lbsa_core::Pid;
-use lbsa_explorer::checker::{check_dac_graph, check_k_set_agreement_graph, CheckStats, Violation};
+use lbsa_core::{Pid, Value};
+use lbsa_explorer::checker::{check_dac_graph, CheckStats, Violation};
 use lbsa_explorer::explore::Edge;
 use lbsa_explorer::verdict::{Outcome, ScheduleStep, Witness, WitnessKind};
 use lbsa_explorer::{Concretizer, ConfigSymmetry, ExplorationGraph, Explorer, Limits, Verdict};
-use lbsa_runtime::process::{Protocol, Symmetry};
+use lbsa_runtime::process::{ProcStatus, Protocol, Symmetry};
 use lbsa_runtime::trace::Trace;
 use std::collections::VecDeque;
 
@@ -34,21 +37,57 @@ fn reference<P: Protocol>(
     g: &ExplorationGraph<P::LocalState>,
     check: Check<'_>,
 ) -> Result<CheckStats, Violation> {
+    if !g.complete {
+        return Err(Violation::Truncated);
+    }
     match check {
-        Check::KSet(k, valid) => check_k_set_agreement_graph(g, k, valid),
-        Check::Dac(instance, solo_bound) => check_dac_graph(ex, g, instance, solo_bound),
-        Check::WaitFree => {
-            if !g.complete {
-                return Err(Violation::Truncated);
-            }
-            if let Some((config, cycle)) = first_cycle(g) {
-                return Err(Violation::NonTermination { config, cycle });
-            }
-            match g.terminal_indices().find(|&i| !g.configs[i].all_decided()) {
-                Some(config) => Err(Violation::UndecidedTerminal { config }),
-                None => Ok(graph_stats(g)),
-            }
+        Check::KSet(k, valid) => {
+            k_agreement_and_validity(g, k, valid)?;
+            wait_free(g)
         }
+        Check::Dac(instance, solo_bound) => check_dac_graph(ex, g, instance, solo_bound),
+        Check::WaitFree => wait_free(g),
+    }
+}
+
+/// k-Agreement and Validity over `g`'s configurations in index order: each
+/// configuration's decided values, sorted and deduplicated, must number at
+/// most `k` and all lie in `valid`. The first configuration that breaks
+/// either is reported, agreement first, validity with the smallest
+/// invalid value.
+fn k_agreement_and_validity<L>(
+    g: &ExplorationGraph<L>,
+    k: usize,
+    valid: &[Value],
+) -> Result<(), Violation> {
+    for (config, c) in g.configs.iter().enumerate() {
+        let mut decided: Vec<Value> = c.procs.iter().filter_map(ProcStatus::decision).collect();
+        decided.sort();
+        decided.dedup();
+        if decided.len() > k {
+            return Err(Violation::Agreement {
+                config,
+                values: decided,
+            });
+        }
+        if let Some(&value) = decided.iter().find(|v| !valid.contains(v)) {
+            return Err(Violation::Validity { config, value });
+        }
+    }
+    Ok(())
+}
+
+/// Wait-free termination of the complete graph `g`: the first cycle, then
+/// the first terminal configuration with an undecided process.
+fn wait_free<L: Clone + Eq + std::hash::Hash + std::fmt::Debug>(
+    g: &ExplorationGraph<L>,
+) -> Result<CheckStats, Violation> {
+    if let Some((config, cycle)) = first_cycle(g) {
+        return Err(Violation::NonTermination { config, cycle });
+    }
+    match g.terminal_indices().find(|&i| !g.configs[i].all_decided()) {
+        Some(config) => Err(Violation::UndecidedTerminal { config }),
+        None => Ok(graph_stats(g)),
     }
 }
 

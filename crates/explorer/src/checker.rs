@@ -27,12 +27,13 @@
 
 use crate::config::Configuration;
 use crate::explore::{Edge, ExplorationGraph, Explorer};
-use crate::graph::{bfs_path, first_cycle, GraphView};
+use crate::graph::{bfs_path, first_cycle, GraphView, StatusEntry};
 use lbsa_core::{Pid, Value};
 use lbsa_runtime::error::RuntimeError;
 use lbsa_runtime::process::{ProcStatus, Protocol};
 use std::collections::HashSet;
 use std::fmt;
+use std::time::{Duration, Instant};
 
 /// Statistics of a successful check.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -159,12 +160,89 @@ pub fn check_k_set_agreement_graph<L: Clone + Eq + std::hash::Hash + std::fmt::D
     k: usize,
     valid_inputs: &[Value],
 ) -> Result<CheckStats, Violation> {
-    check_k_set_agreement_in(graph, k, valid_inputs)
+    check_k_set_agreement_in(&graph.view(), k, valid_inputs, &mut CheckTimes::default())
 }
 
-/// [`check_k_set_agreement_graph`] over any [`GraphView`]. Each
-/// configuration's decisions are gathered into one reused buffer, so the
-/// scan allocates nothing per configuration.
+/// Wall time a graph check spent in each of its passes over the graph.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct CheckTimes {
+    /// The pass over the key rows: agreement, validity, undecided
+    /// terminals.
+    pub(crate) scan: Duration,
+    /// The back-edge pass and any cycle search.
+    pub(crate) cycle: Duration,
+}
+
+/// One pass over `graph`'s rows in node order, reading each status
+/// through the graph's status table. A node breaks agreement if its
+/// processes decided more than `k` distinct values, and validity if
+/// `valid(node, rank)` rejects one of them; only ranks `doubtful` admits
+/// are put to `valid`, the others are valid everywhere. The pass stops at
+/// the first node that breaks either and reports agreement first, validity
+/// with the smallest invalid value. Otherwise it returns the first terminal
+/// node where some process has not decided.
+///
+/// Each status counts at its rank's slot of a stamp array, an undecided
+/// one at a slot past the ranks, so a node's distinct values, whether all
+/// its processes decided and whether one runs come out of the same loop
+/// without a branch per status.
+fn scan_rows<G: GraphView>(
+    graph: &G,
+    k: usize,
+    doubtful: impl Fn(u32) -> bool,
+    valid: impl Fn(usize, u32) -> bool,
+) -> Result<Option<usize>, Violation> {
+    let values = graph.status_table().values();
+    let undecided_slot = values.len();
+    let doubtful: Vec<bool> = (0..undecided_slot)
+        .map(|rank| doubtful(rank as u32))
+        .chain([false])
+        .collect();
+    // `seen[slot] == node + 1` once `slot` has been counted at `node`.
+    let mut seen = vec![0usize; undecided_slot + 1];
+    let mut undecided = None;
+    for node in 0..graph.node_count() {
+        let stamp = node + 1;
+        let (mut slots, mut running, mut in_doubt) = (0, false, false);
+        for status in graph.statuses(node) {
+            let slot = status.slot(undecided_slot);
+            slots += usize::from(seen[slot] != stamp);
+            seen[slot] = stamp;
+            running |= status.running;
+            in_doubt |= doubtful[slot];
+        }
+        let all_decided = seen[undecided_slot] != stamp;
+        if slots - usize::from(!all_decided) > k {
+            let mut ranks: Vec<u32> = graph.statuses(node).filter_map(StatusEntry::rank).collect();
+            ranks.sort_unstable();
+            ranks.dedup();
+            return Err(Violation::Agreement {
+                config: node,
+                values: ranks.iter().map(|&r| values[r as usize]).collect(),
+            });
+        }
+        if in_doubt {
+            let invalid = graph
+                .statuses(node)
+                .filter_map(StatusEntry::rank)
+                .filter(|&r| doubtful[r as usize] && !valid(node, r))
+                .min();
+            if let Some(rank) = invalid {
+                return Err(Violation::Validity {
+                    config: node,
+                    value: values[rank as usize],
+                });
+            }
+        }
+        if undecided.is_none() && !running && !all_decided {
+            undecided = Some(node);
+        }
+    }
+    Ok(undecided)
+}
+
+/// [`check_k_set_agreement_graph`] over any [`GraphView`], in one pass over
+/// the rows and one over the edges; `times` receives the time of each.
 ///
 /// # Errors
 ///
@@ -173,27 +251,17 @@ pub(crate) fn check_k_set_agreement_in<G: GraphView>(
     graph: &G,
     k: usize,
     valid_inputs: &[Value],
+    times: &mut CheckTimes,
 ) -> Result<CheckStats, Violation> {
     if !graph.is_complete() {
         return Err(Violation::Truncated);
     }
-    let mut decided: Vec<Value> = Vec::new();
-    for idx in 0..graph.node_count() {
-        decided.clear();
-        decided.extend(graph.statuses(idx).filter_map(|s| s.decision));
-        decided.sort();
-        decided.dedup();
-        if decided.len() > k {
-            return Err(Violation::Agreement {
-                config: idx,
-                values: decided,
-            });
-        }
-        if let Some(&value) = decided.iter().find(|v| !valid_inputs.contains(v)) {
-            return Err(Violation::Validity { config: idx, value });
-        }
-    }
-    check_wait_free_graph(graph)
+    let started = Instant::now();
+    let values = graph.status_table().values();
+    let invalid = |rank: u32| !valid_inputs.contains(&values[rank as usize]);
+    let scanned = scan_rows(graph, k, invalid, |_, _| false);
+    times.scan = started.elapsed();
+    termination(graph, scanned?, times)
 }
 
 /// Checks wait-free termination alone over a complete graph: no infinite
@@ -202,16 +270,35 @@ pub(crate) fn check_k_set_agreement_in<G: GraphView>(
 /// # Errors
 ///
 /// Returns the first [`Violation`] found.
-pub(crate) fn check_wait_free_graph<G: GraphView>(graph: &G) -> Result<CheckStats, Violation> {
+pub(crate) fn check_wait_free_graph<G: GraphView>(
+    graph: &G,
+    times: &mut CheckTimes,
+) -> Result<CheckStats, Violation> {
     if !graph.is_complete() {
         return Err(Violation::Truncated);
     }
-    if let Some((config, cycle)) = first_cycle(graph) {
+    let started = Instant::now();
+    let scanned = scan_rows(graph, usize::MAX, |_| false, |_, _| true);
+    times.scan = started.elapsed();
+    termination(graph, scanned?, times)
+}
+
+/// Wait-free termination of a complete graph whose first undecided
+/// terminal is `undecided`: a reachable cycle is reported first, then that
+/// terminal.
+fn termination<G: GraphView>(
+    graph: &G,
+    undecided: Option<usize>,
+    times: &mut CheckTimes,
+) -> Result<CheckStats, Violation> {
+    let started = Instant::now();
+    let cycle = first_cycle(graph);
+    times.cycle = started.elapsed();
+    if let Some((config, cycle)) = cycle {
         return Err(Violation::NonTermination { config, cycle });
     }
-    let n = graph.node_count();
-    if let Some(idx) = (0..n).find(|&i| graph.is_terminal(i) && !graph.all_decided(i)) {
-        return Err(Violation::UndecidedTerminal { config: idx });
+    if let Some(config) = undecided {
+        return Err(Violation::UndecidedTerminal { config });
     }
     Ok(graph.check_stats())
 }
@@ -289,13 +376,14 @@ pub fn check_dac_graph<P: Protocol>(
     solo_bound: usize,
 ) -> Result<CheckStats, Violation> {
     let config = |node: usize| graph.configs[node].clone();
-    check_dac_in(explorer, graph, config, instance, solo_bound)
+    let times = &mut CheckTimes::default();
+    check_dac_in(explorer, &graph.view(), config, instance, solo_bound, times)
 }
 
 /// [`check_dac_graph`] over any [`GraphView`]; `config` builds the
-/// configuration of a node. Agreement and Validity read the statuses
-/// through one reused buffer; only nodes where some process runs are
-/// built, as the start of their solo runs.
+/// configuration of a node. Agreement and Validity are the row pass with
+/// `k = 1`, whose time `times` receives; only nodes where some process
+/// runs are built, as the start of their solo runs.
 ///
 /// # Errors
 ///
@@ -306,35 +394,31 @@ pub(crate) fn check_dac_in<P: Protocol, G: GraphView>(
     mut config: impl FnMut(usize) -> Configuration<P::LocalState>,
     instance: &DacInstance,
     solo_bound: usize,
+    times: &mut CheckTimes,
 ) -> Result<CheckStats, Violation> {
     if !graph.is_complete() {
         return Err(Violation::Truncated);
     }
     let p = instance.distinguished;
 
-    // Agreement + Validity, per configuration.
-    let mut decided: Vec<Value> = Vec::new();
-    for idx in 0..graph.node_count() {
-        decided.clear();
-        decided.extend(graph.statuses(idx).filter_map(|s| s.decision));
-        decided.sort();
-        decided.dedup();
-        if decided.len() > 1 {
-            return Err(Violation::Agreement {
-                config: idx,
-                values: decided,
-            });
-        }
-        if let Some(&value) = decided.first() {
-            let supported = graph
-                .statuses(idx)
-                .zip(&instance.inputs)
-                .any(|(s, &input)| input == value && !s.aborted);
-            if !supported {
-                return Err(Violation::Validity { config: idx, value });
-            }
-        }
-    }
+    // Agreement + Validity: a decided value must be the input of a process
+    // that has not aborted in the same configuration.
+    let started = Instant::now();
+    let table = graph.status_table();
+    let inputs: Vec<Option<u32>> = instance.inputs.iter().map(|&v| table.rank_of(v)).collect();
+    let scanned = scan_rows(
+        graph,
+        1,
+        |_| true,
+        |node, rank| {
+            graph
+                .statuses(node)
+                .zip(&inputs)
+                .any(|(s, &input)| input == Some(rank) && !s.aborted)
+        },
+    );
+    times.scan = started.elapsed();
+    scanned?;
 
     // Termination (a) and (b): solo runs from every reachable configuration
     // where some process runs — `p` first, then each `q ≠ p` in pid order.
@@ -568,7 +652,7 @@ mod tests {
         assert!(matches!(err, Violation::UndecidedTerminal { .. }), "{err}");
         let graph = ex.exploration().run().unwrap();
         assert!(matches!(
-            check_wait_free_graph(&graph),
+            check_wait_free_graph(&graph.view(), &mut CheckTimes::default()),
             Err(Violation::UndecidedTerminal { .. })
         ));
     }
@@ -658,6 +742,186 @@ mod tests {
             Err(Violation::SoloNonTermination {
                 config: 0,
                 pid: Pid(0)
+            })
+        );
+    }
+
+    /// A complete hand-built graph over processes with unit local states:
+    /// node `i`'s processes have the statuses `nodes[i]`, and each
+    /// `(source, pid, target)` of `edges` is a step of `pid`.
+    fn hand_graph(
+        nodes: Vec<Vec<ProcStatus<()>>>,
+        edges: &[(usize, usize, usize)],
+    ) -> ExplorationGraph<()> {
+        let mut out = vec![vec![]; nodes.len()];
+        for &(source, pid, target) in edges {
+            out[source].push(Edge {
+                pid: Pid(pid),
+                outcome: 0,
+                target,
+            });
+        }
+        ExplorationGraph {
+            configs: nodes
+                .into_iter()
+                .map(|procs| Configuration {
+                    object_states: vec![],
+                    procs,
+                })
+                .collect(),
+            expanded: vec![true; out.len()],
+            edges: out,
+            complete: true,
+            transitions: edges.len(),
+            stats: crate::stats::ExploreStats::default(),
+        }
+    }
+
+    fn decided(values: &[Value]) -> Vec<ProcStatus<()>> {
+        values.iter().map(|&v| ProcStatus::Decided(v)).collect()
+    }
+
+    #[test]
+    fn decided_values_past_the_64th_are_ranked_exactly() {
+        // Node i decides i, for i < 70, along a chain; node 70 decides 1
+        // and 65, whose ranks differ by 64.
+        let mut nodes: Vec<_> = (0..70).map(|i| decided(&[int(i), int(i)])).collect();
+        nodes.push(decided(&[int(1), int(65)]));
+        let edges: Vec<_> = (0..70).map(|i| (i, 0, i + 1)).collect();
+        let g = hand_graph(nodes, &edges);
+        let all: Vec<Value> = (0..70).map(int).collect();
+        assert_eq!(
+            check_k_set_agreement_graph(&g, 1, &all),
+            Err(Violation::Agreement {
+                config: 70,
+                values: vec![int(1), int(65)]
+            })
+        );
+        assert!(check_k_set_agreement_graph(&g, 2, &all).is_ok());
+        // Validity at node 66 comes before agreement at node 70.
+        let without_66: Vec<Value> = all.iter().copied().filter(|&v| v != int(66)).collect();
+        assert_eq!(
+            check_k_set_agreement_graph(&g, 1, &without_66),
+            Err(Violation::Validity {
+                config: 66,
+                value: int(66)
+            })
+        );
+    }
+
+    #[test]
+    fn the_smallest_invalid_value_is_reported() {
+        let g = hand_graph(vec![decided(&[int(9), int(0), int(7), int(9)])], &[]);
+        assert_eq!(
+            check_k_set_agreement_graph(&g, 3, &[int(0)]),
+            Err(Violation::Validity {
+                config: 0,
+                value: int(7)
+            })
+        );
+        let g = hand_graph(vec![decided(&[int(9), Value::Bot, Value::Done])], &[]);
+        assert_eq!(
+            check_k_set_agreement_graph(&g, 3, &[int(9)]),
+            Err(Violation::Validity {
+                config: 0,
+                value: Value::Bot
+            })
+        );
+    }
+
+    #[test]
+    fn agreement_values_are_sorted_and_deduplicated() {
+        let statuses = [
+            int(3),
+            Value::Done,
+            Value::Nil,
+            int(-1),
+            Value::Bot,
+            int(3),
+            Value::Nil,
+        ];
+        let g = hand_graph(vec![decided(&statuses)], &[]);
+        let err = check_k_set_agreement_graph(&g, 1, &statuses).unwrap_err();
+        let expected = vec![Value::Nil, Value::Bot, Value::Done, int(-1), int(3)];
+        assert!(expected.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(
+            err,
+            Violation::Agreement {
+                config: 0,
+                values: expected
+            }
+        );
+    }
+
+    #[test]
+    fn stopped_statuses_are_terminal_but_not_decided() {
+        // Node 0 runs, so it is not terminal although process 1 has not
+        // decided; node 1, where process 0 stopped without deciding, is.
+        for stopped in [ProcStatus::Aborted, ProcStatus::Halted, ProcStatus::Crashed] {
+            let nodes = vec![
+                vec![ProcStatus::Running(()), ProcStatus::Decided(int(0))],
+                vec![stopped.clone(), ProcStatus::Decided(int(0))],
+            ];
+            let g = hand_graph(nodes, &[(0, 0, 1)]);
+            let expected = Err(Violation::UndecidedTerminal { config: 1 });
+            assert_eq!(
+                check_k_set_agreement_graph(&g, 1, &[int(0)]),
+                expected,
+                "{stopped:?}"
+            );
+            let times = &mut CheckTimes::default();
+            assert_eq!(
+                check_wait_free_graph(&g.view(), times),
+                expected,
+                "{stopped:?}"
+            );
+        }
+        let nodes = vec![
+            vec![ProcStatus::Running(()), ProcStatus::Running(())],
+            decided(&[int(0), int(0)]),
+        ];
+        let g = hand_graph(nodes, &[(0, 0, 1)]);
+        assert!(check_k_set_agreement_graph(&g, 1, &[int(0)]).is_ok());
+    }
+
+    #[test]
+    fn dac_validity_counts_only_processes_that_did_not_abort() {
+        // Process 0 is distinguished with input 1, process 1 has input 0;
+        // every graph is one terminal node, so no solo run starts.
+        let p = GoodConsensus {
+            inputs: vec![int(1), int(0)],
+        };
+        let objects = vec![AnyObject::consensus(2).unwrap()];
+        let ex = Explorer::new(&p, &objects);
+        let instance = DacInstance {
+            distinguished: Pid(0),
+            inputs: p.inputs.clone(),
+        };
+        let check = |procs: Vec<ProcStatus<()>>| {
+            check_dac_graph(&ex, &hand_graph(vec![procs], &[]), &instance, 4)
+        };
+        // 1 is the input of process 0 alone, which aborted.
+        assert_eq!(
+            check(vec![ProcStatus::Aborted, ProcStatus::Decided(int(1))]),
+            Err(Violation::Validity {
+                config: 0,
+                value: int(1)
+            })
+        );
+        // A halted or crashed process still backs its input.
+        assert!(check(vec![ProcStatus::Halted, ProcStatus::Decided(int(1))]).is_ok());
+        assert!(check(vec![ProcStatus::Crashed, ProcStatus::Decided(int(1))]).is_ok());
+        // 0 is backed by process 1; the abort itself breaks Nontriviality.
+        assert_eq!(
+            check(vec![ProcStatus::Aborted, ProcStatus::Decided(int(0))]),
+            Err(Violation::Nontriviality { config: 0 })
+        );
+        // A value no process proposed.
+        assert_eq!(
+            check(decided(&[int(2), int(2)])),
+            Err(Violation::Validity {
+                config: 0,
+                value: int(2)
             })
         );
     }

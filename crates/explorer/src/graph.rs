@@ -24,7 +24,9 @@ use crate::intern::Interner;
 use crate::stats::ExploreStats;
 use lbsa_core::{AnyState, Pid, Value};
 use lbsa_runtime::process::ProcStatus;
-use std::collections::VecDeque;
+use lbsa_support::hash::FxBuildHasher;
+use std::cell::OnceCell;
+use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
 /// One labelled edge of the execution graph.
@@ -140,7 +142,7 @@ impl<L> ExplorationGraph<L> {
     /// initial configuration (iterative three-color DFS).
     #[must_use]
     pub fn has_cycle(&self) -> bool {
-        first_cycle(self).is_some()
+        first_cycle(&self.view()).is_some()
     }
 
     /// Renders the graph in Graphviz DOT format. `label` produces each
@@ -182,31 +184,92 @@ impl<L> ExplorationGraph<L> {
     /// configuration to `target` by BFS.
     #[must_use]
     pub fn path_to(&self, target: usize) -> Option<Vec<Edge>> {
-        path_to(self, target)
+        path_to(&self.view(), target)
     }
 }
 
-/// What the graph predicates read off one process status.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) struct StatusFacts {
-    pub(crate) decision: Option<Value>,
+/// What the graph predicates read off one distinct process status: the
+/// rank of its decided value in its graph's [`StatusTable`], if it
+/// decided, and whether it runs or aborted.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct StatusEntry {
+    rank: u32,
     pub(crate) running: bool,
     pub(crate) aborted: bool,
 }
 
-impl StatusFacts {
-    fn of<L>(status: &ProcStatus<L>) -> Self {
-        StatusFacts {
-            decision: status.decision(),
-            running: status.is_running(),
-            aborted: matches!(status, ProcStatus::Aborted),
-        }
+impl StatusEntry {
+    /// The `rank` of a status that did not decide.
+    const UNDECIDED: u32 = u32::MAX;
+
+    /// The rank of the decided value, if the status decided.
+    pub(crate) fn rank(self) -> Option<u32> {
+        (self.rank != Self::UNDECIDED).then_some(self.rank)
+    }
+
+    /// The rank of the decided value, or `undecided` (at most
+    /// `u32::MAX`) if the status did not decide: the scan's slot for it.
+    pub(crate) fn slot(self, undecided: usize) -> usize {
+        (self.rank as usize).min(undecided)
+    }
+}
+
+/// One [`StatusEntry`] per status id of a graph, and the graph's distinct
+/// decided values in `Value` order: a decided status's rank is its value's
+/// position there, so ranks compare as their values do, and a predicate
+/// resolves a `Value` only where it reports one.
+#[derive(Debug)]
+pub(crate) struct StatusTable {
+    entries: Vec<StatusEntry>,
+    values: Vec<Value>,
+}
+
+impl StatusTable {
+    /// The table of `statuses`, listed by status id; `None` marks an id
+    /// that names no status.
+    fn new<'s, L: 's>(statuses: impl Iterator<Item = Option<&'s ProcStatus<L>>> + Clone) -> Self {
+        let distinct: HashSet<Value, FxBuildHasher> =
+            statuses.clone().filter_map(|s| s?.decision()).collect();
+        let mut values: Vec<Value> = distinct.into_iter().collect();
+        values.sort_unstable();
+        let entries = statuses
+            .map(|s| StatusEntry {
+                rank: s
+                    .and_then(ProcStatus::decision)
+                    .map_or(StatusEntry::UNDECIDED, |v| {
+                        let rank = values
+                            .binary_search(&v)
+                            .expect("every decided value is listed");
+                        u32::try_from(rank).expect("fewer than u32::MAX decided values")
+                    }),
+                running: s.is_some_and(ProcStatus::is_running),
+                aborted: matches!(s, Some(ProcStatus::Aborted)),
+            })
+            .collect();
+        StatusTable { entries, values }
+    }
+
+    /// The entry of status `id`.
+    fn entry(&self, id: usize) -> StatusEntry {
+        self.entries[id]
+    }
+
+    /// The graph's distinct decided values, in `Value` order; rank `r` is
+    /// `values()[r]`.
+    pub(crate) fn values(&self) -> &[Value] {
+        &self.values
+    }
+
+    /// The rank of `value`, if some status of the graph decided it.
+    pub(crate) fn rank_of(&self, value: Value) -> Option<u32> {
+        self.values.binary_search(&value).ok().map(|r| r as u32)
     }
 }
 
 /// The adjacency and per-process statuses of an execution graph: what the
 /// graph predicates need, and all they see, so each is written once for
-/// both [`ExplorationGraph`] and [`InternedGraph`].
+/// both [`ExplorationGraph`] (through [`ExplorationGraph::view`]) and
+/// [`InternedGraph`].
 pub(crate) trait GraphView {
     /// Number of nodes; node 0 is the root.
     fn node_count(&self) -> usize;
@@ -218,8 +281,10 @@ pub(crate) trait GraphView {
     fn degree(&self, node: usize) -> usize;
     /// The `i`-th outgoing edge of `node`, in `(pid, outcome)` order.
     fn edge(&self, node: usize, i: usize) -> Edge;
-    /// The statuses of `node`'s processes, in pid order.
-    fn statuses(&self, node: usize) -> impl Iterator<Item = StatusFacts> + '_;
+    /// The graph's status table.
+    fn status_table(&self) -> &StatusTable;
+    /// The table entries of `node`'s processes, in pid order.
+    fn statuses(&self, node: usize) -> impl Iterator<Item = StatusEntry> + '_;
 
     /// The outgoing edges of `node`, in `(pid, outcome)` order.
     fn out_edges(&self, node: usize) -> impl Iterator<Item = Edge> + '_ {
@@ -229,11 +294,6 @@ pub(crate) trait GraphView {
     /// `true` if no process of `node` can step.
     fn is_terminal(&self, node: usize) -> bool {
         self.statuses(node).all(|s| !s.running)
-    }
-
-    /// `true` if every process of `node` has decided.
-    fn all_decided(&self, node: usize) -> bool {
-        self.statuses(node).all(|s| s.decision.is_some())
     }
 
     /// `true` if `pid` has aborted in `node`.
@@ -252,29 +312,67 @@ pub(crate) trait GraphView {
     }
 }
 
-impl<L> GraphView for ExplorationGraph<L> {
+/// An [`ExplorationGraph`] read through [`GraphView`]. Its status ids are
+/// positions: process `pid` of node `i` has id `i · n + pid` for `n`
+/// processes. The table is built from the configurations the first time a
+/// predicate reads a status, so adjacency-only searches never build it.
+pub(crate) struct ConfigView<'g, L> {
+    graph: &'g ExplorationGraph<L>,
+    procs: usize,
+    table: OnceCell<StatusTable>,
+}
+
+impl<L> ExplorationGraph<L> {
+    /// This graph as a [`GraphView`].
+    pub(crate) fn view(&self) -> ConfigView<'_, L> {
+        ConfigView {
+            graph: self,
+            procs: self.configs.first().map_or(0, |c| c.procs.len()),
+            table: OnceCell::new(),
+        }
+    }
+}
+
+impl<L> GraphView for ConfigView<'_, L> {
     fn node_count(&self) -> usize {
-        self.configs.len()
+        self.graph.configs.len()
     }
 
     fn is_complete(&self) -> bool {
-        self.complete
+        self.graph.complete
     }
 
     fn transition_count(&self) -> usize {
-        self.transitions
+        self.graph.transitions
     }
 
     fn degree(&self, node: usize) -> usize {
-        self.edges[node].len()
+        self.graph.edges[node].len()
     }
 
     fn edge(&self, node: usize, i: usize) -> Edge {
-        self.edges[node][i]
+        self.graph.edges[node][i]
     }
 
-    fn statuses(&self, node: usize) -> impl Iterator<Item = StatusFacts> + '_ {
-        self.configs[node].procs.iter().map(StatusFacts::of)
+    fn out_edges(&self, node: usize) -> impl Iterator<Item = Edge> + '_ {
+        self.graph.edges[node].iter().copied()
+    }
+
+    fn status_table(&self) -> &StatusTable {
+        self.table.get_or_init(|| {
+            StatusTable::new(
+                self.graph
+                    .configs
+                    .iter()
+                    .flat_map(|c| c.procs.iter().map(Some)),
+            )
+        })
+    }
+
+    fn statuses(&self, node: usize) -> impl Iterator<Item = StatusEntry> + '_ {
+        let first = node * self.procs;
+        let table = self.status_table();
+        (first..first + self.procs).map(move |id| table.entry(id))
     }
 }
 
@@ -327,7 +425,23 @@ pub(crate) fn bfs_path<G: GraphView>(
 /// The first cycle an iterative three-colour DFS from the root closes:
 /// the cycle's entry node, and the cycle's edges from the entry back to
 /// it. `None` if no cycle is reachable.
+///
+/// Every cycle holds an edge `u → v` with `v ≤ u`, however the nodes are
+/// numbered, so one pass over the edges rules cycles out when there is no
+/// such edge; the search runs only when there is one.
 pub(crate) fn first_cycle<G: GraphView>(graph: &G) -> Option<(usize, Vec<Edge>)> {
+    let back_edge =
+        (0..graph.node_count()).any(|node| graph.out_edges(node).any(|e| e.target <= node));
+    if back_edge {
+        dfs_cycle(graph)
+    } else {
+        None
+    }
+}
+
+/// [`first_cycle`]'s depth-first search, without the pass that rules
+/// cycles out.
+fn dfs_cycle<G: GraphView>(graph: &G) -> Option<(usize, Vec<Edge>)> {
     #[derive(Clone, Copy, PartialEq)]
     enum Color {
         White,
@@ -505,8 +619,8 @@ pub(crate) struct InternedGraph<L> {
     stats: ExploreStats,
     states: Interner<AnyState>,
     procs: Interner<ProcStatus<L>>,
-    /// The facts of each distinct process status, indexed by status id.
-    facts: Vec<StatusFacts>,
+    /// One entry per process-status id.
+    table: StatusTable,
 }
 
 impl<L: Clone + Eq + std::hash::Hash> InternedGraph<L> {
@@ -523,14 +637,8 @@ impl<L: Clone + Eq + std::hash::Hash> InternedGraph<L> {
     ) -> Self {
         debug_assert_eq!(rows.len(), csr.nodes() * width);
         rows.shrink_to_fit();
-        let facts = procs
-            .by_id()
-            .iter()
-            .map(|s| {
-                s.as_deref()
-                    .map_or_else(StatusFacts::default, StatusFacts::of)
-            })
-            .collect();
+        let by_id = procs.by_id();
+        let table = StatusTable::new(by_id.iter().map(Option::as_deref));
         InternedGraph {
             rows,
             width,
@@ -541,7 +649,7 @@ impl<L: Clone + Eq + std::hash::Hash> InternedGraph<L> {
             stats,
             states,
             procs,
-            facts,
+            table,
         }
     }
 
@@ -665,10 +773,14 @@ impl<L> GraphView for InternedGraph<L> {
             .map(|e| e.unpack())
     }
 
-    fn statuses(&self, node: usize) -> impl Iterator<Item = StatusFacts> + '_ {
+    fn status_table(&self) -> &StatusTable {
+        &self.table
+    }
+
+    fn statuses(&self, node: usize) -> impl Iterator<Item = StatusEntry> + '_ {
         self.row(node)[self.n_obj..]
             .iter()
-            .map(|&id| self.facts[id as usize])
+            .map(|&id| self.table.entry(id as usize))
     }
 }
 
@@ -678,7 +790,9 @@ mod tests {
     use crate::explore::{Explorer, Frontier, Limits};
     use lbsa_core::{AnyObject, ObjId, Op};
     use lbsa_runtime::process::{Protocol, Step};
+    use lbsa_support::check::run_cases;
     use lbsa_support::obs::Tracer;
+    use lbsa_support::rng::SmallRng;
 
     /// Three processes propose their pid to a strong 2-SA object, twice,
     /// then end in each way a process can: pid 0 decides the response,
@@ -708,26 +822,35 @@ mod tests {
         }
     }
 
+    /// The decided value, running and aborted bits of each process of
+    /// `node`, with ranks resolved through `g`'s table.
+    fn facts(g: &impl GraphView, node: usize) -> Vec<(Option<Value>, bool, bool)> {
+        let values = g.status_table().values();
+        g.statuses(node)
+            .map(|s| (s.rank().map(|r| values[r as usize]), s.running, s.aborted))
+            .collect()
+    }
+
     /// Asserts that `g` reads the same through the view as its
     /// materialized form: nodes, statuses, edges and footprint.
     fn assert_views_agree(g: &InternedGraph<u8>) {
-        let m = g.materialize(1);
+        let materialized = g.materialize(1);
         let parallel = g.materialize(3);
-        assert_eq!(m.configs, parallel.configs);
-        assert_eq!(m.edges, parallel.edges);
+        assert_eq!(materialized.configs, parallel.configs);
+        assert_eq!(materialized.edges, parallel.edges);
+        assert_eq!(g.approx_bytes(), materialized.approx_bytes());
+        let m = materialized.view();
         assert_eq!(g.node_count(), m.node_count());
         assert_eq!(g.transition_count(), m.transition_count());
         assert_eq!(g.is_complete(), m.is_complete());
-        assert_eq!(g.approx_bytes(), m.approx_bytes());
+        assert_eq!(g.status_table().values(), m.status_table().values());
         for node in 0..g.node_count() {
-            assert!(
-                g.statuses(node).eq(m.statuses(node)),
-                "statuses of node {node}"
-            );
+            assert_eq!(facts(g, node), facts(&m, node), "statuses of node {node}");
             assert_eq!(g.degree(node), m.degree(node));
             let edges: Vec<Edge> = (0..g.degree(node)).map(|i| g.edge(node, i)).collect();
-            assert_eq!(edges, m.edges[node]);
-            assert_eq!(g.out_edges(node).collect::<Vec<_>>(), m.edges[node]);
+            assert_eq!(edges, materialized.edges[node]);
+            assert_eq!(g.out_edges(node).collect::<Vec<_>>(), edges);
+            assert_eq!(m.out_edges(node).collect::<Vec<_>>(), edges);
         }
     }
 
@@ -750,7 +873,8 @@ mod tests {
             let g = interned(frontier, Limits::default());
             assert!(g.is_complete());
             assert!((0..g.node_count()).any(|i| g.has_aborted(i, Pid(1))));
-            assert!((0..g.node_count()).any(|i| g.is_terminal(i) && !g.all_decided(i)));
+            let undecided = |i| g.statuses(i).any(|s| s.rank().is_none());
+            assert!((0..g.node_count()).any(|i| g.is_terminal(i) && undecided(i)));
             assert_views_agree(&g);
             for budget in [1, 5] {
                 let g = interned(frontier, Limits::new(budget));
@@ -758,6 +882,83 @@ mod tests {
                 assert_views_agree(&g);
             }
         }
+    }
+
+    /// A random graph of up to a dozen nodes on which no node has a
+    /// status. Most edges run forward in a random order of the nodes, so
+    /// acyclic graphs with edges to lower-numbered nodes are common; the
+    /// rest go anywhere, the source and node 0 included.
+    fn random_graph(rng: &mut SmallRng) -> ExplorationGraph<()> {
+        let n = rng.random_range(1..13);
+        let mut order: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            order.swap(i, rng.random_range(0..i + 1));
+        }
+        let mut position = vec![0; n];
+        for (at, &node) in order.iter().enumerate() {
+            position[node] = at;
+        }
+        let edges: Vec<Vec<Edge>> = (0..n)
+            .map(|node| {
+                let later = &order[position[node] + 1..];
+                (0..rng.random_range(0..4))
+                    .map(|pid| {
+                        let target = if later.is_empty() || rng.ratio(1, 6) {
+                            rng.random_range(0..n)
+                        } else {
+                            *rng.choose(later)
+                        };
+                        Edge {
+                            pid: Pid(pid),
+                            outcome: 0,
+                            target,
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let empty = Configuration {
+            object_states: vec![],
+            procs: vec![],
+        };
+        ExplorationGraph {
+            configs: vec![empty; n],
+            expanded: vec![true; n],
+            transitions: edges.iter().map(Vec::len).sum(),
+            edges,
+            complete: true,
+            stats: ExploreStats::default(),
+        }
+    }
+
+    #[test]
+    fn the_back_edge_pass_keeps_the_search_result() {
+        // How many graphs had: a cycle, a self-loop, a cycle through the
+        // root, and edges to lower-numbered nodes but no cycle.
+        let mut seen = [0; 4];
+        run_cases("the_back_edge_pass_keeps_the_search_result", 2000, |rng| {
+            let g = random_graph(rng);
+            let view = g.view();
+            let searched = dfs_cycle(&view);
+            assert_eq!(first_cycle(&view), searched);
+            let edges = || {
+                g.edges
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(u, es)| es.iter().map(move |e| (u, e.target)))
+            };
+            let back = edges().any(|(u, v)| v <= u);
+            assert!(back || searched.is_none(), "a cycle without a back edge");
+            if let Some((entry, cycle)) = &searched {
+                seen[0] += 1;
+                assert_eq!(cycle.last().map(|e| e.target), Some(*entry));
+                seen[2] += usize::from(*entry == 0);
+            } else if back {
+                seen[3] += 1;
+            }
+            seen[1] += usize::from(edges().any(|(u, v)| u == v));
+        });
+        assert!(seen.iter().all(|&count| count > 20), "coverage {seen:?}");
     }
 
     #[test]

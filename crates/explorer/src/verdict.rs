@@ -40,7 +40,7 @@
 
 use crate::checker::{
     check_dac_in, check_k_set_agreement_in, check_wait_free_graph, solo_abort_path,
-    solo_terminates, CheckStats, DacInstance, Violation,
+    solo_terminates, CheckStats, CheckTimes, DacInstance, Violation,
 };
 use crate::config::Configuration;
 use crate::error::CheckError;
@@ -571,12 +571,14 @@ const EMPTY_STATS: CheckStats = CheckStats {
 /// run shows one `verdict` line per check. `check_time` is what the
 /// verdict layer itself took past exploration (graph predicates, witness
 /// extraction and dropping the graph; the whole sweep for a sampled
-/// check), `graph_bytes` the footprint of the graph it checked.
+/// check), `passes` the part of it the row pass and the cycle pass took,
+/// `graph_bytes` the footprint of the graph it checked.
 fn traced(
     tracer: &Tracer,
     check: &'static str,
     verdict: Verdict,
     check_time: Duration,
+    passes: CheckTimes,
     graph_bytes: usize,
 ) -> Verdict {
     tracer.emit_with("verdict", || {
@@ -586,6 +588,8 @@ fn traced(
             .set("configs", verdict.stats.configs)
             .set("transitions", verdict.stats.transitions)
             .set("check_us", duration_us(check_time))
+            .set("scan_us", duration_us(passes.scan))
+            .set("cycle_us", duration_us(passes.cycle))
             .set("graph_bytes", graph_bytes)
             .set(
                 "witness_len",
@@ -626,16 +630,18 @@ impl Property<'_> {
         }
     }
 
-    /// Checks the property on the interned graph and builds the verdict.
+    /// Checks the property on the interned graph and builds the verdict;
+    /// `times` receives the time of the predicate's passes.
     fn verdict<P: Protocol>(
         &self,
         explorer: &Explorer<'_, P>,
         sym: Option<&ConfigSymmetry<'_, P::LocalState>>,
         graph: InternedGraph<P::LocalState>,
+        times: &mut CheckTimes,
     ) -> Verdict {
         let checked = match *self {
-            Property::KSet { k, valid } => check_k_set_agreement_in(&graph, k, valid),
-            Property::WaitFree => check_wait_free_graph(&graph),
+            Property::KSet { k, valid } => check_k_set_agreement_in(&graph, k, valid, times),
+            Property::WaitFree => check_wait_free_graph(&graph, times),
             Property::Dac {
                 instance,
                 solo_bound,
@@ -645,6 +651,7 @@ impl Property<'_> {
                 graph.config_resolver(),
                 instance,
                 solo_bound,
+                times,
             ),
         };
         match checked {
@@ -792,20 +799,30 @@ impl<P: Protocol> Exploration<'_, '_, P> {
                 ),
             };
             let name = property.name(true);
-            return traced(&tracer, name, verdict, started.elapsed(), 0);
+            let passes = CheckTimes::default();
+            return traced(&tracer, name, verdict, started.elapsed(), passes, 0);
         }
         let symmetry = self.symmetry.take();
         let explored = self.explore(&tracer, symmetry.as_ref(), live.as_ref());
         let started = Instant::now();
+        let mut passes = CheckTimes::default();
         let (verdict, graph_bytes) = match explored {
             Err(e) => (Verdict::error(EMPTY_STATS, e.into()), 0),
             Ok(graph) => {
                 let bytes = graph.approx_bytes();
-                (property.verdict(explorer, symmetry.as_ref(), graph), bytes)
+                let sym = symmetry.as_ref();
+                (property.verdict(explorer, sym, graph, &mut passes), bytes)
             }
         };
         let name = property.name(false);
-        traced(&tracer, name, verdict, started.elapsed(), graph_bytes)
+        traced(
+            &tracer,
+            name,
+            verdict,
+            started.elapsed(),
+            passes,
+            graph_bytes,
+        )
     }
 }
 
@@ -1384,7 +1401,7 @@ mod tests {
 
     #[test]
     fn traced_verdicts_emit_check_and_witness_events() {
-        use lbsa_support::obs::MemorySink;
+        use lbsa_support::obs::{Event, MemorySink};
         let p = DecideOwn {
             inputs: vec![int(0), int(1)],
         };
@@ -1424,13 +1441,32 @@ mod tests {
             verdict_ev.fields.get("witness_len").and_then(Json::as_i64),
             Some(2)
         );
-        // The verdict layer's own cost: its time, and the footprint of the
-        // graph it checked, which `run()` reports for the same options.
-        assert!(verdict_ev
-            .fields
-            .get("check_us")
-            .and_then(Json::as_i64)
-            .is_some());
+        // The verdict layer's own cost: its time, the part of it the row
+        // pass and the cycle pass took, and the footprint of the graph it
+        // checked, which `run()` reports for the same options.
+        let assert_passes_within_check = |ev: &Event| {
+            let us = |key: &str| {
+                ev.fields
+                    .get(key)
+                    .and_then(Json::as_i64)
+                    .unwrap_or_else(|| panic!("verdict event carries `{key}`"))
+            };
+            assert!(us("scan_us") + us("cycle_us") <= us("check_us"), "{ev:?}");
+        };
+        assert_passes_within_check(verdict_ev);
+        // A check that holds runs the cycle pass too.
+        let good = GoodConsensus {
+            inputs: vec![int(0), int(1)],
+        };
+        let consensus = [AnyObject::consensus(2).unwrap()];
+        let held = MemorySink::new();
+        let ex_good = Explorer::new(&good, &consensus).with_trace(Tracer::new(held.clone()));
+        assert!(ex_good
+            .exploration()
+            .check_consensus(&[int(0), int(1)])
+            .holds());
+        let held = held.events();
+        assert_passes_within_check(held.iter().find(|e| e.name == "verdict").unwrap());
         let graph = ex.exploration().run().unwrap();
         assert_eq!(
             verdict_ev.fields.get("graph_bytes").and_then(Json::as_i64),
