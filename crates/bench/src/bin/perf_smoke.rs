@@ -29,7 +29,8 @@
 //!    on a single core, where stealing cannot win and the gate bounds
 //!    the overhead of the work-stealing frontier (raised from 0.4 with
 //!    the batched index probes; a lone worker's deque lock is never
-//!    contended and is taken once per pop and once per task's children);
+//!    contended and is taken twice per batch of up to 64 tasks: once to
+//!    take the batch, once to push its children);
 //! 5. symmetry reduction wins *wall clock*, not just state count, on the
 //!    committed n = 6 workload: `n6_speedup_reduced_vs_raw ≥ 1.0`, i.e.
 //!    reduced-over-raw elapsed < 1.0. This is the gate on canonicalization
@@ -197,9 +198,10 @@ fn main() -> ExitCode {
         1.0
     } else {
         // One worker on one core never contends: its deque lock is
-        // always free and is taken once per pop and once per task's
-        // children, so the cost over the sequential engine is that
-        // bookkeeping plus the batched index round.
+        // always free and is taken twice per batch of up to 64 tasks
+        // (take the batch, push its children), so the cost over the
+        // sequential engine is that bookkeeping plus the batch's index
+        // round.
         0.6
     };
     for key in ["n6_speedup_par_vs_seq", "kset_speedup_par_vs_seq"] {

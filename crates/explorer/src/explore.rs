@@ -36,9 +36,11 @@
 //!   every recorded experiment output reproducible. It ignores
 //!   [`ExploreOptions::threads`].
 //! * [`Frontier::WorkStealing`] is the parallel engine: a mutex-guarded
-//!   deque per worker, a concurrent dedup index, no barrier between BFS
-//!   depths. It reaches the same configurations, transitions, and verdicts,
-//!   but numbers nodes in discovery order.
+//!   deque of task records per worker, a concurrent dedup index, no
+//!   barrier between BFS depths. Workers take, expand, deduplicate and
+//!   enqueue tasks in batches, paying each lock and shared counter once
+//!   per batch. It reaches the same configurations, transitions, and
+//!   verdicts, but numbers nodes in discovery order.
 //!
 //! Deduplication never compares full configurations: object states and
 //! process statuses are hash-consed into `u32` ids
@@ -59,7 +61,7 @@ use crate::config::Configuration;
 use crate::graph::{Csr, InternedGraph, PackedEdge};
 pub use crate::graph::{Edge, ExplorationGraph};
 use crate::intern::{
-    reserve_quadrupling, row_hash, shard_of, ConcurrentIndex, Interner, ShardedIndex, SHARDS,
+    reserve_quadrupling, shard_of, ConcurrentIndex, IndexBatch, Interner, ShardedIndex, SHARDS,
 };
 use crate::live::{EtaModel, LiveMetrics, MemBytes, ProgressWatcher};
 use crate::sampling::SampleConfig;
@@ -268,14 +270,6 @@ impl CanonMemo {
     }
 }
 
-/// One pending node of the work-stealing frontier: its assigned index and
-/// a copy of its key row, which its successors are expanded from. The copy
-/// lives only until the task is expanded; the index keeps the row itself.
-struct WsTask {
-    id: u32,
-    row: Box<[u32]>,
-}
-
 /// Backoff thresholds of the work-stealing idle loop, in consecutive
 /// failed sweeps: the first [`WS_SPIN_ROUNDS`] failures spin-wait, the
 /// next [`WS_YIELD_ROUNDS`] yield the core, and everything past that
@@ -291,30 +285,40 @@ const WS_YIELD_ROUNDS: u32 = 10;
 const WS_PARK: Duration = Duration::from_micros(100);
 /// Upper bound on tasks transferred by one batched steal.
 const WS_STEAL_MAX: usize = 32;
+/// Most tasks a worker takes off its own deque per batch. On k-set n = 9
+/// at two workers (2-core host, median check time of five 5 s runs each)
+/// batches of 4, 16, 64 and 256 took 118, 101, 96 and 96 ms; a batch is
+/// also work a thief cannot take, so the smaller size of the plateau is
+/// kept.
+const WS_BATCH: usize = 64;
 
-/// One batched steal from `victim` by a worker whose own deque is `own`:
-/// moves half the victim's tasks (rounded up, at most [`WS_STEAL_MAX`])
-/// off its front — the oldest, closest to the root — into `scratch`,
-/// unlocks the victim, then appends all but the first to `own` with one
-/// lock. Never holds two deque locks at once. Returns the first task and
-/// how many extras landed in `own`, or `None` if the victim was empty.
-fn steal_half<T>(
-    victim: &Mutex<VecDeque<T>>,
-    own: &Mutex<VecDeque<T>>,
-    scratch: &mut Vec<T>,
-) -> Option<(T, usize)> {
+/// One batched steal from `victim` by a worker whose own deque is `own`,
+/// both holding task records of `stride` ids: moves half the victim's
+/// records (rounded up, at most [`WS_STEAL_MAX`]) off its front — the
+/// oldest, closest to the root — into `batch`, unlocks the victim, then
+/// moves all but the first on to `own` with one lock. Never holds two
+/// deque locks at once. Returns how many records landed in `own`, or
+/// `None` if the victim was empty.
+fn steal_half(
+    victim: &Mutex<VecDeque<u32>>,
+    own: &Mutex<VecDeque<u32>>,
+    stride: usize,
+    batch: &mut Vec<u32>,
+) -> Option<usize> {
+    let at = batch.len();
     {
         let mut victim = victim.lock().expect("deque lock poisoned");
-        let take = victim.len().div_ceil(2).min(WS_STEAL_MAX);
-        scratch.extend(victim.drain(..take));
+        let take = (victim.len() / stride).div_ceil(2).min(WS_STEAL_MAX);
+        batch.extend(victim.drain(..take * stride));
     }
-    let mut stolen = scratch.drain(..);
-    let first = stolen.next()?;
-    let extra = stolen.len();
+    let extra = ((batch.len() - at) / stride).checked_sub(1)?;
     if extra > 0 {
-        own.lock().expect("deque lock poisoned").extend(stolen);
+        own.lock()
+            .expect("deque lock poisoned")
+            .extend(&batch[at + stride..]);
+        batch.truncate(at + stride);
     }
-    Some((first, extra))
+    Some(extra)
 }
 
 /// What one work-stealing worker hands back at join: its tally and the
@@ -582,8 +586,8 @@ struct Expander<'x, P: Protocol> {
     canon_probe: Option<&'x CanonProbe>,
     /// Object-state ids at the head of every key row.
     n_obj: usize,
-    /// The last expansion's successors and their dedup keys, `width` ids
-    /// each; reused from node to node.
+    /// The successors and dedup keys, `width` ids each, of every expansion
+    /// since the last [`Expander::clear`]; reused from node to node.
     succs: Vec<Succ>,
     keys: Vec<u32>,
     width: usize,
@@ -616,7 +620,7 @@ impl<'x, P: Protocol> Expander<'x, P> {
         }
     }
 
-    /// Lists the successors of the node whose key row is `key`, for
+    /// Appends the successors of the node whose key row is `key` to
     /// [`Expander::succs`], counting transitions and memo traffic into
     /// `tally`.
     ///
@@ -628,8 +632,7 @@ impl<'x, P: Protocol> Expander<'x, P> {
     fn expand(&mut self, key: &[u32], tally: &mut WorkerStats) -> Result<(), RuntimeError> {
         let n_obj = self.n_obj;
         self.width = key.len();
-        self.succs.clear();
-        self.keys.clear();
+        let (first_succ, first_key) = (self.succs.len(), self.keys.len());
         let (procs, protocol) = (self.procs, self.explorer.protocol());
         for (i, &status) in key[n_obj..].iter().enumerate() {
             let pid = Pid(i);
@@ -672,7 +675,7 @@ impl<'x, P: Protocol> Expander<'x, P> {
                 self.succs.push(Succ { pid, outcome });
             }
         }
-        tally.transitions += self.succs.len();
+        tally.transitions += self.succs.len() - first_succ;
         let Some(sym) = self.sym else {
             return Ok(());
         };
@@ -681,7 +684,7 @@ impl<'x, P: Protocol> Expander<'x, P> {
         // identifies the raw successor, so it memoizes the
         // canonicalization: on a hit neither the raw successor nor any
         // permuted copy is built.
-        for patched in self.keys.chunks_exact_mut(self.width) {
+        for patched in self.keys[first_key..].chunks_exact_mut(self.width) {
             if self.canon_memo.canonicalize_in_place(patched) {
                 tally.canon_memo_hits += 1;
                 continue;
@@ -695,15 +698,22 @@ impl<'x, P: Protocol> Expander<'x, P> {
         Ok(())
     }
 
-    /// The last expansion's successors, each with its dedup key: the
-    /// patched key, or under symmetry reduction the canonical one.
+    /// Forgets the successors listed so far.
+    fn clear(&mut self) {
+        self.succs.clear();
+        self.keys.clear();
+    }
+
+    /// The successors listed since the last [`Expander::clear`], each with
+    /// its dedup key: the patched key, or under symmetry reduction the
+    /// canonical one.
     fn succs(&self) -> impl Iterator<Item = (&Succ, &[u32])> {
         self.succs
             .iter()
             .zip(self.keys.chunks_exact(self.width.max(1)))
     }
 
-    /// The dedup key of the `k`-th successor of the last expansion.
+    /// The dedup key of the `k`-th successor listed.
     fn key(&self, k: usize) -> &[u32] {
         &self.keys[k * self.width..(k + 1) * self.width]
     }
@@ -922,6 +932,7 @@ impl<'a, P: Protocol> Explorer<'a, P> {
             let discovered = index.len();
             let transitions_before = tally.transitions;
             for node in frontier.start..frontier.start + take {
+                expander.clear();
                 expander.expand(index.row(node as u32), &mut tally)?;
                 reserve_quadrupling(&mut csr.edges, expander.succs.len());
                 for (succ, key) in expander.succs() {
@@ -1021,29 +1032,31 @@ impl<'a, P: Protocol> Explorer<'a, P> {
     /// multiset, stats aggregates — matches the deterministic engine's on
     /// complete runs (see [`Exploration::frontier`]).
     ///
-    /// Termination uses a single pending-task counter: it is incremented
-    /// before a node becomes stealable and decremented only after its
-    /// expansion (including enqueuing all children), so `pending == 0` with
-    /// all deques empty proves quiescence.
+    /// A pending node is a record `[id, row…]` of `1 + width` ids in its
+    /// worker's `Mutex<VecDeque<u32>>` (DESIGN.md §10), so no task owns an
+    /// allocation. A worker runs in batches: it takes up to [`WS_BATCH`]
+    /// records off the back of its deque under one lock, claims expansion
+    /// budget for all of them with one `fetch_add` (records past the budget
+    /// die unexpanded), expands them through its [`Expander`], resolves
+    /// every successor key of the batch in one [`ConcurrentIndex`] round —
+    /// one read lock and at most one write lock per shard touched — and
+    /// pushes the records of all new nodes with one lock.
     ///
-    /// Each worker's deque is a `Mutex<VecDeque>` (DESIGN.md §10): the
-    /// owner pops from the back and appends a task's children with one
-    /// lock; a thief takes from the front in [`steal_half`]. An idle worker
-    /// sweeps the other deques in ring order from a per-sweep
-    /// xorshift-randomized start (so simultaneous thieves fan out instead
-    /// of convoying on one victim), batch-stealing up to half the victim
-    /// (capped at [`WS_STEAL_MAX`]); on a completely empty
-    /// sweep it backs off spin → yield → timed park (see
-    /// [`WS_SPIN_ROUNDS`]), which keeps an idle worker's CPU burn bounded
-    /// while `pending` polling still detects quiescence. Each worker lists
-    /// successors through its own [`Expander`], and dedups them in a
-    /// batch: each task pre-probes read-only, then resolves all
-    /// missing keys with one batched [`ConcurrentIndex`] claim — one lock
-    /// round per shard per task instead of one per successor — hashing
-    /// each key once for both. A task carries a copy of its row, freed
-    /// once it is expanded. At join the index writes its rows out in node
-    /// order as the graph's, and the workers' edge pools are assembled
-    /// into one edge array ([`Csr::assemble`]).
+    /// Termination uses a single pending-task counter, updated once per
+    /// batch by the batch's children minus its records: added before the
+    /// children become stealable, or subtracted after they are pushed, so
+    /// `pending == 0` with all deques empty proves quiescence.
+    ///
+    /// A worker whose deque is empty sweeps the other deques in ring order
+    /// from a per-sweep xorshift-randomized start (so simultaneous thieves
+    /// fan out instead of convoying on one victim), batch-stealing up to
+    /// half the victim (capped at [`WS_STEAL_MAX`]) in [`steal_half`]; the
+    /// first stolen record is its next batch. On a completely empty sweep
+    /// it backs off spin → yield → timed park (see [`WS_SPIN_ROUNDS`]),
+    /// which keeps an idle worker's CPU burn bounded while `pending`
+    /// polling still detects quiescence. At join the index writes its rows
+    /// out in node order as the graph's, and the workers' edge pools are
+    /// assembled into one edge array ([`Csr::assemble`]).
     fn run_engine_ws(
         &self,
         initial: Configuration<P::LocalState>,
@@ -1055,8 +1068,8 @@ impl<'a, P: Protocol> Explorer<'a, P> {
         let workers = options.resolved_threads().max(1);
         let limits = options.limits;
         let (meter, initial) = RunMeter::start(tracer, live, sym, options, workers, initial);
-        // Steal and per-task expand latencies need extra clock reads on the
-        // worker hot path, so they are recorded only when traced.
+        // Steal and per-batch expand latencies need extra clock reads on
+        // the worker hot path, so they are recorded only when traced.
         let hists = &meter.hists;
         let traced = tracer.enabled();
 
@@ -1065,25 +1078,23 @@ impl<'a, P: Protocol> Explorer<'a, P> {
         let canon_memo = CanonMemo::new();
         let n_obj = initial.object_states.len();
         let width = n_obj + initial.procs.len();
+        let stride = 1 + width;
         let index = ConcurrentIndex::new();
         let initial_row = self.compact(&initial, &state_interner, &proc_interner);
         let (root, _) = index.get_or_insert(&initial_row);
         debug_assert_eq!(root, 0, "the root is the first interned node");
 
-        let deques: Vec<Mutex<VecDeque<WsTask>>> =
+        let deques: Vec<Mutex<VecDeque<u32>>> =
             (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
         deques[0]
             .lock()
             .expect("deque lock poisoned")
-            .push_back(WsTask {
-                id: root,
-                row: initial_row.into(),
-            });
-        // Queued-or-in-flight nodes; bumped before a task becomes stealable,
-        // dropped only after its children are enqueued.
+            .extend(std::iter::once(root).chain(initial_row));
+        // Queued-or-in-flight nodes; a batch's children are counted before
+        // they become stealable, its records only after that.
         let pending = AtomicUsize::new(1);
         let peak_pending = AtomicUsize::new(1);
-        // Expansion budget claims, one per task; a claim at or past the
+        // Expansion budget claims, one per record; a claim at or past the
         // limit marks the run truncated and leaves the node unexpanded.
         let claimed = AtomicUsize::new(0);
         let truncated = AtomicBool::new(false);
@@ -1106,24 +1117,12 @@ impl<'a, P: Protocol> Explorer<'a, P> {
             };
             let interners = (&state_interner, &proc_interner);
             let mut expander = Expander::new(self, &meter, interners, &canon_memo, n_obj);
-            // Per-task scratch reused for the whole run: each miss's edge
-            // and successor index and its key's hash, the batch results,
-            // and the children to enqueue. Cleared between tasks, never
-            // reallocated once warm — the expand path settles into one
-            // heap block per genuinely new configuration, its task's row.
-            let mut fixups: Vec<(usize, usize)> = Vec::new();
-            let mut miss_hashes: Vec<u64> = Vec::new();
-            let mut batch_results: Vec<(u32, bool)> = Vec::new();
-            let mut spawned: Vec<WsTask> = Vec::new();
-            let mut steal_buf: Vec<WsTask> = Vec::new();
-            // Depth-first continuation: the newest child of the
-            // task just expanded rides here instead of taking a
-            // deque round-trip — on chain-shaped frontiers that
-            // skips a lock round and both `pending` RMWs for
-            // almost every task. Held work is invisible
-            // to thieves for exactly one expansion, the same
-            // window a popped task always was.
-            let mut in_hand: Option<WsTask> = None;
+            // Per-batch scratch reused for the whole run: the batch's
+            // records, its index round and its children's records. Cleared
+            // between batches, never reallocated once warm.
+            let mut batch: Vec<u32> = Vec::new();
+            let mut resolved = IndexBatch::default();
+            let mut spawned: Vec<u32> = Vec::new();
             // Consecutive failed sweeps drive the
             // spin→yield→park backoff; any found task resets it.
             let mut backoff: u32 = 0;
@@ -1132,265 +1131,217 @@ impl<'a, P: Protocol> Explorer<'a, P> {
             // starting victim so simultaneous thieves fan out
             // across victims instead of convoying on one.
             let mut rng: u32 = (me as u32).wrapping_mul(0x9E37_79B9) | 1;
-            loop {
+            'work: loop {
                 if abort.load(Ordering::Acquire) {
                     break;
                 }
-                // In-hand continuation first (same task the LIFO
-                // pop would return, without the lock), then the
-                // own deque (depth-first locally, cache-warm
+                // The own deque first (depth-first locally, cache-warm
                 // parents), then sweep the victims.
-                let task = if let Some(task) = in_hand.take() {
-                    out.stats.local_hits += 1;
-                    backoff = 0;
-                    task
-                } else {
-                    // Bound first: a guard in the `match` scrutinee
-                    // would hold this lock through the steal sweep.
-                    let popped = own.lock().expect("deque lock poisoned").pop_back();
-                    match popped {
-                        Some(task) => {
-                            out.stats.local_hits += 1;
-                            backoff = 0;
-                            task
-                        }
-                        None => {
-                            // The no-local-work path — sweep, spin,
-                            // yield — counts as idle time; the clock
-                            // only runs while this worker is not
-                            // expanding, so it is measured even on
-                            // untraced runs. Parked waits are timed
-                            // separately in `parked` so reported
-                            // idle stays proportional to burned CPU.
-                            let sweep_t0 = Instant::now();
-                            let mut stolen = None;
-                            if workers > 1 {
-                                rng ^= rng << 13;
-                                rng ^= rng >> 17;
-                                rng ^= rng << 5;
-                                let rot = rng as usize % (workers - 1);
-                                for k in 0..workers - 1 {
-                                    let victim = (me + 1 + (rot + k) % (workers - 1)) % workers;
-                                    if let Some((task, extra)) =
-                                        steal_half(&deques[victim], own, &mut steal_buf)
-                                    {
-                                        stolen = Some((task, victim, extra));
-                                        break;
-                                    }
-                                }
-                            }
-                            match stolen {
-                                Some((task, victim_hit, extra)) => {
-                                    out.stats.steals += 1;
-                                    if let Some(live) = live {
-                                        live.steals.bump();
-                                    }
-                                    backoff = 0;
-                                    // The extras landed in our own
-                                    // deque, which was empty (its
-                                    // pop failed, and only we push
-                                    // to it); the task in hand
-                                    // counts toward depth too.
-                                    out.stats.max_deque_depth =
-                                        out.stats.max_deque_depth.max(extra + 1);
-                                    let sweep = sweep_t0.elapsed();
-                                    out.stats.idle += sweep;
-                                    if traced {
-                                        hists.steal.record(sweep);
-                                        hists.steal_batch.record_ns(extra as u64 + 1);
-                                        tracer.emit_with("ws.steal", || {
-                                            Json::object()
-                                                .set("worker", me)
-                                                .set("victim", victim_hit)
-                                                .set("outcome", "hit")
-                                                .set("batch", extra + 1)
-                                                .set("latency_us", duration_us(sweep))
-                                        });
-                                    }
-                                    task
-                                }
-                                None => {
-                                    out.stats.steal_fails += 1;
-                                    out.stats.idle += sweep_t0.elapsed();
-                                    // Per-attempt miss events would
-                                    // be unbounded in a spin storm;
-                                    // sampling at power-of-two
-                                    // `steal_fails` keeps the trace
-                                    // logarithmic while the
-                                    // `idle_spins`/`park_count` fields
-                                    // preserve the storm's intensity.
-                                    if traced && out.stats.steal_fails.is_power_of_two() {
-                                        tracer.emit_with("ws.steal", || {
-                                            Json::object()
-                                                .set("worker", me)
-                                                .set("outcome", "miss")
-                                                .set("idle_spins", out.stats.idle_spins)
-                                                .set("park_count", out.stats.park_count)
-                                                .set("pending", pending.load(Ordering::Relaxed))
-                                        });
-                                    }
-                                    if pending.load(Ordering::Acquire) == 0 {
-                                        break;
-                                    }
-                                    // Exponential backoff: brief
-                                    // spins first (work usually
-                                    // reappears in microseconds),
-                                    // then scheduler yields, then
-                                    // timed parks — so a starved
-                                    // worker's CPU burn is bounded
-                                    // per idle episode while the
-                                    // `pending` poll above still
-                                    // detects quiescence promptly.
-                                    backoff = backoff.saturating_add(1);
-                                    if backoff <= WS_SPIN_ROUNDS {
-                                        out.stats.idle_spins += 1;
-                                        for _ in 0..(1u32 << backoff) {
-                                            std::hint::spin_loop();
-                                        }
-                                    } else if backoff <= WS_SPIN_ROUNDS + WS_YIELD_ROUNDS {
-                                        out.stats.idle_spins += 1;
-                                        std::thread::yield_now();
-                                    } else {
-                                        out.stats.park_count += 1;
-                                        if let Some(live) = live {
-                                            live.parked_workers.add(1);
-                                        }
-                                        let park_t0 = Instant::now();
-                                        std::thread::park_timeout(WS_PARK);
-                                        if let Some(live) = live {
-                                            live.parked_workers.sub(1);
-                                        }
-                                        out.stats.parked += park_t0.elapsed();
-                                    }
-                                    continue;
-                                }
+                batch.clear();
+                {
+                    let mut own = own.lock().expect("deque lock poisoned");
+                    let at = own.len() - (own.len() / stride).min(WS_BATCH) * stride;
+                    batch.extend(own.drain(at..));
+                }
+                if batch.is_empty() {
+                    // The no-local-work path — sweep, spin, yield — counts
+                    // as idle time; the clock only runs while this worker
+                    // is not expanding, so it is measured even on untraced
+                    // runs. Parked waits are timed separately in `parked`
+                    // so reported idle stays proportional to burned CPU.
+                    let sweep_t0 = Instant::now();
+                    let mut stolen = None;
+                    if workers > 1 {
+                        rng ^= rng << 13;
+                        rng ^= rng >> 17;
+                        rng ^= rng << 5;
+                        let rot = rng as usize % (workers - 1);
+                        for k in 0..workers - 1 {
+                            let victim = (me + 1 + (rot + k) % (workers - 1)) % workers;
+                            if let Some(extra) =
+                                steal_half(&deques[victim], own, stride, &mut batch)
+                            {
+                                stolen = Some((victim, extra));
+                                break;
                             }
                         }
                     }
-                };
-                if claimed.fetch_add(1, Ordering::Relaxed) >= limits.max_configs {
-                    truncated.store(true, Ordering::Relaxed);
-                    // An over-budget task dies unexpanded; its row stays
-                    // in the index, so assembly still covers it.
-                    pending.fetch_sub(1, Ordering::AcqRel);
-                    continue;
-                }
-                // Per-task expansion timing is a clock read per
-                // task: traced runs only.
-                let task_t0 = traced.then(Instant::now);
-                if let Err(err) = expander.expand(&task.row, &mut out.stats) {
-                    let mut slot = first_error.lock().expect("error slot poisoned");
-                    slot.get_or_insert(err);
-                    abort.store(true, Ordering::Release);
-                    pending.fetch_sub(1, Ordering::AcqRel);
-                    break;
-                }
-                // Pre-probe the shared index read-only. Hits emit their
-                // edge on the spot; only misses queue a key for the one
-                // batched insert round and a fixup that patches the
-                // placeholder edge — so the record/replay cost is paid
-                // by fresh configurations only.
-                fixups.clear();
-                miss_hashes.clear();
-                let edge_start = out.edge_pool.len();
-                for (k, (succ, key)) in expander.succs().enumerate() {
-                    let hash = row_hash(key);
-                    let target = if let Some(t) = index.find(key, hash) {
-                        out.stats.dedup_hits += 1;
-                        t
-                    } else {
-                        fixups.push((out.edge_pool.len(), k));
-                        miss_hashes.push(hash);
-                        u32::MAX
+                    let Some((victim_hit, extra)) = stolen else {
+                        out.stats.steal_fails += 1;
+                        out.stats.idle += sweep_t0.elapsed();
+                        // Per-attempt miss events would be unbounded in a
+                        // spin storm; sampling at power-of-two
+                        // `steal_fails` keeps the trace logarithmic while
+                        // the `idle_spins`/`park_count` fields preserve the
+                        // storm's intensity.
+                        if traced && out.stats.steal_fails.is_power_of_two() {
+                            tracer.emit_with("ws.steal", || {
+                                Json::object()
+                                    .set("worker", me)
+                                    .set("outcome", "miss")
+                                    .set("idle_spins", out.stats.idle_spins)
+                                    .set("park_count", out.stats.park_count)
+                                    .set("pending", pending.load(Ordering::Relaxed))
+                            });
+                        }
+                        if pending.load(Ordering::Acquire) == 0 {
+                            break;
+                        }
+                        // Exponential backoff: brief spins first (work
+                        // usually reappears in microseconds), then
+                        // scheduler yields, then timed parks — so a
+                        // starved worker's CPU burn is bounded per idle
+                        // episode while the `pending` poll above still
+                        // detects quiescence promptly.
+                        backoff = backoff.saturating_add(1);
+                        if backoff <= WS_SPIN_ROUNDS {
+                            out.stats.idle_spins += 1;
+                            for _ in 0..(1u32 << backoff) {
+                                std::hint::spin_loop();
+                            }
+                        } else if backoff <= WS_SPIN_ROUNDS + WS_YIELD_ROUNDS {
+                            out.stats.idle_spins += 1;
+                            std::thread::yield_now();
+                        } else {
+                            out.stats.park_count += 1;
+                            if let Some(live) = live {
+                                live.parked_workers.add(1);
+                            }
+                            let park_t0 = Instant::now();
+                            std::thread::park_timeout(WS_PARK);
+                            if let Some(live) = live {
+                                live.parked_workers.sub(1);
+                            }
+                            out.stats.parked += park_t0.elapsed();
+                        }
+                        continue;
                     };
+                    out.stats.steals += 1;
+                    if let Some(live) = live {
+                        live.steals.bump();
+                    }
+                    // The extras landed in our own deque, which was empty
+                    // (its pop failed, and only we push to it); the record
+                    // in the batch counts toward depth too.
+                    out.stats.max_deque_depth = out.stats.max_deque_depth.max(extra + 1);
+                    let sweep = sweep_t0.elapsed();
+                    out.stats.idle += sweep;
+                    if traced {
+                        hists.steal.record(sweep);
+                        hists.steal_batch.record_ns(extra as u64 + 1);
+                        tracer.emit_with("ws.steal", || {
+                            Json::object()
+                                .set("worker", me)
+                                .set("victim", victim_hit)
+                                .set("outcome", "hit")
+                                .set("batch", extra + 1)
+                                .set("latency_us", duration_us(sweep))
+                        });
+                    }
+                } else {
+                    out.stats.local_hits += (batch.len() / stride) as u64;
+                }
+                backoff = 0;
+                let tasks = batch.len() / stride;
+                let budget = limits
+                    .max_configs
+                    .saturating_sub(claimed.fetch_add(tasks, Ordering::Relaxed));
+                let expand = tasks.min(budget);
+                if expand < tasks {
+                    // Over-budget records die unexpanded; their rows stay
+                    // in the index, so assembly still covers them.
+                    truncated.store(true, Ordering::Relaxed);
+                    if expand == 0 {
+                        pending.fetch_sub(tasks, Ordering::AcqRel);
+                        continue;
+                    }
+                }
+                // Per-batch expansion timing is a clock read per batch:
+                // traced runs only.
+                let batch_t0 = traced.then(Instant::now);
+                expander.clear();
+                let edge_base = out.edge_pool.len();
+                for record in batch.chunks_exact(stride).take(expand) {
+                    let first = expander.succs.len();
+                    if let Err(err) = expander.expand(&record[1..], &mut out.stats) {
+                        let mut slot = first_error.lock().expect("error slot poisoned");
+                        slot.get_or_insert(err);
+                        abort.store(true, Ordering::Release);
+                        break 'work;
+                    }
+                    out.tasks.push((
+                        record[0],
+                        u32::try_from(edge_base + first).expect("edge pool overflow"),
+                        u32::try_from(expander.succs.len() - first).expect("edge fan-out overflow"),
+                    ));
+                }
+                out.stats.expanded += expand;
+                // One index round for every successor of the batch, then
+                // its edges in expansion order and a record per new node.
+                let succs = expander.succs.len();
+                out.stats.index_batch_hits +=
+                    index.resolve(succs, |k| expander.key(k), &mut resolved);
+                spawned.clear();
+                for ((succ, key), &(target, inserted)) in expander.succs().zip(&resolved.results) {
                     out.edge_pool
                         .push(PackedEdge::new(target, succ.pid, succ.outcome));
-                }
-                // One batched index round for the keys the pre-probe
-                // missed (keys another worker interned since the probe
-                // come back as hits), then patch each placeholder edge
-                // and spawn a task for each insert winner.
-                if !miss_hashes.is_empty() {
-                    out.stats.index_batch_hits += index.claim_missed(
-                        |j| expander.key(fixups[j].1),
-                        &miss_hashes,
-                        &mut batch_results,
-                    );
-                }
-                for (&(edge, k), &(t, inserted)) in fixups.iter().zip(&batch_results) {
-                    out.edge_pool[edge].target = t;
                     if inserted {
-                        spawned.push(WsTask {
-                            id: t,
-                            row: expander.key(k).into(),
-                        });
+                        spawned.push(target);
+                        spawned.extend_from_slice(key);
                     } else {
                         out.stats.dedup_hits += 1;
                     }
                 }
-                let edge_len = out.edge_pool.len() - edge_start;
-                out.tasks.push((
-                    task.id,
-                    u32::try_from(edge_start).expect("edge pool overflow"),
-                    u32::try_from(edge_len).expect("edge fan-out overflow"),
-                ));
-                out.stats.expanded += 1;
-                // Retire this task and enqueue its children in
-                // one `pending` update. The newest child (the
-                // task the LIFO pop would return next) stays in
-                // hand and inherits this task's `pending` slot —
-                // so a chain of single-child tasks runs with zero
-                // `pending` RMWs and zero deque traffic.
-                let fresh = spawned.len();
-                if spawned.is_empty() {
-                    pending.fetch_sub(1, Ordering::AcqRel);
-                } else {
-                    in_hand = spawned.pop();
-                    let extra = spawned.len();
-                    if extra > 0 {
-                        let now = pending.fetch_add(extra, Ordering::AcqRel) + extra + 1;
-                        peak_pending.fetch_max(now, Ordering::Relaxed);
-                        let mut own = own.lock().expect("deque lock poisoned");
-                        own.extend(spawned.drain(..));
-                        out.stats.max_deque_depth = out.stats.max_deque_depth.max(own.len() + 1);
-                    }
+                let fresh = spawned.len() / stride;
+                if fresh > tasks {
+                    let grow = fresh - tasks;
+                    let now = pending.fetch_add(grow, Ordering::AcqRel) + grow;
+                    peak_pending.fetch_max(now, Ordering::Relaxed);
                 }
-                // Live mirror: one publish per task (never per successor),
-                // with the mem gauges refreshed at a coarse beat so the
-                // watcher never perturbs the hot path. Every successor of
-                // the task either deduplicated or spawned a child.
+                if fresh > 0 {
+                    let mut own = own.lock().expect("deque lock poisoned");
+                    own.extend(&spawned);
+                    out.stats.max_deque_depth = out.stats.max_deque_depth.max(own.len() / stride);
+                }
+                if fresh < tasks {
+                    pending.fetch_sub(tasks - fresh, Ordering::AcqRel);
+                }
+                // Live mirror: one publish per batch (never per successor),
+                // with the mem gauges refreshed whenever the tally crosses
+                // a multiple of 64 so the watcher never perturbs the hot
+                // path. Every successor either deduplicated or spawned.
+                let (before, done) = (out.stats.expanded - expand, out.stats.expanded);
                 if let Some(live) = live {
-                    let mem = out.stats.expanded.is_multiple_of(64).then(|| MemBytes {
+                    let mem = (before / 64 != done / 64).then(|| MemBytes {
                         interner: state_interner.approx_bytes() + proc_interner.approx_bytes(),
                         index: index.approx_bytes(),
                         canon: canon_memo.approx_bytes(),
                         deques: 0,
                     });
                     let frontier = pending.load(Ordering::Relaxed);
-                    live.publish(1, edge_len, edge_len - fresh, frontier, mem);
+                    live.publish(expand, succs, succs - fresh, frontier, mem);
                 }
-                if let Some(t0) = task_t0 {
+                if let Some(t0) = batch_t0 {
                     let d = t0.elapsed();
                     out.stats.busy += d;
-                    hists.task_expand.record(d);
-                    // A progress beat on the first task and every
-                    // 32nd after: the worker's tally so far plus its
-                    // deque depth. The beat timestamps are what
-                    // obs_analyze turns into the per-worker
-                    // utilization timeline.
-                    let done = out.stats.expanded;
-                    if done == 1 || done.is_multiple_of(32) {
+                    hists.batch_expand.record(d);
+                    // A progress beat on the first batch and on every batch
+                    // that crosses a multiple of 32 expansions: the
+                    // worker's tally so far plus its deque depth. The beat
+                    // timestamps are what obs_analyze turns into the
+                    // per-worker utilization timeline.
+                    if before == 0 || before / 32 != done / 32 {
                         let depth = {
                             let own = own.lock().expect("deque lock poisoned");
-                            out.stats.deque_bytes = own.capacity() * size_of::<WsTask>();
-                            own.len()
+                            out.stats.deque_bytes = own.capacity() * size_of::<u32>();
+                            own.len() / stride
                         };
                         tracer.emit_with("ws.expand", || out.stats.to_json().set("deque", depth));
                     }
                 }
             }
             out.stats.deque_bytes =
-                own.lock().expect("deque lock poisoned").capacity() * size_of::<WsTask>();
+                own.lock().expect("deque lock poisoned").capacity() * size_of::<u32>();
             tracer.emit_with("ws.done", || out.stats.to_json());
             out
         };
@@ -1639,7 +1590,7 @@ impl<'e, 'a, P: Protocol> Exploration<'e, 'a, P> {
     /// [`Registry::render_prometheus`] at any point during or after the
     /// run. Without this (or [`Exploration::progress_every`]) the engines
     /// skip every live update — the disabled path is one branch per level
-    /// or per task.
+    /// or per batch of tasks.
     pub fn registry(mut self, registry: Registry) -> Self {
         self.registry = Some(registry);
         self
@@ -2481,78 +2432,90 @@ mod tests {
         }
     }
 
+    /// A task record of width 3 that carries its number in every id, so
+    /// a record torn apart or shifted by a steal shows.
+    fn record(i: usize) -> [u32; 4] {
+        let i = i as u32;
+        [i, i ^ 0x55, i.wrapping_mul(7), !i]
+    }
+
+    fn records(range: std::ops::Range<usize>) -> VecDeque<u32> {
+        range.flat_map(record).collect()
+    }
+
     #[test]
     fn steal_half_takes_the_oldest_half_up_to_the_cap() {
-        let mut scratch = Vec::new();
+        let mut batch = Vec::new();
         for len in [1, 2, 3, 7, 2 * WS_STEAL_MAX + 5] {
-            let victim = Mutex::new((0..len).collect::<VecDeque<usize>>());
+            let victim = Mutex::new(records(0..len));
             let own = Mutex::new(VecDeque::new());
-            let (first, extra) = steal_half(&victim, &own, &mut scratch).unwrap();
+            batch.clear();
+            let extra = steal_half(&victim, &own, 4, &mut batch).unwrap();
             let take = len.div_ceil(2).min(WS_STEAL_MAX);
-            assert!(take <= WS_STEAL_MAX);
             assert_eq!(extra + 1, take, "victim of {len}");
-            // The thief gets the oldest task, and the extras land behind
+            // The thief gets the oldest record, and the extras land behind
             // it in order, so its own LIFO pops start at the newest stolen.
-            assert_eq!(first, 0);
-            assert!(own.into_inner().unwrap().into_iter().eq(1..take));
-            // The victim keeps its newest tasks in LIFO order.
-            let mut victim = victim.into_inner().unwrap();
-            assert!(victim.iter().copied().eq(take..len));
-            assert_eq!(victim.pop_back(), (take < len).then_some(len - 1));
-            assert!(scratch.is_empty());
+            assert_eq!(batch, record(0));
+            assert_eq!(own.into_inner().unwrap(), records(1..take));
+            // The victim keeps its newest records in order.
+            assert_eq!(victim.into_inner().unwrap(), records(take..len));
         }
-        let empty = Mutex::new(VecDeque::<usize>::new());
+        let empty = Mutex::new(VecDeque::new());
         let own = Mutex::new(VecDeque::new());
-        assert!(steal_half(&empty, &own, &mut scratch).is_none());
+        batch.clear();
+        assert!(steal_half(&empty, &own, 4, &mut batch).is_none());
+        assert!(batch.is_empty());
         assert!(own.into_inner().unwrap().is_empty());
     }
 
     #[test]
     fn an_owner_and_two_thieves_see_every_task_once() {
         const TASKS: usize = 100_000;
-        let deques: Vec<Mutex<VecDeque<usize>>> =
+        const STRIDE: usize = 4;
+        let deques: Vec<Mutex<VecDeque<u32>>> =
             (0..3).map(|_| Mutex::new(VecDeque::new())).collect();
+        // Pops up to `n` records off the back of `deque` into `seen`.
+        let pop = |deque: &Mutex<VecDeque<u32>>, n: usize, seen: &mut Vec<u32>| {
+            let mut deque = deque.lock().unwrap();
+            let at = deque.len() - (deque.len() / STRIDE).min(n) * STRIDE;
+            seen.extend(deque.drain(at..));
+        };
         let owner_done = AtomicBool::new(false);
-        let mut seen = std::thread::scope(|s| {
+        let seen = std::thread::scope(|s| {
             let thieves: Vec<_> = (1..3)
                 .map(|me| {
-                    let (deques, owner_done) = (&deques, &owner_done);
+                    let (deques, owner_done, pop) = (&deques, &owner_done, &pop);
                     s.spawn(move || {
                         let mut seen = Vec::new();
-                        let mut scratch = Vec::new();
                         loop {
                             // Read before trying: once the owner is done,
                             // its deque stays empty, so a miss after that
                             // is final.
                             let finished = owner_done.load(Ordering::Acquire);
-                            let popped = deques[me].lock().unwrap().pop_back();
-                            if let Some(task) = popped {
-                                seen.push(task);
-                            } else if let Some((task, _)) =
-                                steal_half(&deques[0], &deques[me], &mut scratch)
+                            let before = seen.len();
+                            pop(&deques[me], 2, &mut seen);
+                            if seen.len() == before
+                                && steal_half(&deques[0], &deques[me], STRIDE, &mut seen).is_none()
+                                && finished
                             {
-                                seen.push(task);
-                            } else if finished {
                                 return seen;
                             }
                         }
                     })
                 })
                 .collect();
-            // The owner pushes three tasks with one lock and pops one,
-            // then drains what the thieves left.
+            // The owner pushes three records with one lock and pops one,
+            // then drains what the thieves left, five at a time.
             let mut seen = Vec::new();
             for start in (0..TASKS).step_by(3) {
                 deques[0]
                     .lock()
                     .unwrap()
-                    .extend(start..(start + 3).min(TASKS));
-                seen.extend(deques[0].lock().unwrap().pop_back());
+                    .extend(records(start..(start + 3).min(TASKS)));
+                pop(&deques[0], 1, &mut seen);
             }
-            loop {
-                let popped = deques[0].lock().unwrap().pop_back();
-                let Some(task) = popped else { break };
-                seen.push(task);
+            while !deques[0].lock().unwrap().is_empty() {
+                pop(&deques[0], 5, &mut seen);
             }
             owner_done.store(true, Ordering::Release);
             for thief in thieves {
@@ -2560,8 +2523,16 @@ mod tests {
             }
             seen
         });
-        seen.sort_unstable();
-        assert!(seen.into_iter().eq(0..TASKS));
+        assert_eq!(seen.len(), TASKS * STRIDE);
+        let mut ids: Vec<usize> = seen
+            .chunks_exact(STRIDE)
+            .map(|r| {
+                assert_eq!(r, record(r[0] as usize), "records stay whole");
+                r[0] as usize
+            })
+            .collect();
+        ids.sort_unstable();
+        assert!(ids.into_iter().eq(0..TASKS));
     }
 
     #[test]
@@ -2614,6 +2585,31 @@ mod tests {
                 if !ws.expanded[i] {
                     assert!(es.is_empty());
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn work_stealing_expands_exactly_the_budget() {
+        let p = RaceConsensus { n: 8 };
+        let objects = vec![AnyObject::consensus(8).unwrap()];
+        let ex = Explorer::new(&p, &objects);
+        let reachable = ex.exploration().run().unwrap().len();
+        let budgets = [1, WS_BATCH - 1, WS_BATCH, WS_BATCH + 1, 3 * WS_BATCH + 2];
+        assert!(budgets.iter().all(|&b| b < reachable));
+        for threads in [1, 2, 4] {
+            for budget in budgets {
+                let ws = ex
+                    .exploration()
+                    .limits(Limits::new(budget))
+                    .threads(threads)
+                    .frontier(Frontier::WorkStealing)
+                    .run()
+                    .unwrap();
+                assert!(!ws.complete);
+                let expanded = ws.expanded.iter().filter(|&&e| e).count();
+                assert_eq!(expanded, budget, "budget {budget} at {threads} threads");
+                assert_eq!(ws.stats.expanded, budget);
             }
         }
     }
@@ -2672,13 +2668,13 @@ mod tests {
             assert_eq!(w.worker, i, "rows indexed by worker id");
             assert!(
                 w.busy.is_zero(),
-                "per-task timing needs a tracer; untraced busy must stay zero"
+                "per-batch timing needs a tracer; untraced busy must stay zero"
             );
         }
         assert_aggregates_sum_workers(stats);
         assert!(stats.worker_imbalance() >= 1.0);
-        // Untraced runs record no per-task or steal latency distributions.
-        assert!(stats.hist.task_expand.is_empty());
+        // Untraced runs record no per-batch or steal latency distributions.
+        assert!(stats.hist.batch_expand.is_empty());
         assert!(stats.hist.steal.is_empty());
     }
 
@@ -2822,10 +2818,13 @@ mod tests {
                 other => panic!("unexpected steal outcome {other:?}"),
             }
         }
-        // Traced runs populate the per-task latency distribution: one
-        // sample per expanded task.
+        // Traced runs populate the per-batch latency distribution: one
+        // sample per batch, each of at most `WS_BATCH` expanded tasks.
         let stats = &ws.stats;
-        assert_eq!(stats.hist.task_expand.count(), stats.expanded as u64);
+        let batches = stats.hist.batch_expand.count();
+        assert!(
+            (stats.expanded.div_ceil(WS_BATCH) as u64..=stats.expanded as u64).contains(&batches)
+        );
         assert_eq!(
             stats.hist.steal.count(),
             stats.steals,
@@ -2838,7 +2837,9 @@ mod tests {
         let doc = stats.to_json();
         assert!(doc.get("workers").is_some());
         assert!(
-            doc.get("hist").and_then(|h| h.get("task_expand")).is_some(),
+            doc.get("hist")
+                .and_then(|h| h.get("batch_expand"))
+                .is_some(),
             "histograms reach the serialized metrics"
         );
     }

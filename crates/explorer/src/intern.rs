@@ -565,6 +565,17 @@ impl Shard {
     }
 }
 
+/// Reusable buffers of one caller of [`ConcurrentIndex::resolve`]: kept
+/// from batch to batch, so a warm caller resolves without allocating.
+#[derive(Debug, Default)]
+pub(crate) struct IndexBatch {
+    hashes: Vec<u64>,
+    /// Key positions bucketed by shard.
+    order: Vec<u32>,
+    /// `(node index, inserted)` per key, in key order.
+    pub(crate) results: Vec<(u32, bool)>,
+}
+
 impl ConcurrentIndex {
     /// Creates an empty index.
     #[must_use]
@@ -581,15 +592,10 @@ impl ConcurrentIndex {
     /// snapshot — claiming requires [`ConcurrentIndex::get_or_insert`].
     #[must_use]
     pub fn probe(&self, key: &[u32]) -> Option<u32> {
-        self.find(key, row_hash(key))
-    }
-
-    /// [`ConcurrentIndex::probe`] for a key whose [`row_hash`] is known.
-    pub(crate) fn find(&self, key: &[u32], hash: u64) -> Option<u32> {
         self.shards[shard_of(key)]
             .read()
             .expect("index lock poisoned")
-            .find(key, hash)
+            .find(key, row_hash(key))
             .ok()
     }
 
@@ -598,18 +604,22 @@ impl ConcurrentIndex {
     /// winning insert — the caller that sees `true` owns the node: it must
     /// record the configuration and schedule its expansion.
     pub fn get_or_insert(&self, key: &[u32]) -> (u32, bool) {
-        let hash = row_hash(key);
-        if let Some(id) = self.find(key, hash) {
+        if let Some(id) = self.probe(key) {
             return (id, false);
         }
         let mut shard = self.shards[shard_of(key)]
             .write()
             .expect("index lock poisoned");
-        self.claim_locked(&mut shard, key, hash)
+        let before = shard.bytes();
+        let claim = self.claim_locked(&mut shard, key, row_hash(key));
+        self.bytes
+            .fetch_add(shard.bytes() - before, Ordering::Relaxed);
+        claim
     }
 
     /// Claims `key` in its write-locked `shard`: a hit if another winner
-    /// got there first, else the next node index.
+    /// got there first, else the next node index. The caller accounts the
+    /// shard's growth into `bytes`.
     fn claim_locked(&self, shard: &mut Shard, key: &[u32], hash: u64) -> (u32, bool) {
         let slot = match shard.find(key, hash) {
             Ok(id) => return (id, false),
@@ -619,109 +629,111 @@ impl ConcurrentIndex {
         // inserted exactly once, so ids are dense even across shards.
         let id = self.next.fetch_add(1, Ordering::Relaxed);
         assert!(id < u32::MAX, "concurrent index overflow");
-        let before = shard.bytes();
         shard.table.insert_at(key, hash, slot);
         shard.ids.push(id);
-        // The shard only grows, so the difference is never negative.
-        self.bytes
-            .fetch_add(shard.bytes() - before, Ordering::Relaxed);
         (id, true)
     }
 
     /// Batched [`ConcurrentIndex::get_or_insert`]: resolves every key of
-    /// one task's successor set with at most one read-lock and one
-    /// write-lock acquisition *per shard touched*, instead of up to two
-    /// lock round-trips per key, and hashes each key once. `results[i]`
-    /// receives `(id, inserted)` for `keys[i]`, with the same winner
-    /// semantics as the scalar call (duplicate keys inside one batch: the
-    /// first occurrence wins, the rest report hits). Returns the number of
-    /// keys resolved without inserting — the batch's hit count.
-    ///
-    /// Ids are still handed out by the shared counter under the winning
-    /// shard's write lock, so they stay dense and unique; within a batch
-    /// they follow key order per shard, shards in the order their first
-    /// keys appear, which is as discovery-ordered as the barrier-free
-    /// engine gets.
+    /// `keys` through [`ConcurrentIndex::resolve`], with at most one
+    /// read-lock and one write-lock acquisition *per shard touched*.
+    /// `results[i]` receives `(id, inserted)` for `keys[i]`, with the same
+    /// winner semantics as the scalar call (duplicate keys inside one
+    /// batch: the first occurrence wins, the rest report hits). Returns
+    /// the number of keys resolved without inserting — the batch's hit
+    /// count.
     pub fn get_or_insert_batch<K: AsRef<[u32]>>(
         &self,
         keys: &[K],
         results: &mut Vec<(u32, bool)>,
     ) -> u64 {
-        let hashes: Vec<u64> = keys.iter().map(|k| row_hash(k.as_ref())).collect();
-        self.batch(|i| keys[i].as_ref(), &hashes, results, true)
+        let mut batch = IndexBatch {
+            results: std::mem::take(results),
+            ..IndexBatch::default()
+        };
+        self.resolve(keys.len(), |i| keys[i].as_ref(), &mut batch);
+        *results = batch.results;
+        results.iter().filter(|&&(_, inserted)| !inserted).count() as u64
     }
 
-    /// [`ConcurrentIndex::get_or_insert_batch`] for keys that have just
-    /// missed a [`ConcurrentIndex::find`]: key `i` is `key(i)`, hashed
-    /// `hashes[i]`. It skips the read-locked probe, so each shard touched
-    /// takes one write lock, under which every key is re-checked; the hits
-    /// it returns are keys another worker claimed since the probe.
-    pub(crate) fn claim_missed<'k>(
+    /// Resolves keys `key(0..len)` into `batch.results`, shard by shard:
+    /// each key is hashed once and bucketed by shard (a stable counting
+    /// sort, so a shard's keys keep their order), then each shard touched
+    /// is probed under one read lock and its misses are claimed under one
+    /// write lock, which re-checks each (another worker, or an earlier
+    /// duplicate in this very batch, may have won meanwhile). Shards are
+    /// visited in ring order from the first key's, so workers whose
+    /// batches start in different regions start on different locks.
+    ///
+    /// Returns the keys that missed the read probe and were found under
+    /// the write lock: duplicates within the batch and keys another worker
+    /// claimed in between.
+    pub(crate) fn resolve<'k>(
         &self,
+        len: usize,
         key: impl Fn(usize) -> &'k [u32],
-        hashes: &[u64],
-        results: &mut Vec<(u32, bool)>,
+        batch: &mut IndexBatch,
     ) -> u64 {
-        self.batch(key, hashes, results, false)
-    }
-
-    /// The batch behind both entry points: visits the shards touched in
-    /// the order their first keys appear; in each, probes the shard's keys
-    /// under one read lock (if `probe`) and claims the rest under one
-    /// write lock. A shard's keys are all resolved before the next shard
-    /// is visited, so an unresolved key marks a shard not yet visited.
-    fn batch<'k>(
-        &self,
-        key: impl Fn(usize) -> &'k [u32],
-        hashes: &[u64],
-        results: &mut Vec<(u32, bool)>,
-        probe: bool,
-    ) -> u64 {
-        const UNRESOLVED: (u32, bool) = (u32::MAX, false);
-        results.clear();
-        results.resize(hashes.len(), UNRESOLVED);
-        let mut hits = 0u64;
-        for first in 0..hashes.len() {
-            if results[first] != UNRESOLVED {
-                continue;
-            }
-            let shard = shard_of(key(first));
-            let in_shard = |results: &[(u32, bool)], i: usize| {
-                results[i] == UNRESOLVED && shard_of(key(i)) == shard
-            };
-            let mut missed = !probe;
-            if probe {
-                let guard = self.shards[shard].read().expect("index lock poisoned");
-                for i in first..hashes.len() {
-                    if !in_shard(results, i) {
-                        continue;
-                    }
-                    match guard.find(key(i), hashes[i]) {
-                        Ok(id) => {
-                            results[i] = (id, false);
-                            hits += 1;
-                        }
-                        Err(_) => missed = true,
-                    }
-                }
-            }
-            if !missed {
-                continue;
-            }
-            // One write lock for the shard's misses; each re-checks under
-            // the lock (another worker, or an earlier duplicate in this
-            // very batch, may have won meanwhile).
-            let mut guard = self.shards[shard].write().expect("index lock poisoned");
-            for i in first..hashes.len() {
-                if in_shard(results, i) {
-                    results[i] = self.claim_locked(&mut guard, key(i), hashes[i]);
-                    if !results[i].1 {
-                        hits += 1;
-                    }
-                }
-            }
+        let IndexBatch {
+            hashes,
+            order,
+            results,
+        } = batch;
+        let mut starts = [0u32; SHARDS + 1];
+        hashes.clear();
+        hashes.extend((0..len).map(|i| {
+            starts[shard_of(key(i)) + 1] += 1;
+            row_hash(key(i))
+        }));
+        for s in 0..SHARDS {
+            starts[s + 1] += starts[s];
         }
-        hits
+        order.clear();
+        order.resize(len, 0);
+        let mut fill = starts;
+        for i in 0..len {
+            let s = shard_of(key(i));
+            order[fill[s] as usize] = i as u32;
+            fill[s] += 1;
+        }
+        results.clear();
+        results.resize(len, (u32::MAX, false));
+        let first = if len == 0 { 0 } else { shard_of(key(0)) };
+        let mut late_hits = 0u64;
+        for step in 0..SHARDS {
+            let s = (first + step) % SHARDS;
+            let bucket = &mut order[starts[s] as usize..starts[s + 1] as usize];
+            if bucket.is_empty() {
+                continue;
+            }
+            // Probe; the misses are compacted to the bucket's front.
+            let mut missed = 0;
+            let guard = self.shards[s].read().expect("index lock poisoned");
+            for j in 0..bucket.len() {
+                let i = bucket[j] as usize;
+                match guard.find(key(i), hashes[i]) {
+                    Ok(id) => results[i] = (id, false),
+                    Err(_) => {
+                        bucket[missed] = i as u32;
+                        missed += 1;
+                    }
+                }
+            }
+            drop(guard);
+            if missed == 0 {
+                continue;
+            }
+            let mut guard = self.shards[s].write().expect("index lock poisoned");
+            let before = guard.bytes();
+            for &i in &bucket[..missed] {
+                let i = i as usize;
+                results[i] = self.claim_locked(&mut guard, key(i), hashes[i]);
+                late_hits += u64::from(!results[i].1);
+            }
+            self.bytes
+                .fetch_add(guard.bytes() - before, Ordering::Relaxed);
+        }
+        late_hits
     }
 
     /// Consumes the index into its rows, end to end in node order, the

@@ -13,7 +13,8 @@
 //! [`Exploration::registry`](crate::Exploration::registry) or
 //! [`Exploration::progress_every`](crate::Exploration::progress_every) —
 //! the engines take `Option<&LiveMetrics>` and the disabled path is one
-//! branch per level (deterministic engine) or per task (work-stealing).
+//! branch per level (deterministic engine) or per batch of tasks
+//! (work-stealing).
 //! Enabled, every update is a relaxed atomic on a handle shared with the
 //! watcher; the registry lock is touched only at registration and
 //! snapshot.

@@ -52,13 +52,13 @@ pub struct PhaseTimes {
 /// its own and bumps it directly. The [`ExploreStats`] aggregates are sums
 /// over these tallies, a work-stealing worker's `ws.done` trace event is
 /// its [`WorkerStats::to_json`], and the live registry advances by what
-/// each level or task adds to them.
+/// each level or batch adds to them.
 ///
 /// The counting fields are always populated (steal, deque and idle fields
 /// stay zero on the level-sync engine, which exposes no per-worker rows).
 /// The wall-clock fields follow the overhead policy: `idle` is measured
 /// unconditionally (the clock is only read while the worker has no work to
-/// do), while `busy` requires a per-task clock read and is therefore zero
+/// do), while `busy` requires a per-batch clock read and is therefore zero
 /// unless the run was traced.
 #[derive(Clone, Debug, Default)]
 pub struct WorkerStats {
@@ -84,11 +84,13 @@ pub struct WorkerStats {
     pub idle_spins: u64,
     /// Times this worker parked after exhausting its spin/yield budget.
     pub park_count: u64,
-    /// Footprint of this worker's deque buffer (its capacity in tasks),
-    /// read at each progress beat and at sign-off.
+    /// Footprint of this worker's deque buffer (its capacity in ids; a
+    /// task is a record of one id plus its key row), read at each
+    /// progress beat and at sign-off.
     pub deque_bytes: usize,
-    /// Keys this worker's batched index rounds resolved to nodes another
-    /// worker interned between the read-only pre-probe and the insert.
+    /// Keys this worker's batched index rounds missed under a shard's read
+    /// lock and found under its write lock: nodes another worker claimed
+    /// in between, or an earlier duplicate in the same batch.
     pub index_batch_hits: u64,
     /// Transition-memo lookups this worker answered without stepping, from
     /// its private memo map or the work-stealing engine's shared one.
@@ -105,8 +107,8 @@ pub struct WorkerStats {
     /// Wall-clock time spent parked (the thread was asleep, not burning a
     /// core).
     pub parked: Duration,
-    /// Wall-clock time spent expanding tasks. Zero unless traced — this
-    /// needs a clock read per task.
+    /// Wall-clock time spent expanding batches of tasks. Zero unless
+    /// traced — this needs a clock read per batch.
     pub busy: Duration,
 }
 
@@ -190,7 +192,7 @@ impl SampleWorkerStats {
 /// `level_expand` records one sample per BFS level and is always on
 /// (per-level clock reads are already part of [`LevelStats`]).
 /// `steal` records the latency of each successful steal operation, and
-/// `canonicalize`/`task_expand` record per-call and per-task costs — all
+/// `canonicalize`/`batch_expand` record per-call and per-batch costs — all
 /// three need extra clock reads on hot paths and are therefore only
 /// populated when the run is traced.
 #[derive(Clone, Debug, Default)]
@@ -204,9 +206,10 @@ pub struct LatencyHistograms {
     pub steal_batch: HistogramNs,
     /// Per-call orbit-canonicalization cost (traced, reduced runs only).
     pub canonicalize: HistogramNs,
-    /// Per-task expansion cost in the work-stealing frontier (traced runs
-    /// only).
-    pub task_expand: HistogramNs,
+    /// Per-batch expansion cost in the work-stealing frontier: one sample
+    /// per batch of tasks a worker took off its deque, from expansion
+    /// through enqueuing the children (traced runs only).
+    pub batch_expand: HistogramNs,
 }
 
 impl LatencyHistograms {
@@ -219,7 +222,7 @@ impl LatencyHistograms {
             ("steal", &self.steal),
             ("steal_batch", &self.steal_batch),
             ("canonicalize", &self.canonicalize),
-            ("task_expand", &self.task_expand),
+            ("batch_expand", &self.batch_expand),
         ];
         let mut doc = Json::object();
         let mut any = false;
@@ -296,9 +299,9 @@ pub struct ExploreStats {
     /// Times a starved worker parked after exhausting its spin/yield
     /// backoff budget (work-stealing only).
     pub park_count: u64,
-    /// Keys the batched index round resolved to already-interned nodes —
-    /// i.e. races another worker won between a task's read-only pre-probe
-    /// and its insert round (work-stealing only).
+    /// Keys a batched index round missed under a shard's read lock and
+    /// found under its write lock — races another worker won in between,
+    /// or duplicates within the batch (work-stealing only).
     pub index_batch_hits: u64,
     /// Estimated heap footprint of the state/status interners at the end
     /// of the run (see `Interner::approx_bytes` — a structural estimate,
@@ -592,7 +595,7 @@ mod tests {
         assert!(hist.get("level_expand").is_some());
         assert!(hist.get("steal").is_some());
         assert!(
-            hist.get("task_expand").is_none(),
+            hist.get("batch_expand").is_none(),
             "untouched histograms are omitted"
         );
         assert_eq!(
